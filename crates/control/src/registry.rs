@@ -10,7 +10,7 @@
 //! important attributes pinned as long as possible.
 
 use crate::features::{NodeClass, NodeId, StreamKey};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// The attribute path of one indexed entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -57,11 +57,12 @@ pub enum MatchLevel {
 
 /// The layered hash tree.
 ///
-/// Levels are `stream → isp → class → region → {nodes}`, each level a
-/// hash map, mirroring the paper's "specialized hash functions at each
-/// layer". Nodes are indexed once per forwarded substream plus once in
-/// the idle index (`stream = None`) so that not-yet-forwarding nodes are
-/// reachable after full relaxation.
+/// Levels are `stream → isp → class → region → {nodes}`, each level an
+/// ordered map keyed by that attribute — the paper's "specialized hash
+/// functions at each layer" with a deterministic iteration order. Nodes
+/// are indexed once per forwarded substream plus once in the idle index
+/// (`stream = None`) so that not-yet-forwarding nodes are reachable
+/// after full relaxation.
 #[derive(Debug, Default)]
 pub struct HashTreeRegistry {
     /// stream -> isp -> class -> region -> nodes
@@ -184,106 +185,149 @@ impl HashTreeRegistry {
         }
     }
 
-    fn collect_region(out: &mut Vec<NodeId>, region_level: &RegionLevel, region: Option<u16>) {
-        match region {
-            Some(r) => {
-                if let Some(nodes) = region_level.get(&r) {
-                    out.extend(nodes.iter().copied());
-                }
-            }
-            None => {
-                for nodes in region_level.values() {
-                    out.extend(nodes.iter().copied());
-                }
-            }
-        }
-    }
-
-    fn collect(
-        &self,
-        stream: Option<StreamKey>,
-        isp: Option<u16>,
-        class: Option<NodeClass>,
-        region: Option<u16>,
-    ) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        let Some(isp_level) = self.tree.get(&stream) else {
-            return out;
-        };
-        let isps: Vec<&ClassLevel> = match isp {
-            Some(i) => isp_level.get(&i).into_iter().collect(),
-            None => isp_level.values().collect(),
-        };
-        for class_level in isps {
-            let classes: Vec<&RegionLevel> = match class {
-                Some(c) => class_level.get(&c.into()).into_iter().collect(),
-                None => class_level.values().collect(),
-            };
-            for region_level in classes {
-                Self::collect_region(&mut out, region_level, region);
-            }
-        }
-        out
-    }
-
     /// Retrieves at least `want` candidates for `query`, relaxing the
     /// attribute path progressively. Returns the nodes (deduplicated,
     /// most-specific matches first) and the coarsest relaxation level
     /// that was needed.
     pub fn retrieve(&self, query: &AttrQuery, want: usize) -> (Vec<NodeId>, MatchLevel) {
-        type Plan = (
-            MatchLevel,
-            Option<StreamKey>,
-            Option<u16>,
-            Option<NodeClass>,
-            Option<u16>,
-        );
-        let plans: [Plan; 5] = [
-            (
-                MatchLevel::Exact,
-                Some(query.stream),
-                Some(query.isp),
-                Some(query.class),
-                Some(query.region),
-            ),
-            (
-                MatchLevel::AnyRegion,
-                Some(query.stream),
-                Some(query.isp),
-                Some(query.class),
-                None,
-            ),
-            (
-                MatchLevel::AnyClass,
-                Some(query.stream),
-                Some(query.isp),
-                None,
-                None,
-            ),
-            (MatchLevel::AnyIsp, Some(query.stream), None, None, None),
-            (MatchLevel::AnyStream, None, Some(query.isp), None, None),
-        ];
-        let mut seen = HashSet::new();
         let mut out = Vec::new();
-        let mut level = MatchLevel::Exact;
-        for (lvl, stream, isp, class, region) in plans {
-            level = lvl;
-            for n in self.collect(stream, isp, class, region) {
-                if seen.insert(n) {
-                    out.push(n);
-                }
-            }
-            if out.len() >= want {
-                return (out, level);
-            }
-        }
-        // Final fallback: any idle node anywhere.
-        for n in self.collect(None, None, None, None) {
-            if seen.insert(n) {
-                out.push(n);
-            }
-        }
+        let level = self.retrieve_into(query, want, &mut out);
         (out, level)
+    }
+
+    /// [`HashTreeRegistry::retrieve`] into a caller-owned buffer, which
+    /// is cleared first.
+    ///
+    /// Deduplication is structural. The stream-pinned levels are nested
+    /// (Exact ⊂ AnyRegion ⊂ AnyClass ⊂ AnyIsp), so what a wider level
+    /// has not emitted yet is what sits under its *other* keys. By the
+    /// time the idle index is reached everything emitted forwards the
+    /// stream and is fewer than `want` ids; the idle levels skip those
+    /// by binary search, and the last one skips the client's ISP whole.
+    pub fn retrieve_into(
+        &self,
+        query: &AttrQuery,
+        want: usize,
+        out: &mut Vec<NodeId>,
+    ) -> MatchLevel {
+        out.clear();
+        let (level, _) = self.retrieve_pinned(query, want, out);
+        if out.len() >= want {
+            return level;
+        }
+        let mut forwarders = out.clone();
+        forwarders.sort_unstable();
+        let idle = self.tree.get(&None);
+        if let Some(classes) = idle.and_then(|isps| isps.get(&query.isp)) {
+            push_classes(out, classes, None, &forwarders);
+        }
+        if out.len() < want {
+            // Final fallback: any idle node anywhere.
+            if let Some(isps) = idle {
+                push_isps(out, isps, query.isp, &forwarders);
+            }
+        }
+        MatchLevel::AnyStream
+    }
+
+    /// The four levels of a retrieval that keep the stream pinned,
+    /// appended to `out` until it holds `want` ids. Returns the level
+    /// reached and how many of the ids are in the query's ISP (exact
+    /// once the class level has run, i.e. whenever `out` fell short).
+    pub(crate) fn retrieve_pinned(
+        &self,
+        query: &AttrQuery,
+        want: usize,
+        out: &mut Vec<NodeId>,
+    ) -> (MatchLevel, usize) {
+        let class = NodeClassKey::from(query.class);
+        let isps = self.tree.get(&Some(query.stream));
+        let classes = isps.and_then(|l| l.get(&query.isp));
+        let regions = classes.and_then(|l| l.get(&class));
+        if let Some(nodes) = regions.and_then(|l| l.get(&query.region)) {
+            out.extend(nodes.iter().copied());
+        }
+        if out.len() >= want {
+            return (MatchLevel::Exact, out.len());
+        }
+        if let Some(regions) = regions {
+            push_regions(out, regions, Some(query.region), &[]);
+        }
+        if out.len() >= want {
+            return (MatchLevel::AnyRegion, out.len());
+        }
+        if let Some(classes) = classes {
+            push_classes(out, classes, Some(class), &[]);
+        }
+        let same_isp = out.len();
+        if out.len() >= want {
+            return (MatchLevel::AnyClass, same_isp);
+        }
+        if let Some(isps) = isps {
+            push_isps(out, isps, query.isp, &[]);
+        }
+        (MatchLevel::AnyIsp, same_isp)
+    }
+
+    /// Every node of `isp`, in idle-index order (class, region, id).
+    pub(crate) fn idle_in_isp(&self, isp: u16) -> impl Iterator<Item = NodeId> + '_ {
+        let classes = self.tree.get(&None).and_then(|isps| isps.get(&isp));
+        classes.into_iter().flat_map(nodes_under)
+    }
+
+    /// The nodes indexed as forwarding `key`, in index order.
+    pub(crate) fn forwarders(&self, key: StreamKey) -> impl Iterator<Item = NodeId> + '_ {
+        let isps = self.tree.get(&Some(key));
+        isps.into_iter()
+            .flat_map(BTreeMap::values)
+            .flat_map(nodes_under)
+    }
+}
+
+fn nodes_under(classes: &ClassLevel) -> impl Iterator<Item = NodeId> + '_ {
+    classes
+        .values()
+        .flat_map(BTreeMap::values)
+        .flat_map(|nodes| nodes.iter().copied())
+}
+
+/// Appends every ISP of `isps` but `skip`, leaving out the ids in the
+/// sorted slice `seen`.
+fn push_isps(out: &mut Vec<NodeId>, isps: &IspLevel, skip: u16, seen: &[NodeId]) {
+    for (isp, classes) in isps {
+        if *isp != skip {
+            push_classes(out, classes, None, seen);
+        }
+    }
+}
+
+/// Appends every class of `classes` but `skip`, leaving out the ids in
+/// the sorted slice `seen`.
+fn push_classes(
+    out: &mut Vec<NodeId>,
+    classes: &ClassLevel,
+    skip: Option<NodeClassKey>,
+    seen: &[NodeId],
+) {
+    for (class, regions) in classes {
+        if Some(*class) != skip {
+            push_regions(out, regions, None, seen);
+        }
+    }
+}
+
+/// Appends every region of `regions` but `skip`, leaving out the ids in
+/// the sorted slice `seen`.
+fn push_regions(out: &mut Vec<NodeId>, regions: &RegionLevel, skip: Option<u16>, seen: &[NodeId]) {
+    for (region, nodes) in regions {
+        if Some(*region) == skip {
+            continue;
+        }
+        if seen.is_empty() {
+            out.extend(nodes.iter().copied());
+        } else {
+            out.extend(nodes.iter().filter(|n| seen.binary_search(n).is_err()));
+        }
     }
 }
 
@@ -360,7 +404,7 @@ mod tests {
     fn no_duplicates_across_relaxations() {
         let reg = setup();
         let (nodes, _) = reg.retrieve(&query(), 100);
-        let unique: HashSet<_> = nodes.iter().collect();
+        let unique: BTreeSet<_> = nodes.iter().collect();
         assert_eq!(unique.len(), nodes.len());
         assert_eq!(nodes.len(), 5);
     }

@@ -19,7 +19,9 @@ use rlive_sim::metrics::{Percentiles, Summary};
 use rlive_sim::trace::{TraceEvent, TraceSink};
 use rlive_sim::{SimDuration, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Scheduler configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -86,9 +88,86 @@ pub struct Recommendation {
 }
 
 struct NodeRecord {
+    node: NodeId,
     statics: StaticFeatures,
     status: NodeStatus,
     last_heartbeat: SimTime,
+}
+
+impl NodeRecord {
+    /// Whether the node may still be recommended and still vouches for
+    /// the capacity of the streams it forwards: it has never sent a
+    /// heartbeat (just registered), or its last one is no older than
+    /// `staleness`.
+    fn is_fresh(&self, now: SimTime, staleness: SimDuration) -> bool {
+        self.last_heartbeat == SimTime::ZERO
+            || now.saturating_since(self.last_heartbeat) <= staleness
+    }
+}
+
+/// Hashes a [`NodeId`] by one multiplication. Node ids are assigned by
+/// the simulator, never taken from outside input, so there is nobody to
+/// defend against with a keyed hash.
+#[derive(Default)]
+struct NodeIdHasher(u64);
+
+impl Hasher for NodeIdHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a NodeId hashes as a single u64");
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The scheduler's node records: a dense slab plus an id → slot map.
+///
+/// Point lookups only. Slab order depends on the removal history, so
+/// nothing that reaches output may iterate it; ordered walks go through
+/// the registry, which is ordered by construction.
+#[derive(Default)]
+struct NodeTable {
+    slab: Vec<NodeRecord>,
+    slots: HashMap<NodeId, u32, BuildHasherDefault<NodeIdHasher>>,
+}
+
+impl NodeTable {
+    fn len(&self) -> usize {
+        self.slab.len()
+    }
+
+    fn get(&self, node: NodeId) -> Option<&NodeRecord> {
+        self.slots.get(&node).map(|&i| &self.slab[i as usize])
+    }
+
+    fn get_mut(&mut self, node: NodeId) -> Option<&mut NodeRecord> {
+        self.slots.get(&node).map(|&i| &mut self.slab[i as usize])
+    }
+
+    fn insert(&mut self, rec: NodeRecord) {
+        match self.slots.get(&rec.node) {
+            Some(&i) => self.slab[i as usize] = rec,
+            None => {
+                let slot = u32::try_from(self.slab.len()).expect("fewer than 2^32 nodes");
+                self.slots.insert(rec.node, slot);
+                self.slab.push(rec);
+            }
+        }
+    }
+
+    fn remove(&mut self, node: NodeId) {
+        if let Some(i) = self.slots.remove(&node) {
+            self.slab.swap_remove(i as usize);
+            if let Some(moved) = self.slab.get(i as usize) {
+                self.slots.insert(moved.node, i);
+            }
+        }
+    }
 }
 
 /// The global scheduler.
@@ -120,7 +199,7 @@ struct NodeRecord {
 pub struct GlobalScheduler {
     cfg: SchedulerConfig,
     registry: HashTreeRegistry,
-    nodes: BTreeMap<NodeId, NodeRecord>,
+    nodes: NodeTable,
     nat_history: NatSuccessHistory,
     /// The scoring policy behind the [`crate::policy::SchedulerPolicy`]
     /// seam. Adjusts availability scores and absorbs windowed feedback.
@@ -134,6 +213,11 @@ pub struct GlobalScheduler {
     /// Structured trace sink (disabled by default): every served
     /// recommendation is emitted as a `SchedulerRecommendation` event.
     trace: TraceSink,
+    // Scratch reused across recommendations; holds nothing between calls.
+    pool: Vec<NodeId>,
+    seen: Vec<NodeId>,
+    scored: Vec<Candidate>,
+    idle_scored: Vec<Candidate>,
 }
 
 impl GlobalScheduler {
@@ -143,7 +227,7 @@ impl GlobalScheduler {
         GlobalScheduler {
             cfg,
             registry: HashTreeRegistry::new(),
-            nodes: BTreeMap::new(),
+            nodes: NodeTable::default(),
             nat_history: NatSuccessHistory::default(),
             policy,
             rng,
@@ -152,6 +236,10 @@ impl GlobalScheduler {
             heartbeats: 0,
             heartbeat_bytes: 0,
             trace: TraceSink::disabled(),
+            pool: Vec::new(),
+            seen: Vec::new(),
+            scored: Vec::new(),
+            idle_scored: Vec::new(),
         }
     }
 
@@ -174,20 +262,18 @@ impl GlobalScheduler {
             statics.region,
             status.forwarding.iter().copied(),
         );
-        self.nodes.insert(
+        self.nodes.insert(NodeRecord {
             node,
-            NodeRecord {
-                statics,
-                status,
-                last_heartbeat: SimTime::ZERO,
-            },
-        );
+            statics,
+            status,
+            last_heartbeat: SimTime::ZERO,
+        });
     }
 
     /// Removes a node entirely (e.g. observed offline).
     pub fn deregister_node(&mut self, node: NodeId) {
         self.registry.remove_node(node);
-        self.nodes.remove(&node);
+        self.nodes.remove(node);
     }
 
     /// Number of known nodes.
@@ -199,19 +285,17 @@ impl GlobalScheduler {
     pub fn ingest_heartbeat(&mut self, hb: Heartbeat) {
         self.heartbeats += 1;
         self.heartbeat_bytes += crate::features::heartbeat_wire_size(&hb.status) as u64;
-        if let Some(rec) = self.nodes.get_mut(&hb.node) {
+        if let Some(rec) = self.nodes.get_mut(hb.node) {
             let forwarding_changed = rec.status.forwarding != hb.status.forwarding;
             rec.status = hb.status;
             rec.last_heartbeat = hb.at;
             if forwarding_changed {
-                let statics = rec.statics;
-                let forwarding: Vec<StreamKey> = rec.status.forwarding.iter().copied().collect();
                 self.registry.index_node(
                     hb.node,
-                    statics.isp,
-                    statics.class,
-                    statics.region,
-                    forwarding,
+                    rec.statics.isp,
+                    rec.statics.class,
+                    rec.statics.region,
+                    rec.status.forwarding.iter().copied(),
                 );
             }
         }
@@ -221,7 +305,7 @@ impl GlobalScheduler {
     /// NAT-specific success-rate term stays current. The same outcome
     /// feeds the active policy's per-node candidate-yield window.
     pub fn observe_connection(&mut self, now: SimTime, node: NodeId, success: bool) {
-        if let Some(rec) = self.nodes.get(&node) {
+        if let Some(rec) = self.nodes.get(node) {
             self.nat_history.observe(rec.statics.nat, success);
             self.policy.note_probe(now, node, success);
         }
@@ -233,7 +317,7 @@ impl GlobalScheduler {
     /// recovery-failure window. A no-op under the static policy and for
     /// departed nodes.
     pub fn note_recovery_outcome(&mut self, now: SimTime, node: NodeId, success: bool) {
-        if self.nodes.contains_key(&node) {
+        if self.nodes.get(node).is_some() {
             self.policy.note_recovery(now, node, success);
         }
     }
@@ -257,17 +341,15 @@ impl GlobalScheduler {
     /// stream's capacity (its frozen last-known status would otherwise
     /// pollute the mean forever).
     pub fn stream_utilization(&self, now: SimTime, key: StreamKey) -> Option<f64> {
+        // The registry indexes a node under `key` exactly while its
+        // record forwards it. Ascending id order fixes the f64 sum.
+        let mut forwarders: Vec<NodeId> = self.registry.forwarders(key).collect();
+        forwarders.sort_unstable();
         let mut s = Summary::new();
-        for rec in self.nodes.values() {
-            if !rec.status.forwarding.contains(&key) {
-                continue;
+        for rec in forwarders.into_iter().filter_map(|n| self.nodes.get(n)) {
+            if rec.is_fresh(now, self.cfg.staleness) {
+                s.add(rec.status.utilization());
             }
-            if now.saturating_since(rec.last_heartbeat) > self.cfg.staleness
-                && rec.last_heartbeat != SimTime::ZERO
-            {
-                continue;
-            }
-            s.add(rec.status.utilization());
         }
         if s.count() == 0 {
             None
@@ -284,6 +366,113 @@ impl GlobalScheduler {
         client: &ClientInfo,
         key: StreamKey,
     ) -> Recommendation {
+        // A batch of one: no idle level is shared.
+        self.answer(now, client, key, &mut None)
+    }
+
+    /// Answers `keys` for one client at one instant, in order, exactly
+    /// as that many [`GlobalScheduler::recommend`] calls would. Nothing
+    /// the scorer reads changes between the keys, so the availability
+    /// of the client's-ISP idle level — most of a cold pool — is
+    /// computed once and shared by every key that relaxes that far.
+    pub fn recommend_many(
+        &mut self,
+        now: SimTime,
+        client: &ClientInfo,
+        keys: &[StreamKey],
+    ) -> Vec<Recommendation> {
+        // Ids (stale ones included) in the idle level once it is scored.
+        let mut idle_ids = None;
+        keys.iter()
+            .map(|&key| self.answer(now, client, key, &mut idle_ids))
+            .collect()
+    }
+
+    /// The policy-adjusted availability of `node` for `client`, or
+    /// `None` when the node is unknown or stale.
+    fn availability(
+        &self,
+        now: SimTime,
+        weights: &ScoreWeights,
+        client: &ClientInfo,
+        node: NodeId,
+    ) -> Option<(f64, &NodeRecord)> {
+        let rec = self.nodes.get(node)?;
+        if !rec.is_fresh(now, self.cfg.staleness) {
+            return None;
+        }
+        // The policy seam: the static score passes through unmodified
+        // under `StaticScorePolicy`; `AdaptivePolicy` multiplies in the
+        // node's learned demotion/boost factor.
+        let raw = score(
+            weights,
+            &rec.statics,
+            &rec.status,
+            client,
+            &self.nat_history,
+        );
+        Some((self.policy.adjust(node, raw), rec))
+    }
+
+    /// Scores `self.pool` onto `self.scored`. The §4.1.1 objective is
+    /// availability over cost, where cost is the client's bandwidth
+    /// alone when the node already forwards the substream, and includes
+    /// back-to-CDN traffic otherwise.
+    fn score_pool(
+        &mut self,
+        now: SimTime,
+        weights: &ScoreWeights,
+        client: &ClientInfo,
+        key: StreamKey,
+    ) {
+        for &node in &self.pool {
+            let Some((availability, rec)) = self.availability(now, weights, client, node) else {
+                continue;
+            };
+            let already = rec.status.forwarding.contains(&key);
+            let cost = if already {
+                1.0
+            } else {
+                self.cfg.back_to_cdn_cost
+            };
+            self.scored.push(Candidate {
+                node,
+                score: availability / cost,
+                already_forwarding: already,
+            });
+        }
+    }
+
+    /// Scores the idle level of the client's ISP into `idle_scored`
+    /// and returns how many ids (stale ones included) the level holds.
+    /// A node of that level outside a key's forwarders does not forward
+    /// the key — the registry indexes a node under every substream its
+    /// record forwards — so its cost is back-to-CDN whatever the key.
+    fn score_idle(&mut self, now: SimTime, weights: &ScoreWeights, client: &ClientInfo) -> usize {
+        self.idle_scored.clear();
+        let mut ids = 0;
+        for node in self.registry.idle_in_isp(client.isp) {
+            ids += 1;
+            if let Some((availability, _)) = self.availability(now, weights, client, node) {
+                self.idle_scored.push(Candidate {
+                    node,
+                    score: availability / self.cfg.back_to_cdn_cost,
+                    already_forwarding: false,
+                });
+            }
+        }
+        ids
+    }
+
+    /// One key of a batch. `idle_ids` is `Some` once `idle_scored`
+    /// holds this batch's client's-ISP idle level.
+    fn answer(
+        &mut self,
+        now: SimTime,
+        client: &ClientInfo,
+        key: StreamKey,
+        idle_ids: &mut Option<usize>,
+    ) -> Recommendation {
         // Stage-profiled (wall clock, stderr-only reporting).
         let _span = rlive_sim::obs::time_stage(rlive_sim::obs::Stage::SchedulerCall);
         self.requests += 1;
@@ -298,84 +487,48 @@ impl GlobalScheduler {
         };
         // Retrieve a pool several times K so ranking has slack.
         let want = self.cfg.top_k * 8;
-        let (pool, match_level) = self.registry.retrieve(&query, want);
-
-        let mut scored: Vec<Candidate> = Vec::with_capacity(pool.len());
-        for node in pool {
-            let Some(rec) = self.nodes.get(&node) else {
-                continue;
+        self.pool.clear();
+        let (mut match_level, same_isp) =
+            self.registry.retrieve_pinned(&query, want, &mut self.pool);
+        let mut share_idle = false;
+        if self.pool.len() < want {
+            match_level = MatchLevel::AnyStream;
+            let ids = match *idle_ids {
+                Some(ids) => ids,
+                None => *idle_ids.insert(self.score_idle(now, &weights, client)),
             };
-            if now.saturating_since(rec.last_heartbeat) > self.cfg.staleness
-                && rec.last_heartbeat != SimTime::ZERO
-            {
-                continue;
+            // Every node is in the idle index, so the forwarders found
+            // in the client's ISP are ids of its idle level too.
+            share_idle = self.pool.len() + ids - same_isp >= want;
+            if !share_idle {
+                // The client's ISP is too small: any idle node anywhere.
+                self.registry.retrieve_into(&query, want, &mut self.pool);
             }
-            let already = rec.status.forwarding.contains(&key);
-            // The policy seam: the static score passes through
-            // unmodified under `StaticScorePolicy` (byte-identical to
-            // the pre-seam scheduler); `AdaptivePolicy` multiplies in
-            // the node's learned demotion/boost factor.
-            let availability = self.policy.adjust(
-                node,
-                score(
-                    &weights,
-                    &rec.statics,
-                    &rec.status,
-                    client,
-                    &self.nat_history,
-                ),
-            );
-            // The §4.1.1 objective: availability over cost, where cost is
-            // the client's bandwidth alone when the node already forwards
-            // the substream, and includes back-to-CDN traffic otherwise.
-            let cost = if already {
-                1.0
-            } else {
-                self.cfg.back_to_cdn_cost
-            };
-            scored.push(Candidate {
-                node,
-                score: availability / cost,
-                already_forwarding: already,
-            });
         }
-        scored.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .expect("scores are finite")
-                .then_with(|| a.node.cmp(&b.node))
-        });
-
-        // Explore–exploit (§8.2): reserve a slice of the list for idle or
-        // underused nodes so the scheduler keeps observing them.
+        self.scored.clear();
+        self.score_pool(now, &weights, client, key);
+        let scored = if !share_idle {
+            &mut self.scored
+        } else if self.pool.is_empty() {
+            // Rank order is total, so the order of the input is
+            // immaterial and the shared vector can be ranked in place.
+            &mut self.idle_scored
+        } else {
+            self.seen.clear();
+            self.seen.extend_from_slice(&self.pool);
+            self.seen.sort_unstable();
+            let seen = &self.seen;
+            let rest = self.idle_scored.iter();
+            self.scored
+                .extend(rest.filter(|c| seen.binary_search(&c.node).is_err()));
+            &mut self.scored
+        };
+        let scored_len = scored.len();
         let k = self.cfg.top_k;
         let exploit_n = ((1.0 - self.cfg.explore_fraction) * k as f64).round() as usize;
-        let mut result: Vec<Candidate> = scored.iter().take(exploit_n).copied().collect();
-        let explorable: Vec<Candidate> = scored
-            .iter()
-            .skip(exploit_n)
-            .filter(|c| !c.already_forwarding)
-            .copied()
-            .collect();
-        while result.len() < k && !explorable.is_empty() {
-            let pick = self.rng.below(explorable.len() as u64) as usize;
-            if !result.iter().any(|c| c.node == explorable[pick].node) {
-                result.push(explorable[pick]);
-            } else {
-                break;
-            }
-        }
-        // Fill any remaining slots from the ranked tail.
-        for c in scored.iter().skip(exploit_n) {
-            if result.len() >= k {
-                break;
-            }
-            if !result.iter().any(|r| r.node == c.node) {
-                result.push(*c);
-            }
-        }
+        let result = rank(scored, k, exploit_n, &mut self.rng);
 
-        let service_time = self.sample_service_time(scored.len());
+        let service_time = self.sample_service_time(scored_len);
         self.service_times.add(service_time.as_millis_f64());
         self.trace.emit(
             now,
@@ -422,16 +575,69 @@ impl GlobalScheduler {
     pub fn heartbeat_stats(&self) -> (u64, u64) {
         (self.heartbeats, self.heartbeat_bytes)
     }
+}
 
-    /// Iterates over known node ids (for tests and world wiring).
-    pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.nodes.keys().copied()
-    }
+/// Rank order: score descending, then node id ascending. Total over
+/// candidates with distinct ids, so a ranked vector is unique and any
+/// of its positions can be computed by selection.
+fn by_rank(a: &Candidate, b: &Candidate) -> Ordering {
+    b.score
+        .partial_cmp(&a.score)
+        .expect("scores are finite")
+        .then_with(|| a.node.cmp(&b.node))
+}
 
-    /// Looks up a node's current status.
-    pub fn node_status(&self, node: NodeId) -> Option<&NodeStatus> {
-        self.nodes.get(&node).map(|r| &r.status)
+/// Reorders `v` so that `v[..n]` holds ranks `0..n` in order.
+fn rank_top(v: &mut [Candidate], n: usize) {
+    if 0 < n && n < v.len() {
+        v.select_nth_unstable_by(n, by_rank);
     }
+    v[..n].sort_unstable_by(by_rank);
+}
+
+/// Picks the `k` candidates to return from the scored pool, which it
+/// reorders: ranks `0..exploit_n`, then explore picks, then the ranked
+/// tail. Computes only the ranks the answer reads.
+fn rank(scored: &mut [Candidate], k: usize, exploit_n: usize, rng: &mut SimRng) -> Vec<Candidate> {
+    let exploit_n = exploit_n.min(scored.len());
+    rank_top(scored, exploit_n);
+    let (top, tail) = scored.split_at_mut(exploit_n);
+    let mut result = Vec::with_capacity(k.max(exploit_n));
+    result.extend_from_slice(top);
+
+    // Explore–exploit (§8.2): reserve a slice of the list for idle or
+    // underused nodes so the scheduler keeps observing them. A pick is
+    // a uniformly drawn rank among the tail's non-forwarding entries.
+    let mut explorable = 0;
+    for i in 0..tail.len() {
+        if !tail[i].already_forwarding {
+            tail.swap(i, explorable);
+            explorable += 1;
+        }
+    }
+    while result.len() < k && explorable > 0 {
+        let pick = rng.below(explorable as u64) as usize;
+        let (_, picked, _) = tail[..explorable].select_nth_unstable_by(pick, by_rank);
+        if result.iter().any(|c| c.node == picked.node) {
+            break;
+        }
+        result.push(*picked);
+    }
+    // Fill any remaining slots from the ranked tail: the picks are the
+    // only tail entries it can skip.
+    if result.len() < k {
+        let fill = (k - exploit_n).min(tail.len());
+        rank_top(tail, fill);
+        for c in &tail[..fill] {
+            if result.len() >= k {
+                break;
+            }
+            if !result.iter().any(|r| r.node == c.node) {
+                result.push(*c);
+            }
+        }
+    }
+    result
 }
 
 #[cfg(test)]
@@ -698,6 +904,322 @@ mod tests {
         }
         let rec = s.recommend(SimTime::from_secs(1), &client(), key());
         assert!(!rec.candidates.is_empty());
+    }
+
+    /// The ranking as it was before it became a selection, kept
+    /// verbatim as the reference: sort the whole pool, copy out the
+    /// explorable tail, draw from the copy.
+    fn reference_rank(
+        scored: &mut [Candidate],
+        k: usize,
+        exploit_n: usize,
+        rng: &mut SimRng,
+    ) -> Vec<Candidate> {
+        scored.sort_by(|a, b| {
+            b.score
+                .partial_cmp(&a.score)
+                .expect("scores are finite")
+                .then_with(|| a.node.cmp(&b.node))
+        });
+        let mut result: Vec<Candidate> = scored.iter().take(exploit_n).copied().collect();
+        let explorable: Vec<Candidate> = scored
+            .iter()
+            .skip(exploit_n)
+            .filter(|c| !c.already_forwarding)
+            .copied()
+            .collect();
+        while result.len() < k && !explorable.is_empty() {
+            let pick = rng.below(explorable.len() as u64) as usize;
+            if !result.iter().any(|c| c.node == explorable[pick].node) {
+                result.push(explorable[pick]);
+            } else {
+                break;
+            }
+        }
+        for c in scored.iter().skip(exploit_n) {
+            if result.len() >= k {
+                break;
+            }
+            if !result.iter().any(|r| r.node == c.node) {
+                result.push(*c);
+            }
+        }
+        result
+    }
+
+    /// `recommend` as it was before the read path was rebuilt: one
+    /// `retrieve`, a record lookup and a score per pooled id, a full
+    /// sort. Emits no trace event (the tests attach no sink).
+    fn reference_recommend(
+        s: &mut GlobalScheduler,
+        now: SimTime,
+        client: &ClientInfo,
+        key: StreamKey,
+    ) -> Recommendation {
+        s.requests += 1;
+        s.policy.advance(now);
+        let weights = ScoreWeights::for_platform(client.platform);
+        let query = AttrQuery {
+            stream: key,
+            isp: client.isp,
+            class: NodeClass::HighQuality,
+            region: client.region,
+        };
+        let (pool, match_level) = s.registry.retrieve(&query, s.cfg.top_k * 8);
+        let mut scored = Vec::new();
+        for node in pool {
+            let Some(rec) = s.nodes.get(node) else {
+                continue;
+            };
+            if now.saturating_since(rec.last_heartbeat) > s.cfg.staleness
+                && rec.last_heartbeat != SimTime::ZERO
+            {
+                continue;
+            }
+            let already = rec.status.forwarding.contains(&key);
+            let availability = s.policy.adjust(
+                node,
+                score(&weights, &rec.statics, &rec.status, client, &s.nat_history),
+            );
+            let cost = if already { 1.0 } else { s.cfg.back_to_cdn_cost };
+            scored.push(Candidate {
+                node,
+                score: availability / cost,
+                already_forwarding: already,
+            });
+        }
+        let k = s.cfg.top_k;
+        let exploit_n = ((1.0 - s.cfg.explore_fraction) * k as f64).round() as usize;
+        let candidates = reference_rank(&mut scored, k, exploit_n, &mut s.rng);
+        let service_time = s.sample_service_time(scored.len());
+        s.service_times.add(service_time.as_millis_f64());
+        Recommendation {
+            key,
+            candidates,
+            service_time,
+            match_level,
+        }
+    }
+
+    fn assert_same_answer(a: &Recommendation, b: &Recommendation) {
+        assert_eq!(a.key, b.key);
+        assert_eq!(a.candidates, b.candidates, "key {:?}", a.key);
+        assert_eq!(a.service_time, b.service_time, "key {:?}", a.key);
+        assert_eq!(a.match_level, b.match_level, "key {:?}", a.key);
+    }
+
+    fn assert_same_state(a: &mut GlobalScheduler, b: &mut GlobalScheduler) {
+        assert_eq!(a.request_count(), b.request_count());
+        assert_eq!(a.rng, b.rng, "RNG streams diverged");
+        assert_eq!(a.service_times.count(), b.service_times.count());
+        for q in [0.0, 0.5, 0.9, 1.0] {
+            assert_eq!(a.service_times.quantile(q), b.service_times.quantile(q));
+        }
+    }
+
+    fn stream_key(stream_id: u64, substream: u16) -> StreamKey {
+        StreamKey {
+            stream_id,
+            substream,
+        }
+    }
+
+    /// A population that is a pure function of its arguments, so two
+    /// calls give twins. Attributes come from small sets so that scores
+    /// tie; substream (0, s) is forwarded by about half, an eighth, a
+    /// fiftieth and none of the nodes for s = 0..4, which puts >= 64,
+    /// 1-63 and 0 forwarders in front of the idle level; a third of the
+    /// nodes are stale at t = 100 s and a few are gone.
+    fn generated(seed: u64, n: u64, policy: SchedulerPolicyKind) -> GlobalScheduler {
+        let cfg = SchedulerConfig {
+            policy,
+            ..SchedulerConfig::default()
+        };
+        let mut s = GlobalScheduler::new(cfg, SimRng::new(seed));
+        let mut g = SimRng::new(seed ^ 0x5eed);
+        for i in 0..n {
+            let statics = StaticFeatures {
+                isp: g.below(3) as u16,
+                region: g.below(3) as u16,
+                bgp_prefix: g.below(6) as u32,
+                geo: (g.below(3) as f64 * 10.0, 0.0),
+                class: if g.chance(0.3) {
+                    NodeClass::HighQuality
+                } else {
+                    NodeClass::Normal
+                },
+                conn_type: ConnectionType::Cable,
+                nat: NatType::ALL[g.below(NatType::ALL.len() as u64) as usize],
+            };
+            let mut status = NodeStatus::idle(50.0 * (1 + g.below(2)) as f64);
+            for (substream, p) in [(0, 0.5), (1, 0.125), (2, 0.02)] {
+                if g.chance(p) {
+                    status.forwarding.insert(stream_key(0, substream));
+                    status.used_mbps += 10.0;
+                }
+            }
+            s.register_node(NodeId(i), statics, status.clone());
+            match g.below(3) {
+                0 => {}
+                stale => s.ingest_heartbeat(Heartbeat {
+                    node: NodeId(i),
+                    at: SimTime::from_secs(if stale == 1 { 10 } else { 90 }),
+                    status,
+                }),
+            }
+        }
+        for i in (0..n).step_by(17) {
+            s.deregister_node(NodeId(i));
+        }
+        // Two bad windows for every fifth node: under `Adaptive` their
+        // factor drops below 1; under `Static` this is a no-op.
+        for w in 0..2 {
+            for i in (0..n).step_by(5) {
+                let t = SimTime::from_millis(w * 1_000 + 100);
+                s.note_recovery_outcome(t, NodeId(i), false);
+                s.note_recovery_outcome(t, NodeId(i), false);
+            }
+        }
+        s
+    }
+
+    fn generated_client(g: &mut SimRng, id: u64) -> ClientInfo {
+        ClientInfo {
+            id: ClientId(id),
+            isp: g.below(3) as u16,
+            region: g.below(3) as u16,
+            bgp_prefix: g.below(6) as u32,
+            geo: (g.below(3) as f64 * 10.0, 5.0),
+            platform: Platform::Android,
+        }
+    }
+
+    #[test]
+    fn rank_by_selection_matches_full_sort() {
+        let mut g = SimRng::new(77);
+        for case in 0..2_000u64 {
+            // Mostly pools around k, where the tail is short and the
+            // duplicate-pick `break` fires; every tenth one is large.
+            let n = if case % 10 == 0 {
+                g.below(400)
+            } else {
+                g.below(20)
+            };
+            let forwarding_share = [0.0, 0.1, 0.5, 0.9, 1.0][g.below(5) as usize];
+            let pool: Vec<Candidate> = (0..n)
+                .map(|i| Candidate {
+                    node: NodeId(i * 3 % 401),
+                    // Few distinct scores: the node id decides most ranks.
+                    score: g.below(4) as f64 / 4.0,
+                    already_forwarding: g.chance(forwarding_share),
+                })
+                .collect();
+            let k = 1 + g.below(10) as usize;
+            let exploit_n = g.below(k as u64 + 1) as usize;
+            let seed = g.next_u64();
+            let (mut rng, mut rng_ref) = (SimRng::new(seed), SimRng::new(seed));
+            let got = rank(&mut pool.clone(), k, exploit_n, &mut rng);
+            let expected = reference_rank(&mut pool.clone(), k, exploit_n, &mut rng_ref);
+            assert_eq!(
+                got, expected,
+                "case {case}: k {k} exploit {exploit_n} {pool:?}"
+            );
+            assert_eq!(rng, rng_ref, "case {case}: draws differ");
+        }
+    }
+
+    /// One explorable entry: the second draw repeats the first and the
+    /// explore loop stops; the fill loop then takes the ranked tail.
+    #[test]
+    fn duplicate_explore_pick_stops_exploring() {
+        let candidate = |node, score, already_forwarding| Candidate {
+            node: NodeId(node),
+            score,
+            already_forwarding,
+        };
+        let mut pool = vec![
+            candidate(1, 0.9, true),
+            candidate(2, 0.8, true),
+            candidate(3, 0.1, true),
+            candidate(4, 0.2, true),
+            candidate(5, 0.05, false),
+        ];
+        let mut rng = SimRng::new(1);
+        let got = rank(&mut pool, 5, 2, &mut rng);
+        let nodes: Vec<u64> = got.iter().map(|c| c.node.0).collect();
+        assert_eq!(nodes, [1, 2, 5, 4, 3]);
+        // Two draws of `below(1)`, no more.
+        let mut expected_rng = SimRng::new(1);
+        expected_rng.below(1);
+        expected_rng.below(1);
+        assert_eq!(rng, expected_rng);
+    }
+
+    #[test]
+    fn recommend_matches_the_full_sort_reference() {
+        for policy in [SchedulerPolicyKind::Static, SchedulerPolicyKind::Adaptive] {
+            // 5 nodes: fewer than k, and the any-ISP fallback. 150:
+            // the idle level answers. 1 500: the pinned levels do.
+            for (seed, n) in [(1, 5), (2, 150), (3, 1_500)] {
+                let mut new = generated(seed, n, policy);
+                let mut old = generated(seed, n, policy);
+                let mut g = SimRng::new(seed);
+                for i in 0..40 {
+                    let client = generated_client(&mut g, i);
+                    let now = SimTime::from_secs([3, 100, 200][g.below(3) as usize]);
+                    // Substream 3 and stream 9 have no forwarder.
+                    let key = stream_key([0, 0, 0, 9][g.below(4) as usize], g.below(4) as u16);
+                    let got = new.recommend(now, &client, key);
+                    let expected = reference_recommend(&mut old, now, &client, key);
+                    assert_same_answer(&got, &expected);
+                }
+                assert_same_state(&mut new, &mut old);
+            }
+        }
+    }
+
+    #[test]
+    fn recommend_many_matches_sequential_recommends() {
+        let keys: Vec<StreamKey> = (0..4)
+            .map(|ss| stream_key(0, ss))
+            .chain([stream_key(9, 0), stream_key(0, 1)])
+            .collect();
+        for policy in [SchedulerPolicyKind::Static, SchedulerPolicyKind::Adaptive] {
+            for (seed, n) in [(4, 5), (5, 150), (6, 1_500)] {
+                let mut batched = generated(seed, n, policy);
+                let mut sequential = generated(seed, n, policy);
+                let mut g = SimRng::new(seed);
+                for i in 0..20 {
+                    let client = generated_client(&mut g, i);
+                    let now = SimTime::from_secs([3, 100, 200][g.below(3) as usize]);
+                    let got = batched.recommend_many(now, &client, &keys);
+                    assert_eq!(got.len(), keys.len());
+                    for (got, &key) in got.iter().zip(&keys) {
+                        assert_same_answer(got, &sequential.recommend(now, &client, key));
+                    }
+                }
+                assert_same_state(&mut batched, &mut sequential);
+            }
+        }
+    }
+
+    #[test]
+    fn node_table_survives_swap_remove() {
+        let mut s = scheduler_with_nodes(6);
+        s.deregister_node(NodeId(0));
+        s.deregister_node(NodeId(5));
+        s.deregister_node(NodeId(2));
+        assert_eq!(s.node_count(), 3);
+        for i in [1, 3, 4] {
+            assert_eq!(s.nodes.get(NodeId(i)).map(|r| r.node), Some(NodeId(i)));
+        }
+        for i in [0, 2, 5] {
+            assert!(s.nodes.get(NodeId(i)).is_none());
+        }
+        // Re-registering replaces the record in place.
+        s.register_node(NodeId(3), statics(2, 2, 7), NodeStatus::idle(1.0));
+        assert_eq!(s.node_count(), 3);
+        assert_eq!(s.nodes.get(NodeId(3)).map(|r| r.statics.isp), Some(2));
     }
 
     #[test]

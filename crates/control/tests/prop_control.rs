@@ -8,7 +8,7 @@ use rlive_control::features::{
     ClientId, ClientInfo, ConnectionType, NodeClass, NodeId, NodeStatus, StaticFeatures, StreamKey,
 };
 use rlive_control::quota::NodeQuotas;
-use rlive_control::registry::{AttrQuery, HashTreeRegistry};
+use rlive_control::registry::{AttrQuery, HashTreeRegistry, MatchLevel};
 use rlive_control::scoring::{score, NatSuccessHistory, Platform, ScoreWeights};
 use rlive_sim::nat::NatType;
 use rlive_sim::{SimDuration, SimTime};
@@ -19,25 +19,223 @@ enum RegistryOp {
         node: u64,
         isp: u16,
         region: u16,
-        stream: u64,
+        class: NodeClass,
+        forwarding: Vec<StreamKey>,
     },
     Remove {
         node: u64,
     },
 }
 
+fn arb_class() -> impl Strategy<Value = NodeClass> {
+    prop_oneof![Just(NodeClass::HighQuality), Just(NodeClass::Normal)]
+}
+
+fn arb_key() -> impl Strategy<Value = StreamKey> {
+    (0u64..3, 0u16..2).prop_map(|(stream_id, substream)| StreamKey {
+        stream_id,
+        substream,
+    })
+}
+
 fn arb_op() -> impl Strategy<Value = RegistryOp> {
     prop_oneof![
-        (0u64..40, 0u16..3, 0u16..4, 0u64..5).prop_map(|(node, isp, region, stream)| {
-            RegistryOp::Index {
+        (
+            0u64..40,
+            0u16..3,
+            0u16..4,
+            arb_class(),
+            prop::collection::vec(arb_key(), 0..4),
+        )
+            .prop_map(|(node, isp, region, class, forwarding)| RegistryOp::Index {
                 node,
                 isp,
                 region,
-                stream,
-            }
-        }),
+                class,
+                forwarding,
+            }),
         (0u64..40).prop_map(|node| RegistryOp::Remove { node }),
     ]
+}
+
+fn arb_query() -> impl Strategy<Value = AttrQuery> {
+    (arb_key(), 0u16..3, arb_class(), 0u16..4).prop_map(|(stream, isp, class, region)| AttrQuery {
+        stream,
+        isp,
+        class,
+        region,
+    })
+}
+
+/// The retrieval algorithm `HashTreeRegistry` had before its dedup
+/// became structural, kept verbatim as the reference: each relaxation
+/// level collects every id under its pinned keys, and a per-call
+/// `HashSet` drops the ids an earlier level already emitted.
+mod reference {
+    use super::{AttrQuery, MatchLevel, NodeClass, NodeId, StreamKey};
+    use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+
+    type Path = (Option<StreamKey>, u16, u8, u16);
+    type RegionLevel = BTreeMap<u16, BTreeSet<NodeId>>;
+    type ClassLevel = BTreeMap<u8, RegionLevel>;
+    type IspLevel = BTreeMap<u16, ClassLevel>;
+
+    fn class_key(c: NodeClass) -> u8 {
+        match c {
+            NodeClass::HighQuality => 0,
+            NodeClass::Normal => 1,
+        }
+    }
+
+    #[derive(Default)]
+    pub struct Registry {
+        tree: BTreeMap<Option<StreamKey>, IspLevel>,
+        paths: HashMap<NodeId, Vec<Path>>,
+    }
+
+    impl Registry {
+        pub fn index_node(
+            &mut self,
+            node: NodeId,
+            isp: u16,
+            class: NodeClass,
+            region: u16,
+            forwarding: impl IntoIterator<Item = StreamKey>,
+        ) {
+            self.remove_node(node);
+            let mut paths = vec![(None, isp, class_key(class), region)];
+            for key in forwarding {
+                paths.push((Some(key), isp, class_key(class), region));
+            }
+            for (stream, isp, class, region) in &paths {
+                self.tree
+                    .entry(*stream)
+                    .or_default()
+                    .entry(*isp)
+                    .or_default()
+                    .entry(*class)
+                    .or_default()
+                    .entry(*region)
+                    .or_default()
+                    .insert(node);
+            }
+            self.paths.insert(node, paths);
+        }
+
+        pub fn remove_node(&mut self, node: NodeId) {
+            for (stream, isp, class, region) in self.paths.remove(&node).unwrap_or_default() {
+                // Emptied levels stay behind; an empty level yields no
+                // ids, so retrieval cannot tell.
+                if let Some(nodes) = self
+                    .tree
+                    .get_mut(&stream)
+                    .and_then(|l| l.get_mut(&isp))
+                    .and_then(|l| l.get_mut(&class))
+                    .and_then(|l| l.get_mut(&region))
+                {
+                    nodes.remove(&node);
+                }
+            }
+        }
+
+        fn collect_region(out: &mut Vec<NodeId>, region_level: &RegionLevel, region: Option<u16>) {
+            match region {
+                Some(r) => {
+                    if let Some(nodes) = region_level.get(&r) {
+                        out.extend(nodes.iter().copied());
+                    }
+                }
+                None => {
+                    for nodes in region_level.values() {
+                        out.extend(nodes.iter().copied());
+                    }
+                }
+            }
+        }
+
+        fn collect(
+            &self,
+            stream: Option<StreamKey>,
+            isp: Option<u16>,
+            class: Option<NodeClass>,
+            region: Option<u16>,
+        ) -> Vec<NodeId> {
+            let mut out = Vec::new();
+            let Some(isp_level) = self.tree.get(&stream) else {
+                return out;
+            };
+            let isps: Vec<&ClassLevel> = match isp {
+                Some(i) => isp_level.get(&i).into_iter().collect(),
+                None => isp_level.values().collect(),
+            };
+            for class_level in isps {
+                let classes: Vec<&RegionLevel> = match class {
+                    Some(c) => class_level.get(&class_key(c)).into_iter().collect(),
+                    None => class_level.values().collect(),
+                };
+                for region_level in classes {
+                    Self::collect_region(&mut out, region_level, region);
+                }
+            }
+            out
+        }
+
+        pub fn retrieve(&self, query: &AttrQuery, want: usize) -> (Vec<NodeId>, MatchLevel) {
+            type Plan = (
+                MatchLevel,
+                Option<StreamKey>,
+                Option<u16>,
+                Option<NodeClass>,
+                Option<u16>,
+            );
+            let plans: [Plan; 5] = [
+                (
+                    MatchLevel::Exact,
+                    Some(query.stream),
+                    Some(query.isp),
+                    Some(query.class),
+                    Some(query.region),
+                ),
+                (
+                    MatchLevel::AnyRegion,
+                    Some(query.stream),
+                    Some(query.isp),
+                    Some(query.class),
+                    None,
+                ),
+                (
+                    MatchLevel::AnyClass,
+                    Some(query.stream),
+                    Some(query.isp),
+                    None,
+                    None,
+                ),
+                (MatchLevel::AnyIsp, Some(query.stream), None, None, None),
+                (MatchLevel::AnyStream, None, Some(query.isp), None, None),
+            ];
+            let mut seen = HashSet::new();
+            let mut out = Vec::new();
+            let mut level = MatchLevel::Exact;
+            for (lvl, stream, isp, class, region) in plans {
+                level = lvl;
+                for n in self.collect(stream, isp, class, region) {
+                    if seen.insert(n) {
+                        out.push(n);
+                    }
+                }
+                if out.len() >= want {
+                    return (out, level);
+                }
+            }
+            // Final fallback: any idle node anywhere.
+            for n in self.collect(None, None, None, None) {
+                if seen.insert(n) {
+                    out.push(n);
+                }
+            }
+            (out, level)
+        }
+    }
 }
 
 proptest! {
@@ -47,22 +245,16 @@ proptest! {
     #[test]
     fn registry_membership(ops in prop::collection::vec(arb_op(), 1..120)) {
         let mut reg = HashTreeRegistry::new();
-        let mut live = std::collections::HashMap::new();
-        for op in &ops {
+        let mut live = std::collections::HashSet::new();
+        for op in ops {
             match op {
-                RegistryOp::Index { node, isp, region, stream } => {
-                    reg.index_node(
-                        NodeId(*node),
-                        *isp,
-                        NodeClass::Normal,
-                        *region,
-                        [StreamKey { stream_id: *stream, substream: 0 }],
-                    );
-                    live.insert(*node, (*isp, *region, *stream));
+                RegistryOp::Index { node, isp, region, class, forwarding } => {
+                    reg.index_node(NodeId(node), isp, class, region, forwarding);
+                    live.insert(node);
                 }
                 RegistryOp::Remove { node } => {
-                    reg.remove_node(NodeId(*node));
-                    live.remove(node);
+                    reg.remove_node(NodeId(node));
+                    live.remove(&node);
                 }
             }
         }
@@ -79,9 +271,45 @@ proptest! {
         let unique: std::collections::HashSet<_> = nodes.iter().collect();
         prop_assert_eq!(unique.len(), nodes.len(), "duplicates in retrieval");
         for n in &nodes {
-            prop_assert!(live.contains_key(&n.0), "removed node {n:?} returned");
+            prop_assert!(live.contains(&n.0), "removed node {n:?} returned");
         }
         prop_assert_eq!(nodes.len(), live.len(), "retrieval missed live nodes");
+    }
+
+    /// Structural dedup returns what the collect-and-`HashSet` reference
+    /// returns — same ids, same order, same level — whatever mix of
+    /// index, re-index and remove built the tree, for a `want` that
+    /// stops at the first level, inside the stream-pinned levels, at
+    /// the idle level, and never.
+    #[test]
+    fn retrieval_matches_reference(
+        ops in prop::collection::vec(arb_op(), 1..120),
+        queries in prop::collection::vec(arb_query(), 1..6),
+    ) {
+        let mut reg = HashTreeRegistry::new();
+        let mut reference = reference::Registry::default();
+        for op in ops {
+            match op {
+                RegistryOp::Index { node, isp, region, class, forwarding } => {
+                    reg.index_node(NodeId(node), isp, class, region, forwarding.iter().copied());
+                    reference.index_node(NodeId(node), isp, class, region, forwarding);
+                }
+                RegistryOp::Remove { node } => {
+                    reg.remove_node(NodeId(node));
+                    reference.remove_node(NodeId(node));
+                }
+            }
+        }
+        // A dirty buffer: `retrieve_into` must not depend on its content.
+        let mut buf = vec![NodeId(u64::MAX); 3];
+        for query in &queries {
+            for want in [0, 1, 8, 64, reg.len(), usize::MAX / 2] {
+                let expected = reference.retrieve(query, want);
+                prop_assert_eq!(&reg.retrieve(query, want), &expected, "want {}", want);
+                let level = reg.retrieve_into(query, want, &mut buf);
+                prop_assert_eq!(&(buf.clone(), level), &expected, "want {} (into)", want);
+            }
+        }
     }
 
     /// Quota reserve/release never drives usage negative, and
