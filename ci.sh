@@ -18,6 +18,22 @@ cargo test --release -q
 echo "==> benchmark: cargo test --release --offline"
 (cd benchmark && cargo test --release --offline -q)
 
+# Count gate on the bounded candidate pool: a traced sched_30k run must
+# report at most 2 ids retrieved per id asked for on a cold registry
+# (1.0 when retrieval is O(want); 117 when it returned the client's
+# whole ISP) and no failed check. The ratio is a count, exact on any
+# host; wall-clock numbers stay trend-only.
+echo "==> benchmark: sched_30k pool_per_want_cold <= 2 (count gate)"
+bash benchmark/run.sh --workload sched_30k --seed 101 --seconds 2 --trace 1 | awk '
+  $2 == "control.registry.pool_per_want_cold" { pool = $3; have_pool = 1 }
+  $2 == "ops_failed" { failed = $3; have_failed = 1 }
+  END {
+    if (!have_pool || !have_failed || pool > 2 || failed != 0) {
+      print "pool gate: pool_per_want_cold=" pool " ops_failed=" failed > "/dev/stderr"
+      exit 1
+    }
+  }'
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

@@ -69,7 +69,7 @@ fn built_scheduler() -> GlobalScheduler {
 }
 
 fn bench_registry(c: &mut Criterion) {
-    let reg = built_registry();
+    let mut reg = built_registry();
     let query = AttrQuery {
         stream: key(5),
         isp: 1,

@@ -215,9 +215,7 @@ pub struct GlobalScheduler {
     trace: TraceSink,
     // Scratch reused across recommendations; holds nothing between calls.
     pool: Vec<NodeId>,
-    seen: Vec<NodeId>,
     scored: Vec<Candidate>,
-    idle_scored: Vec<Candidate>,
 }
 
 impl GlobalScheduler {
@@ -237,9 +235,7 @@ impl GlobalScheduler {
             heartbeat_bytes: 0,
             trace: TraceSink::disabled(),
             pool: Vec::new(),
-            seen: Vec::new(),
             scored: Vec::new(),
-            idle_scored: Vec::new(),
         }
     }
 
@@ -358,66 +354,10 @@ impl GlobalScheduler {
         }
     }
 
-    /// Produces the top-K candidate recommendation for `client`
-    /// requesting `key` at time `now`.
-    pub fn recommend(
-        &mut self,
-        now: SimTime,
-        client: &ClientInfo,
-        key: StreamKey,
-    ) -> Recommendation {
-        // A batch of one: no idle level is shared.
-        self.answer(now, client, key, &mut None)
-    }
-
-    /// Answers `keys` for one client at one instant, in order, exactly
-    /// as that many [`GlobalScheduler::recommend`] calls would. Nothing
-    /// the scorer reads changes between the keys, so the availability
-    /// of the client's-ISP idle level — most of a cold pool — is
-    /// computed once and shared by every key that relaxes that far.
-    pub fn recommend_many(
-        &mut self,
-        now: SimTime,
-        client: &ClientInfo,
-        keys: &[StreamKey],
-    ) -> Vec<Recommendation> {
-        // Ids (stale ones included) in the idle level once it is scored.
-        let mut idle_ids = None;
-        keys.iter()
-            .map(|&key| self.answer(now, client, key, &mut idle_ids))
-            .collect()
-    }
-
-    /// The policy-adjusted availability of `node` for `client`, or
-    /// `None` when the node is unknown or stale.
-    fn availability(
-        &self,
-        now: SimTime,
-        weights: &ScoreWeights,
-        client: &ClientInfo,
-        node: NodeId,
-    ) -> Option<(f64, &NodeRecord)> {
-        let rec = self.nodes.get(node)?;
-        if !rec.is_fresh(now, self.cfg.staleness) {
-            return None;
-        }
-        // The policy seam: the static score passes through unmodified
-        // under `StaticScorePolicy`; `AdaptivePolicy` multiplies in the
-        // node's learned demotion/boost factor.
-        let raw = score(
-            weights,
-            &rec.statics,
-            &rec.status,
-            client,
-            &self.nat_history,
-        );
-        Some((self.policy.adjust(node, raw), rec))
-    }
-
-    /// Scores `self.pool` onto `self.scored`. The §4.1.1 objective is
-    /// availability over cost, where cost is the client's bandwidth
-    /// alone when the node already forwards the substream, and includes
-    /// back-to-CDN traffic otherwise.
+    /// Scores the fresh nodes of `self.pool` into `self.scored`. The
+    /// §4.1.1 objective is availability over cost, where cost is the
+    /// client's bandwidth alone when the node already forwards the
+    /// substream, and includes back-to-CDN traffic otherwise.
     fn score_pool(
         &mut self,
         now: SimTime,
@@ -425,10 +365,25 @@ impl GlobalScheduler {
         client: &ClientInfo,
         key: StreamKey,
     ) {
+        self.scored.clear();
         for &node in &self.pool {
-            let Some((availability, rec)) = self.availability(now, weights, client, node) else {
+            let Some(rec) = self.nodes.get(node) else {
                 continue;
             };
+            if !rec.is_fresh(now, self.cfg.staleness) {
+                continue;
+            }
+            // The policy seam: the static score passes through
+            // unmodified under `StaticScorePolicy`; `AdaptivePolicy`
+            // multiplies in the node's learned demotion/boost factor.
+            let raw = score(
+                weights,
+                &rec.statics,
+                &rec.status,
+                client,
+                &self.nat_history,
+            );
+            let availability = self.policy.adjust(node, raw);
             let already = rec.status.forwarding.contains(&key);
             let cost = if already {
                 1.0
@@ -443,35 +398,14 @@ impl GlobalScheduler {
         }
     }
 
-    /// Scores the idle level of the client's ISP into `idle_scored`
-    /// and returns how many ids (stale ones included) the level holds.
-    /// A node of that level outside a key's forwarders does not forward
-    /// the key — the registry indexes a node under every substream its
-    /// record forwards — so its cost is back-to-CDN whatever the key.
-    fn score_idle(&mut self, now: SimTime, weights: &ScoreWeights, client: &ClientInfo) -> usize {
-        self.idle_scored.clear();
-        let mut ids = 0;
-        for node in self.registry.idle_in_isp(client.isp) {
-            ids += 1;
-            if let Some((availability, _)) = self.availability(now, weights, client, node) {
-                self.idle_scored.push(Candidate {
-                    node,
-                    score: availability / self.cfg.back_to_cdn_cost,
-                    already_forwarding: false,
-                });
-            }
-        }
-        ids
-    }
-
-    /// One key of a batch. `idle_ids` is `Some` once `idle_scored`
-    /// holds this batch's client's-ISP idle level.
-    fn answer(
+    /// Produces the top-K candidate recommendation for `client`
+    /// requesting `key` at time `now`: retrieve a bounded pool, score
+    /// it, rank it.
+    pub fn recommend(
         &mut self,
         now: SimTime,
         client: &ClientInfo,
         key: StreamKey,
-        idle_ids: &mut Option<usize>,
     ) -> Recommendation {
         // Stage-profiled (wall clock, stderr-only reporting).
         let _span = rlive_sim::obs::time_stage(rlive_sim::obs::Stage::SchedulerCall);
@@ -485,48 +419,15 @@ impl GlobalScheduler {
             class: NodeClass::HighQuality,
             region: client.region,
         };
-        // Retrieve a pool several times K so ranking has slack.
+        // Retrieve a pool several times K so ranking has slack. The
+        // registry hands out at most `want` ids at any population.
         let want = self.cfg.top_k * 8;
-        self.pool.clear();
-        let (mut match_level, same_isp) =
-            self.registry.retrieve_pinned(&query, want, &mut self.pool);
-        let mut share_idle = false;
-        if self.pool.len() < want {
-            match_level = MatchLevel::AnyStream;
-            let ids = match *idle_ids {
-                Some(ids) => ids,
-                None => *idle_ids.insert(self.score_idle(now, &weights, client)),
-            };
-            // Every node is in the idle index, so the forwarders found
-            // in the client's ISP are ids of its idle level too.
-            share_idle = self.pool.len() + ids - same_isp >= want;
-            if !share_idle {
-                // The client's ISP is too small: any idle node anywhere.
-                self.registry.retrieve_into(&query, want, &mut self.pool);
-            }
-        }
-        self.scored.clear();
+        let match_level = self.registry.retrieve_into(&query, want, &mut self.pool);
         self.score_pool(now, &weights, client, key);
-        let scored = if !share_idle {
-            &mut self.scored
-        } else if self.pool.is_empty() {
-            // Rank order is total, so the order of the input is
-            // immaterial and the shared vector can be ranked in place.
-            &mut self.idle_scored
-        } else {
-            self.seen.clear();
-            self.seen.extend_from_slice(&self.pool);
-            self.seen.sort_unstable();
-            let seen = &self.seen;
-            let rest = self.idle_scored.iter();
-            self.scored
-                .extend(rest.filter(|c| seen.binary_search(&c.node).is_err()));
-            &mut self.scored
-        };
-        let scored_len = scored.len();
+        let scored_len = self.scored.len();
         let k = self.cfg.top_k;
         let exploit_n = ((1.0 - self.cfg.explore_fraction) * k as f64).round() as usize;
-        let result = rank(scored, k, exploit_n, &mut self.rng);
+        let result = rank(&mut self.scored, k, exploit_n, &mut self.rng);
 
         let service_time = self.sample_service_time(scored_len);
         self.service_times.add(service_time.as_millis_f64());
@@ -1174,31 +1075,6 @@ mod tests {
                     assert_same_answer(&got, &expected);
                 }
                 assert_same_state(&mut new, &mut old);
-            }
-        }
-    }
-
-    #[test]
-    fn recommend_many_matches_sequential_recommends() {
-        let keys: Vec<StreamKey> = (0..4)
-            .map(|ss| stream_key(0, ss))
-            .chain([stream_key(9, 0), stream_key(0, 1)])
-            .collect();
-        for policy in [SchedulerPolicyKind::Static, SchedulerPolicyKind::Adaptive] {
-            for (seed, n) in [(4, 5), (5, 150), (6, 1_500)] {
-                let mut batched = generated(seed, n, policy);
-                let mut sequential = generated(seed, n, policy);
-                let mut g = SimRng::new(seed);
-                for i in 0..20 {
-                    let client = generated_client(&mut g, i);
-                    let now = SimTime::from_secs([3, 100, 200][g.below(3) as usize]);
-                    let got = batched.recommend_many(now, &client, &keys);
-                    assert_eq!(got.len(), keys.len());
-                    for (got, &key) in got.iter().zip(&keys) {
-                        assert_same_answer(got, &sequential.recommend(now, &client, key));
-                    }
-                }
-                assert_same_state(&mut batched, &mut sequential);
             }
         }
     }

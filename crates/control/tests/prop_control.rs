@@ -12,6 +12,7 @@ use rlive_control::registry::{AttrQuery, HashTreeRegistry, MatchLevel};
 use rlive_control::scoring::{score, NatSuccessHistory, Platform, ScoreWeights};
 use rlive_sim::nat::NatType;
 use rlive_sim::{SimDuration, SimTime};
+use std::collections::HashSet;
 
 #[derive(Debug, Clone)]
 enum RegistryOp {
@@ -67,10 +68,10 @@ fn arb_query() -> impl Strategy<Value = AttrQuery> {
     })
 }
 
-/// The retrieval algorithm `HashTreeRegistry` had before its dedup
-/// became structural, kept verbatim as the reference: each relaxation
-/// level collects every id under its pinned keys, and a per-call
-/// `HashSet` drops the ids an earlier level already emitted.
+/// The retrieval algorithm `HashTreeRegistry` had before it was
+/// bounded, kept verbatim as the reference: each relaxation level
+/// collects every id under its pinned keys, however many that is, and a
+/// per-call `HashSet` drops the ids an earlier level already emitted.
 mod reference {
     use super::{AttrQuery, MatchLevel, NodeClass, NodeId, StreamKey};
     use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -238,6 +239,22 @@ mod reference {
     }
 }
 
+/// What each relaxation level of the reference adds to the pool for
+/// `query`, most specific first, empty levels left out: asking for one
+/// id more than the levels so far hold returns the next one whole.
+fn reference_levels(reference: &reference::Registry, query: &AttrQuery) -> Vec<Vec<NodeId>> {
+    let mut levels = Vec::new();
+    let mut have = 0;
+    loop {
+        let (pool, _) = reference.retrieve(query, have + 1);
+        if pool.len() == have {
+            return levels;
+        }
+        levels.push(pool[have..].to_vec());
+        have = pool.len();
+    }
+}
+
 proptest! {
     /// After any sequence of index/remove operations, retrieval returns
     /// exactly the live nodes (no removed node, no duplicates) and the
@@ -245,7 +262,7 @@ proptest! {
     #[test]
     fn registry_membership(ops in prop::collection::vec(arb_op(), 1..120)) {
         let mut reg = HashTreeRegistry::new();
-        let mut live = std::collections::HashSet::new();
+        let mut live = HashSet::new();
         for op in ops {
             match op {
                 RegistryOp::Index { node, isp, region, class, forwarding } => {
@@ -268,7 +285,7 @@ proptest! {
             },
             usize::MAX / 2,
         );
-        let unique: std::collections::HashSet<_> = nodes.iter().collect();
+        let unique: HashSet<_> = nodes.iter().collect();
         prop_assert_eq!(unique.len(), nodes.len(), "duplicates in retrieval");
         for n in &nodes {
             prop_assert!(live.contains(&n.0), "removed node {n:?} returned");
@@ -276,11 +293,14 @@ proptest! {
         prop_assert_eq!(nodes.len(), live.len(), "retrieval missed live nodes");
     }
 
-    /// Structural dedup returns what the collect-and-`HashSet` reference
-    /// returns — same ids, same order, same level — whatever mix of
-    /// index, re-index and remove built the tree, for a `want` that
-    /// stops at the first level, inside the stream-pinned levels, at
-    /// the idle level, and never.
+    /// Bounded retrieval against the unbounded reference, whatever mix
+    /// of index, re-index and remove built the tree, for a `want` that
+    /// is nothing, stops inside the stream-pinned levels, at the idle
+    /// level, and never. The result is `want` ids of the reference's
+    /// pool (all of it when it is smaller) at the reference's level,
+    /// and it fills the reference's relaxation levels in order: each is
+    /// there whole if it fits in what is still needed, and gives
+    /// exactly the rest if it does not.
     #[test]
     fn retrieval_matches_reference(
         ops in prop::collection::vec(arb_op(), 1..120),
@@ -303,11 +323,26 @@ proptest! {
         // A dirty buffer: `retrieve_into` must not depend on its content.
         let mut buf = vec![NodeId(u64::MAX); 3];
         for query in &queries {
+            let levels = reference_levels(&reference, query);
             for want in [0, 1, 8, 64, reg.len(), usize::MAX / 2] {
-                let expected = reference.retrieve(query, want);
-                prop_assert_eq!(&reg.retrieve(query, want), &expected, "want {}", want);
-                let level = reg.retrieve_into(query, want, &mut buf);
-                prop_assert_eq!(&(buf.clone(), level), &expected, "want {} (into)", want);
+                let (pool, level) = reference.retrieve(query, want);
+                let (got, got_level) = reg.retrieve(query, want);
+                prop_assert_eq!(got.len(), want.min(pool.len()), "want {}", want);
+                prop_assert_eq!(got_level, level, "want {}", want);
+                let unique: HashSet<NodeId> = got.iter().copied().collect();
+                prop_assert_eq!(unique.len(), got.len(), "duplicates, want {}", want);
+                prop_assert!(got.iter().all(|n| pool.contains(n)), "want {}", want);
+                let mut need = want;
+                for ids in &levels {
+                    let taken = ids.iter().filter(|n| unique.contains(n)).count();
+                    prop_assert_eq!(taken, need.min(ids.len()), "want {} level {:?}", want, ids);
+                    need -= taken;
+                }
+                // The cursors have moved, so the ids may differ; their
+                // number and level may not.
+                let into_level = reg.retrieve_into(query, want, &mut buf);
+                prop_assert_eq!((buf.len(), into_level), (got.len(), level), "want {}", want);
+                prop_assert!(buf.iter().all(|n| pool.contains(n)), "want {} (into)", want);
             }
         }
     }

@@ -1108,16 +1108,14 @@ fn refresh_candidates(world: &mut World, now: SimTime, cid: u64) {
     } else {
         1
     };
-    let keys: Vec<StreamKey> = (0..k)
-        .map(|substream| StreamKey {
+    for substream in 0..k {
+        let key = StreamKey {
             stream_id: stream,
             substream,
-        })
-        .collect();
-    let recs = world.scheduler.recommend_many(now, &info, &keys);
-    if let Some(client) = world.clients.get_mut(&cid) {
-        for rec in recs {
-            client.set_candidates(rec.key.substream, rec.candidates);
+        };
+        let rec = world.scheduler.recommend(now, &info, key);
+        if let Some(client) = world.clients.get_mut(&cid) {
+            client.set_candidates(substream, rec.candidates);
         }
     }
 }
