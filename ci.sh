@@ -34,6 +34,18 @@ bash benchmark/run.sh --workload sched_30k --seed 101 --seconds 2 --trace 1 | aw
     }
   }'
 
+# Source-size ratchet: the ROADMAP's <= 27.5k-line trajectory is held by
+# a machine. The ceiling is the last deletion PR's exit total rounded up
+# to the next 50; a PR that deletes code lowers it, none raises it.
+loc_ceiling=30200
+echo "==> wc -l crates/*/src/*.rs <= $loc_ceiling (source-size ratchet)"
+loc=$(wc -l crates/*/src/*.rs | awk 'END { print $1 }')
+echo "$loc total"
+if (( loc > loc_ceiling )); then
+  echo "source size $loc lines is above the ceiling $loc_ceiling" >&2
+  exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
@@ -93,8 +105,7 @@ smoke slo 7 --jobs 2 --world-jobs 2
 # pins the export files, which stdout does not cover).
 echo "==> experiments obs export determinism"
 obs_tmp=$(mktemp -d)
-bench_tmp=$(mktemp -d)
-trap 'rm -rf "$obs_tmp" "$bench_tmp"' EXIT
+trap 'rm -rf "$obs_tmp"' EXIT
 cargo run --release -p rlive-bench --bin experiments -- \
   obs 7 --obs-export "$obs_tmp/a" > /dev/null
 cargo run --release -p rlive-bench --bin experiments -- \
@@ -117,28 +128,11 @@ cargo run --release -p rlive-bench --bin experiments -- \
 diff "$obs_tmp/a.jsonl" "$obs_tmp/streamed.jsonl"
 diff "$obs_tmp/a.csv" "$obs_tmp/streamed.csv"
 
-# Bench smoke: run the quick tier, schema-validate what it wrote, and
-# compare worlds/sec against the committed BENCH_7.json baseline. The
-# threshold is generous (fails below 25% of baseline): CI machines
-# vary wildly, so this catches order-of-magnitude regressions and
-# schema drift, not noise.
-echo "==> experiments bench --quick (bench smoke + baseline diff)"
-cargo run --release -p rlive-bench --bin experiments -- \
-  bench --quick --out "$bench_tmp/bench_quick.json" --baseline BENCH_7.json
-cargo run --release -p rlive-bench --bin experiments -- \
-  bench --check "$bench_tmp/bench_quick.json"
-
 # Nightly tier: the #[ignore]d suites (full golden sweep sequential and
 # sharded, both expensive). Opt in with RLIVE_CI_NIGHTLY=1.
 if [[ "${RLIVE_CI_NIGHTLY:-0}" == "1" ]]; then
   echo "==> cargo test -q -- --ignored (nightly tier)"
   cargo test --release -q -- --ignored
-
-  # Full-scale bench tier: 100k nodes takes ~10+ minutes, far too slow
-  # for every push, but nightly it pins the large-world perf envelope.
-  echo "==> experiments bench --tier 100k (nightly bench tier)"
-  cargo run --release -p rlive-bench --bin experiments -- \
-    bench --tier 100k --out "$bench_tmp/bench_100k.json" --baseline BENCH_7.json
 
   # Full-budget fuzz campaign: the per-push smoke runs 2 candidates;
   # nightly runs the discovery-scale budget that found the checked-in

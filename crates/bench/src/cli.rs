@@ -53,9 +53,6 @@ pub struct CliArgs {
     /// `--recovery-policy qoe_edf|racing`: recovery policy selection.
     /// Unrecognised values are rejected at parse time.
     pub recovery_policy: Option<rlive_data::recovery::RecoveryPolicyKind>,
-    /// `bench` options: `--quick`, `--tier`, `--out`, `--pre`,
-    /// `--baseline`, `--check`.
-    pub bench: crate::perf::BenchOpts,
     /// `--help` / `-h`.
     pub help: bool,
 }
@@ -97,12 +94,6 @@ pub fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<CliArgs, Stri
                 args.recovery_policy =
                     Some(parse_recovery_policy(&flag_value("--recovery-policy")?)?)
             }
-            "--quick" => args.bench.quick = true,
-            "--tier" => args.bench.tier = Some(parse_tier(&flag_value("--tier")?)?),
-            "--out" => args.bench.out = Some(flag_value("--out")?),
-            "--pre" => args.bench.pre = Some(flag_value("--pre")?),
-            "--baseline" => args.bench.baseline = Some(flag_value("--baseline")?),
-            "--check" => args.bench.check = Some(flag_value("--check")?),
             _ => {
                 if let Some(v) = arg.strip_prefix("--seed=") {
                     args.seed = Some(parse_u64("--seed", v)?);
@@ -122,16 +113,6 @@ pub fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<CliArgs, Stri
                     args.sched_policy = Some(parse_policy(v)?);
                 } else if let Some(v) = arg.strip_prefix("--recovery-policy=") {
                     args.recovery_policy = Some(parse_recovery_policy(v)?);
-                } else if let Some(v) = arg.strip_prefix("--tier=") {
-                    args.bench.tier = Some(parse_tier(v)?);
-                } else if let Some(v) = arg.strip_prefix("--out=") {
-                    args.bench.out = Some(v.to_string());
-                } else if let Some(v) = arg.strip_prefix("--pre=") {
-                    args.bench.pre = Some(v.to_string());
-                } else if let Some(v) = arg.strip_prefix("--baseline=") {
-                    args.bench.baseline = Some(v.to_string());
-                } else if let Some(v) = arg.strip_prefix("--check=") {
-                    args.bench.check = Some(v.to_string());
                 } else if arg.starts_with('-') && arg.len() > 1 {
                     // A typo'd flag must not silently become an ignored
                     // positional.
@@ -172,13 +153,6 @@ fn parse_policy(v: &str) -> Result<rlive_control::SchedulerPolicyKind, String> {
 fn parse_recovery_policy(v: &str) -> Result<rlive_data::recovery::RecoveryPolicyKind, String> {
     rlive_data::recovery::RecoveryPolicyKind::parse(v)
         .ok_or_else(|| format!("--recovery-policy expects 'qoe_edf' or 'racing', got '{v}'"))
-}
-
-fn parse_tier(v: &str) -> Result<String, String> {
-    match v {
-        "10k" | "100k" | "all" => Ok(v.to_string()),
-        _ => Err(format!("--tier expects '10k', '100k' or 'all', got '{v}'")),
-    }
 }
 
 impl CliArgs {
@@ -267,6 +241,14 @@ mod tests {
             "error should name the flag: {err}"
         );
         assert!(parse(&["-x"]).is_err());
+        // The flags of the removed `bench` subcommand are unknown in
+        // both spellings, not silently accepted leftovers.
+        for gone in ["quick", "tier", "out", "pre", "baseline", "check"] {
+            for arg in [format!("--{gone}"), format!("--{gone}=x")] {
+                let err = parse(&["fig10", &arg]).unwrap_err();
+                assert_eq!(err, format!("unknown flag '{arg}'"));
+            }
+        }
     }
 
     #[test]
@@ -402,25 +384,6 @@ mod tests {
             parse(&["fleet", "--recovery-policy"]).is_err(),
             "missing value"
         );
-    }
-
-    #[test]
-    fn bench_flags_parse_both_forms() {
-        let a = parse(&["bench", "--quick", "--out", "/tmp/b.json", "--tier=10k"]).unwrap();
-        assert!(a.bench.quick);
-        assert_eq!(a.bench.out.as_deref(), Some("/tmp/b.json"));
-        assert_eq!(a.bench.tier.as_deref(), Some("10k"));
-        let a = parse(&["bench", "--pre=pre.json", "--baseline", "BENCH_7.json"]).unwrap();
-        assert_eq!(a.bench.pre.as_deref(), Some("pre.json"));
-        assert_eq!(a.bench.baseline.as_deref(), Some("BENCH_7.json"));
-        let a = parse(&["bench", "--check=BENCH_7.json"]).unwrap();
-        assert_eq!(a.bench.check.as_deref(), Some("BENCH_7.json"));
-        // Tier values outside the known set are parse errors.
-        for bad in ["1k", "10K", ""] {
-            let err = parse(&["bench", "--tier", bad]).unwrap_err();
-            assert!(err.contains("--tier"), "error for {bad:?}: {err}");
-        }
-        assert!(parse(&["bench", "--out"]).is_err(), "missing value");
     }
 
     #[test]

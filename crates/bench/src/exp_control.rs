@@ -61,8 +61,9 @@ pub fn fig12(seed: u64) {
         "\nmeasured {} scheduler requests over {} views ({per_view:.1} per view)",
         r.scheduler_requests, r.test_qoe.views
     );
-    // Fleet sizing: with the micro-benchmarked ~18 us/recommendation,
-    // how many workers absorb the paper's multi-MQPS peak?
+    // Fleet sizing at 18 us/recommendation (a 3x margin over the 5-6 us
+    // `control.scheduler.recommend_us_cold` reads in `benchmark/`): how
+    // many workers absorb the paper's multi-MQPS peak?
     use rlive_control::capacity::CapacityModel;
     let service = rlive_sim::SimDuration::from_micros(18);
     for peak_mqps in [1.7, 3.0] {

@@ -4,6 +4,11 @@
 //! paper's evaluation; this library holds the experiment presets (scaled
 //! scenario + system configuration pairs), seed-averaged A/B running,
 //! and plain-text table/CSV output formatting.
+//!
+//! Performance is not measured here. [`perf`] holds only the primitives
+//! the standalone `benchmark/` package builds on — a counting
+//! allocator, a peak-RSS reader and a JSON value; see
+//! `benchmark/README.md` for the harness itself.
 
 use rlive::abtest::{AbReport, AbTest};
 use rlive::config::{DeliveryMode, SystemConfig};

@@ -17,12 +17,6 @@
 
 use rlive_bench::cli::{self, CliArgs};
 
-/// Counting allocator (relaxed atomics over [`std::alloc::System`]):
-/// powers the `bench` subcommand's allocs-per-event measurement and is
-/// negligible overhead for every other subcommand.
-#[global_allocator]
-static GLOBAL_ALLOC: rlive_bench::perf::CountingAlloc = rlive_bench::perf::CountingAlloc;
-
 mod exp_ab;
 mod exp_ablation;
 mod exp_adaptive;
@@ -129,13 +123,6 @@ USAGE: experiments <subcommand> [args] [--seed N] [--jobs N] [--world-jobs N]
              reorder-stall top-k window tables (--stream S narrows the
              yield table; --obs-window MS resizes the windows;
              --obs-export P dumps JSONL/CSV)
-  bench      Scaled-world perf measurement (10k/100k-node tiers over a
-             fixed seed set): worlds/sec, events/sec, allocs/event and
-             peak RSS, written as BENCH_7.json. Flags: --quick (one
-             short 10k world), --tier 10k|100k|all, --out PATH,
-             --pre PATH (embed a pre-rewrite measurement),
-             --baseline PATH (fail if worlds/sec regresses badly),
-             --check PATH (validate an existing file, run nothing)
   all        Run everything
 ";
 
@@ -214,11 +201,6 @@ fn dispatch(args: &CliArgs) -> Result<(), String> {
             let seed = args.seed_at(2)?;
             args.expect_at_most(2)?;
             exp_fuzz::fuzz(n, seed);
-            return Ok(());
-        }
-        "bench" => {
-            args.expect_at_most(0)?;
-            rlive_bench::perf::run(&args.bench)?;
             return Ok(());
         }
         "trace" => {

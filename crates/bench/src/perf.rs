@@ -1,39 +1,16 @@
-//! The `bench` subcommand: scaled-world throughput and allocation
-//! measurement, emitting a deterministic-schema `BENCH_*.json` so every
-//! PR can show a perf delta.
+//! Measurement primitives shared by the repo benchmark (`benchmark/`)
+//! and this crate's allocation tests: a counting global allocator, a
+//! peak-RSS reader, and a minimal dependency-free JSON value with a
+//! writer and a parser.
 //!
-//! Two tiers run by default — 10k and 100k best-effort nodes — over a
-//! fixed seed set. Per tier the harness reports worlds/sec, events/sec,
-//! allocations per event (via [`CountingAlloc`], installed as the
-//! global allocator by the `experiments` binary), allocated bytes per
-//! event, and peak RSS (Linux `VmHWM`). Timing numbers are wall-clock
-//! and therefore machine-dependent; the *schema* is deterministic and
-//! validated by [`validate`], which `ci.sh` runs on every push.
-//!
-//! Allocation counts are taken around [`rlive::World::run`] only —
-//! world construction is excluded — so `allocs_per_event` measures the
-//! steady-state event loop, the quantity the arena/ring rewrite drives
-//! toward zero.
+//! Nothing here measures anything by itself. The harness that runs
+//! worlds, takes the numbers and writes the committed `BENCH_<pr>.json`
+//! files is the standalone `benchmark/` package, which installs
+//! [`CountingAlloc`] as its global allocator and reads it through
+//! [`alloc_snapshot`].
 
-use rlive::config::{DeliveryMode, SystemConfig};
-use rlive::world::{GroupPolicy, World};
-use rlive_sim::SimDuration;
-use rlive_workload::scenario::Scenario;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
-
-/// Schema identifier written into (and required from) every bench file.
-pub const SCHEMA: &str = "rlive-bench-v1";
-
-/// Default output path, relative to the invocation directory.
-pub const DEFAULT_OUT: &str = "BENCH_7.json";
-
-/// Generous regression threshold: the `--baseline` comparison fails
-/// only when current worlds/sec drops below this fraction of the
-/// committed baseline. CI machines vary wildly; this catches order-of-
-/// magnitude regressions, not noise.
-pub const BASELINE_THRESHOLD: f64 = 0.25;
 
 // ---------------------------------------------------------------------
 // Counting global allocator
@@ -43,10 +20,10 @@ static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
 static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 
 /// A [`GlobalAlloc`] wrapper over [`System`] that counts allocation
-/// calls and bytes with relaxed atomics. Installed by the `experiments`
-/// binary via `#[global_allocator]`; the counters read zero anywhere it
-/// is not installed (unit tests), which only zeroes the reported
-/// alloc columns, never breaks the schema.
+/// calls and bytes with relaxed atomics. Installed via
+/// `#[global_allocator]` by the `benchmark/` binary and by
+/// `tests/sched_alloc.rs`; the counters read zero anywhere it is not
+/// installed.
 pub struct CountingAlloc;
 
 unsafe impl GlobalAlloc for CountingAlloc {
@@ -99,255 +76,6 @@ pub fn peak_rss_bytes() -> u64 {
         }
     }
     0
-}
-
-// ---------------------------------------------------------------------
-// Tiers
-// ---------------------------------------------------------------------
-
-/// One bench tier: a scaled world shape and the seeds to run it under.
-pub struct TierSpec {
-    /// Tier label ("10k", "100k", "quick").
-    pub name: &'static str,
-    /// Best-effort node population.
-    pub nodes: usize,
-    /// Peak concurrent viewers.
-    pub viewers: usize,
-    /// Distinct live streams.
-    pub streams: usize,
-    /// Simulated seconds per world.
-    pub sim_secs: u64,
-    /// Seeds to run (one world each).
-    pub seeds: Vec<u64>,
-}
-
-/// The default tier set: 10k nodes × 3 seeds, 100k nodes × 1 seed.
-pub fn default_tiers() -> Vec<TierSpec> {
-    vec![
-        TierSpec {
-            name: "10k",
-            nodes: 10_000,
-            viewers: 15_000,
-            streams: 8,
-            sim_secs: 20,
-            seeds: vec![101, 102, 103],
-        },
-        TierSpec {
-            name: "100k",
-            nodes: 100_000,
-            viewers: 150_000,
-            streams: 8,
-            sim_secs: 5,
-            seeds: vec![101],
-        },
-    ]
-}
-
-/// The `--quick` smoke tier: one small-ish seed, still 10k nodes so the
-/// measurement exercises the same code paths as the committed baseline.
-pub fn quick_tier() -> TierSpec {
-    TierSpec {
-        name: "10k",
-        nodes: 10_000,
-        viewers: 15_000,
-        streams: 8,
-        sim_secs: 10,
-        seeds: vec![101],
-    }
-}
-
-/// Measured results of one tier.
-pub struct TierResult {
-    /// The tier that produced this result.
-    pub spec: TierSpec,
-    /// Worlds run.
-    pub worlds: u64,
-    /// Total simulator events processed across all worlds.
-    pub events: u64,
-    /// Wall-clock seconds spent inside `World::run`.
-    pub wall_secs: f64,
-    /// Allocation calls during `World::run`.
-    pub allocs: u64,
-    /// Bytes allocated during `World::run`.
-    pub alloc_bytes: u64,
-    /// Peak RSS observed at tier end.
-    pub peak_rss: u64,
-}
-
-fn tier_scenario(spec: &TierSpec) -> Scenario {
-    let mut s = Scenario::evening_peak();
-    s.duration = SimDuration::from_secs(spec.sim_secs);
-    s.peak_viewers = spec.viewers;
-    s.streams = spec.streams;
-    s.population.count = spec.nodes;
-    s
-}
-
-/// Runs one tier: builds each world (excluded from the measurement),
-/// then times and alloc-counts its event loop.
-pub fn run_tier(spec: TierSpec) -> TierResult {
-    let mut events = 0u64;
-    let mut wall_secs = 0f64;
-    let mut allocs = 0u64;
-    let mut alloc_bytes = 0u64;
-    let worlds = spec.seeds.len() as u64;
-    for &seed in &spec.seeds {
-        let scenario = tier_scenario(&spec);
-        let cfg = SystemConfig::for_mode(DeliveryMode::RLive);
-        let world = World::new(
-            scenario,
-            cfg,
-            GroupPolicy::uniform(DeliveryMode::RLive),
-            seed,
-        );
-        let (a0, b0) = alloc_snapshot();
-        let t0 = Instant::now();
-        let report = world.run();
-        wall_secs += t0.elapsed().as_secs_f64();
-        let (a1, b1) = alloc_snapshot();
-        allocs += a1 - a0;
-        alloc_bytes += b1 - b0;
-        events += report.event_counts.total();
-        eprintln!(
-            "bench: tier {} seed {seed}: {} events",
-            spec.name,
-            report.event_counts.total()
-        );
-    }
-    TierResult {
-        spec,
-        worlds,
-        events,
-        wall_secs,
-        allocs,
-        alloc_bytes,
-        peak_rss: peak_rss_bytes(),
-    }
-}
-
-// ---------------------------------------------------------------------
-// Obs-ingest overhead
-// ---------------------------------------------------------------------
-
-/// Sim-seconds of the obs-overhead measurement worlds: short — the
-/// block reports a ratio between two arms, not absolute throughput.
-const OBS_OVERHEAD_SIM_SECS: u64 = 5;
-
-/// Runs one 10k-node world with the given obs window (0 = obs off) and
-/// returns `(wall_secs, alloc_calls, events)` of its event loop.
-fn run_obs_overhead_world(obs_window_ms: u64) -> (f64, u64, u64) {
-    let mut spec = quick_tier();
-    spec.sim_secs = OBS_OVERHEAD_SIM_SECS;
-    let scenario = tier_scenario(&spec);
-    let mut cfg = SystemConfig::for_mode(DeliveryMode::RLive);
-    cfg.obs_window_ms = obs_window_ms;
-    let world = World::new(
-        scenario,
-        cfg,
-        GroupPolicy::uniform(DeliveryMode::RLive),
-        101,
-    );
-    let (a0, _) = alloc_snapshot();
-    let t0 = Instant::now();
-    let report = world.run();
-    let wall = t0.elapsed().as_secs_f64();
-    let (a1, _) = alloc_snapshot();
-    (wall, a1 - a0, report.event_counts.total())
-}
-
-/// Measures the obs-ingest overhead: the same 10k-node world run twice,
-/// obs layer off then on (1 s windows, live sealing), reported as
-/// worlds/sec and allocs/event per arm plus the relative wall-clock
-/// overhead fraction. Both arms produce the same event schedule — the
-/// obs layer only taps the trace stream — so the delta isolates ingest
-/// plus incremental window sealing. The fraction is wall-clock and
-/// machine-noisy (it may even come out slightly negative); the schema
-/// only requires it to be finite.
-pub fn measure_obs_overhead() -> Json {
-    let (wall_off, allocs_off, events_off) = run_obs_overhead_world(0);
-    let (wall_on, allocs_on, events_on) = run_obs_overhead_world(1000);
-    let wps = |wall: f64| 1.0 / wall.max(1e-9);
-    let ape = |allocs: u64, events: u64| allocs as f64 / events.max(1) as f64;
-    let frac = (wall_on - wall_off) / wall_off.max(1e-9);
-    eprintln!(
-        "bench: obs overhead: {:.3} worlds/sec off vs {:.3} on ({:+.1} %), \
-         {:.1} vs {:.1} allocs/event",
-        wps(wall_off),
-        wps(wall_on),
-        100.0 * frac,
-        ape(allocs_off, events_off),
-        ape(allocs_on, events_on),
-    );
-    Json::Obj(vec![
-        ("sim_secs".into(), Json::Num(OBS_OVERHEAD_SIM_SECS as f64)),
-        ("events_obs_off".into(), Json::Num(events_off as f64)),
-        ("events_obs_on".into(), Json::Num(events_on as f64)),
-        (
-            "worlds_per_sec_obs_off".into(),
-            Json::Num(round3(wps(wall_off))),
-        ),
-        (
-            "worlds_per_sec_obs_on".into(),
-            Json::Num(round3(wps(wall_on))),
-        ),
-        (
-            "allocs_per_event_obs_off".into(),
-            Json::Num(round3(ape(allocs_off, events_off))),
-        ),
-        (
-            "allocs_per_event_obs_on".into(),
-            Json::Num(round3(ape(allocs_on, events_on))),
-        ),
-        ("ingest_overhead_frac".into(), Json::Num(round3(frac))),
-    ])
-}
-
-impl TierResult {
-    fn to_json(&self) -> Json {
-        let events = self.events.max(1) as f64;
-        let wall = self.wall_secs.max(1e-9);
-        Json::Obj(vec![
-            ("tier".into(), Json::Str(self.spec.name.into())),
-            ("nodes".into(), Json::Num(self.spec.nodes as f64)),
-            ("viewers".into(), Json::Num(self.spec.viewers as f64)),
-            ("streams".into(), Json::Num(self.spec.streams as f64)),
-            ("sim_secs".into(), Json::Num(self.spec.sim_secs as f64)),
-            (
-                "seeds".into(),
-                Json::Arr(
-                    self.spec
-                        .seeds
-                        .iter()
-                        .map(|&s| Json::Num(s as f64))
-                        .collect(),
-                ),
-            ),
-            ("worlds".into(), Json::Num(self.worlds as f64)),
-            ("events".into(), Json::Num(self.events as f64)),
-            ("wall_secs".into(), Json::Num(round3(self.wall_secs))),
-            (
-                "worlds_per_sec".into(),
-                Json::Num(round3(self.worlds as f64 / wall)),
-            ),
-            (
-                "events_per_sec".into(),
-                Json::Num(round3(self.events as f64 / wall)),
-            ),
-            (
-                "allocs_per_event".into(),
-                Json::Num(round3(self.allocs as f64 / events)),
-            ),
-            (
-                "alloc_bytes_per_event".into(),
-                Json::Num(round3(self.alloc_bytes as f64 / events)),
-            ),
-            ("peak_rss_bytes".into(), Json::Num(self.peak_rss as f64)),
-        ])
-    }
-}
-
-fn round3(v: f64) -> f64 {
-    (v * 1000.0).round() / 1000.0
 }
 
 // ---------------------------------------------------------------------
@@ -477,12 +205,12 @@ impl Json {
     }
 
     /// Parses JSON text. Strict enough for bench files: rejects
-    /// non-standard tokens (`NaN`, `Infinity`), trailing garbage and
-    /// unterminated structures.
+    /// non-standard tokens (`NaN`, `Infinity`), trailing garbage,
+    /// unterminated structures and nesting deeper than 128 levels.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing data at byte {pos}"));
@@ -497,11 +225,21 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so without a bound a file of `[[[[…` would
+/// overflow the stack instead of returning an error.
+const MAX_DEPTH: usize = 128;
+
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
     let Some(&c) = b.get(*pos) else {
         return Err("unexpected end of input".into());
     };
+    if matches!(c, b'{' | b'[') && depth == MAX_DEPTH {
+        return Err(format!(
+            "nesting too deep (more than {MAX_DEPTH} levels) at byte {pos}"
+        ));
+    }
     match c {
         b'{' => {
             *pos += 1;
@@ -513,7 +251,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(b, pos);
-                let Json::Str(key) = parse_value(b, pos)? else {
+                let Json::Str(key) = parse_value(b, pos, depth + 1)? else {
                     return Err(format!("object key must be a string at byte {pos}"));
                 };
                 skip_ws(b, pos);
@@ -521,7 +259,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                     return Err(format!("expected ':' at byte {pos}"));
                 }
                 *pos += 1;
-                let val = parse_value(b, pos)?;
+                let val = parse_value(b, pos, depth + 1)?;
                 fields.push((key, val));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -543,7 +281,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(&b',') => *pos += 1,
@@ -577,6 +315,8 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                             b'n' => s.push('\n'),
                             b't' => s.push('\t'),
                             b'r' => s.push('\r'),
+                            b'b' => s.push('\u{8}'),
+                            b'f' => s.push('\u{c}'),
                             b'u' => {
                                 let hex = b.get(*pos..*pos + 4).ok_or("truncated \\u escape")?;
                                 let code = u32::from_str_radix(
@@ -640,408 +380,40 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-// ---------------------------------------------------------------------
-// Schema validation and baseline comparison
-// ---------------------------------------------------------------------
-
-/// Numeric keys every tier entry must carry, all finite and ≥ 0.
-pub const TIER_NUM_KEYS: [&str; 10] = [
-    "nodes",
-    "viewers",
-    "sim_secs",
-    "worlds",
-    "events",
-    "wall_secs",
-    "worlds_per_sec",
-    "events_per_sec",
-    "allocs_per_event",
-    "alloc_bytes_per_event",
-];
-
-fn validate_tiers(tiers: &Json, what: &str) -> Result<(), String> {
-    let arr = tiers
-        .as_arr()
-        .ok_or_else(|| format!("{what}: 'tiers' must be an array"))?;
-    if arr.is_empty() {
-        return Err(format!("{what}: 'tiers' must not be empty"));
-    }
-    for (i, tier) in arr.iter().enumerate() {
-        let label = tier
-            .get("tier")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{what}: tier[{i}] missing string key 'tier'"))?;
-        for key in TIER_NUM_KEYS {
-            let n = tier
-                .get(key)
-                .and_then(Json::as_num)
-                .ok_or_else(|| format!("{what}: tier '{label}' missing numeric key '{key}'"))?;
-            if !n.is_finite() || n < 0.0 {
-                return Err(format!("{what}: tier '{label}' key '{key}' = {n} invalid"));
-            }
-        }
-        tier.get("peak_rss_bytes")
-            .and_then(Json::as_num)
-            .ok_or_else(|| format!("{what}: tier '{label}' missing 'peak_rss_bytes'"))?;
-        let seeds = tier
-            .get("seeds")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| format!("{what}: tier '{label}' missing array 'seeds'"))?;
-        if seeds.is_empty() {
-            return Err(format!("{what}: tier '{label}' has no seeds"));
-        }
-        for req in ["events", "worlds", "worlds_per_sec", "events_per_sec"] {
-            let n = tier.get(req).and_then(Json::as_num).unwrap_or(0.0);
-            if n <= 0.0 {
-                return Err(format!("{what}: tier '{label}' key '{req}' must be > 0"));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Numeric keys the optional `obs_overhead` block must carry, all
-/// finite. The two worlds/sec keys must additionally be > 0;
-/// `ingest_overhead_frac` may be negative (wall-clock noise).
-pub const OBS_OVERHEAD_NUM_KEYS: [&str; 8] = [
-    "sim_secs",
-    "events_obs_off",
-    "events_obs_on",
-    "worlds_per_sec_obs_off",
-    "worlds_per_sec_obs_on",
-    "allocs_per_event_obs_off",
-    "allocs_per_event_obs_on",
-    "ingest_overhead_frac",
-];
-
-fn validate_obs_overhead(obs: &Json) -> Result<(), String> {
-    for key in OBS_OVERHEAD_NUM_KEYS {
-        let n = obs
-            .get(key)
-            .and_then(Json::as_num)
-            .ok_or_else(|| format!("obs_overhead: missing numeric key '{key}'"))?;
-        if !n.is_finite() {
-            return Err(format!("obs_overhead: key '{key}' = {n} invalid"));
-        }
-        if n < 0.0 && key != "ingest_overhead_frac" {
-            return Err(format!("obs_overhead: key '{key}' = {n} negative"));
-        }
-    }
-    for key in ["worlds_per_sec_obs_off", "worlds_per_sec_obs_on"] {
-        if obs.get(key).and_then(Json::as_num).unwrap_or(0.0) <= 0.0 {
-            return Err(format!("obs_overhead: key '{key}' must be > 0"));
-        }
-    }
-    Ok(())
-}
-
-/// Validates a bench document against the `rlive-bench-v1` schema:
-/// correct schema tag, a non-empty tier array with all required keys,
-/// every number finite, throughput strictly positive. The optional
-/// `pre_rewrite` block is held to the same tier schema, and the
-/// optional `obs_overhead` block to [`OBS_OVERHEAD_NUM_KEYS`].
-pub fn validate(doc: &Json) -> Result<(), String> {
-    let schema = doc
-        .get("schema")
-        .and_then(Json::as_str)
-        .ok_or("missing string key 'schema'")?;
-    if schema != SCHEMA {
-        return Err(format!("schema '{schema}' != '{SCHEMA}'"));
-    }
-    let tiers = doc.get("tiers").ok_or("missing key 'tiers'")?;
-    validate_tiers(tiers, "tiers")?;
-    if let Some(pre) = doc.get("pre_rewrite") {
-        let pre_tiers = pre.get("tiers").ok_or("pre_rewrite: missing key 'tiers'")?;
-        validate_tiers(pre_tiers, "pre_rewrite")?;
-    }
-    if let Some(obs) = doc.get("obs_overhead") {
-        validate_obs_overhead(obs)?;
-    }
-    Ok(())
-}
-
-/// Compares current worlds/sec per tier against a baseline document.
-/// Fails when any tier present in both drops below
-/// `threshold × baseline`; tiers absent from the baseline are skipped.
-pub fn compare_baseline(current: &Json, baseline: &Json, threshold: f64) -> Result<(), String> {
-    let cur_tiers = current.get("tiers").and_then(Json::as_arr).unwrap_or(&[]);
-    let base_tiers = baseline.get("tiers").and_then(Json::as_arr).unwrap_or(&[]);
-    for cur in cur_tiers {
-        let Some(name) = cur.get("tier").and_then(Json::as_str) else {
-            continue;
-        };
-        let Some(base) = base_tiers
-            .iter()
-            .find(|t| t.get("tier").and_then(Json::as_str) == Some(name))
-        else {
-            continue;
-        };
-        let cur_wps = cur
-            .get("worlds_per_sec")
-            .and_then(Json::as_num)
-            .unwrap_or(0.0);
-        let base_wps = base
-            .get("worlds_per_sec")
-            .and_then(Json::as_num)
-            .unwrap_or(0.0);
-        if base_wps > 0.0 && cur_wps < base_wps * threshold {
-            return Err(format!(
-                "tier '{name}': worlds/sec {cur_wps:.3} below {:.0}% of baseline {base_wps:.3}",
-                threshold * 100.0
-            ));
-        }
-        eprintln!("bench: tier '{name}' worlds/sec {cur_wps:.3} vs baseline {base_wps:.3} (ok)");
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------
-// Entry point
-// ---------------------------------------------------------------------
-
-/// Options of one `bench` invocation (parsed in `cli`).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BenchOpts {
-    /// `--quick`: one short 10k-node world instead of the full tier set.
-    pub quick: bool,
-    /// `--tier 10k|100k|all`: restrict the tier set.
-    pub tier: Option<String>,
-    /// `--out PATH`: output path (default [`DEFAULT_OUT`]).
-    pub out: Option<String>,
-    /// `--pre PATH`: embed a pre-rewrite bench file for delta tracking.
-    pub pre: Option<String>,
-    /// `--baseline PATH`: compare worlds/sec against a committed file.
-    pub baseline: Option<String>,
-    /// `--check PATH`: validate an existing file and exit (no run).
-    pub check: Option<String>,
-}
-
-fn read_doc(path: &str) -> Result<Json, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read '{path}': {e}"))?;
-    Json::parse(&text).map_err(|e| format!("'{path}': {e}"))
-}
-
-/// Runs the `bench` subcommand.
-pub fn run(opts: &BenchOpts) -> Result<(), String> {
-    if let Some(path) = &opts.check {
-        let doc = read_doc(path)?;
-        validate(&doc)?;
-        eprintln!("bench: '{path}' validates against {SCHEMA}");
-        return Ok(());
-    }
-
-    let tiers: Vec<TierSpec> = if opts.quick {
-        vec![quick_tier()]
-    } else {
-        let filter = opts.tier.as_deref().unwrap_or("all");
-        let all = default_tiers();
-        match filter {
-            "all" => all,
-            name => {
-                let selected: Vec<TierSpec> = all.into_iter().filter(|t| t.name == name).collect();
-                if selected.is_empty() {
-                    return Err(format!(
-                        "--tier expects '10k', '100k' or 'all', got '{name}'"
-                    ));
-                }
-                selected
-            }
-        }
-    };
-
-    let mut tier_values = Vec::new();
-    for spec in tiers {
-        eprintln!(
-            "bench: tier {} ({} nodes, {} seeds, {} sim-secs)",
-            spec.name,
-            spec.nodes,
-            spec.seeds.len(),
-            spec.sim_secs
-        );
-        let result = run_tier(spec);
-        eprintln!(
-            "bench: tier {}: {:.3} worlds/sec, {:.0} events/sec, {:.1} allocs/event",
-            result.spec.name,
-            result.worlds as f64 / result.wall_secs.max(1e-9),
-            result.events as f64 / result.wall_secs.max(1e-9),
-            result.allocs as f64 / result.events.max(1) as f64,
-        );
-        tier_values.push(result.to_json());
-    }
-
-    let mut doc_fields = vec![
-        ("schema".into(), Json::Str(SCHEMA.into())),
-        ("bench_id".into(), Json::Str("BENCH_7".into())),
-        ("tiers".into(), Json::Arr(tier_values)),
-        ("obs_overhead".into(), measure_obs_overhead()),
-    ];
-    if let Some(pre_path) = &opts.pre {
-        let pre = read_doc(pre_path)?;
-        validate(&pre).map_err(|e| format!("--pre '{pre_path}': {e}"))?;
-        let pre_tiers = pre.get("tiers").cloned().unwrap_or(Json::Arr(Vec::new()));
-        doc_fields.push((
-            "pre_rewrite".into(),
-            Json::Obj(vec![("tiers".into(), pre_tiers)]),
-        ));
-    }
-    let doc = Json::Obj(doc_fields);
-    validate(&doc)?;
-
-    let out_path = opts.out.as_deref().unwrap_or(DEFAULT_OUT);
-    std::fs::write(out_path, doc.render()?)
-        .map_err(|e| format!("cannot write '{out_path}': {e}"))?;
-    eprintln!("bench: wrote {out_path}");
-
-    if let Some(base_path) = &opts.baseline {
-        let baseline = read_doc(base_path)?;
-        compare_baseline(&doc, &baseline, BASELINE_THRESHOLD)?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn tier_obj(name: &str, wps: f64) -> Json {
-        let mut fields = vec![
-            ("tier".to_string(), Json::Str(name.into())),
-            ("seeds".to_string(), Json::Arr(vec![Json::Num(101.0)])),
-        ];
-        for key in TIER_NUM_KEYS {
-            let v = match key {
-                "worlds_per_sec" => wps,
-                _ => 1.0,
-            };
-            fields.push((key.to_string(), Json::Num(v)));
-        }
-        fields.push(("peak_rss_bytes".to_string(), Json::Num(1024.0)));
-        Json::Obj(fields)
-    }
-
-    fn doc(tiers: Vec<Json>) -> Json {
-        Json::Obj(vec![
-            ("schema".into(), Json::Str(SCHEMA.into())),
-            ("bench_id".into(), Json::Str("BENCH_7".into())),
-            ("tiers".into(), Json::Arr(tiers)),
-        ])
-    }
-
     #[test]
     fn render_parse_roundtrip() {
-        let d = doc(vec![tier_obj("10k", 2.5)]);
+        let d = Json::Obj(vec![
+            ("name".into(), Json::Str("q\"\\\n\t\u{8}\u{c}é".into())),
+            ("ok".into(), Json::Bool(true)),
+            ("none".into(), Json::Null),
+            (
+                "rows".into(),
+                Json::Arr(vec![
+                    Json::Num(2.5),
+                    Json::Obj(vec![("n".into(), Json::Num(101.0))]),
+                    Json::Obj(Vec::new()),
+                ]),
+            ),
+        ]);
         let text = d.render().unwrap();
-        let back = Json::parse(&text).unwrap();
-        assert_eq!(d, back);
-    }
-
-    #[test]
-    fn valid_document_passes() {
-        validate(&doc(vec![tier_obj("10k", 2.5), tier_obj("100k", 0.3)])).unwrap();
-    }
-
-    #[test]
-    fn missing_key_and_empty_tiers_fail() {
-        let err = validate(&doc(vec![])).unwrap_err();
-        assert!(err.contains("empty"), "{err}");
-        let mut bad = tier_obj("10k", 1.0);
-        if let Json::Obj(fields) = &mut bad {
-            fields.retain(|(k, _)| k != "events_per_sec");
-        }
-        let err = validate(&doc(vec![bad])).unwrap_err();
-        assert!(err.contains("events_per_sec"), "{err}");
+        assert_eq!(Json::parse(&text).unwrap(), d);
+        // The short escapes `\b` and `\f` are valid JSON that the writer
+        // never emits (it writes the `\u` form); other writers do.
+        let short = Json::parse(r#""\b\f""#).unwrap();
+        assert_eq!(short, Json::Str("\u{8}\u{c}".into()));
+        assert_eq!(Json::parse(&short.render().unwrap()).unwrap(), short);
     }
 
     #[test]
     fn nan_is_unwritable_and_unparseable() {
-        let d = doc(vec![Json::Obj(vec![(
-            "wall_secs".into(),
-            Json::Num(f64::NAN),
-        )])]);
+        let d = Json::Obj(vec![("wall_secs".into(), Json::Num(f64::NAN))]);
         assert!(d.render().is_err(), "NaN must not serialise");
         assert!(Json::parse("{\"x\": NaN}").is_err());
         assert!(Json::parse("{\"x\": Infinity}").is_err());
-    }
-
-    #[test]
-    fn zero_throughput_fails_validation() {
-        let err = validate(&doc(vec![tier_obj("10k", 0.0)])).unwrap_err();
-        assert!(err.contains("worlds_per_sec"), "{err}");
-    }
-
-    #[test]
-    fn pre_rewrite_block_validated_too() {
-        let mut d = doc(vec![tier_obj("10k", 1.0)]);
-        if let Json::Obj(fields) = &mut d {
-            fields.push((
-                "pre_rewrite".into(),
-                Json::Obj(vec![("tiers".into(), Json::Arr(vec![]))]),
-            ));
-        }
-        let err = validate(&d).unwrap_err();
-        assert!(err.contains("pre_rewrite"), "{err}");
-    }
-
-    #[test]
-    fn obs_overhead_block_validated_when_present() {
-        let block = |frac: f64| {
-            Json::Obj(
-                OBS_OVERHEAD_NUM_KEYS
-                    .iter()
-                    .map(|k| {
-                        let v = if *k == "ingest_overhead_frac" {
-                            frac
-                        } else {
-                            1.0
-                        };
-                        (k.to_string(), Json::Num(v))
-                    })
-                    .collect(),
-            )
-        };
-        let with_block = |b: Json| {
-            let mut d = doc(vec![tier_obj("10k", 1.0)]);
-            if let Json::Obj(fields) = &mut d {
-                fields.push(("obs_overhead".into(), b));
-            }
-            d
-        };
-        // Absent: fine (committed BENCH_7.json predates the block).
-        validate(&doc(vec![tier_obj("10k", 1.0)])).unwrap();
-        // Present and well-formed: fine, even with a negative fraction
-        // (wall-clock noise can make obs-on come out faster).
-        validate(&with_block(block(-0.02))).unwrap();
-        // Missing key: the error names it.
-        let mut b = block(0.1);
-        if let Json::Obj(fields) = &mut b {
-            fields.retain(|(k, _)| k != "worlds_per_sec_obs_on");
-        }
-        let err = validate(&with_block(b)).unwrap_err();
-        assert!(err.contains("worlds_per_sec_obs_on"), "{err}");
-        // Zero throughput: rejected.
-        let mut b = block(0.1);
-        if let Json::Obj(fields) = &mut b {
-            for (k, v) in fields.iter_mut() {
-                if k == "worlds_per_sec_obs_off" {
-                    *v = Json::Num(0.0);
-                }
-            }
-        }
-        let err = validate(&with_block(b)).unwrap_err();
-        assert!(err.contains("worlds_per_sec_obs_off"), "{err}");
-    }
-
-    #[test]
-    fn baseline_comparison_generous_then_fails() {
-        let current = doc(vec![tier_obj("10k", 1.0)]);
-        let fast_base = doc(vec![tier_obj("10k", 3.0)]);
-        // 1.0 ≥ 25% of 3.0: fine.
-        compare_baseline(&current, &fast_base, BASELINE_THRESHOLD).unwrap();
-        let very_fast = doc(vec![tier_obj("10k", 10.0)]);
-        let err = compare_baseline(&current, &very_fast, BASELINE_THRESHOLD).unwrap_err();
-        assert!(err.contains("10k"), "{err}");
-        // Tiers missing from the baseline are skipped, not errors.
-        let other = doc(vec![tier_obj("100k", 100.0)]);
-        compare_baseline(&current, &other, BASELINE_THRESHOLD).unwrap();
     }
 
     #[test]
@@ -1050,6 +422,7 @@ mod tests {
         assert!(Json::parse("[1, 2").is_err());
         assert!(Json::parse("\"unterminated").is_err());
         assert!(Json::parse("{\"a\" 1}").is_err());
+        assert!(Json::parse(r#""\q""#).is_err());
         assert_eq!(
             Json::parse("[1, -2.5e3, \"s\", true, null]").unwrap(),
             Json::Arr(vec![
@@ -1060,6 +433,15 @@ mod tests {
                 Json::Null,
             ])
         );
+        // Nesting is capped: an unbounded run of openers is an error,
+        // not a stack overflow, and the cap itself is still accepted.
+        for opener in ["[", "{\"k\":"] {
+            let err = Json::parse(&opener.repeat(100_000)).unwrap_err();
+            assert!(err.contains("nesting too deep"), "{err}");
+        }
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_cap).is_ok());
+        assert!(Json::parse(&format!("[{at_cap}]")).is_err());
     }
 
     #[test]

@@ -213,7 +213,9 @@ mod tests {
 
     #[test]
     fn production_scale_projection() {
-        // Our measured recommendation cost is ~18 µs over 10k nodes.
+        // One recommendation measures 5–6 µs on a cold 10k-node registry
+        // (`control.scheduler.recommend_us_cold` in `benchmark/`); the
+        // 18 µs used here leaves a 3× margin over that reading.
         // Fig 12(c) peaks at several million QPS — the model says a few
         // hundred cores sustain that with millisecond queueing, which is
         // exactly the kind of fleet a hyperscaler deploys.

@@ -364,6 +364,26 @@ fn golden_table1_sharded() {
     assert_golden("table1", &["--world-jobs", "2"]);
 }
 
+// A name that is not a subcommand — `bench` was one until the repo
+// benchmark (`benchmark/`) replaced it — is a usage error on stderr
+// with a non-zero exit, never a panic and never a silent default.
+#[test]
+fn unknown_subcommand_is_a_usage_error() {
+    for sub in ["bench", "nosuch"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .arg(sub)
+            .output()
+            .expect("spawn experiments binary");
+        assert_eq!(out.status.code(), Some(2), "experiments {sub}");
+        assert!(out.stdout.is_empty(), "experiments {sub} wrote to stdout");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.starts_with(&format!("error: unknown subcommand '{sub}'\n")),
+            "experiments {sub}: {stderr}"
+        );
+    }
+}
+
 // ----- full sweep (simulated worlds; minutes in release) ---------------
 
 #[test]
