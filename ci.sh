@@ -34,6 +34,21 @@ bash benchmark/run.sh --workload sched_30k --seed 101 --seconds 2 --trace 1 | aw
     }
   }'
 
+# Count gate on data-plane heap churn: a dataplane run must allocate at
+# most 1.5 blocks per event (5.63 before PR 25 made the slice path
+# allocation-free; 0.77 after) and fail no check. Allocation counts
+# repeat to 1e-7 at a fixed seed; wall-clock numbers stay trend-only.
+echo "==> benchmark: dataplane allocs_per_event <= 1.5 (count gate)"
+bash benchmark/run.sh --workload dataplane --seed 101 --seconds 2 --trace 0 | awk '
+  $2 == "allocs_per_event" { allocs = $3; have_allocs = 1 }
+  $2 == "ops_failed" { failed = $3; have_failed = 1 }
+  END {
+    if (!have_allocs || !have_failed || allocs > 1.5 || failed != 0) {
+      print "alloc gate: allocs_per_event=" allocs " ops_failed=" failed > "/dev/stderr"
+      exit 1
+    }
+  }'
+
 # Source-size ratchet: the ROADMAP's <= 27.5k-line trajectory is held by
 # a machine. The ceiling is the last deletion PR's exit total rounded up
 # to the next 50; a PR that deletes code lowers it, none raises it.

@@ -98,14 +98,13 @@ impl CdnEdge {
                     at + SimDuration::from_millis(rtt / 2) + ctx.cfg.transport.hop_overhead();
                 // Dedicated links lose individual packets rarely; sample
                 // residual loss per frame.
-                let received: Vec<u32> = (0..total).collect();
                 ctx.queue.schedule(
                     arrive,
                     Event::ClientSlice(Box::new(SliceDelivery {
                         client: req.client,
                         header: req.header,
                         substream: req.substream,
-                        received,
+                        received: (0..total).collect(),
                         total,
                         chain: req.chain,
                         bytes: wire as u64,
@@ -173,7 +172,7 @@ mod tests {
             Event::ClientSlice(d) => {
                 assert_eq!(d.client, 5);
                 assert_eq!(d.header.dts_ms, 33);
-                assert_eq!(d.received.len(), d.total as usize);
+                assert_eq!(d.received.len(), d.total);
             }
             other => panic!("unexpected event {}", other.kind()),
         }

@@ -258,11 +258,12 @@ impl Client {
             d.total,
             d.chain.as_ref(),
         );
-        self.observe_releases(now, ready.len());
-        for f in &ready {
+        let released = ready.len();
+        for f in ready {
             self.playback.push(f.header);
             self.energy.add_cpu(ctx.energy_model.per_frame_decode);
         }
+        self.observe_releases(now, released);
         self.energy
             .observe_mem_kb(self.playback.len() as f64 * ctx.energy_model.mem_per_buffered_frame);
 
@@ -281,10 +282,11 @@ impl Client {
         let now = ctx.now;
         self.reorder.ingest_chain_only(chain);
         let ready = self.reorder.drain_ready(now);
-        self.observe_releases(now, ready.len());
+        let released = ready.len();
         for f in ready {
             self.playback.push(f.header);
         }
+        self.observe_releases(now, released);
         self.energy.add_cpu(ctx.energy_model.per_chain_merge);
     }
 
@@ -310,10 +312,11 @@ impl Client {
             }
         }
         let ready = self.reorder.ingest_whole_frame(now, header);
-        self.observe_releases(now, ready.len());
+        let released = ready.len();
         for f in ready {
             self.playback.push(f.header);
         }
+        self.observe_releases(now, released);
     }
 
     /// One playout tick: buffer-protection pacing, frame presentation,
@@ -380,20 +383,6 @@ impl Client {
             None => {
                 if self.playback.rebuffer_events() > before_rebuffers {
                     self.abr.on_rebuffer(now);
-                    if std::env::var("RLIVE_DEBUG").is_ok() {
-                        eprintln!(
-                            "t={:.1} c{} STALL mode={} blocked_age={:?} asm={} bc={} missing={} inflight={} skips={}",
-                            now.as_secs_f64(),
-                            cid,
-                            match &self.mode { ClientMode::CdnFull => "cdn".into(), ClientMode::SingleSource{relay} => format!("single:{relay}"), ClientMode::Multi{sources,..} => format!("{sources:?}") },
-                            self.reorder.head_blocked_since().map(|b| now.saturating_since(b).as_millis()),
-                            self.reorder.assembling_count(),
-                            self.reorder.blocked_complete(),
-                            self.reorder.missing_chain_frames(now, SimDuration::ZERO).len(),
-                            self.requested_recovery.len(),
-                            self.reorder.skipped_count(),
-                        );
-                    }
                 }
             }
         }

@@ -2,14 +2,18 @@
 //! forwarding, churn, background load and the edge adviser.
 
 use crate::actors::cdn::CdnEdge;
+use crate::actors::client::Client;
 use crate::actors::stream::SuperNode;
 use crate::actors::ActorCtx;
+use crate::arena::IdArena;
+use crate::config::DeliveryMode;
 use crate::cost::TrafficClass;
 use crate::events::{Event, SliceDelivery, TraceSink, FULL_STREAM};
 use rlive_control::adviser::SwitchSuggestion;
 use rlive_control::features::{heartbeat_interval_secs, ClientId};
 use rlive_control::quota::NodeQuotas;
 use rlive_control::{AdviserConfig, EdgeAdviser, NodeId, NodeStatus, StreamKey};
+use rlive_data::reorder::PacketSet;
 use rlive_media::footprint::LocalChain;
 use rlive_media::frame::FrameHeader;
 use rlive_media::packet::PACKET_PAYLOAD;
@@ -34,6 +38,32 @@ pub(crate) struct SubscriberView {
     pub chain: Option<LocalChain>,
     /// Whether the central super node must ship this client the chain.
     pub super_chain: bool,
+}
+
+/// Resolves the forwarding targets of one `(stream, ss)` frame into
+/// `views` (cleared first) so the relay actor never reads client fields
+/// itself. Departed targets are skipped; `chain` is embedded for every
+/// client not on central sequencing, which the super node serves when
+/// `central_world`.
+pub(crate) fn resolve_views(
+    relay: &Relay,
+    clients: &IdArena<Client>,
+    (stream, ss, chain): (u32, u16, LocalChain),
+    central_world: bool,
+    views: &mut Vec<SubscriberView>,
+) {
+    views.clear();
+    views.extend(relay.targets_for(stream, ss).filter_map(|cid| {
+        let client = clients.get(&cid)?;
+        let central_client = matches!(client.mode_policy, DeliveryMode::RLiveCentralSequencing);
+        Some(SubscriberView {
+            client: cid,
+            scale: client.abr.scale(),
+            group: client.group,
+            chain: (!central_world && !central_client).then_some(chain),
+            super_chain: central_world && central_client,
+        })
+    }));
 }
 
 /// What one maintenance tick of a relay produced, for the world to
@@ -140,34 +170,30 @@ impl Relay {
 
     /// Clients interested in `(stream, ss)` frames: subscribers of the
     /// substream itself plus full-stream subscribers.
-    pub fn interested_clients(&self, stream: u32, ss: u16) -> Vec<u64> {
+    pub fn interested_clients(&self, stream: u32, ss: u16) -> impl Iterator<Item = u64> + '_ {
         self.subscribers
             .iter()
-            .filter(|&&((st, sub), _)| st == stream && (sub == FULL_STREAM || sub == ss))
+            .filter(move |&&((st, sub), _)| st == stream && (sub == FULL_STREAM || sub == ss))
             .flat_map(|(_, subs)| subs.iter().copied())
-            .collect()
     }
 
     /// Forwarding targets of one `(stream, ss)` frame, in subscription
     /// order: full-stream subscribers first, then substream subscribers.
-    pub fn targets_for(&self, stream: u32, ss: u16) -> Vec<u64> {
-        let mut targets = Vec::new();
-        if let Ok(i) = self.sub_search((stream, FULL_STREAM)) {
-            targets.extend(self.subscribers[i].1.iter().copied());
-        }
-        if let Ok(i) = self.sub_search((stream, ss)) {
-            targets.extend(self.subscribers[i].1.iter().copied());
-        }
-        targets
+    pub fn targets_for(&self, stream: u32, ss: u16) -> impl Iterator<Item = u64> + '_ {
+        let subs = |key| match self.sub_search(key) {
+            Ok(i) => &self.subscribers[i].1[..],
+            Err(_) => &[],
+        };
+        subs((stream, FULL_STREAM))
+            .iter()
+            .chain(subs((stream, ss)))
+            .copied()
     }
 
     /// Every subscribed client id (cost-consolidation suggestions go to
     /// all of them).
-    pub fn all_subscriber_ids(&self) -> Vec<u64> {
-        self.subscribers
-            .iter()
-            .flat_map(|(_, v)| v.iter().copied())
-            .collect()
+    pub fn all_subscriber_ids(&self) -> impl Iterator<Item = u64> + '_ {
+        self.subscribers.iter().flat_map(|(_, v)| v.iter().copied())
     }
 
     /// Replaces the churn timeline (failure injection).
@@ -397,7 +423,7 @@ impl Relay {
             let size = (header.size as f64 * view.scale) as u32;
             let total = size.div_ceil(PACKET_PAYLOAD).max(1);
             let overhead = ctx.cfg.transport.packet_overhead() as u32;
-            let mut received = Vec::with_capacity(total as usize);
+            let mut received = PacketSet::default();
             let mut last_arrival = None;
             let mut bytes = 0u64;
             for i in 0..total {
@@ -409,7 +435,7 @@ impl Relay {
                 let pkt_bytes = payload as usize + overhead as usize;
                 match self.uplink.transmit(ctx.now, pkt_bytes) {
                     TxOutcome::Delivered(at) => {
-                        received.push(i);
+                        received.insert(i);
                         bytes += pkt_bytes as u64;
                         last_arrival = Some(last_arrival.map_or(at, |l: SimTime| l.max(at)));
                     }
@@ -429,7 +455,7 @@ impl Relay {
                         substream: ss,
                         received,
                         total,
-                        chain: view.chain.clone(),
+                        chain: view.chain,
                         bytes,
                     })),
                 );
@@ -482,10 +508,10 @@ mod tests {
         assert_eq!(r.subscriber_count(), 2);
         assert_eq!(r.peak_subscribers, 2);
         // Full-stream subscribers come first in the forwarding order.
-        assert_eq!(r.targets_for(2, 0), vec![8, 7]);
-        assert_eq!(r.interested_clients(2, 0), vec![7, 8]);
+        assert_eq!(r.targets_for(2, 0).collect::<Vec<_>>(), vec![8, 7]);
+        assert_eq!(r.interested_clients(2, 0).collect::<Vec<_>>(), vec![7, 8]);
         // Substream 1 only reaches the full-stream subscriber.
-        assert_eq!(r.targets_for(2, 1), vec![8]);
+        assert_eq!(r.targets_for(2, 1).collect::<Vec<_>>(), vec![8]);
         r.unsubscribe(7, 2, 0, 0.5);
         assert!(!r.has_subscribers(2, 0));
         assert!(r.feeds(2), "full-stream subscriber still feeds");

@@ -45,7 +45,7 @@ impl StreamState {
     pub fn next_frame(&mut self) -> (FrameHeader, LocalChain) {
         let frame = self.generator.next_frame();
         let chain = self.chains.observe(&frame.header);
-        self.remember(frame.header, chain.clone());
+        self.remember(frame.header, chain);
         (frame.header, chain)
     }
 

@@ -9,6 +9,7 @@
 //! layers emit into the [`telemetry`](crate::telemetry) sink.
 
 use rlive_data::recovery::RecoveryAction;
+use rlive_data::reorder::PacketSet;
 use rlive_media::footprint::LocalChain;
 use rlive_media::frame::FrameHeader;
 
@@ -117,10 +118,11 @@ pub enum Event {
 /// same-class events can run on worker threads and merge back
 /// deterministically. Events outside both classes stay on the
 /// sequential reference path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) enum ShardClass {
     /// Client-owned events (slice ingest, chain ingest, playout ticks),
     /// partitioned by client id.
+    #[default]
     Client,
     /// Relay frame fan-out, partitioned by relay index. Not shardable
     /// under central sequencing, where fan-out draws the shared world
@@ -189,7 +191,7 @@ pub struct SliceDelivery {
     /// Substream the slice travelled on.
     pub substream: u16,
     /// Indices of the packets that actually arrived.
-    pub received: Vec<u32>,
+    pub received: PacketSet,
     /// Total packets of the (scaled) frame.
     pub total: u32,
     /// Embedded sequencing chain, if the path carries one.

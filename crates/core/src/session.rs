@@ -97,7 +97,7 @@ pub(crate) fn cdn_prefill(world: &mut World, now: SimTime, cid: u64) {
         if dts < from {
             continue;
         }
-        let Some((header, chain)) = world.streams[stream].recent_frame(dts).cloned() else {
+        let Some(&(header, chain)) = world.streams[stream].recent_frame(dts) else {
             continue;
         };
         let ss = world.substream_for(&header);
@@ -214,21 +214,6 @@ fn control_fallback_check(world: &mut World, now: SimTime, cid: u64) {
         return;
     }
     if needs_fallback {
-        if std::env::var("RLIVE_DEBUG").is_ok() {
-            let c = &world.clients[&cid];
-            eprintln!(
-                "t={:.1} c{} FALLBACK occ={}ms blocked_age={:?} asm={} blocked_complete={} skips={} missing={} mode_relays={:?}",
-                now.as_secs_f64(),
-                cid,
-                c.playback.occupancy().as_millis(),
-                c.reorder.head_blocked_since().map(|b| now.saturating_since(b).as_millis()),
-                c.reorder.assembling_count(),
-                c.reorder.blocked_complete(),
-                c.reorder.skipped_count(),
-                c.reorder.missing_chain_frames(now, SimDuration::ZERO).len(),
-                c.relay_sources(),
-            );
-        }
         let from = world.clients[&cid].mode.label();
         teardown_relay_subscriptions(world, cid);
         let client = world.clients.get_mut(&cid).expect("exists");
@@ -718,7 +703,7 @@ pub(crate) fn on_hedge_outcome(
                 {
                     let chain = world.streams[stream as usize]
                         .recent_frame(dts)
-                        .map(|(_, c)| c.clone());
+                        .map(|(_, c)| *c);
                     let client = world.clients.get_mut(&cid).expect("checked above");
                     group = client.group;
                     client.ingest_recovered_frame(now, header, chain.as_ref());
@@ -838,7 +823,7 @@ pub(crate) fn on_recovery_outcome(
             {
                 let chain = world.streams[stream as usize]
                     .recent_frame(dts)
-                    .map(|(_, c)| c.clone());
+                    .map(|(_, c)| *c);
                 let client = world.clients.get_mut(&cid).expect("checked above");
                 group = client.group;
                 client.ingest_recovered_frame(now, header, chain.as_ref());
@@ -895,7 +880,7 @@ pub(crate) fn on_recovery_outcome(
 pub(crate) fn deliver_suggestion(world: &mut World, rid: u32, s: &SwitchSuggestion) {
     let client_ids: Vec<u64> = match s {
         SwitchSuggestion::CostConsolidation { .. } => {
-            world.relays[rid as usize].all_subscriber_ids()
+            world.relays[rid as usize].all_subscriber_ids().collect()
         }
         SwitchSuggestion::QosOutlier { clients, .. } => clients.iter().map(|(c, _)| c.0).collect(),
     };

@@ -50,7 +50,7 @@
 //! happens in exactly the sequential order, on the merge thread.
 
 use crate::actors::client::Client;
-use crate::actors::relay::{Relay, SubscriberView};
+use crate::actors::relay::{resolve_views, Relay};
 use crate::actors::stream::{StreamState, SuperNode};
 use crate::actors::ActorCtx;
 use crate::arena::IdArena;
@@ -73,12 +73,16 @@ use std::collections::{HashMap, HashSet};
 const SENTINEL_RNG_SEED: u64 = 0x5EED_D00D_CAFE_F00D;
 
 /// A maximal run of consecutive shardable events popped off the queue.
+/// One lives in the world and is reused batch after batch.
+#[derive(Default)]
 pub(crate) struct ShardBatch {
     /// The class every batch member belongs to.
     pub class: ShardClass,
     /// `(at, event)` in pop order. All at one instant, except for
     /// all-`ChainDelivery` runs which may span instants.
     pub events: Vec<(SimTime, Event)>,
+    /// Clients whose `PlayerTick` is in the batch (formation scratch).
+    ticked: HashSet<u64>,
 }
 
 /// Everything one worker-side handler produced, merged in batch order.
@@ -107,11 +111,13 @@ impl World {
     ) -> ShardBatch {
         let central_world = matches!(self.cfg.mode, DeliveryMode::RLiveCentralSequencing);
         let mut all_chains = matches!(first, Event::ChainDelivery { .. });
-        let mut ticked: HashSet<u64> = HashSet::new();
+        let mut batch = std::mem::take(&mut self.batch);
+        batch.class = class;
+        batch.ticked.clear();
         if let Event::PlayerTick { client } = first {
-            ticked.insert(client);
+            batch.ticked.insert(client);
         }
-        let mut events = vec![(now, first)];
+        batch.events.push((now, first));
         loop {
             let extends = match self.queue.peek() {
                 None => false,
@@ -120,7 +126,8 @@ impl World {
                     let chain_run = all_chains && matches!(head, Event::ChainDelivery { .. });
                     at <= self.end_at
                         && (same_instant || chain_run)
-                        && !(class == ShardClass::Client && ticked.contains(&head.shard_key()))
+                        && !(class == ShardClass::Client
+                            && batch.ticked.contains(&head.shard_key()))
                 }
             };
             if !extends {
@@ -128,14 +135,14 @@ impl World {
             }
             let (at, event) = self.queue.pop().expect("peeked event vanished");
             if let Event::PlayerTick { client } = event {
-                ticked.insert(client);
+                batch.ticked.insert(client);
             }
             if !matches!(event, Event::ChainDelivery { .. }) {
                 all_chains = false;
             }
-            events.push((at, event));
+            batch.events.push((at, event));
         }
-        ShardBatch { class, events }
+        batch
     }
 
     /// Executes a formed batch: inline (the sequential reference path,
@@ -143,14 +150,15 @@ impl World {
     /// or the batch is too small to pay for thread spawns, sharded
     /// otherwise — with the deterministic merge either way producing
     /// identical post-batch world state.
-    pub(crate) fn execute_batch(&mut self, batch: ShardBatch) {
+    pub(crate) fn execute_batch(&mut self, mut batch: ShardBatch) {
         if self.world_jobs <= 1 || batch.events.len() < self.shard_min_batch {
             // Batch order is pop order, so the last event carries the
             // batch's maximum instant (chain runs may span instants).
             let last_at = batch.events.last().map(|(at, _)| *at);
-            for (at, event) in batch.events {
+            for (at, event) in batch.events.drain(..) {
                 self.handle(at, event);
             }
+            self.batch = batch;
             if let Some(at) = last_at {
                 self.obs_advance(at);
             }
@@ -365,8 +373,7 @@ fn run_client_shard(
             Event::ClientSlice(d) => client.ingest_slice(&mut ctx, *d),
             Event::ChainDelivery { stream, dts, .. } => {
                 if let Some((_, chain)) = streams[stream as usize].recent_frame(dts) {
-                    let chain = chain.clone();
-                    client.ingest_chain(&mut ctx, &chain);
+                    client.ingest_chain(&mut ctx, chain);
                 }
             }
             Event::PlayerTick { .. } => {
@@ -411,8 +418,8 @@ fn run_relay_shard(
             unreachable!("{} event in a relay shard", event.kind());
         };
         let mut outcome = EventOutcome::default();
-        let (Some((header, chain)), Some(r)) = (
-            streams[stream as usize].recent_frame(dts).cloned(),
+        let (Some(&(header, chain)), Some(r)) = (
+            streams[stream as usize].recent_frame(dts),
             relays.get_mut(&relay),
         ) else {
             out.push((idx, outcome));
@@ -428,27 +435,8 @@ fn run_relay_shard(
         // false for every view and the scratch super node is never
         // consulted — central-sequencing chains draw the world RNG and
         // stay on the sequential path.
-        let embedded_chain = Some(chain);
-        let views: Vec<SubscriberView> = r
-            .targets_for(stream, ss)
-            .into_iter()
-            .filter_map(|cid| {
-                let client = clients.get(&cid)?;
-                let central_client =
-                    matches!(client.mode_policy, DeliveryMode::RLiveCentralSequencing);
-                Some(SubscriberView {
-                    client: cid,
-                    scale: client.abr.scale(),
-                    group: client.group,
-                    chain: if central_client {
-                        None
-                    } else {
-                        embedded_chain.clone()
-                    },
-                    super_chain: false,
-                })
-            })
-            .collect();
+        let mut views = Vec::new();
+        resolve_views(r, clients, (stream, ss, chain), false, &mut views);
         let mut rng = sentinel.clone();
         let mut queue = EventQueue::new();
         let mut scratch_super = SuperNode::new();

@@ -12,7 +12,7 @@
 use crate::actors::actor_ctx;
 use crate::actors::cdn::CdnEdge;
 use crate::actors::client::{Client, ClientMode, SubSource};
-use crate::actors::relay::{Relay, SubscriberView};
+use crate::actors::relay::{resolve_views, Relay, SubscriberView};
 use crate::actors::stream::{StreamState, SuperNode};
 use crate::arena::IdArena;
 use crate::config::{DeliveryMode, SystemConfig};
@@ -21,6 +21,7 @@ use crate::energy::EnergyModel;
 use crate::events::{Event, TraceEvent, TraceSink, FULL_STREAM};
 use crate::qoe::GroupQoe;
 use crate::session;
+use crate::shard::ShardBatch;
 use rlive_control::features::Heartbeat;
 use rlive_control::{GlobalScheduler, NodeClass, NodeId, NodeStatus, StaticFeatures};
 use rlive_media::frame::FrameHeader;
@@ -208,6 +209,13 @@ pub struct World {
     /// The recovery policy driving loss recovery (the `data::recovery`
     /// seam), resolved from [`SystemConfig::recovery_policy`].
     pub(crate) recovery_policy: Box<dyn rlive_data::recovery::RecoveryPolicy>,
+    /// Event-loop scratch, reused so steady-state routing allocates
+    /// nothing: relay fan-out views, client ids of one stream frame, and
+    /// the batch (events plus ticked clients) `form_batch` fills and the
+    /// inline path hands back.
+    pub(crate) views: Vec<SubscriberView>,
+    pub(crate) client_ids: Vec<u64>,
+    pub(crate) batch: ShardBatch,
 }
 
 impl World {
@@ -320,6 +328,9 @@ impl World {
             slo: None,
             obs_stream: None,
             recovery_policy,
+            views: Vec::new(),
+            client_ids: Vec::new(),
+            batch: ShardBatch::default(),
         };
         // Observability needs the *complete* trace stream (a wrapped
         // ring under-counts early windows), so an obs-enabled world
@@ -798,17 +809,10 @@ impl World {
 
         // Feed relays that forward this stream (full frames for their
         // substream, headers for the others).
-        let feeding: Vec<u32> = self
-            .relays
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.feeds(stream))
-            .map(|(i, _)| i as u32)
-            .collect();
-        for rid in feeding {
+        for rid in 0..self.relays.len() as u32 {
             let (needs_payload, bytes, edge) = {
                 let relay = &self.relays[rid as usize];
-                if !relay.online {
+                if !relay.feeds(stream) || !relay.online {
                     continue;
                 }
                 let needs_payload =
@@ -816,8 +820,7 @@ impl World {
                 // The relay pulls the highest rung any subscriber watches.
                 let max_scale = relay
                     .interested_clients(stream, ss)
-                    .iter()
-                    .filter_map(|cid| self.clients.get(cid).map(|c| c.abr.scale()))
+                    .filter_map(|cid| self.clients.get(&cid).map(|c| c.abr.scale()))
                     .fold(0.0f64, f64::max)
                     .max(if needs_payload { 0.25 } else { 0.0 });
                 let bytes = if needs_payload {
@@ -848,34 +851,27 @@ impl World {
             );
         }
 
-        // Serve clients pulling the full stream straight from the CDN.
-        let direct: Vec<u64> = self
-            .clients
-            .values()
-            .filter(|c| c.stream == stream && matches!(c.mode, ClientMode::CdnFull))
-            .map(|c| c.id)
-            .collect();
-        for cid in direct {
-            session::cdn_deliver_frame(self, now, cid, header, Some(chain.clone()), ss);
-        }
-        // Serve substreams that fell back to CDN sourcing.
-        let cdn_sub: Vec<u64> = self
-            .clients
-            .values()
-            .filter(|c| {
+        // Serve clients pulling the full stream straight from the CDN,
+        // then substreams that fell back to CDN sourcing.
+        let mut ids = std::mem::take(&mut self.client_ids);
+        for cdn_sub in [false, true] {
+            ids.clear();
+            let served = self.clients.values().filter(|c| {
                 c.stream == stream
                     && match &c.mode {
+                        ClientMode::CdnFull => !cdn_sub,
                         ClientMode::Multi { sources, .. } => {
-                            sources.get(ss as usize) == Some(&SubSource::Cdn)
+                            cdn_sub && sources.get(ss as usize) == Some(&SubSource::Cdn)
                         }
-                        _ => false,
+                        ClientMode::SingleSource { .. } => false,
                     }
-            })
-            .map(|c| c.id)
-            .collect();
-        for cid in cdn_sub {
-            session::cdn_deliver_frame(self, now, cid, header, Some(chain.clone()), ss);
+            });
+            ids.extend(served.map(|c| c.id));
+            for &cid in &ids {
+                session::cdn_deliver_frame(self, now, cid, header, Some(chain), ss);
+            }
         }
+        self.client_ids = ids;
 
         // Next frame.
         let next = now + self.frame_interval();
@@ -885,7 +881,7 @@ impl World {
     }
 
     fn on_relay_frame(&mut self, now: SimTime, relay: u32, stream: u32, dts: u64) {
-        let Some((header, chain)) = self.streams[stream as usize].recent_frame(dts).cloned() else {
+        let Some(&(header, chain)) = self.streams[stream as usize].recent_frame(dts) else {
             return;
         };
         if !self.relays[relay as usize].online {
@@ -893,30 +889,14 @@ impl World {
         }
         let ss = self.substream_for(&header);
         let central_world = matches!(self.cfg.mode, DeliveryMode::RLiveCentralSequencing);
-        let embedded_chain = if central_world { None } else { Some(chain) };
-
-        // Resolve subscriber state into typed views so the relay actor
-        // never reads client fields itself.
-        let views: Vec<SubscriberView> = self.relays[relay as usize]
-            .targets_for(stream, ss)
-            .into_iter()
-            .filter_map(|cid| {
-                let client = self.clients.get(&cid)?;
-                let central_client =
-                    matches!(client.mode_policy, DeliveryMode::RLiveCentralSequencing);
-                Some(SubscriberView {
-                    client: cid,
-                    scale: client.abr.scale(),
-                    group: client.group,
-                    chain: if central_client {
-                        None
-                    } else {
-                        embedded_chain.clone()
-                    },
-                    super_chain: central_world && central_client,
-                })
-            })
-            .collect();
+        let mut views = std::mem::take(&mut self.views);
+        resolve_views(
+            &self.relays[relay as usize],
+            &self.clients,
+            (stream, ss, chain),
+            central_world,
+            &mut views,
+        );
         let streams_len = self.streams.len();
         let mut ctx = actor_ctx!(self, now);
         self.relays[relay as usize].forward_frame(
@@ -929,10 +909,11 @@ impl World {
             &mut self.super_node,
             streams_len,
         );
+        self.views = views;
     }
 
     fn on_chain_delivery(&mut self, now: SimTime, cid: u64, stream: u32, dts: u64) {
-        let Some((_, chain)) = self.streams[stream as usize].recent_frame(dts).cloned() else {
+        let Some(&(_, chain)) = self.streams[stream as usize].recent_frame(dts) else {
             return;
         };
         let mut ctx = actor_ctx!(self, now);

@@ -11,6 +11,7 @@
 
 use crate::ring::SeqRing;
 use crate::sequencing::GlobalChain;
+use rlive_media::footprint::LocalChain;
 use rlive_media::frame::FrameHeader;
 use rlive_media::packet::DataPacket;
 use rlive_sim::trace::{TraceEvent, TraceSink};
@@ -23,20 +24,31 @@ const INLINE_PACKET_WORDS: usize = 4;
 
 /// Presence set over packet indices of one frame: an inline bitset with
 /// a heap spill only for pathological frames beyond
-/// [`INLINE_PACKET_WORDS`]` * 64` packets. Replaces the old per-frame
-/// `HashSet<u32>` (one heap allocation per frame plus rehashing) with
-/// zero allocation in the common case.
+/// `INLINE_PACKET_WORDS * 64` = 256 packets. It is both the per-frame
+/// assembly state and the payload of one delivered slice, so a slice is
+/// merged into its frame by a word-wise OR with zero allocation in the
+/// common case.
 #[derive(Debug, Default, Clone)]
-struct PacketSet {
+pub struct PacketSet {
     inline: [u64; INLINE_PACKET_WORDS],
     spill: Vec<u64>,
     count: u32,
 }
 
+impl FromIterator<u32> for PacketSet {
+    fn from_iter<I: IntoIterator<Item = u32>>(iter: I) -> Self {
+        let mut set = PacketSet::default();
+        for idx in iter {
+            set.insert(idx);
+        }
+        set
+    }
+}
+
 impl PacketSet {
     /// Inserts `idx`; returns whether it was newly present (the
     /// `HashSet::insert` contract).
-    fn insert(&mut self, idx: u32) -> bool {
+    pub fn insert(&mut self, idx: u32) -> bool {
         let (word, bit) = (idx as usize / 64, idx as usize % 64);
         let slot = if word < INLINE_PACKET_WORDS {
             &mut self.inline[word]
@@ -69,8 +81,40 @@ impl PacketSet {
         slot & (1u64 << bit) != 0
     }
 
-    fn len(&self) -> u32 {
+    /// Number of indices present.
+    pub fn len(&self) -> u32 {
         self.count
+    }
+
+    /// Whether no index is present.
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    fn words(&self) -> impl Iterator<Item = u64> + '_ {
+        self.inline.iter().chain(&self.spill).copied()
+    }
+
+    /// The highest index present.
+    fn max_index(&self) -> Option<u32> {
+        let (word, bits) = self.words().enumerate().filter(|&(_, w)| w != 0).last()?;
+        Some((word * 64 + 63 - bits.leading_zeros() as usize) as u32)
+    }
+
+    /// Adds every index of `other`; returns how many were already
+    /// present (the duplicates per-index insertion would have counted).
+    fn union_with(&mut self, other: &PacketSet) -> u32 {
+        if self.spill.len() < other.spill.len() {
+            self.spill.resize(other.spill.len(), 0);
+        }
+        let mut overlap = 0;
+        let mine = self.inline.iter_mut().chain(self.spill.iter_mut());
+        for (word, theirs) in mine.zip(other.words()) {
+            overlap += (*word & theirs).count_ones();
+            *word |= theirs;
+        }
+        self.count += other.count - overlap;
+        overlap
     }
 }
 
@@ -154,8 +198,12 @@ pub struct ReorderBuffer {
     /// count from the footprint). Entries with no data at all are
     /// invisible to `incomplete_frames` (nothing ever assembled), so
     /// this map is what lets the recovery engine find wholly-lost
-    /// frames.
+    /// frames. Holds only dts above `released_watermark` (see
+    /// `advance_watermark`): the in-flight window, not the session.
     chain_announced: SeqRing<(SimTime, u32)>,
+    /// Frames released by the last releasing call, lent out as a slice
+    /// so steady-state release allocates nothing.
+    released: Vec<ReadyFrame>,
     /// Structured trace sink (disabled by default) and the session the
     /// buffer belongs to, for deadline-skip observability.
     trace: TraceSink,
@@ -181,6 +229,7 @@ impl ReorderBuffer {
             blocked_since: None,
             skipped: 0,
             chain_announced: SeqRing::new(),
+            released: Vec::new(),
             trace: TraceSink::disabled(),
             trace_session: 0,
         }
@@ -198,21 +247,34 @@ impl ReorderBuffer {
         &self.chain
     }
 
+    /// Whether `dts` is at or below the newest released frame.
+    fn is_released(&self, dts: u64) -> bool {
+        self.released_watermark.is_some_and(|w| dts <= w)
+    }
+
+    /// Records a chain's footprints as announced, then merges it.
+    fn ingest_chain(&mut self, now: SimTime, chain: &LocalChain) {
+        for fp in chain.footprints() {
+            // Already-released frames can never be reported missing.
+            if !self.is_released(fp.dts_ms) {
+                self.chain_announced
+                    .get_or_insert_with(fp.dts_ms, || (now, fp.cnt));
+            }
+        }
+        self.chain.ingest_chain(chain);
+    }
+
     /// Ingests one data packet at `now`; returns frames that became
     /// playable (complete and in linked chain order).
-    pub fn ingest(&mut self, now: SimTime, pkt: &DataPacket) -> Vec<ReadyFrame> {
+    pub fn ingest(&mut self, now: SimTime, pkt: &DataPacket) -> &[ReadyFrame] {
         self.packets += 1;
         let dts = pkt.frame.dts_ms;
-        if self.released_watermark.map(|w| dts <= w).unwrap_or(false) {
+        if self.is_released(dts) {
             self.duplicates += 1;
-            return Vec::new();
+            return &[];
         }
         self.chain.ingest_header(pkt.frame);
-        for fp in pkt.chain.footprints() {
-            self.chain_announced
-                .get_or_insert_with(fp.dts_ms, || (now, fp.cnt));
-        }
-        self.chain.ingest_chain(&pkt.chain);
+        self.ingest_chain(now, &pkt.chain);
 
         let asm = self.assembling.get_or_insert_with(dts, || FrameAssembly {
             header: pkt.frame,
@@ -250,23 +312,19 @@ impl ReorderBuffer {
         now: SimTime,
         header: FrameHeader,
         substream: u16,
-        received: &[u32],
+        received: &PacketSet,
         total: u32,
-        chain: Option<&rlive_media::footprint::LocalChain>,
-    ) -> Vec<ReadyFrame> {
-        self.packets += received.len() as u64;
+        chain: Option<&LocalChain>,
+    ) -> &[ReadyFrame] {
+        self.packets += u64::from(received.len());
         let dts = header.dts_ms;
-        if self.released_watermark.map(|w| dts <= w).unwrap_or(false) {
-            self.duplicates += received.len() as u64;
-            return Vec::new();
+        if self.is_released(dts) {
+            self.duplicates += u64::from(received.len());
+            return &[];
         }
         self.chain.ingest_header(header);
         if let Some(c) = chain {
-            for fp in c.footprints() {
-                self.chain_announced
-                    .get_or_insert_with(fp.dts_ms, || (now, fp.cnt));
-            }
-            self.chain.ingest_chain(c);
+            self.ingest_chain(now, c);
         }
         let asm = self.assembling.get_or_insert_with(dts, || FrameAssembly {
             header,
@@ -277,11 +335,9 @@ impl ReorderBuffer {
             substream,
         });
         asm.substream = substream;
-        for &idx in received {
-            if !asm.received.insert(idx) {
-                self.duplicates += 1;
-            }
-            asm.max_seen = asm.max_seen.max(idx);
+        self.duplicates += u64::from(asm.received.union_with(received));
+        if let Some(max) = received.max_index() {
+            asm.max_seen = asm.max_seen.max(max);
         }
         if asm.complete() {
             self.assembling.remove(dts);
@@ -298,25 +354,21 @@ impl ReorderBuffer {
 
     /// Ingests a local chain without any data (centralised-sequencing
     /// baseline: sequence metadata travels separately from payloads).
-    pub fn ingest_chain_only(&mut self, chain: &rlive_media::footprint::LocalChain) {
+    pub fn ingest_chain_only(&mut self, chain: &LocalChain) {
         self.chain.ingest_chain(chain);
     }
 
     /// Releases frames that became orderable after out-of-band chain or
     /// header arrival (used with [`ReorderBuffer::ingest_chain_only`]).
-    pub fn drain_ready(&mut self, now: SimTime) -> Vec<ReadyFrame> {
+    pub fn drain_ready(&mut self, now: SimTime) -> &[ReadyFrame] {
         self.release(now)
     }
 
     /// Marks a frame as recovered in full from a dedicated node (frame
     /// recovery or full-stream fallback delivers whole frames).
-    pub fn ingest_whole_frame(&mut self, now: SimTime, header: FrameHeader) -> Vec<ReadyFrame> {
-        if self
-            .released_watermark
-            .map(|w| header.dts_ms <= w)
-            .unwrap_or(false)
-        {
-            return Vec::new();
+    pub fn ingest_whole_frame(&mut self, now: SimTime, header: FrameHeader) -> &[ReadyFrame] {
+        if self.is_released(header.dts_ms) {
+            return &[];
         }
         self.chain.ingest_header(header);
         self.assembling.remove(header.dts_ms);
@@ -330,12 +382,26 @@ impl ReorderBuffer {
         self.release(now)
     }
 
-    /// Releases complete frames in global-chain order.
-    fn release(&mut self, now: SimTime) -> Vec<ReadyFrame> {
+    /// Moves the release watermark up to `dts` and pops every
+    /// announcement it passed (they can never be reported missing).
+    fn advance_watermark(&mut self, dts: u64) {
+        debug_assert!(
+            self.released_watermark.is_none_or(|w| dts >= w),
+            "release watermark must never decrease"
+        );
+        self.released_watermark = Some(dts);
+        while self.chain_announced.first_key().is_some_and(|k| k <= dts) {
+            self.chain_announced.pop_first();
+        }
+    }
+
+    /// Releases complete frames in global-chain order into the owned
+    /// release buffer.
+    fn release(&mut self, now: SimTime) -> &[ReadyFrame] {
         // Stage-profiled (wall clock, stderr-only reporting): this is
         // the reorder drain every ingest/skip path funnels through.
         let _span = rlive_sim::obs::time_stage(rlive_sim::obs::Stage::ReorderDrain);
-        let mut out = Vec::new();
+        self.released.clear();
         loop {
             let Some((fp, status)) = self.chain.head() else {
                 self.blocked_since = None;
@@ -353,21 +419,20 @@ impl ReorderBuffer {
             }
             let ready = self.complete.remove(fp.dts_ms).expect("checked");
             self.chain.pop_linked_head();
-            self.chain_announced.remove(fp.dts_ms);
             // A late duplicate can re-create a ghost assembly for a
             // frame that already completed; releasing the frame wipes
-            // its substream attribution (the ghost itself only dies at
-            // `expire_before`), so recovery sees substream 0 for it —
-            // the exact lifecycle the old `substream_of` side table
-            // had, which the golden outputs pin.
+            // its substream attribution (the ghost itself is never
+            // removed), so recovery sees substream 0 for it — the exact
+            // lifecycle the old `substream_of` side table had, which
+            // the golden outputs pin.
             if let Some(ghost) = self.assembling.get_mut(fp.dts_ms) {
                 ghost.substream = 0;
             }
-            self.released_watermark = Some(fp.dts_ms);
+            self.advance_watermark(fp.dts_ms);
             self.blocked_since = None;
-            out.push(ready);
+            self.released.push(ready);
         }
-        out
+        &self.released
     }
 
     /// How long the release head has been blocked, if it is.
@@ -386,27 +451,26 @@ impl ReorderBuffer {
     /// Skips the blocked head frame past its deadline: the frame is
     /// abandoned (visual glitch) so playback can continue. Returns
     /// frames that became releasable after the skip.
-    pub fn skip_blocked_head(&mut self, now: SimTime) -> Vec<ReadyFrame> {
+    pub fn skip_blocked_head(&mut self, now: SimTime) -> &[ReadyFrame] {
         let Some((fp, _)) = self.chain.head() else {
-            return Vec::new();
+            return &[];
         };
         self.chain.force_pop_head();
         self.assembling.remove(fp.dts_ms);
         self.complete.remove(fp.dts_ms);
-        self.chain_announced.remove(fp.dts_ms);
-        self.released_watermark = Some(fp.dts_ms);
+        self.advance_watermark(fp.dts_ms);
         self.blocked_since = None;
         self.skipped += 1;
-        let released = self.release(now);
+        let released = self.release(now).len() as u32;
         self.trace.emit(
             now,
             Some(self.trace_session),
             TraceEvent::ReorderHeadSkip {
                 dts_ms: fp.dts_ms,
-                released: released.len() as u32,
+                released,
             },
         );
-        released
+        &self.released
     }
 
     /// Frames skipped past their deadline so far.
@@ -460,11 +524,6 @@ impl ReorderBuffer {
             .collect()
     }
 
-    /// Ingests a retransmitted packet (same path as a normal packet).
-    pub fn ingest_retransmission(&mut self, now: SimTime, pkt: &DataPacket) -> Vec<ReadyFrame> {
-        self.ingest(now, pkt)
-    }
-
     /// Frames sitting complete but blocked on chain order.
     pub fn blocked_complete(&self) -> usize {
         self.complete.len()
@@ -499,22 +558,6 @@ impl ReorderBuffer {
     /// Total packets ingested.
     pub fn packet_count(&self) -> u64 {
         self.packets
-    }
-
-    /// Drops per-frame state older than `horizon_ms` behind the newest
-    /// frame (stale frames whose playout deadline passed). Dropped
-    /// entries are counted in the rings' eviction statistics.
-    pub fn expire_before(&mut self, dts_floor: u64) {
-        self.assembling.evict_below(dts_floor);
-        self.complete.evict_below(dts_floor);
-        self.chain_announced.evict_below(dts_floor);
-    }
-
-    /// Total ring evictions so far (deadline expiry across the
-    /// assembling/complete/announced rings) — the explicit eviction
-    /// accounting the flat layout carries that the old maps did not.
-    pub fn evicted_frames(&self) -> u64 {
-        self.assembling.evicted() + self.complete.evicted() + self.chain_announced.evicted()
     }
 }
 
@@ -697,7 +740,7 @@ mod tests {
     fn in_order_delivery_releases_everything() {
         let pkts = make_packets(10);
         let mut rb = ReorderBuffer::new();
-        let mut released = Vec::new();
+        let mut released: Vec<ReadyFrame> = Vec::new();
         for (i, frame_pkts) in pkts.iter().enumerate() {
             for p in frame_pkts {
                 released.extend(rb.ingest(t(i as u64 * 33), p));
@@ -717,20 +760,20 @@ mod tests {
         let pkts = make_packets(3);
         let mut rb = ReorderBuffer::new();
         // Frame 0 complete.
-        let mut released = Vec::new();
+        let mut released: Vec<ReadyFrame> = Vec::new();
         for p in &pkts[0] {
             released.extend(rb.ingest(t(0), p));
         }
         assert_eq!(released.len(), 1);
         // Frame 2 arrives before frame 1: blocked.
-        let mut r2 = Vec::new();
+        let mut r2: Vec<ReadyFrame> = Vec::new();
         for p in &pkts[2] {
             r2.extend(rb.ingest(t(70), p));
         }
         assert!(r2.is_empty(), "frame 2 must wait for frame 1");
         assert_eq!(rb.blocked_complete(), 1);
         // Frame 1 arrives: both release in order.
-        let mut r1 = Vec::new();
+        let mut r1: Vec<ReadyFrame> = Vec::new();
         for p in &pkts[1] {
             r1.extend(rb.ingest(t(100), p));
         }
@@ -753,7 +796,7 @@ mod tests {
         assert_eq!(incomplete[0].missing, vec![0]);
         assert!(incomplete[0].out_of_order_gap);
         // Retransmission completes the frame.
-        let released = rb.ingest_retransmission(t(5), &frame_pkts[0]);
+        let released = rb.ingest(t(5), &frame_pkts[0]);
         assert_eq!(released.len(), 1);
     }
 
@@ -805,20 +848,23 @@ mod tests {
     }
 
     #[test]
-    fn expire_drops_stale_state() {
-        let pkts = make_packets(5);
+    fn chain_announced_stays_bounded_in_order() {
+        // 20 min at 30 fps; each chain re-announces 3 released frames.
+        // Only the frame in flight may be held (tighter than CHAIN_LEN,
+        // so announcing the watermark frame itself fails here too).
+        let mut g = GopGenerator::new(5, GopConfig::default(), SimRng::new(21));
+        let mut cg = ChainGenerator::new(PACKET_PAYLOAD);
         let mut rb = ReorderBuffer::new();
-        // Partially deliver everything.
-        for frame_pkts in &pkts {
-            rb.ingest(t(0), &frame_pkts[0]);
+        let mut released = 0;
+        for i in 0..36_000u64 {
+            let f = g.next_frame();
+            let chain = cg.observe(&f.header);
+            for p in packetize(&f, 0, &chain, 1) {
+                released += rb.ingest(t(i * 33), &p).len();
+                assert!(rb.chain_announced.len() <= 1, "frame {i}");
+            }
         }
-        let assembling_before = rb.assembling_count();
-        assert!(
-            assembling_before >= 4,
-            "multi-packet frames still assembling"
-        );
-        rb.expire_before(pkts[4][0].frame.dts_ms);
-        assert!(rb.assembling_count() <= 1);
+        assert_eq!(released, 36_000);
     }
 
     #[test]

@@ -78,6 +78,9 @@ pub struct GlobalChain {
     headers: SeqRing<FrameHeader>,
     /// Local chains that could not attach yet.
     mismatched: Vec<LocalChain>,
+    /// The pool being retried by `drain_mismatched`; swapped with
+    /// `mismatched` each round so neither buffer reallocates.
+    retrying: Vec<LocalChain>,
     /// Bound on the mismatch pool to survive pathological input.
     max_mismatched: usize,
     /// Frames already handed to the player (dts); kept so duplicate
@@ -106,6 +109,7 @@ impl GlobalChain {
             entries: VecDeque::new(),
             headers: SeqRing::new(),
             mismatched: Vec::new(),
+            retrying: Vec::new(),
             max_mismatched: 64,
             consumed_until: None,
             tail_context: VecDeque::with_capacity(CRC_DEPTH + 1),
@@ -152,10 +156,6 @@ impl GlobalChain {
             .map(|e| e.status)
     }
 
-    fn last_footprint(&self) -> Option<Footprint> {
-        self.entries.back().map(|e| e.footprint)
-    }
-
     /// Validates `footprint` at position `idx` of the chain by
     /// recomputing its CRC from the headers of it and its (up to)
     /// `CRC_DEPTH` predecessors. `None` means "cannot validate yet"
@@ -164,24 +164,21 @@ impl GlobalChain {
         let fp = &self.entries[idx].footprint;
         let header = self.headers.get(fp.dts_ms)?;
         let start = idx.saturating_sub(CRC_DEPTH);
-        let mut prior: Vec<FrameHeader> = Vec::new();
+        let mut prior = [*header; CRC_DEPTH];
+        let mut n = 0;
         // When the chain holds fewer than CRC_DEPTH predecessors, fill
         // from the tail context (headers of recently consumed frames).
         let need_from_tail = CRC_DEPTH - (idx - start);
-        if need_from_tail > 0 {
-            let tl = self.tail_context.len();
-            for h in self
-                .tail_context
-                .iter()
-                .skip(tl.saturating_sub(need_from_tail))
-            {
-                prior.push(*h);
-            }
+        let tl = self.tail_context.len();
+        for h in self.tail_context.range(tl.saturating_sub(need_from_tail)..) {
+            prior[n] = *h;
+            n += 1;
         }
-        for e in self.entries.iter().skip(start).take(idx - start) {
-            prior.push(*self.headers.get(e.footprint.dts_ms)?);
+        for e in self.entries.range(start..idx) {
+            prior[n] = *self.headers.get(e.footprint.dts_ms)?;
+            n += 1;
         }
-        if prior.len() < CRC_DEPTH {
+        if n < CRC_DEPTH {
             // Mid-stream join (or true stream head): the relay's CRC
             // context cannot be reconstructed, so the first CRC_DEPTH
             // entries are accepted on header presence alone. Everything
@@ -189,7 +186,7 @@ impl GlobalChain {
             return Some(true);
         }
         let mut crc = Crc32::new();
-        for p in &prior {
+        for p in &prior[..n] {
             crc.update(&p.to_bytes());
         }
         crc.update(&header.to_bytes());
@@ -221,18 +218,25 @@ impl GlobalChain {
             return MatchResult::Matched;
         }
 
-        let terminal = self.last_footprint().expect("chain non-empty");
+        // A "dead" chain (head at or below `consumed_until`) holds neither
+        // the terminal nor only known entries — every entry lies above
+        // it and chains run in dts order — so the scans below could only
+        // answer Deferred. (With no entries the bootstrap matches it.)
+        let head = lchain.head().expect("checked non-empty");
+        if let Some(c) = self.consumed_until.filter(|&c| head.dts_ms <= c) {
+            debug_assert!(self.entries.front().is_some_and(|e| e.footprint.dts_ms > c));
+            return MatchResult::Deferred;
+        }
+        let terminal = self.entries.back().expect("chain non-empty").footprint;
         // Lines 2–10: scan lchain; once the terminal frame of gChain is
         // found, append the following frames as UNLINKED.
         let mut find_cont = false;
-        let mut appended = 0usize;
         for fp in lchain.footprints() {
             if find_cont {
                 self.entries.push_back(Entry {
                     footprint: *fp,
                     status: LinkStatus::Unlinked,
                 });
-                appended += 1;
             } else if *fp == terminal {
                 find_cont = true;
             }
@@ -249,7 +253,6 @@ impl GlobalChain {
             }
             return MatchResult::Deferred;
         }
-        let _ = appended;
         // Lines 14–23: walk the new tail, validating CRCs against the
         // data pool. A definite mismatch evicts all UNLINKED frames.
         if self.revalidate() {
@@ -297,7 +300,7 @@ impl GlobalChain {
             MatchResult::Deferred => {
                 if self.mismatched.len() < self.max_mismatched && !self.mismatched.contains(lchain)
                 {
-                    self.mismatched.push(lchain.clone());
+                    self.mismatched.push(*lchain);
                 }
             }
             MatchResult::Rejected => {}
@@ -308,14 +311,16 @@ impl GlobalChain {
     fn drain_mismatched(&mut self) {
         loop {
             let mut progressed = false;
-            let pending = std::mem::take(&mut self.mismatched);
-            for chain in pending {
+            std::mem::swap(&mut self.mismatched, &mut self.retrying);
+            for i in 0..self.retrying.len() {
+                let chain = self.retrying[i];
                 match self.try_match(&chain) {
                     MatchResult::Matched => progressed = true,
                     MatchResult::Deferred => self.mismatched.push(chain),
                     MatchResult::Rejected => {}
                 }
             }
+            self.retrying.clear();
             if !progressed {
                 break;
             }
@@ -387,11 +392,10 @@ impl GlobalChain {
         if self.headers.len() < 1024 {
             return;
         }
-        let live: std::collections::HashSet<u64> =
-            self.entries.iter().map(|e| e.footprint.dts_ms).collect();
         let floor = self.consumed_until.unwrap_or(0).saturating_sub(10_000);
+        let entries = &self.entries;
         self.headers
-            .retain(|dts, _| live.contains(&dts) || dts >= floor);
+            .retain(|dts, _| dts >= floor || entries.iter().any(|e| e.footprint.dts_ms == dts));
     }
 }
 

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use rlive_data::recovery::{FrameState, RecoveryConfig, RecoveryDecider, RecoveryStats};
-use rlive_data::reorder::ReorderBuffer;
+use rlive_data::reorder::{ReadyFrame, ReorderBuffer};
 use rlive_data::sequencing::{GlobalChain, MatchResult};
 use rlive_media::footprint::{ChainGenerator, LocalChain};
 use rlive_media::frame::FrameType;
@@ -39,7 +39,7 @@ proptest! {
     fn reorder_releases_all_in_order(seed in 0u64..500, shuffle_seed in any::<u64>()) {
         let per_frame = stream_packets(25, seed);
         let mut rb = ReorderBuffer::new();
-        let mut released = Vec::new();
+        let mut released: Vec<ReadyFrame> = Vec::new();
         // Anchor: the first packet of frame 0 arrives first.
         released.extend(rb.ingest(SimTime::ZERO, &per_frame[0][0]));
         let mut deliveries: Vec<&DataPacket> = per_frame

@@ -7,7 +7,7 @@
 //! running even if the regressions file is deleted or the property-test
 //! harness changes how it seeds cases.
 
-use rlive_data::reorder::ReorderBuffer;
+use rlive_data::reorder::{ReadyFrame, ReorderBuffer};
 use rlive_media::footprint::ChainGenerator;
 use rlive_media::gop::{GopConfig, GopGenerator};
 use rlive_media::packet::{packetize, DataPacket, PACKET_PAYLOAD};
@@ -34,7 +34,7 @@ fn stream_packets(n: usize, seed: u64) -> Vec<Vec<DataPacket>> {
 fn check_reorder_case(seed: u64, shuffle_seed: u64) {
     let per_frame = stream_packets(25, seed);
     let mut rb = ReorderBuffer::new();
-    let mut released = Vec::new();
+    let mut released: Vec<ReadyFrame> = Vec::new();
     // Anchor: the first packet of frame 0 arrives first.
     released.extend(rb.ingest(SimTime::ZERO, &per_frame[0][0]));
     let mut deliveries: Vec<&DataPacket> = per_frame.iter().flatten().skip(1).collect();

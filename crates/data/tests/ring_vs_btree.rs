@@ -246,7 +246,7 @@ proptest! {
             let now = SimTime::from_millis(now_ms);
             let ring_released: Vec<u64> = ring_rb
                 .ingest(now, pkt)
-                .into_iter()
+                .iter()
                 .map(|r| r.header.dts_ms)
                 .collect();
             let ref_released = ref_rb.ingest(pkt);

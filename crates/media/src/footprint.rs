@@ -27,7 +27,7 @@ pub const CRC_DEPTH: usize = 2;
 /// uniqueness without hashing payload bytes (which would force relays to
 /// pull substreams they do not serve, §5.2). `cnt` is the number of
 /// fixed-size packets the frame was split into.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub struct Footprint {
     /// Decoding timestamp of the frame, in milliseconds.
     pub dts_ms: u64,
@@ -79,9 +79,14 @@ impl Footprint {
 /// A local frame chain: the footprints of the most recent δ frames a
 /// relay has observed for its substream's *stream* (the CDN supplies
 /// headers of the other substreams too, §5.1), oldest first.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+///
+/// Stored inline (`Copy`, no heap): every packet and slice carries one,
+/// so a chain must cost a memcpy, not an allocation. Slots past `len`
+/// stay zeroed, which keeps the derived equality exact.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct LocalChain {
-    footprints: Vec<Footprint>,
+    footprints: [Footprint; CHAIN_LEN],
+    len: u8,
 }
 
 impl LocalChain {
@@ -91,35 +96,34 @@ impl LocalChain {
     ///
     /// Panics if more than [`CHAIN_LEN`] footprints are supplied.
     pub fn new(footprints: Vec<Footprint>) -> Self {
-        assert!(footprints.len() <= CHAIN_LEN, "chain too long");
-        LocalChain { footprints }
+        footprints.into_iter().collect()
     }
 
     /// The footprints, oldest first.
     pub fn footprints(&self) -> &[Footprint] {
-        &self.footprints
+        &self.footprints[..self.len as usize]
     }
 
     /// The newest footprint, if any.
     pub fn head(&self) -> Option<&Footprint> {
-        self.footprints.last()
+        self.footprints().last()
     }
 
     /// Number of footprints in the chain.
     pub fn len(&self) -> usize {
-        self.footprints.len()
+        self.len as usize
     }
 
     /// Whether the chain is empty.
     pub fn is_empty(&self) -> bool {
-        self.footprints.is_empty()
+        self.len == 0
     }
 
     /// Encodes as `1 + 16·len` bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(1 + self.footprints.len() * Footprint::WIRE_SIZE);
-        out.push(self.footprints.len() as u8);
-        for f in &self.footprints {
+        let mut out = Vec::with_capacity(1 + self.len() * Footprint::WIRE_SIZE);
+        out.push(self.len);
+        for f in self.footprints() {
             out.extend_from_slice(&f.to_bytes());
         }
         out
@@ -136,13 +140,24 @@ impl LocalChain {
         if bytes.len() < need {
             return None;
         }
-        let mut footprints = Vec::with_capacity(n);
-        for i in 0..n {
-            let start = 1 + i * Footprint::WIRE_SIZE;
-            let arr: [u8; 16] = bytes[start..start + 16].try_into().expect("16 bytes");
-            footprints.push(Footprint::from_bytes(&arr));
+        let chain = bytes[1..need]
+            .chunks_exact(Footprint::WIRE_SIZE)
+            .map(|c| Footprint::from_bytes(c.try_into().expect("16 bytes")))
+            .collect();
+        Some((chain, need))
+    }
+}
+
+/// Collects footprints, oldest first; panics past [`CHAIN_LEN`].
+impl FromIterator<Footprint> for LocalChain {
+    fn from_iter<I: IntoIterator<Item = Footprint>>(iter: I) -> Self {
+        let mut chain = LocalChain::default();
+        for fp in iter {
+            assert!((chain.len as usize) < CHAIN_LEN, "chain too long");
+            chain.footprints[chain.len as usize] = fp;
+            chain.len += 1;
         }
-        Some((LocalChain { footprints }, need))
+        chain
     }
 }
 
@@ -180,9 +195,12 @@ impl ChainGenerator {
     /// local chain to embed in that frame's packets (ending at this
     /// frame's footprint).
     pub fn observe(&mut self, header: &FrameHeader) -> LocalChain {
-        let prior: Vec<FrameHeader> = self.recent_headers.iter().copied().collect();
+        let mut prior = [*header; CRC_DEPTH];
+        for (slot, h) in prior.iter_mut().zip(&self.recent_headers) {
+            *slot = *h;
+        }
         let cnt = header.size.div_ceil(self.payload_per_packet).max(1);
-        let fp = Footprint::compute(header, &prior, cnt);
+        let fp = Footprint::compute(header, &prior[..self.recent_headers.len()], cnt);
 
         self.recent_headers.push_back(*header);
         while self.recent_headers.len() > CRC_DEPTH {
@@ -192,7 +210,7 @@ impl ChainGenerator {
         while self.recent_footprints.len() > CHAIN_LEN {
             self.recent_footprints.pop_front();
         }
-        LocalChain::new(self.recent_footprints.iter().copied().collect())
+        self.recent_footprints.iter().copied().collect()
     }
 
     /// The most recently generated footprint.

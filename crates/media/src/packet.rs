@@ -115,7 +115,7 @@ pub fn packetize(
                 packet_index: i,
                 packet_count: cnt,
                 payload_len,
-                chain: chain.clone(),
+                chain: *chain,
                 publisher,
             }
         })

@@ -4,8 +4,9 @@
 //! `(time, sequence, payload)` entries. The sequence number breaks ties so
 //! that events scheduled earlier at the same instant fire first, keeping
 //! runs deterministic. Cancellation is supported through [`EventHandle`]s
-//! and lazy deletion (cancelled entries are skipped on pop), which keeps
-//! scheduling O(log n) without an auxiliary index.
+//! and lazy deletion (cancelled entries are skipped on pop). Only
+//! cancelled sequence numbers are indexed, so `schedule`, `pop` and
+//! `peek` touch nothing but the heap while nothing is cancelled.
 
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Ordering;
@@ -58,8 +59,8 @@ impl<E> Ord for Entry<E> {
 /// ```
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
-    /// Seqs scheduled but not yet popped or cancelled.
-    pending: HashSet<u64>,
+    /// Seqs cancelled but still in the heap (a subset of its entries).
+    cancelled: HashSet<u64>,
     next_seq: u64,
     now: SimTime,
 }
@@ -75,7 +76,7 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            pending: HashSet::new(),
+            cancelled: HashSet::new(),
             next_seq: 0,
             now: SimTime::ZERO,
         }
@@ -94,7 +95,6 @@ impl<E> EventQueue<E> {
         let at = at.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.pending.insert(seq);
         self.heap.push(Entry { at, seq, payload });
         EventHandle(seq)
     }
@@ -105,15 +105,23 @@ impl<E> EventQueue<E> {
     }
 
     /// Cancels a previously scheduled event. Returns `true` if the event
-    /// was still pending (i.e. not yet popped or cancelled).
+    /// was still pending (i.e. not yet popped or cancelled). Scans the
+    /// heap: cancellation is rare, the schedule/pop path is not.
     pub fn cancel(&mut self, handle: EventHandle) -> bool {
-        self.pending.remove(&handle.0)
+        !self.cancelled.contains(&handle.0)
+            && self.heap.iter().any(|e| e.seq == handle.0)
+            && self.cancelled.insert(handle.0)
+    }
+
+    /// Whether a heap entry was cancelled (and forgets it if so).
+    fn take_cancelled(&mut self, seq: u64) -> bool {
+        !self.cancelled.is_empty() && self.cancelled.remove(&seq)
     }
 
     /// Pops the next pending event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         while let Some(entry) = self.heap.pop() {
-            if !self.pending.remove(&entry.seq) {
+            if self.take_cancelled(entry.seq) {
                 continue;
             }
             self.now = entry.at;
@@ -134,8 +142,8 @@ impl<E> EventQueue<E> {
     pub fn peek(&mut self) -> Option<(SimTime, &E)> {
         // Lazily discard cancelled heads first (needs a separate loop:
         // `peek` borrows immutably, `pop` mutably).
-        while let Some(entry) = self.heap.peek() {
-            if self.pending.contains(&entry.seq) {
+        while let Some(seq) = self.heap.peek().map(|e| e.seq) {
+            if !self.take_cancelled(seq) {
                 break;
             }
             self.heap.pop();
@@ -153,18 +161,18 @@ impl<E> EventQueue<E> {
     /// numbers in insertion order, the post-merge queue is byte-for-byte
     /// the queue a sequential run would have built.
     pub fn drain_ordered(&mut self) -> Vec<(SimTime, E)> {
+        let cancelled = std::mem::take(&mut self.cancelled);
         let mut entries: Vec<Entry<E>> = std::mem::take(&mut self.heap)
             .into_iter()
-            .filter(|e| self.pending.contains(&e.seq))
+            .filter(|e| !cancelled.contains(&e.seq))
             .collect();
-        self.pending.clear();
         entries.sort_by_key(|e| e.seq);
         entries.into_iter().map(|e| (e.at, e.payload)).collect()
     }
 
     /// Number of pending (non-cancelled) events.
     pub fn len(&self) -> usize {
-        self.pending.len()
+        self.heap.len() - self.cancelled.len()
     }
 
     /// Returns `true` if no events are pending.

@@ -32,31 +32,45 @@ proptest! {
         prop_assert!(q.is_empty());
     }
 
-    /// Cancelled events never pop; everything else pops exactly once.
+    /// Cancellation interleaved with scheduling, peeks, pops and drains
+    /// agrees with a plain model of the pending set: cancelled events
+    /// never surface, `cancel` reports whether the event was pending,
+    /// pops and peeks follow (time, schedule order), drains return the
+    /// pending events in schedule order, and `len` tracks all of it.
     #[test]
-    fn event_queue_cancellation(
-        times in prop::collection::vec(0u64..1_000, 1..100),
-        cancel_mask in prop::collection::vec(any::<bool>(), 1..100),
-    ) {
+    fn event_queue_cancellation(ops in prop::collection::vec((0u8..7, 0u64..1_000), 1..200)) {
         let mut q = EventQueue::new();
-        let handles: Vec<_> = times
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| (i, q.schedule(SimTime::from_micros(t), i)))
-            .collect();
-        let mut cancelled = std::collections::HashSet::new();
-        for (i, h) in &handles {
-            if *cancel_mask.get(*i % cancel_mask.len()).unwrap_or(&false) {
-                q.cancel(*h);
-                cancelled.insert(*i);
+        let mut handles = Vec::new();
+        // id (= schedule order) -> effective time, while pending.
+        let mut pending = std::collections::BTreeMap::new();
+        for (op, x) in ops {
+            let head = pending.iter().min_by_key(|&(&id, &at)| (at, id)).map(|(&id, &at)| (at, id));
+            match op {
+                0 | 1 => {
+                    let id = handles.len();
+                    handles.push(q.schedule(SimTime::from_micros(x), id));
+                    pending.insert(id, SimTime::from_micros(x).max(q.now()));
+                }
+                2 if !handles.is_empty() => {
+                    let id = x as usize % handles.len();
+                    prop_assert_eq!(q.cancel(handles[id]), pending.remove(&id).is_some());
+                }
+                3 => prop_assert_eq!(q.peek().map(|(at, &id)| (at, id)), head),
+                4 | 5 => {
+                    prop_assert_eq!(q.pop(), head);
+                    if let Some((_, id)) = head {
+                        pending.remove(&id);
+                    }
+                }
+                6 => {
+                    let expected: Vec<_> = pending.iter().map(|(&id, &at)| (at, id)).collect();
+                    prop_assert_eq!(q.drain_ordered(), expected);
+                    pending.clear();
+                }
+                _ => {}
             }
+            prop_assert_eq!(q.len(), pending.len());
         }
-        let mut popped = std::collections::HashSet::new();
-        while let Some((_, i)) = q.pop() {
-            prop_assert!(!cancelled.contains(&i), "cancelled event popped");
-            prop_assert!(popped.insert(i), "event popped twice");
-        }
-        prop_assert_eq!(popped.len() + cancelled.len(), times.len());
     }
 
     /// A FIFO link delivers packets in send order (no reordering within

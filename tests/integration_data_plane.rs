@@ -5,7 +5,7 @@
 use rlive_data::recovery::{
     FrameState, RecoveryAction, RecoveryConfig, RecoveryDecider, RecoveryStats,
 };
-use rlive_data::reorder::ReorderBuffer;
+use rlive_data::reorder::{PacketSet, ReadyFrame, ReorderBuffer};
 use rlive_data::sequencing::GlobalChain;
 use rlive_media::footprint::ChainGenerator;
 use rlive_media::frame::Frame;
@@ -40,7 +40,7 @@ fn t(ms: u64) -> SimTime {
 fn multi_source_stream_reassembles_in_order() {
     let stream = build_stream(120, 1);
     let mut rb = ReorderBuffer::new();
-    let mut released = Vec::new();
+    let mut released: Vec<ReadyFrame> = Vec::new();
     // Substreams arrive with different skews, as four relays would push.
     let mut deliveries: Vec<(u64, &DataPacket)> = Vec::new();
     for (i, (f, pkts)) in stream.iter().enumerate() {
@@ -174,7 +174,7 @@ fn packet_loss_recovery_round_trip() {
     let anchor_dts = rb.chain().dts_sequence().first().copied().unwrap_or(0);
     let mut released = 0;
     for p in &dropped {
-        released += rb.ingest_retransmission(now, p).len();
+        released += rb.ingest(now, p).len();
     }
     released += rb.drain_ready(now).len();
     // Everything still assembling or blocked must be empty now.
@@ -216,7 +216,7 @@ fn centralized_style_chain_delivery_works_out_of_band() {
     let mut rb = ReorderBuffer::new();
     for (i, (f, pkts)) in stream.iter().enumerate() {
         for p in pkts {
-            let received: Vec<u32> = vec![p.packet_index];
+            let received: PacketSet = [p.packet_index].into_iter().collect();
             rb.ingest_slice(
                 t(i as u64 * 33),
                 f.header,
