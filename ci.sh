@@ -49,6 +49,23 @@ bash benchmark/run.sh --workload dataplane --seed 101 --seconds 2 --trace 0 | aw
     }
   }'
 
+# Count gate on per-node world state: a sched_30k run must peak at most
+# 33 MB of live heap (36.48 while every relay cloned the churn model's
+# CDF vectors and carried a feeding-stream set; 30.48 once they share
+# one model and a per-stream feeder index replaced the sets) and fail
+# no check. Peak live heap repeats exactly at a fixed seed; wall-clock
+# numbers stay trend-only.
+echo "==> benchmark: sched_30k peak_heap_mb <= 33 (count gate)"
+bash benchmark/run.sh --workload sched_30k --seed 101 --seconds 2 --trace 0 | awk '
+  $2 == "peak_heap_mb" { heap = $3; have_heap = 1 }
+  $2 == "ops_failed" { failed = $3; have_failed = 1 }
+  END {
+    if (!have_heap || !have_failed || heap > 33 || failed != 0) {
+      print "heap gate: peak_heap_mb=" heap " ops_failed=" failed > "/dev/stderr"
+      exit 1
+    }
+  }'
+
 # Source-size ratchet: the ROADMAP's <= 27.5k-line trajectory is held by
 # a machine. The ceiling is the last deletion PR's exit total rounded up
 # to the next 50; a PR that deletes code lowers it, none raises it.

@@ -22,6 +22,7 @@ use rlive_sim::link::{Link, LinkConfig, TxOutcome};
 use rlive_sim::{SimDuration, SimRng, SimTime};
 use rlive_workload::nodes::NodeSpec;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// A typed view of one forwarding target, resolved by the router so
 /// the relay never reads client state: the subscriber id plus the
@@ -109,8 +110,6 @@ pub(crate) struct Relay {
     pub backward_bytes: u64,
     /// High-water mark of concurrent subscribers.
     pub peak_subscribers: usize,
-    /// Streams for which this relay receives the full header sequence.
-    feeding_streams: BTreeSet<u32>,
 }
 
 impl Relay {
@@ -120,7 +119,7 @@ impl Relay {
     pub fn new(
         spec: &NodeSpec,
         adviser_cfg: AdviserConfig,
-        churn_model: ChurnModel,
+        churn_model: impl Into<Arc<ChurnModel>>,
         rng: &mut SimRng,
     ) -> Self {
         let sessions = (spec.capacity_mbps / 0.5).clamp(4.0, 200.0);
@@ -143,7 +142,6 @@ impl Relay {
             serving_bytes: 0,
             backward_bytes: 0,
             peak_subscribers: 0,
-            feeding_streams: BTreeSet::new(),
             spec: spec.clone(),
         }
     }
@@ -158,9 +156,13 @@ impl Relay {
         self.subscribers.iter().map(|(_, v)| v.len()).sum()
     }
 
-    /// Whether this relay receives the header sequence of `stream`.
+    /// Whether this relay receives the header sequence of `stream`:
+    /// whether any subscriber listens on one of its substreams.
     pub fn feeds(&self, stream: u32) -> bool {
-        self.feeding_streams.contains(&stream)
+        let i = self.subscribers.partition_point(|&((s, _), _)| s < stream);
+        self.subscribers
+            .get(i)
+            .is_some_and(|&((s, _), _)| s == stream)
     }
 
     /// Whether any subscriber listens on `(stream, ss)`.
@@ -232,7 +234,6 @@ impl Relay {
             Err(i) => self.subscribers.insert(i, ((stream, ss), vec![cid])),
         }
         self.peak_subscribers = self.peak_subscribers.max(self.subscriber_count());
-        self.feeding_streams.insert(stream);
         let key = StreamKey {
             stream_id: stream as u64,
             substream: if ss == FULL_STREAM { 0 } else { ss },
@@ -260,9 +261,6 @@ impl Relay {
                 self.forwarding.remove(&key);
             }
         }
-        if !self.subscribers.iter().any(|&((s, _), _)| s == stream) {
-            self.feeding_streams.remove(&stream);
-        }
         self.quotas.release(bandwidth_mbps * 1.6, 0.02, 4.0);
         self.adviser.remove_connection(ClientId(cid));
     }
@@ -286,7 +284,6 @@ impl Relay {
             // through stalls and failover.
             self.subscribers.clear();
             self.forwarding.clear();
-            self.feeding_streams.clear();
             self.quotas = NodeQuotas::new(
                 self.spec.capacity_mbps,
                 2.0,

@@ -6,9 +6,7 @@
 //! slot storage — departures push their slot onto a free list, arrivals
 //! pop it back, and a generation counter on each slot invalidates stale
 //! [`Handle`]s so a recycled slot can never be confused with its former
-//! occupant. Iteration walks the slot vector front to back, which is
-//! deterministic by construction (handle order, independent of
-//! insertion history beyond the free-list discipline).
+//! occupant.
 //!
 //! [`IdArena`] layers a sorted id index on top so call sites keyed by
 //! external u64 ids (client ids in the event vocabulary) keep the exact
@@ -34,7 +32,7 @@ struct Slot<T> {
 }
 
 /// A flat generational arena: O(1) insert/remove/lookup, slot reuse
-/// through a free list, deterministic handle-order iteration.
+/// through a free list.
 pub(crate) struct Arena<T> {
     slots: Vec<Slot<T>>,
     free: Vec<u32>,
@@ -108,22 +106,6 @@ impl<T> Arena<T> {
         }
         slot.value.as_mut()
     }
-
-    /// Live values in handle (slot) order.
-    #[allow(dead_code)]
-    pub fn iter_handles(&self) -> impl Iterator<Item = (Handle, &T)> {
-        self.slots.iter().enumerate().filter_map(|(i, s)| {
-            s.value.as_ref().map(|v| {
-                (
-                    Handle {
-                        index: i as u32,
-                        gen: s.gen,
-                    },
-                    v,
-                )
-            })
-        })
-    }
 }
 
 /// An id-keyed facade over [`Arena`]: a sorted `(id, Handle)` index
@@ -154,12 +136,6 @@ impl<T> IdArena<T> {
         self.index.len()
     }
 
-    /// Whether the map is empty.
-    #[allow(dead_code)]
-    pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
-    }
-
     /// The handle currently backing `id`, if present.
     pub fn handle_of(&self, id: u64) -> Option<Handle> {
         self.search(id).ok().map(|i| self.index[i].1)
@@ -180,12 +156,6 @@ impl<T> IdArena<T> {
     pub fn get_mut(&mut self, id: &u64) -> Option<&mut T> {
         let h = self.handle_of(*id)?;
         self.arena.get_mut(h)
-    }
-
-    /// Shared access by handle (skips the id search).
-    #[allow(dead_code)]
-    pub fn get_by_handle(&self, h: Handle) -> Option<&T> {
-        self.arena.get(h)
     }
 
     /// Inserts or replaces the value under `id`, returning the previous
@@ -280,22 +250,6 @@ mod tests {
         assert_eq!(a.get(h1), None, "old handle cannot see the new value");
         assert_eq!(a.get(h3), Some(&30));
         assert_eq!(a.get(h2), Some(&20));
-    }
-
-    #[test]
-    fn arena_iterates_in_handle_order() {
-        let mut a: Arena<&str> = Arena::new();
-        let ha = a.insert("a");
-        let _hb = a.insert("b");
-        let _hc = a.insert("c");
-        a.remove(ha);
-        a.insert("d"); // reuses slot 0
-        let order: Vec<&str> = a.iter_handles().map(|(_, v)| *v).collect();
-        assert_eq!(
-            order,
-            vec!["d", "b", "c"],
-            "slot order, not insertion order"
-        );
     }
 
     #[test]

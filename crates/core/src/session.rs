@@ -903,7 +903,10 @@ pub(crate) fn subscribe(
     bandwidth_mbps: f64,
 ) -> bool {
     let client_exists = world.clients.contains_key(&cid);
-    world.relays[rid as usize].subscribe(cid, stream, ss, bandwidth_mbps, client_exists)
+    let admitted =
+        world.relays[rid as usize].subscribe(cid, stream, ss, bandwidth_mbps, client_exists);
+    world.refile_feeder(rid, stream);
+    admitted
 }
 
 /// Reverses one [`subscribe`].
@@ -916,6 +919,7 @@ pub(crate) fn unsubscribe(
     bandwidth_mbps: f64,
 ) {
     world.relays[rid as usize].unsubscribe(cid, stream, ss, bandwidth_mbps);
+    world.refile_feeder(rid, stream);
 }
 
 pub(crate) fn teardown_relay_subscriptions(world: &mut World, cid: u64) {

@@ -36,6 +36,7 @@ use rlive_workload::scenario::{Scenario, ScenarioError};
 use rlive_workload::streams::StreamPopularity;
 use rlive_workload::traces::RetxTraceGenerator;
 use std::collections::{BTreeMap, HashSet};
+use std::sync::Arc;
 
 /// Experiment group of a client, for A/B splits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -155,6 +156,9 @@ pub struct World {
     pub(crate) popularity: StreamPopularity,
     pub(crate) cdn: Vec<CdnEdge>,
     pub(crate) relays: Vec<Relay>,
+    /// Per stream, the ids of the relays that feed it, ascending: the
+    /// relays a stream frame visits (see [`World::refile_feeder`]).
+    pub(crate) feeders: Vec<Vec<u32>>,
     pub(crate) clients: IdArena<Client>,
     pub(crate) next_client: u64,
     pub(crate) users_seen: HashSet<u64>,
@@ -252,7 +256,8 @@ impl World {
             .map(|i| CdnEdge::new(cfg.cdn_edge_mbps, cfg.cdn_rtt_ms, rng.fork(200 + i as u64)))
             .collect();
 
-        // Relays.
+        // Relays, all drawing churn from one shared model.
+        let churn = Arc::new(population.churn);
         let relays: Vec<Relay> = population
             .nodes
             .iter()
@@ -275,12 +280,7 @@ impl World {
                     statics,
                     NodeStatus::idle(spec.capacity_mbps),
                 );
-                Relay::new(
-                    spec,
-                    cfg.adviser.clone(),
-                    population.churn.clone(),
-                    &mut rng,
-                )
+                Relay::new(spec, cfg.adviser.clone(), Arc::clone(&churn), &mut rng)
             })
             .collect();
 
@@ -298,6 +298,7 @@ impl World {
             traversal: TraversalModel::default(),
             retx_traces: RetxTraceGenerator::new(),
             energy_model: EnergyModel::default(),
+            feeders: vec![Vec::new(); streams.len()],
             streams,
             popularity,
             cdn,
@@ -392,9 +393,10 @@ impl World {
     /// Replaces every relay's churn timeline with one drawn from
     /// `model` — a failure-injection hook for robustness tests.
     pub fn inject_churn_model(&mut self, model: &rlive_sim::churn::ChurnModel) {
+        let model = Arc::new(model.clone());
         for (i, relay) in self.relays.iter_mut().enumerate() {
             relay.set_churn(rlive_sim::churn::ChurnTimeline::new(
-                model.clone(),
+                Arc::clone(&model),
                 self.rng.fork(9_000 + i as u64),
             ));
         }
@@ -421,10 +423,11 @@ impl World {
         }
         let n = (self.relays.len() as f64 * fraction.clamp(0.0, 1.0)).round() as usize;
         let n = n.min(self.relays.len());
+        let model = Arc::new(rlive_sim::churn::ChurnModel::production());
         for i in 0..n {
             let rng = self.rng.fork(17_000 + i as u64);
             self.relays[i].set_churn(rlive_sim::churn::ChurnTimeline::scripted(
-                rlive_sim::churn::ChurnModel::production(),
+                Arc::clone(&model),
                 rng,
                 at,
                 outage,
@@ -457,10 +460,11 @@ impl World {
             .filter(|(_, r)| r.spec.region == region)
             .map(|(i, _)| i)
             .collect();
+        let model = Arc::new(rlive_sim::churn::ChurnModel::production());
         for &i in &targets {
             let rng = self.rng.fork(23_000 + i as u64);
             self.relays[i].set_churn(rlive_sim::churn::ChurnTimeline::scripted(
-                rlive_sim::churn::ChurnModel::production(),
+                Arc::clone(&model),
                 rng,
                 at,
                 outage,
@@ -490,6 +494,7 @@ impl World {
         let total = self.relays.len();
         let n = ((total as f64 * fraction.clamp(0.0, 1.0)).round() as usize).min(total);
         let window_ms = window.as_millis().max(1);
+        let model = Arc::new(rlive_sim::churn::ChurnModel::production());
         for k in 0..n {
             // Stride selection: floor(k·total/n) is strictly increasing
             // for n ≤ total, so picks are distinct and spread across
@@ -501,7 +506,7 @@ impl World {
                 (window_ms / 4).max(1) + rng.below((window_ms / 2).max(1)),
             );
             self.relays[i].set_churn(rlive_sim::churn::ChurnTimeline::scripted(
-                rlive_sim::churn::ChurnModel::production(),
+                Arc::clone(&model),
                 rng,
                 start,
                 offline,
@@ -761,6 +766,19 @@ impl World {
         }
     }
 
+    /// Files relay `rid` in or out of `feeders[stream]` to match
+    /// [`Relay::feeds`], after a subscribe, an unsubscribe or an offline
+    /// transition changed the relay's subscriber table.
+    pub(crate) fn refile_feeder(&mut self, rid: u32, stream: u32) {
+        let feeds = self.relays[rid as usize].feeds(stream);
+        let feeders = &mut self.feeders[stream as usize];
+        match feeders.binary_search(&rid) {
+            Err(i) if feeds => feeders.insert(i, rid),
+            Ok(i) if !feeds => _ = feeders.remove(i),
+            _ => {}
+        }
+    }
+
     pub(crate) fn handle(&mut self, now: SimTime, event: Event) {
         self.counters.bump(event.kind());
         match event {
@@ -808,13 +826,19 @@ impl World {
         let ss = self.substream_for(&header);
 
         // Feed relays that forward this stream (full frames for their
-        // substream, headers for the others).
-        for rid in 0..self.relays.len() as u32 {
+        // substream, headers for the others), in ascending id order.
+        debug_assert_eq!(
+            self.feeders[s],
+            (0..self.relays.len() as u32)
+                .filter(|&rid| self.relays[rid as usize].feeds(stream))
+                .collect::<Vec<_>>(),
+            "feeder index of stream {stream}"
+        );
+        for k in 0..self.feeders[s].len() {
+            let rid = self.feeders[s][k];
             let (needs_payload, bytes, edge) = {
                 let relay = &self.relays[rid as usize];
-                if !relay.feeds(stream) || !relay.online {
-                    continue;
-                }
+                debug_assert!(relay.online, "offline relay {rid} feeds {stream}");
                 let needs_payload =
                     relay.has_subscribers(stream, FULL_STREAM) || relay.has_subscribers(stream, ss);
                 // The relay pulls the highest rung any subscriber watches.
@@ -989,6 +1013,11 @@ impl World {
 
     fn on_relay_tick(&mut self, now: SimTime, rid: u32) {
         let outcome = self.relays[rid as usize].tick(now, &mut self.rng);
+        if outcome.transition == Some(false) {
+            for stream in 0..self.streams.len() as u32 {
+                self.refile_feeder(rid, stream);
+            }
+        }
         if let Some(online) = outcome.transition {
             self.trace.emit(
                 now,

@@ -9,6 +9,7 @@
 use crate::rng::{EmpiricalCdf, SimRng};
 use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Parameters of the alternating on/off churn process.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -79,9 +80,10 @@ impl ChurnModel {
 
 /// The availability timeline of one node: alternating online/offline
 /// episodes generated lazily and deterministically from the node's RNG.
+/// The model is read-only, so a whole population shares one.
 #[derive(Debug, Clone)]
 pub struct ChurnTimeline {
-    model: ChurnModel,
+    model: Arc<ChurnModel>,
     rng: SimRng,
     /// Start of the current episode.
     episode_start: SimTime,
@@ -96,7 +98,8 @@ pub struct ChurnTimeline {
 impl ChurnTimeline {
     /// Starts a timeline at t = 0. The initial phase is randomised so a
     /// large population is not synchronised.
-    pub fn new(model: ChurnModel, mut rng: SimRng) -> Self {
+    pub fn new(model: impl Into<Arc<ChurnModel>>, mut rng: SimRng) -> Self {
+        let model = model.into();
         let online = rng.chance(0.9);
         let len = if online {
             // Start mid-episode: sample a lifespan and begin at a random
@@ -124,7 +127,7 @@ impl ChurnTimeline {
     /// `online_until`, offline for `offline_for`, then online again and
     /// following the given model.
     pub fn scripted(
-        model: ChurnModel,
+        model: impl Into<Arc<ChurnModel>>,
         rng: SimRng,
         online_until: SimTime,
         offline_for: SimDuration,
@@ -133,7 +136,7 @@ impl ChurnTimeline {
         // subsequent offline episode is produced on the first flip by
         // overriding the sampled gap via a tiny wrapper model.
         ChurnTimeline {
-            model,
+            model: model.into(),
             rng,
             episode_start: SimTime::ZERO,
             episode_end: online_until,
