@@ -66,6 +66,21 @@ bash benchmark/run.sh --workload sched_30k --seed 101 --seconds 2 --trace 0 | aw
     }
   }'
 
+# Count gate on per-client sequencing state: a dataplane run must peak
+# at most 12 MB of live heap (19.16 while every client's header pool
+# kept up to 1 024 consumed headers; 8.78 once a pop evicts them) and
+# fail no check. Peak live heap repeats exactly at a fixed seed.
+echo "==> benchmark: dataplane peak_heap_mb <= 12 (count gate)"
+bash benchmark/run.sh --workload dataplane --seed 101 --seconds 2 --trace 0 | awk '
+  $2 == "peak_heap_mb" { heap = $3; have_heap = 1 }
+  $2 == "ops_failed" { failed = $3; have_failed = 1 }
+  END {
+    if (!have_heap || !have_failed || heap > 12 || failed != 0) {
+      print "dataplane heap gate: peak_heap_mb=" heap " ops_failed=" failed > "/dev/stderr"
+      exit 1
+    }
+  }'
+
 # Source-size ratchet: the ROADMAP's <= 27.5k-line trajectory is held by
 # a machine. The ceiling is the last deletion PR's exit total rounded up
 # to the next 50; a PR that deletes code lowers it, none raises it.

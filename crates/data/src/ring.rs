@@ -14,15 +14,12 @@
 //!
 //! Ordering is plain `u64` order, the same total order a `BTreeMap`
 //! uses, so iteration is byte-identical to the map it replaces.
-//! *Distances*, however, are computed wrap-safely (`wrapping_sub`), so
-//! windowed eviction keeps working for sequences near `u64::MAX`.
-//! Evictions — both window-forced and explicit (`evict_below`) — are
-//! counted and queryable, never silent.
+//! Evictions (`evict_below`) are counted and queryable, never silent.
 
 use std::collections::VecDeque;
 
-/// A sorted, sequence-indexed circular buffer with an optional fixed
-/// window by sequence distance and explicit eviction statistics.
+/// A sorted, sequence-indexed circular buffer with explicit eviction
+/// statistics.
 ///
 /// # Examples
 ///
@@ -43,10 +40,7 @@ use std::collections::VecDeque;
 pub struct SeqRing<T> {
     /// Entries sorted ascending by sequence key.
     entries: VecDeque<(u64, T)>,
-    /// Maximum backward sequence distance from the newest key;
-    /// `None` = unbounded (pure `BTreeMap` replacement semantics).
-    window: Option<u64>,
-    /// Entries dropped by the window or `evict_below` so far.
+    /// Entries dropped by `evict_below` so far.
     evicted: u64,
 }
 
@@ -57,34 +51,16 @@ impl<T> Default for SeqRing<T> {
 }
 
 impl<T> SeqRing<T> {
-    /// An unbounded ring: behaves exactly like a `BTreeMap<u64, T>`
-    /// (same ordering, same replace-on-insert semantics).
+    /// An empty ring: behaves exactly like a `BTreeMap<u64, T>` (same
+    /// ordering, same replace-on-insert semantics).
     pub fn new() -> Self {
         SeqRing {
             entries: VecDeque::new(),
-            window: None,
             evicted: 0,
         }
     }
 
-    /// A ring bounded to `window` of backward sequence distance: after
-    /// every insert, entries more than `window` behind the newest key
-    /// are evicted (and counted), and an insert arriving that far
-    /// behind is itself rejected as evicted-on-arrival.
-    pub fn with_window(window: u64) -> Self {
-        SeqRing {
-            entries: VecDeque::new(),
-            window: Some(window.max(1)),
-            evicted: 0,
-        }
-    }
-
-    /// The configured window, if bounded.
-    pub fn window(&self) -> Option<u64> {
-        self.window
-    }
-
-    /// Entries evicted so far (window-forced plus `evict_below`).
+    /// Entries evicted so far by `evict_below`.
     pub fn evicted(&self) -> u64 {
         self.evicted
     }
@@ -97,19 +73,6 @@ impl<T> SeqRing<T> {
     /// Whether the ring holds no entries.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Wrap-safe backward distance from `newest` to `key` (0 when `key`
-    /// is at or ahead of `newest` in wrapping terms).
-    fn distance_behind(newest: u64, key: u64) -> u64 {
-        let d = newest.wrapping_sub(key);
-        // A "distance" above half the space means key is ahead of
-        // newest modulo 2^64 — not behind at all.
-        if d > u64::MAX / 2 {
-            0
-        } else {
-            d
-        }
     }
 
     /// Binary search: `Ok(i)` when `key` sits at index `i`, `Err(i)`
@@ -142,32 +105,19 @@ impl<T> SeqRing<T> {
     }
 
     /// Inserts `value` at `key`, returning the replaced value if the
-    /// key was present (identical to `BTreeMap::insert`). Under a
-    /// window, an insert too far behind the newest key is dropped and
-    /// counted as an eviction; `None` is returned.
+    /// key was present (identical to `BTreeMap::insert`).
     pub fn insert(&mut self, key: u64, value: T) -> Option<T> {
-        if let (Some(w), Some(&(newest, _))) = (self.window, self.entries.back()) {
-            if Self::distance_behind(newest, key) >= w {
-                self.evicted += 1;
-                return None;
-            }
-        }
-        let replaced = match self.search(key) {
+        match self.search(key) {
             Ok(i) => Some(std::mem::replace(&mut self.entries[i].1, value)),
             Err(i) => {
                 self.entries.insert(i, (key, value));
                 None
             }
-        };
-        self.enforce_window();
-        replaced
+        }
     }
 
     /// Returns a mutable reference to the value at `key`, inserting
     /// `make()` first if absent (the `entry().or_insert_with()` shape).
-    /// Under a window, a too-old key still gets a transient slot — the
-    /// caller needs *some* value — but the window sweep reclaims it on
-    /// the next in-window insert.
     pub fn get_or_insert_with(&mut self, key: u64, make: impl FnOnce() -> T) -> &mut T {
         let i = match self.search(key) {
             Ok(i) => i,
@@ -240,21 +190,6 @@ impl<T> SeqRing<T> {
         }
         self.evicted += cut as u64;
         cut
-    }
-
-    /// Window sweep: drops entries too far behind the newest key.
-    fn enforce_window(&mut self) {
-        let (Some(w), Some(&(newest, _))) = (self.window, self.entries.back()) else {
-            return;
-        };
-        while let Some(&(oldest, _)) = self.entries.front() {
-            if Self::distance_behind(newest, oldest) >= w {
-                self.entries.pop_front();
-                self.evicted += 1;
-            } else {
-                break;
-            }
-        }
     }
 }
 
@@ -329,36 +264,6 @@ mod tests {
         ring.retain(|k, _| k % 2 == 0);
         assert_eq!(ring.keys().collect::<Vec<_>>(), vec![0, 2, 4]);
         assert_eq!(ring.evicted(), 0);
-    }
-
-    #[test]
-    fn window_evicts_stragglers_and_rejects_ancient_inserts() {
-        let mut ring: SeqRing<u32> = SeqRing::with_window(100);
-        ring.insert(1000, 1);
-        ring.insert(1060, 2);
-        // Jump ahead: 1000 is now 150 behind — outside the window —
-        // while 1060 is 90 behind and survives.
-        ring.insert(1150, 3);
-        assert_eq!(ring.keys().collect::<Vec<_>>(), vec![1060, 1150]);
-        assert_eq!(ring.evicted(), 1);
-        // An insert exactly the window distance behind is rejected.
-        assert_eq!(ring.insert(1050, 9), None);
-        assert!(!ring.contains_key(1050));
-        assert_eq!(ring.evicted(), 2);
-    }
-
-    #[test]
-    fn window_distance_is_wrap_safe_near_u64_max() {
-        let near_max = u64::MAX - 10;
-        let mut ring: SeqRing<u32> = SeqRing::with_window(100);
-        ring.insert(near_max, 1);
-        // The sequence wraps: 5 is 16 *ahead* of u64::MAX-10 in
-        // wrapping terms, so it must neither evict nor be evicted.
-        ring.insert(5, 2);
-        assert_eq!(ring.len(), 2);
-        assert_eq!(ring.evicted(), 0);
-        // Plain ordering still governs iteration (BTreeMap-compatible).
-        assert_eq!(ring.keys().collect::<Vec<_>>(), vec![5, near_max]);
     }
 
     #[test]

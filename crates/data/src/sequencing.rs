@@ -73,14 +73,14 @@ struct Entry {
 #[derive(Debug)]
 pub struct GlobalChain {
     entries: VecDeque<Entry>,
-    /// Frame headers received so far, ring-indexed by dts — the "data
-    /// pool" used for CRC validation.
+    /// Frame headers received and not yet consumed, ring-indexed by dts
+    /// — the "data pool" used for CRC validation.
     headers: SeqRing<FrameHeader>,
     /// Local chains that could not attach yet.
     mismatched: Vec<LocalChain>,
-    /// The pool being retried by `drain_mismatched`; swapped with
-    /// `mismatched` each round so neither buffer reallocates.
-    retrying: Vec<LocalChain>,
+    /// Newest head dts over `mismatched` (0 when empty): the pool is all
+    /// dead once `consumed_until` reaches it.
+    mismatched_newest: u64,
     /// Bound on the mismatch pool to survive pathological input.
     max_mismatched: usize,
     /// Frames already handed to the player (dts); kept so duplicate
@@ -109,7 +109,7 @@ impl GlobalChain {
             entries: VecDeque::new(),
             headers: SeqRing::new(),
             mismatched: Vec::new(),
-            retrying: Vec::new(),
+            mismatched_newest: 0,
             max_mismatched: 64,
             consumed_until: None,
             tail_context: VecDeque::with_capacity(CRC_DEPTH + 1),
@@ -301,6 +301,8 @@ impl GlobalChain {
                 if self.mismatched.len() < self.max_mismatched && !self.mismatched.contains(lchain)
                 {
                     self.mismatched.push(*lchain);
+                    let head = lchain.head().expect("deferred chains are non-empty");
+                    self.mismatched_newest = self.mismatched_newest.max(head.dts_ms);
                 }
             }
             MatchResult::Rejected => {}
@@ -308,23 +310,33 @@ impl GlobalChain {
         result
     }
 
+    /// Retries pooled chains until a round makes no progress, keeping
+    /// the deferred ones in pool order.
     fn drain_mismatched(&mut self) {
-        loop {
-            let mut progressed = false;
-            std::mem::swap(&mut self.mismatched, &mut self.retrying);
-            for i in 0..self.retrying.len() {
-                let chain = self.retrying[i];
-                match self.try_match(&chain) {
-                    MatchResult::Matched => progressed = true,
-                    MatchResult::Deferred => self.mismatched.push(chain),
-                    MatchResult::Rejected => {}
-                }
-            }
-            self.retrying.clear();
-            if !progressed {
-                break;
-            }
+        // All pooled chains dead: while entries remain each answers
+        // Deferred in O(1) and keeps its slot, so a round changes
+        // nothing. (With no entries the bootstrap still matches them.)
+        let newest = self.mismatched_newest;
+        if !self.entries.is_empty() && self.consumed_until.is_some_and(|c| newest <= c) {
+            return;
         }
+        // `try_match` never touches the pool, so it is retried in place.
+        let mut pool = std::mem::take(&mut self.mismatched);
+        let mut progressed = true;
+        while progressed {
+            progressed = false;
+            pool.retain(|chain| match self.try_match(chain) {
+                MatchResult::Matched => {
+                    progressed = true;
+                    false
+                }
+                MatchResult::Deferred => true,
+                MatchResult::Rejected => false,
+            });
+        }
+        let heads = pool.iter().filter_map(LocalChain::head);
+        self.mismatched_newest = heads.map(|h| h.dts_ms).max().unwrap_or(0);
+        self.mismatched = pool;
     }
 
     /// Pops the head of the chain if it is `LINKED`, handing it to the
@@ -335,17 +347,7 @@ impl GlobalChain {
             Some(e) if e.status == LinkStatus::Linked => {
                 let fp = e.footprint;
                 self.entries.pop_front();
-                self.consumed_until = Some(fp.dts_ms);
-                if let Some(h) = self.headers.get(fp.dts_ms) {
-                    self.tail_context.push_back(*h);
-                    while self.tail_context.len() > CRC_DEPTH {
-                        self.tail_context.pop_front();
-                    }
-                }
-                // Headers of consumed frames are no longer needed for
-                // validation ordering but keep a bounded window for
-                // CRC context of successors.
-                self.gc_headers();
+                self.consume(fp);
                 Some(fp)
             }
             _ => None,
@@ -356,8 +358,21 @@ impl GlobalChain {
     /// deadline passed and the player is skipping the frame. The entry
     /// is treated as consumed so late recoveries are deduplicated.
     pub fn force_pop_head(&mut self) -> Option<Footprint> {
-        let e = self.entries.pop_front()?;
-        let fp = e.footprint;
+        let fp = self.entries.pop_front()?.footprint;
+        self.consume(fp);
+        // Successors may have been waiting on the removed entry's
+        // validation; re-run so already-received frames can link now.
+        self.revalidate();
+        Some(fp)
+    }
+
+    /// Marks the just-popped `fp` consumed: its header moves into the
+    /// tail context, and every header at or below it leaves the data
+    /// pool. Exact because the pool is only read at the dts of a chain
+    /// entry or of the frame being popped, and every entry lies above
+    /// the consumed head (the bootstrap skips consumed frames; chains
+    /// run in dts order).
+    fn consume(&mut self, fp: Footprint) {
         self.consumed_until = Some(fp.dts_ms);
         if let Some(h) = self.headers.get(fp.dts_ms) {
             self.tail_context.push_back(*h);
@@ -366,13 +381,12 @@ impl GlobalChain {
             }
         } else {
             // Without the header the CRC context breaks; clear it so
-            // successors fall back to unverifiable-accept.
+            // successors fall back to unverifiable-accept. (A linked
+            // head always has its header.)
             self.tail_context.clear();
         }
-        // Successors may have been waiting on the removed entry's
-        // validation; re-run so already-received frames can link now.
-        self.revalidate();
-        Some(fp)
+        debug_assert!(self.entries.iter().all(|e| e.footprint.dts_ms > fp.dts_ms));
+        self.headers.evict_below(fp.dts_ms + 1);
     }
 
     /// The frame header of the chain head, if its header was received.
@@ -385,24 +399,12 @@ impl GlobalChain {
     pub fn head(&self) -> Option<(Footprint, LinkStatus)> {
         self.entries.front().map(|e| (e.footprint, e.status))
     }
-
-    fn gc_headers(&mut self) {
-        // Keep headers for everything still in the chain plus a small
-        // margin of recently consumed frames (CRC context).
-        if self.headers.len() < 1024 {
-            return;
-        }
-        let floor = self.consumed_until.unwrap_or(0).saturating_sub(10_000);
-        let entries = &self.entries;
-        self.headers
-            .retain(|dts, _| dts >= floor || entries.iter().any(|e| e.footprint.dts_ms == dts));
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rlive_media::footprint::ChainGenerator;
+    use rlive_media::footprint::{ChainGenerator, CHAIN_LEN};
     use rlive_media::gop::{GopConfig, GopGenerator};
     use rlive_media::packet::PACKET_PAYLOAD;
     use rlive_sim::SimRng;
@@ -574,6 +576,46 @@ mod tests {
             gc.ingest_chain(c);
         }
         assert_eq!(gc.len(), 10);
+    }
+
+    #[test]
+    fn header_pool_holds_only_unconsumed_frames() {
+        let (headers, chains) = stream(2_000);
+        let mut gc = GlobalChain::new();
+        let mut peak = 0;
+        for (h, c) in headers.iter().zip(&chains) {
+            gc.ingest_header(*h);
+            gc.ingest_chain(c);
+            while gc.pop_linked_head().is_some() {}
+            peak = peak.max(gc.headers.len());
+        }
+        assert!(peak <= CHAIN_LEN, "header pool peaked at {peak}");
+    }
+
+    #[test]
+    fn dead_pool_waits_while_entries_remain_and_drains_through_bootstrap() {
+        let (headers, chains) = stream(8);
+        let mut gc = GlobalChain::new();
+        for (h, c) in headers.iter().zip(&chains) {
+            gc.ingest_header(*h);
+            gc.ingest_chain(c);
+        }
+        for _ in 0..6 {
+            gc.pop_linked_head().expect("f0..f5 are linked");
+        }
+        // f2..f5 is wholly consumed while f6, f7 remain: dead, pooled.
+        assert_eq!(gc.ingest_chain(&chains[5]), MatchResult::Deferred);
+        assert_eq!(gc.mismatched_count(), 1);
+        // A merge with entries present leaves the dead chain in place.
+        assert_eq!(gc.ingest_chain(&chains[7]), MatchResult::Matched);
+        assert_eq!(gc.mismatched_count(), 1);
+        while gc.pop_linked_head().is_some() {}
+        assert!(gc.is_empty());
+        // With no entries a consumed chain bootstraps to nothing and
+        // matches, and the drain sends the pooled one the same way.
+        assert_eq!(gc.ingest_chain(&chains[6]), MatchResult::Matched);
+        assert!(gc.is_empty());
+        assert_eq!(gc.mismatched_count(), 0);
     }
 
     #[test]

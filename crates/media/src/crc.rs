@@ -7,21 +7,35 @@
 /// Reflected IEEE CRC-32 polynomial.
 const POLY: u32 = 0xEDB8_8320;
 
-/// Lazily built 256-entry lookup table.
-fn table() -> &'static [u32; 256] {
-    use std::sync::OnceLock;
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, entry) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 { POLY ^ (c >> 1) } else { c >> 1 };
-            }
-            *entry = c;
+/// Slicing-by-8 lookup tables, built at compile time. `TABLES[0]` is
+/// the classic byte table; `TABLES[k][b]` is the CRC of byte `b`
+/// followed by `k` zero bytes, so eight bytes fold in one step.
+static TABLES: [[u32; 256]; 8] = build_tables();
+
+const fn build_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 { POLY ^ (c >> 1) } else { c >> 1 };
+            bit += 1;
         }
-        t
-    })
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
 /// A streaming CRC-32 hasher.
@@ -44,10 +58,20 @@ impl Crc32 {
 
     /// Feeds bytes into the CRC.
     pub fn update(&mut self, bytes: &[u8]) {
-        let t = table();
-        for &b in bytes {
-            self.state = t[((self.state ^ b as u32) & 0xFF) as usize] ^ (self.state >> 8);
+        let mut crc = self.state;
+        let mut blocks = bytes.chunks_exact(8);
+        for block in &mut blocks {
+            // The register folds into the block's first four bytes; byte
+            // `k` is then followed by `7 - k` more.
+            let word = u64::from_le_bytes(block.try_into().expect("8-byte block")) ^ crc as u64;
+            crc = (0..8).fold(0, |acc, k| {
+                acc ^ TABLES[7 - k][(word >> (8 * k)) as u8 as usize]
+            });
         }
+        for &b in blocks.remainder() {
+            crc = TABLES[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+        }
+        self.state = crc;
     }
 
     /// Finalises and returns the checksum.
@@ -66,6 +90,18 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Bit-at-a-time CRC-32: the definition the tables must reproduce.
+    fn bitwise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c ^= b as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 { POLY ^ (c >> 1) } else { c >> 1 };
+            }
+        }
+        c ^ 0xFFFF_FFFF
+    }
 
     #[test]
     fn known_vectors() {
@@ -87,5 +123,25 @@ mod tests {
     #[test]
     fn sensitive_to_order() {
         assert_ne!(crc32(b"ab"), crc32(b"ba"));
+    }
+
+    #[test]
+    fn slicing_matches_bitwise_at_every_length_and_split() {
+        let data: Vec<u8> = (0..64u32).map(|i| (i * 73 + 19) as u8).collect();
+        for len in 0..=data.len() {
+            let want = bitwise(&data[..len]);
+            assert_eq!(crc32(&data[..len]), want, "length {len}");
+            for split in 0..=len {
+                let mut c = Crc32::new();
+                c.update(&data[..split]);
+                c.update(&data[split..len]);
+                assert_eq!(c.finish(), want, "length {len} split at {split}");
+            }
+        }
+        // Every byte value in every lane of an 8-byte block reads every
+        // entry of every table.
+        for b in 0..=255u8 {
+            assert_eq!(crc32(&[b; 8]), bitwise(&[b; 8]), "byte {b:#04x}");
+        }
     }
 }
