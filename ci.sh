@@ -84,7 +84,7 @@ bash benchmark/run.sh --workload dataplane --seed 101 --seconds 2 --trace 0 | aw
 # Source-size ratchet: the ROADMAP's <= 27.5k-line trajectory is held by
 # a machine. The ceiling is the last deletion PR's exit total rounded up
 # to the next 50; a PR that deletes code lowers it, none raises it.
-loc_ceiling=30200
+loc_ceiling=29900
 echo "==> wc -l crates/*/src/*.rs <= $loc_ceiling (source-size ratchet)"
 loc=$(wc -l crates/*/src/*.rs | awk 'END { print $1 }')
 echo "$loc total"

@@ -5,13 +5,13 @@ use rlive::config::DeliveryMode;
 use rlive::world::GroupPolicy;
 use rlive::Fleet;
 use rlive_bench::{
-    compare_head, compare_row, fanout_config, fanout_scenario, header, peak_config, peak_scenario,
-    print_daily, runner, DailyDiffs, DAY_SEEDS,
+    compare_head, compare_row, fanout_config, fanout_scenario, header, offset_seeds, peak_config,
+    peak_scenario, print_daily, runner, DailyDiffs, DAY_SEEDS,
 };
 use rlive_workload::scenario::Scenario;
 
 fn day_seeds(seed: u64) -> Vec<u64> {
-    DAY_SEEDS.iter().map(|&s| s + seed).collect()
+    offset_seeds(seed, DAY_SEEDS)
 }
 
 /// Fig 8: views and viewers participating in the A/B tests — the

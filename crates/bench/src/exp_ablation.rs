@@ -10,7 +10,9 @@
 use rlive::config::DeliveryMode;
 use rlive::world::{GroupPolicy, RunReport};
 use rlive::{Fleet, WorldSpec};
-use rlive_bench::{compare_head, compare_row, header, peak_config, peak_scenario, runner};
+use rlive_bench::{
+    compare_head, compare_row, header, offset_seeds, peak_config, peak_scenario, runner,
+};
 use rlive_data::sequencing::{GlobalChain, MatchResult};
 use rlive_media::footprint::{ChainGenerator, LocalChain, CHAIN_LEN};
 use rlive_media::gop::{GopConfig, GopGenerator};
@@ -60,7 +62,7 @@ pub fn partition_strategy(seed: u64) {
         ("size-aware", PartitionStrategy::SizeAware),
     ];
     let days = 3u64;
-    let day_seeds: Vec<u64> = (0..days).map(|d| seed + d).collect();
+    let day_seeds = offset_seeds(seed, 0..days);
     let fleet = Fleet::product(
         "ablation-partition",
         &strategies,

@@ -9,14 +9,16 @@ use rlive::config::{DeliveryMode, SystemConfig, TransportProfile};
 use rlive::qoe::GroupQoe;
 use rlive::world::GroupPolicy;
 use rlive::{Fleet, WorldSpec};
-use rlive_bench::{compare_head, compare_row, header, peak_config, peak_scenario, runner};
+use rlive_bench::{
+    compare_head, compare_row, header, offset_seeds, peak_config, peak_scenario, runner,
+};
 use rlive_sim::SimDuration;
 use rlive_workload::scenario::Scenario;
 
 /// Fig 13: RTM (WebRTC-based) protocol A/B against FLV.
 pub fn fig13(seed: u64) {
     header("Fig 13 — protocol generality: RTM vs FLV (both under RLive)");
-    let days: Vec<u64> = (0..4).map(|d| seed + d).collect();
+    let days = offset_seeds(seed, 0..4);
     // One world per (day, transport): FLV first, RTM second.
     let fleet = Fleet::product(
         "fig13",
@@ -94,7 +96,7 @@ fn fifa_spec(mode: DeliveryMode, seed: u64) -> WorldSpec {
 /// Table 4: the 2022 FIFA World Cup mega-broadcast case study.
 pub fn table4(seed: u64) {
     header("Table 4 — FIFA World Cup case study (RLive vs CDNs)");
-    let days: Vec<u64> = (0..3).map(|d| seed + d).collect();
+    let days = offset_seeds(seed, 0..3);
     let fleet = Fleet::product(
         "table4",
         &days,
@@ -151,7 +153,7 @@ pub fn fallback_threshold(seed: u64) {
     println!("{}", "-".repeat(72));
     let days = 3u64;
     // The full (threshold × day) grid, thresholds outer-major.
-    let day_seeds: Vec<u64> = (0..days).map(|d| seed + d).collect();
+    let day_seeds = offset_seeds(seed, 0..days);
     let fleet = Fleet::product(
         "fallback",
         &[300u64, 400, 500],

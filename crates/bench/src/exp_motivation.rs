@@ -9,7 +9,8 @@ use rlive::config::DeliveryMode;
 use rlive::world::GroupPolicy;
 use rlive::{Fleet, WorldSpec};
 use rlive_bench::{
-    compare_head, compare_row, header, healthy_cdn_config, print_series, runner, two_tier_scenario,
+    compare_head, compare_row, header, healthy_cdn_config, offset_seeds, print_series, runner,
+    two_tier_scenario,
 };
 use rlive_sim::churn::ChurnModel;
 use rlive_sim::link::{Link, LinkConfig};
@@ -65,7 +66,7 @@ pub fn fig2a(seed: u64) {
     header("Fig 2(a) — single-source vs CDN-only QoE (the §2.2 strawman)");
     println!("setting: healthy CDN, scarce top-tier best-effort layer; 6 day-seeds");
     // One world per (day, mode): 12 independent worlds.
-    let days: Vec<u64> = (0..6u64).map(|day| seed + day).collect();
+    let days = offset_seeds(seed, 0..6);
     let fleet = Fleet::product(
         "fig2a",
         &days,
@@ -137,7 +138,7 @@ fn healthy_cdn_config_mode(mode: DeliveryMode) -> rlive::config::SystemConfig {
 /// Fig 2(b): traffic expansion rate γ under single-source transmission.
 pub fn fig2b(seed: u64) {
     header("Fig 2(b) — traffic expansion rate γ (single-source)");
-    let days: Vec<u64> = (0..3u64).map(|d| seed + d).collect();
+    let days = offset_seeds(seed, 0..3);
     // One world per day; each world's relay expansion rates are
     // consumed in day (spec) order.
     let fleet = Fleet::seeded(

@@ -11,7 +11,8 @@ use rlive::{Fleet, WorldSpec};
 use rlive_bench::peak_config;
 use rlive_bench::peak_scenario;
 use rlive_bench::{
-    compare_head, compare_row, header, healthy_cdn_config, print_daily, runner, two_tier_scenario,
+    compare_head, compare_row, header, healthy_cdn_config, offset_seeds, print_daily, runner,
+    two_tier_scenario,
 };
 
 fn two_tier_spec(mode: DeliveryMode, seed: u64) -> WorldSpec {
@@ -32,7 +33,7 @@ fn two_tier_spec(mode: DeliveryMode, seed: u64) -> WorldSpec {
 /// nodes run Single).
 pub fn fig11(seed: u64) {
     header("Fig 11 — multi-source (Multi) vs single-source (Single)");
-    let days: Vec<u64> = (0..5).map(|d| seed + d).collect();
+    let days = offset_seeds(seed, 0..5);
     // One world per (day, mode) pair, single first then multi.
     let fleet = Fleet::product(
         "fig11",
@@ -141,7 +142,7 @@ pub fn fig11(seed: u64) {
 /// Table 3: centralized vs distributed frame sequencing.
 pub fn table3(seed: u64) {
     header("Table 3 — centralized vs distributed frame sequencing");
-    let days: Vec<u64> = (0..4).map(|d| seed + d).collect();
+    let days = offset_seeds(seed, 0..4);
     let fleet = Fleet::product(
         "table3",
         &days,

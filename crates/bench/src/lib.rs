@@ -10,7 +10,7 @@
 //! allocator, a peak-RSS reader and a JSON value; see
 //! `benchmark/README.md` for the harness itself.
 
-use rlive::abtest::{AbReport, AbTest};
+use rlive::abtest::AbReport;
 use rlive::config::{DeliveryMode, SystemConfig};
 use rlive::world::GroupPolicy;
 use rlive::Fleet;
@@ -96,21 +96,11 @@ pub fn fanout_config(mode: DeliveryMode) -> SystemConfig {
     cfg
 }
 
-/// Builds an A/B test from the presets.
-pub fn ab_test(
-    control: DeliveryMode,
-    test: DeliveryMode,
-    scenario: Scenario,
-    config: SystemConfig,
-    seed: u64,
-) -> AbTest {
-    AbTest {
-        scenario,
-        config,
-        control,
-        test,
-        seed,
-    }
+/// The world seeds `base + d` for each offset `d`, wrapping at
+/// `u64::MAX` so that every base a seed argument accepts runs its full
+/// count of worlds.
+pub fn offset_seeds(base: u64, offsets: impl IntoIterator<Item = u64>) -> Vec<u64> {
+    offsets.into_iter().map(|d| base.wrapping_add(d)).collect()
 }
 
 /// Per-day A/B results for the daily-difference figures.
@@ -193,11 +183,6 @@ pub fn print_daily(name: &str, values: &[f64]) {
     println!();
 }
 
-/// Formats a fraction as a percentage string.
-pub fn pct(v: f64) -> String {
-    format!("{v:+.1} %")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,6 +194,16 @@ mod tests {
         assert_eq!(s.start_hour, 21.0);
         let cfg = peak_config();
         assert!(cfg.cdn_edge_mbps < healthy_cdn_config().cdn_edge_mbps);
+    }
+
+    #[test]
+    fn offset_seeds_wrap_at_u64_max() {
+        assert_eq!(offset_seeds(u64::MAX, 0..2), [u64::MAX, 0]);
+        assert_eq!(offset_seeds(7, 0..3), [7, 8, 9]);
+        assert_eq!(
+            offset_seeds(2026, DAY_SEEDS),
+            [2127, 2128, 2129, 2130, 2131, 2132, 2133]
+        );
     }
 
     #[test]

@@ -19,16 +19,13 @@ use rlive_bench::cli::{self, CliArgs};
 
 mod exp_ab;
 mod exp_ablation;
-mod exp_adaptive;
+mod exp_arms;
 mod exp_cases;
 mod exp_control;
-mod exp_fleet;
 mod exp_fuzz;
 mod exp_motivation;
 mod exp_multi;
 mod exp_obs;
-mod exp_recover;
-mod exp_slo;
 mod exp_trace;
 
 const USAGE: &str = "\
@@ -166,7 +163,7 @@ fn dispatch(args: &CliArgs) -> Result<(), String> {
             let n = args.required_count_at(1, "fleet world count")?;
             let seed = args.seed_at(2)?;
             args.expect_at_most(2)?;
-            exp_fleet::fleet(
+            exp_arms::fleet(
                 n,
                 seed,
                 args.obs_window,
@@ -179,21 +176,21 @@ fn dispatch(args: &CliArgs) -> Result<(), String> {
         "slo" => {
             let seed = args.seed_at(1)?;
             args.expect_at_most(1)?;
-            exp_slo::slo(seed, args.obs_window);
+            exp_arms::slo(seed, args.obs_window);
             return Ok(());
         }
         "adaptive" => {
             let n = args.required_count_at(1, "adaptive world count")?;
             let seed = args.seed_at(2)?;
             args.expect_at_most(2)?;
-            exp_adaptive::adaptive(n, seed, args.obs_window);
+            exp_arms::adaptive(n, seed, args.obs_window);
             return Ok(());
         }
         "recover" => {
             let n = args.required_count_at(1, "recover world count")?;
             let seed = args.seed_at(2)?;
             args.expect_at_most(2)?;
-            exp_recover::recover(n, seed, args.obs_window);
+            exp_arms::recover(n, seed, args.obs_window);
             return Ok(());
         }
         "fuzz" => {

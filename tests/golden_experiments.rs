@@ -204,6 +204,29 @@ fn golden_fleet() {
     }
 }
 
+// The fleet flag paths: one command covers the obs roll-up, the merged
+// alert log and both policy overrides, which the default fleet digest
+// above leaves unpinned.
+
+#[test]
+fn golden_fleet_flags() {
+    let want = expected_digest("fleet_flags");
+    for extra in [
+        &[][..],
+        &["--jobs", "4"][..],
+        &["--jobs", "2", "--world-jobs", "2"][..],
+    ] {
+        let mut args = vec!["fleet", "2", "7", "--obs-window", "500", "--slo"];
+        args.extend_from_slice(&["--sched-policy", "adaptive", "--recovery-policy", "racing"]);
+        args.extend_from_slice(extra);
+        let got = run_digest(&args);
+        assert_eq!(
+            got, want,
+            "stdout of `experiments fleet 2 7` with every flag drifted (extra args {extra:?})"
+        );
+    }
+}
+
 // The adaptive subcommand is the policy A/B: a (static, adaptive) ×
 // seeds grid of mass-outage worlds. Its adaptive arm feeds recovery
 // and probe telemetry back into relay scores, so this digest pins the
