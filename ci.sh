@@ -84,7 +84,7 @@ bash benchmark/run.sh --workload dataplane --seed 101 --seconds 2 --trace 0 | aw
 # Source-size ratchet: the ROADMAP's <= 27.5k-line trajectory is held by
 # a machine. The ceiling is the last deletion PR's exit total rounded up
 # to the next 50; a PR that deletes code lowers it, none raises it.
-loc_ceiling=29900
+loc_ceiling=29400
 echo "==> wc -l crates/*/src/*.rs <= $loc_ceiling (source-size ratchet)"
 loc=$(wc -l crates/*/src/*.rs | awk 'END { print $1 }')
 echo "$loc total"
@@ -163,17 +163,6 @@ if grep -qw "NaN" "$obs_tmp/a.jsonl" "$obs_tmp/a.csv"; then
   echo "NaN leaked into obs export" >&2
   exit 1
 fi
-
-# Streamed-vs-batch export identity: --obs-stream writes each sealed
-# window as it seals (evicting it, bounded obs memory) and must produce
-# the exact bytes of --obs-export's end-of-run batch dump — the
-# streamed decomposition is header + per-window chunks + tail by
-# construction, and this pins it end-to-end (sharded, too).
-echo "==> experiments obs streamed-vs-batch export identity"
-cargo run --release -p rlive-bench --bin experiments -- \
-  obs 7 --obs-stream "$obs_tmp/streamed" --world-jobs 2 > /dev/null
-diff "$obs_tmp/a.jsonl" "$obs_tmp/streamed.jsonl"
-diff "$obs_tmp/a.csv" "$obs_tmp/streamed.csv"
 
 # Nightly tier: the #[ignore]d suites (full golden sweep sequential and
 # sharded, both expensive). Opt in with RLIVE_CI_NIGHTLY=1.

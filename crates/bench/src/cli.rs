@@ -40,10 +40,6 @@ pub struct CliArgs {
     /// `--obs-export PATH`: write the obs series to `PATH.jsonl` and
     /// `PATH.csv` (obs subcommand).
     pub obs_export: Option<String>,
-    /// `--obs-stream PATH`: stream sealed obs windows to `PATH.jsonl`
-    /// and `PATH.csv` *during* the run, evicting them from memory (obs
-    /// subcommand). The files are byte-identical to `--obs-export`'s.
-    pub obs_stream: Option<String>,
     /// `--slo` (fleet subcommand): run the SLO/alert engine in every
     /// world and append the merged alert log to the fleet report.
     pub slo: bool,
@@ -85,7 +81,6 @@ pub fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<CliArgs, Stri
                 )?)
             }
             "--obs-export" => args.obs_export = Some(flag_value("--obs-export")?),
-            "--obs-stream" => args.obs_stream = Some(flag_value("--obs-stream")?),
             "--slo" => args.slo = true,
             "--sched-policy" => {
                 args.sched_policy = Some(parse_policy(&flag_value("--sched-policy")?)?)
@@ -107,8 +102,6 @@ pub fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<CliArgs, Stri
                     args.obs_window = Some(parse_positive_u64("--obs-window", v)?);
                 } else if let Some(v) = arg.strip_prefix("--obs-export=") {
                     args.obs_export = Some(v.to_string());
-                } else if let Some(v) = arg.strip_prefix("--obs-stream=") {
-                    args.obs_stream = Some(v.to_string());
                 } else if let Some(v) = arg.strip_prefix("--sched-policy=") {
                     args.sched_policy = Some(parse_policy(v)?);
                 } else if let Some(v) = arg.strip_prefix("--recovery-policy=") {
@@ -249,6 +242,11 @@ mod tests {
                 assert_eq!(err, format!("unknown flag '{arg}'"));
             }
         }
+        // So is the removed streamed-export flag.
+        let err = parse(&["obs", "--obs-stream", "P"]).unwrap_err();
+        assert_eq!(err, "unknown flag '--obs-stream'");
+        let err = parse(&["obs", "--obs-stream=P"]).unwrap_err();
+        assert_eq!(err, "unknown flag '--obs-stream=P'");
     }
 
     #[test]
@@ -323,16 +321,6 @@ mod tests {
         let a = parse(&["obs", "--obs-export=out"]).unwrap();
         assert_eq!(a.obs_export.as_deref(), Some("out"));
         assert!(parse(&["obs", "--obs-export"]).is_err(), "missing value");
-    }
-
-    #[test]
-    fn obs_stream_takes_a_path() {
-        let a = parse(&["obs", "--obs-stream", "/tmp/obs"]).unwrap();
-        assert_eq!(a.obs_stream.as_deref(), Some("/tmp/obs"));
-        let a = parse(&["obs", "--obs-stream=out"]).unwrap();
-        assert_eq!(a.obs_stream.as_deref(), Some("out"));
-        assert!(parse(&["obs", "--obs-stream"]).is_err(), "missing value");
-        assert_eq!(parse(&["obs"]).unwrap().obs_stream, None);
     }
 
     #[test]

@@ -465,12 +465,6 @@ pub fn fleet(
                 5
             )
         );
-        if report.obs.dropped_records() > 0 {
-            println!(
-                "warning: {} trace records dropped (ring saturated); obs series undercount",
-                report.obs.dropped_records()
-            );
-        }
     }
 
     if slo {

@@ -3,11 +3,11 @@
 //!
 //! Runs the same scaled-down RLive world as `experiments trace`, but
 //! with the obs layer enabled (`SystemConfig::obs_window_ms`), so the
-//! world auto-attaches an unbounded trace sink and folds the full
-//! record stream into per-window metric series on finish. Prints the
-//! registry summary plus top-k window tables for the series the paper's
-//! operations story cares about: recovery failure rate, scheduler
-//! candidate yield, and reorder-stall hot spots.
+//! world emits into its own unbounded trace ring and folds the full
+//! record stream into per-window metric series as windows seal. Prints
+//! the registry summary plus top-k window tables for the series the
+//! paper's operations story cares about: recovery failure rate,
+//! scheduler candidate yield, and reorder-stall hot spots.
 //!
 //! Everything printed to **stdout** here is a pure function of
 //! `(seed, window, stream)` — the series aggregate over the trace
@@ -19,11 +19,10 @@
 use rlive::config::{DeliveryMode, SystemConfig};
 use rlive::report::{format_obs_summary, format_obs_windows};
 use rlive::world::{GroupPolicy, World};
-use rlive_sim::obs::{
-    MetricRegistry, StageTable, WindowRatio, WindowStreamSink, DEFAULT_WINDOW_MS,
-};
+use rlive_sim::obs::{MetricRegistry, StageTable, WindowRatio, DEFAULT_WINDOW_MS};
 use rlive_sim::SimDuration;
 use rlive_workload::scenario::Scenario;
+use std::fs::File;
 use std::io::Write;
 
 /// Windows shown per top-k table.
@@ -33,12 +32,9 @@ const TOP_K: usize = 5;
 /// layer enabled and prints the windowed series. `window_ms` overrides
 /// the default 1 s tumbling window; `stream` restricts the
 /// candidate-yield table to one stream; `export` writes the raw series
-/// to `<export>.jsonl` and `<export>.csv` in one batch at the end;
-/// `stream_to` streams sealed windows to `<stream_to>.jsonl` /
-/// `<stream_to>.csv` *during* the run, evicting them so obs memory is
-/// bounded (the files are byte-identical to `export`'s, but the top-k
-/// stdout tables then only cover what was never evicted — the summary
-/// totals stay exact either way); `sched_policy` overrides the
+/// to `<export>.jsonl` and `<export>.csv` at the end (both files are
+/// created before the world runs, so an unwritable path is an error
+/// up front, not after the run); `sched_policy` overrides the
 /// scheduler policy and `recovery_policy` the recovery policy (stdout
 /// stays a pure function of the full input tuple — the default-flag
 /// output is still pinned by the golden digest).
@@ -47,10 +43,10 @@ pub fn obs(
     window_ms: Option<u64>,
     stream: Option<u64>,
     export: Option<&str>,
-    stream_to: Option<&str>,
     sched_policy: Option<rlive_control::SchedulerPolicyKind>,
     recovery_policy: Option<rlive_data::recovery::RecoveryPolicyKind>,
-) {
+) -> Result<(), String> {
+    let export = export.map(create_export).transpose()?;
     let window_ms = window_ms.unwrap_or(DEFAULT_WINDOW_MS);
     let mut scenario = Scenario::evening_peak().scaled(0.1);
     scenario.duration = SimDuration::from_secs(60);
@@ -67,15 +63,12 @@ pub fn obs(
         cfg.recovery_policy = p;
     }
 
-    let mut world = World::new(
+    let world = World::new(
         scenario,
         cfg,
         GroupPolicy::uniform(DeliveryMode::RLive),
         seed,
     );
-    if let Some(path) = stream_to {
-        world.attach_obs_stream(Box::new(FileStreamSink::create(path)));
-    }
     // This subcommand runs one world inline (no cell runner), so it
     // reports its own wall-clock stage profile — stderr only, like the
     // runner's accounting line.
@@ -112,49 +105,9 @@ pub fn obs(
     println!();
     print!("{}", format_stall_windows(&report.obs));
 
-    if let Some(path) = export {
-        export_series(&report.obs, path);
-    }
-    if let Some(path) = stream_to {
-        eprintln!("[obs] streamed {path}.jsonl and {path}.csv");
-    }
-}
-
-/// A [`WindowStreamSink`] appending each sealed window's chunk to
-/// `<path>.jsonl` and `<path>.csv` as it seals. Creation and write
-/// failures are fatal, like [`export_series`] — the caller asked for
-/// files.
-struct FileStreamSink {
-    jsonl: std::fs::File,
-    csv: std::fs::File,
-    jsonl_path: String,
-    csv_path: String,
-}
-
-impl FileStreamSink {
-    fn create(path: &str) -> FileStreamSink {
-        let jsonl_path = format!("{path}.jsonl");
-        let csv_path = format!("{path}.csv");
-        let open = |p: &str| {
-            std::fs::File::create(p).unwrap_or_else(|e| panic!("failed to create {p}: {e}"))
-        };
-        FileStreamSink {
-            jsonl: open(&jsonl_path),
-            csv: open(&csv_path),
-            jsonl_path,
-            csv_path,
-        }
-    }
-}
-
-impl WindowStreamSink for FileStreamSink {
-    fn append(&mut self, jsonl: &str, csv: &str) {
-        self.jsonl
-            .write_all(jsonl.as_bytes())
-            .unwrap_or_else(|e| panic!("failed to write {}: {e}", self.jsonl_path));
-        self.csv
-            .write_all(csv.as_bytes())
-            .unwrap_or_else(|e| panic!("failed to write {}: {e}", self.csv_path));
+    match export {
+        Some(files) => export_series(&report.obs, files),
+        None => Ok(()),
     }
 }
 
@@ -180,13 +133,28 @@ fn format_stall_windows(reg: &MetricRegistry) -> String {
     format_obs_windows("reorder stalls (released/stall)", &ratios, TOP_K)
 }
 
-/// Writes `<path>.jsonl` and `<path>.csv`; I/O failure is fatal (the
-/// caller asked for files, silently not writing them is worse).
-fn export_series(reg: &MetricRegistry, path: &str) {
-    let jsonl = format!("{path}.jsonl");
-    let csv = format!("{path}.csv");
-    std::fs::write(&jsonl, reg.to_jsonl())
-        .unwrap_or_else(|e| panic!("failed to write {jsonl}: {e}"));
-    std::fs::write(&csv, reg.to_csv()).unwrap_or_else(|e| panic!("failed to write {csv}: {e}"));
-    eprintln!("[obs] wrote {jsonl} and {csv}");
+/// Creates `<path>.jsonl` and `<path>.csv` for [`export_series`].
+fn create_export(path: &str) -> Result<[(String, File); 2], String> {
+    let create = |p: String| match File::create(&p) {
+        Ok(file) => Ok((p, file)),
+        Err(e) => Err(format!("cannot create {p}: {e}")),
+    };
+    Ok([
+        create(format!("{path}.jsonl"))?,
+        create(format!("{path}.csv"))?,
+    ])
+}
+
+/// Writes the JSONL and CSV exports into the files [`create_export`]
+/// opened; an I/O failure is an error (the caller asked for files,
+/// silently not writing them is worse).
+fn export_series(reg: &MetricRegistry, files: [(String, File); 2]) -> Result<(), String> {
+    let [(jsonl_path, mut jsonl), (csv_path, mut csv)] = files;
+    jsonl
+        .write_all(reg.to_jsonl().as_bytes())
+        .map_err(|e| format!("cannot write {jsonl_path}: {e}"))?;
+    csv.write_all(reg.to_csv().as_bytes())
+        .map_err(|e| format!("cannot write {csv_path}: {e}"))?;
+    eprintln!("[obs] wrote {jsonl_path} and {csv_path}");
+    Ok(())
 }

@@ -48,12 +48,7 @@ USAGE: experiments <subcommand> [args] [--seed N] [--jobs N] [--world-jobs N]
                   Must be a positive integer; default 1000 for obs,
                   disabled for fleet unless given.
   --obs-export P  (obs) also write the raw series to P.jsonl and P.csv
-                  in one batch at the end of the run.
-  --obs-stream P  (obs) stream sealed windows to P.jsonl and P.csv
-                  *during* the run, evicting them from memory (bounded
-                  obs footprint). Files are byte-identical to
-                  --obs-export's; the stdout top-k tables then only
-                  cover the unsealed tail (summary totals stay exact).
+                  at the end of the run.
   --slo           (fleet) run the SLO/alert engine in every world and
                   append the merged alert log (enables the obs layer
                   with 1 s windows unless --obs-window is given).
@@ -209,16 +204,14 @@ fn dispatch(args: &CliArgs) -> Result<(), String> {
         "obs" => {
             let seed = args.seed_at(1)?;
             args.expect_at_most(1)?;
-            exp_obs::obs(
+            return exp_obs::obs(
                 seed,
                 args.obs_window,
                 args.stream,
                 args.obs_export.as_deref(),
-                args.obs_stream.as_deref(),
                 args.sched_policy,
                 args.recovery_policy,
             );
-            return Ok(());
         }
         _ => {}
     }

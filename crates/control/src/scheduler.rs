@@ -208,8 +208,6 @@ pub struct GlobalScheduler {
     // Telemetry for Fig 12.
     service_times: Percentiles,
     requests: u64,
-    heartbeats: u64,
-    heartbeat_bytes: u64,
     /// Structured trace sink (disabled by default): every served
     /// recommendation is emitted as a `SchedulerRecommendation` event.
     trace: TraceSink,
@@ -231,8 +229,6 @@ impl GlobalScheduler {
             rng,
             service_times: Percentiles::new(),
             requests: 0,
-            heartbeats: 0,
-            heartbeat_bytes: 0,
             trace: TraceSink::disabled(),
             pool: Vec::new(),
             scored: Vec::new(),
@@ -279,8 +275,6 @@ impl GlobalScheduler {
 
     /// Ingests one heartbeat, refreshing temporal state and the index.
     pub fn ingest_heartbeat(&mut self, hb: Heartbeat) {
-        self.heartbeats += 1;
-        self.heartbeat_bytes += crate::features::heartbeat_wire_size(&hb.status) as u64;
         if let Some(rec) = self.nodes.get_mut(hb.node) {
             let forwarding_changed = rec.status.forwarding != hb.status.forwarding;
             rec.status = hb.status;
@@ -470,11 +464,6 @@ impl GlobalScheduler {
     /// Total recommendation requests served.
     pub fn request_count(&self) -> u64 {
         self.requests
-    }
-
-    /// Total heartbeats ingested and their cumulative wire bytes.
-    pub fn heartbeat_stats(&self) -> (u64, u64) {
-        (self.heartbeats, self.heartbeat_bytes)
     }
 }
 

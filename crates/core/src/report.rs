@@ -103,9 +103,7 @@ pub fn format_control_plane(report: &RunReport) -> String {
 
 /// Renders the summary block of a windowed metric registry: window
 /// width, ingest volume, and run-wide totals of every counter series
-/// (one line per metric name, labels folded together). Ends with a
-/// ring-saturation warning when trace records were dropped, because
-/// every obs series undercounts in that case.
+/// (one line per metric name, labels folded together).
 ///
 /// The output is a pure function of the registry, which is itself a
 /// pure function of the seed, so this text is safe for golden stdout.
@@ -120,13 +118,6 @@ pub fn format_obs_summary(reg: &MetricRegistry) -> String {
     }
     if reg.skipped_samples() > 0 {
         let _ = writeln!(out, "skipped samples          {}", reg.skipped_samples());
-    }
-    if reg.dropped_records() > 0 {
-        let _ = writeln!(
-            out,
-            "warning: {} trace records dropped (ring saturated); obs series undercount",
-            reg.dropped_records()
-        );
     }
     out
 }

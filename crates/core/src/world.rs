@@ -27,7 +27,7 @@ use rlive_control::{GlobalScheduler, NodeClass, NodeId, NodeStatus, StaticFeatur
 use rlive_media::frame::FrameHeader;
 use rlive_sim::metrics::TimeSeries;
 use rlive_sim::nat::TraversalModel;
-use rlive_sim::obs::{time_stage, Stage, WindowStreamSink};
+use rlive_sim::obs::{time_stage, Stage};
 use rlive_sim::slo::{SloEngine, SloReport};
 use rlive_sim::trace::TraceCounters;
 use rlive_sim::{EventQueue, MetricRegistry, SimDuration, SimRng, SimTime};
@@ -191,25 +191,20 @@ pub struct World {
     pub(crate) shardable_events: u64,
     /// Centralised sequencing super-node state (§7.3.2).
     pub(crate) super_node: SuperNode,
-    /// Structured-event telemetry sink; disabled (zero-cost) unless a
-    /// sink is attached via [`World::attach_trace_sink`].
+    /// Structured-event telemetry sink every component emits into;
+    /// disabled (zero-cost) unless obs is on or a caller attaches a sink
+    /// via [`World::attach_trace_sink`].
     pub(crate) trace: TraceSink,
-    /// Whether the obs layer runs incrementally off the world-owned
-    /// auto-attached sink: the event loop drains the ring at window
-    /// boundaries, seals crossed windows into [`World::obs`], and feeds
-    /// them to the SLO engine / stream sink. Cleared when a caller
-    /// attaches its own sink (the legacy end-of-run snapshot path then
-    /// builds the registry in `finish`, so the ring stays inspectable).
-    pub(crate) obs_live: bool,
-    /// The incrementally-built registry (live path only; disabled
-    /// otherwise).
+    /// A caller's sink on an obs world: a tee of [`World::trace`] that
+    /// [`World::obs_advance`] feeds every drained batch, in order.
+    pub(crate) trace_tap: TraceSink,
+    /// The incrementally-built registry (disabled unless
+    /// [`SystemConfig::obs_window_ms`] is set): the event loop drains
+    /// the trace ring at window boundaries and seals crossed windows.
     pub(crate) obs: MetricRegistry,
-    /// SLO engine fed sealed windows as they close (live path), present
-    /// when [`SystemConfig::slo_enabled`] is set.
+    /// SLO engine fed sealed windows as they close, present when
+    /// [`SystemConfig::slo_enabled`] is set.
     pub(crate) slo: Option<SloEngine>,
-    /// Per-window export stream sink; sealed windows are rendered and
-    /// evicted as they close, bounding obs memory for long runs.
-    pub(crate) obs_stream: Option<Box<dyn WindowStreamSink + Send>>,
     /// The recovery policy driving loss recovery (the `data::recovery`
     /// seam), resolved from [`SystemConfig::recovery_policy`].
     pub(crate) recovery_policy: Box<dyn rlive_data::recovery::RecoveryPolicy>,
@@ -324,10 +319,9 @@ impl World {
             shardable_events: 0,
             super_node: SuperNode::new(),
             trace: TraceSink::disabled(),
-            obs_live: false,
+            trace_tap: TraceSink::disabled(),
             obs: MetricRegistry::disabled(),
             slo: None,
-            obs_stream: None,
             recovery_policy,
             views: Vec::new(),
             client_ids: Vec::new(),
@@ -335,15 +329,11 @@ impl World {
         };
         // Observability needs the *complete* trace stream (a wrapped
         // ring under-counts early windows), so an obs-enabled world
-        // gets an unbounded sink up front and builds its registry
+        // emits into its own unbounded ring and builds its registry
         // incrementally, sealing windows as the clock crosses their
-        // boundaries. A caller-attached sink (e.g. `experiments trace`)
-        // replaces it and clears the live path; the obs layer then
-        // aggregates whatever that ring retains at the end of the run
-        // and reports its drops.
+        // boundaries. A caller-attached sink becomes a tee of that ring.
         if world.cfg.obs_window_ms > 0 {
-            world.attach_trace_sink(TraceSink::unbounded());
-            world.obs_live = true;
+            world.wire_trace_sink(TraceSink::unbounded());
             world.obs = MetricRegistry::new(SimDuration::from_millis(world.cfg.obs_window_ms));
             if world.cfg.slo_enabled {
                 world.slo = Some(SloEngine::with_default_rules());
@@ -375,11 +365,22 @@ impl World {
     /// buffers, the scheduler) emits [`TraceEvent`]s into it from now
     /// on. Attaching a sink never changes simulation behaviour: the
     /// sink is write-only and all randomness stays on [`SimRng`].
+    ///
+    /// On an obs world the components keep emitting into the world's
+    /// own unbounded ring and `sink` becomes a tee of it: the obs pump
+    /// forwards every batch it drains, so by the end of the run `sink`
+    /// holds the records, `seq`s and drop count direct emission would
+    /// have given it.
     pub fn attach_trace_sink(&mut self, sink: TraceSink) {
-        // A caller-owned ring must stay intact for post-run inspection,
-        // so the incremental obs pump (which drains) steps aside; the
-        // registry is then rebuilt from a snapshot in `finish`.
-        self.obs_live = false;
+        if self.obs.is_enabled() {
+            self.trace_tap = sink;
+        } else {
+            self.wire_trace_sink(sink);
+        }
+    }
+
+    /// Points every emitting component at `sink`.
+    fn wire_trace_sink(&mut self, sink: TraceSink) {
         self.trace = sink.clone();
         self.scheduler.set_trace_sink(sink.clone());
         for relay in &mut self.relays {
@@ -530,36 +531,15 @@ impl World {
         self.shard_min_batch = min.max(2);
     }
 
-    /// Attaches a per-window export stream sink. The sink receives the
-    /// export headers immediately, each sealed window's chunks as the
-    /// clock crosses its boundary, and the tails (histograms + footer)
-    /// at the end of the run — a byte-identical streamed decomposition
-    /// of [`MetricRegistry::to_jsonl`] / [`MetricRegistry::to_csv`].
-    /// Sealed windows are evicted after rendering, so registry memory
-    /// stays bounded by the live window count.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the world runs the live obs path (an
-    /// `obs_window_ms` config with the world-owned auto sink).
-    pub fn attach_obs_stream(&mut self, mut sink: Box<dyn WindowStreamSink + Send>) {
-        assert!(
-            self.obs_live,
-            "streamed obs export needs the live obs path (obs_window_ms > 0, no caller trace sink)"
-        );
-        sink.append(&self.obs.jsonl_header(), &self.obs.csv_header());
-        self.obs_stream = Some(sink);
-    }
-
-    /// The incremental obs pump: once the world clock (or, for sharded
-    /// batches, the min-across-shards watermark) has advanced past a
-    /// window boundary, drains the trace ring, seals every crossed
-    /// window, streams it to the export sink and feeds it to the SLO
-    /// engine. Sealing strictly below `window_of(at)` is safe because
-    /// every event earlier than `at` has been handled and merged, and
-    /// trace emission happens at handling time.
+    /// The obs pump: once the world clock (or, for sharded batches, the
+    /// min-across-shards watermark) has advanced past a window boundary,
+    /// drains the trace ring into the registry and the caller's tee,
+    /// seals every crossed window and feeds it to the SLO engine.
+    /// Sealing strictly below `window_of(at)` is safe because every
+    /// event earlier than `at` has been handled and merged, and trace
+    /// emission happens at handling time.
     pub(crate) fn obs_advance(&mut self, at: SimTime) {
-        if !self.obs_live {
+        if !self.obs.is_enabled() {
             return;
         }
         let upto = self.obs.window_of(at);
@@ -568,32 +548,14 @@ impl World {
         }
         let sealed = {
             let _span = time_stage(Stage::WindowSeal);
-            let (records, dropped) = self.trace.drain_counted();
-            self.obs.note_dropped(dropped);
+            let records = self.trace.drain();
             self.obs.ingest_all(&records);
+            self.trace_tap.absorb(records);
             self.obs.seal_until(upto)
         };
-        self.consume_sealed(&sealed);
-    }
-
-    /// Streams sealed windows to the export sink, feeds them to the SLO
-    /// engine, and (in streaming mode) evicts them from the registry.
-    fn consume_sealed(&mut self, sealed: &[rlive_sim::SealedWindow]) {
-        if sealed.is_empty() {
-            return;
-        }
-        if let Some(sink) = self.obs_stream.as_deref_mut() {
-            for sw in sealed {
-                sink.append(
-                    &self.obs.jsonl_window(sw.window),
-                    &self.obs.csv_window(sw.window),
-                );
-            }
-            self.obs.evict_sealed();
-        }
         if let Some(engine) = self.slo.as_mut() {
             let _span = time_stage(Stage::AlertEval);
-            for sw in sealed {
+            for sw in &sealed {
                 engine.observe(sw);
             }
         }
@@ -678,48 +640,11 @@ impl World {
                 v.iter().map(|e| e.3).sum::<f64>() / n,
             )
         };
-        // Windowed observability. Live path: drain the tail of the
-        // ring, seal through the final window (the session close-outs
-        // above emitted at `end_at`, which lands in `window_of(end_at)`)
-        // and flush the export stream. Caller-sink path: aggregate the
-        // retained trace stream in one pass — the snapshot (not a
-        // drain) leaves the ring intact for callers that inspect it
-        // after the run — and run the SLO engine over the same sealed
-        // sequence the live path would have produced.
-        let (obs, slo) = if self.cfg.obs_window_ms > 0 {
-            if self.obs_live {
-                let (records, dropped) = self.trace.drain_counted();
-                self.obs.note_dropped(dropped);
-                self.obs.ingest_all(&records);
-                let final_window = self.obs.window_of(self.end_at);
-                let sealed = self.obs.seal_until(final_window + 1);
-                self.consume_sealed(&sealed);
-                if let Some(sink) = self.obs_stream.as_deref_mut() {
-                    sink.append(&self.obs.jsonl_tail(), &self.obs.csv_tail());
-                }
-                let slo = self.slo.take().map(SloEngine::finish).unwrap_or_default();
-                (std::mem::take(&mut self.obs), slo)
-            } else {
-                let mut reg = MetricRegistry::new(SimDuration::from_millis(self.cfg.obs_window_ms));
-                reg.note_dropped(self.trace.dropped());
-                reg.ingest_all(&self.trace.snapshot());
-                let final_window = reg.window_of(self.end_at);
-                let sealed = reg.seal_until(final_window + 1);
-                let slo = if self.cfg.slo_enabled {
-                    let mut engine = SloEngine::with_default_rules();
-                    let _span = time_stage(Stage::AlertEval);
-                    for sw in &sealed {
-                        engine.observe(sw);
-                    }
-                    engine.finish()
-                } else {
-                    SloReport::default()
-                };
-                (reg, slo)
-            }
-        } else {
-            (MetricRegistry::disabled(), SloReport::default())
-        };
+        // Seal through the final window: the session close-outs above
+        // emitted at `end_at`, which lands in `window_of(end_at)`.
+        self.obs_advance(self.end_at + SimDuration::from_millis(self.cfg.obs_window_ms));
+        let obs = std::mem::take(&mut self.obs);
+        let slo = self.slo.take().map(SloEngine::finish).unwrap_or_default();
         RunReport {
             control_qoe: self.control_qoe,
             test_qoe: self.test_qoe,

@@ -42,15 +42,6 @@ impl Default for GopConfig {
 }
 
 impl GopConfig {
-    /// A profile for the given bitrate ladder rung, keeping the default
-    /// cadence.
-    pub fn with_bitrate(bitrate_bps: u64) -> Self {
-        GopConfig {
-            bitrate_bps,
-            ..GopConfig::default()
-        }
-    }
-
     /// Mean frame size in bytes implied by bitrate and fps.
     pub fn mean_frame_size(&self) -> f64 {
         self.bitrate_bps as f64 / 8.0 / self.fps as f64
@@ -104,11 +95,6 @@ impl GopGenerator {
     /// the GoP phase.
     pub fn set_bitrate(&mut self, bitrate_bps: u64) {
         self.cfg.bitrate_bps = bitrate_bps;
-    }
-
-    /// Index of the next frame to be produced.
-    pub fn next_index(&self) -> u64 {
-        self.index
     }
 
     fn type_for(&self, idx_in_gop: u64) -> FrameType {

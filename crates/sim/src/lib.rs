@@ -14,13 +14,13 @@
 //! - NAT behaviour classification and a traversal success model
 //!   ([`nat`]),
 //! - node churn (lifespan / offline episodes) modelling ([`churn`]),
-//! - event counters and ring tracing for debugging ([`trace`]),
+//! - event counters and typed trace rings ([`trace`]),
 //! - behavioural coverage cataloguing over trace streams ([`coverage`]),
 //! - metric accumulators: streaming histograms, percentile estimation,
 //!   CDFs and time series ([`metrics`]),
 //! - a deterministic windowed observability layer — metric registry,
 //!   trace-fed time-series aggregation, incremental window sealing,
-//!   streaming exporters and a wall-clock stage profiler ([`obs`]),
+//!   JSONL/CSV exporters and a wall-clock stage profiler ([`obs`]),
 //! - a deterministic SLO / alerting engine evaluated over sealed
 //!   observability windows ([`slo`]),
 //! - deterministic scoped-thread work pools shared by the experiment
@@ -48,7 +48,7 @@ pub mod trace;
 pub use coverage::CoverageCatalog;
 pub use event::{EventHandle, EventQueue};
 pub use link::{Link, LinkConfig};
-pub use obs::{MetricRegistry, SealedWindow, Stage, StageTable, WindowStreamSink};
+pub use obs::{MetricRegistry, SealedWindow, Stage, StageTable};
 pub use rng::SimRng;
 pub use slo::{AlertEvent, AlertState, Severity, SloEngine, SloReport, SloRule};
 pub use time::{SimDuration, SimTime};

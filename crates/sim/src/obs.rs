@@ -226,16 +226,11 @@ pub const SESSION_FRAMES_BOUNDS: [f64; 6] = [10.0, 100.0, 500.0, 1000.0, 5000.0,
 pub struct MetricRegistry {
     window_ms: u64,
     records: u64,
-    dropped_records: u64,
     skipped_samples: u64,
     /// Sealing watermark: every window `< sealed_below` is final — no
     /// later write may land in it (enforced by a debug assertion on the
     /// write paths). Advanced only by [`MetricRegistry::seal_until`].
     sealed_below: u64,
-    /// Lifetime per-name counter totals, maintained on every
-    /// [`MetricRegistry::counter_add`] so [`MetricRegistry::counter_total`]
-    /// survives window eviction in streaming mode.
-    counter_totals: BTreeMap<&'static str, u64>,
     counters: BTreeMap<SeriesKey, BTreeMap<u64, u64>>,
     gauges: BTreeMap<SeriesKey, BTreeMap<u64, GaugeWindow>>,
     histograms: BTreeMap<SeriesKey, FixedHistogram>,
@@ -303,21 +298,9 @@ impl MetricRegistry {
         self.records
     }
 
-    /// Trace records the source ring dropped before ingestion (ring
-    /// wrap) — when non-zero, early windows under-count.
-    pub fn dropped_records(&self) -> u64 {
-        self.dropped_records
-    }
-
     /// Non-finite gauge/histogram samples skipped.
     pub fn skipped_samples(&self) -> u64 {
         self.skipped_samples
-    }
-
-    /// Accounts for records the source trace ring evicted before this
-    /// registry could see them.
-    pub fn note_dropped(&mut self, n: u64) {
-        self.dropped_records += n;
     }
 
     /// The tumbling window an instant falls into. Window `w` covers
@@ -367,21 +350,6 @@ impl MetricRegistry {
         out
     }
 
-    /// Drops per-window counter/gauge cells below the sealing watermark
-    /// (series keys and histograms stay, as do the lifetime totals that
-    /// back [`MetricRegistry::counter_total`]). Streaming exporters call
-    /// this after rendering each sealed window so registry memory stays
-    /// bounded by the live window count, not the run duration.
-    pub fn evict_sealed(&mut self) {
-        let below = self.sealed_below;
-        for windows in self.counters.values_mut() {
-            *windows = windows.split_off(&below);
-        }
-        for windows in self.gauges.values_mut() {
-            *windows = windows.split_off(&below);
-        }
-    }
-
     /// Adds `n` to a counter series at `at`.
     pub fn counter_add(&mut self, name: &'static str, labels: Labels, at: SimTime, n: u64) {
         if !self.is_enabled() {
@@ -393,7 +361,6 @@ impl MetricRegistry {
             "counter write into sealed window {w} (watermark {})",
             self.sealed_below
         );
-        *self.counter_totals.entry(name).or_insert(0) += n;
         *self
             .counters
             .entry(SeriesKey::new(name, labels))
@@ -613,15 +580,12 @@ impl MetricRegistry {
     /// widths.
     pub fn merge(&mut self, other: &MetricRegistry) {
         if !other.is_enabled() {
-            self.dropped_records += other.dropped_records;
             self.skipped_samples += other.skipped_samples;
             return;
         }
         if !self.is_enabled() {
-            let dropped = self.dropped_records;
             let skipped = self.skipped_samples;
             *self = other.clone();
-            self.dropped_records += dropped;
             self.skipped_samples += skipped;
             return;
         }
@@ -630,14 +594,10 @@ impl MetricRegistry {
             "cannot merge obs registries with different window widths"
         );
         self.records += other.records;
-        self.dropped_records += other.dropped_records;
         self.skipped_samples += other.skipped_samples;
         // A merged window is only final once both operands have sealed
         // it, so the watermark takes the minimum.
         self.sealed_below = self.sealed_below.min(other.sealed_below);
-        for (&name, &v) in &other.counter_totals {
-            *self.counter_totals.entry(name).or_insert(0) += v;
-        }
         for (key, windows) in &other.counters {
             let mine = self.counters.entry(*key).or_default();
             for (&w, &v) in windows {
@@ -702,11 +662,9 @@ impl MetricRegistry {
             .sum()
     }
 
-    /// Lifetime total of a counter over all windows and labels. Unlike
-    /// [`MetricRegistry::counter_total_where`], this reads the lifetime
-    /// totals map, so it stays correct after streaming-mode eviction.
+    /// Total of a counter over all windows and labels.
     pub fn counter_total(&self, name: &str) -> u64 {
-        self.counter_totals.get(name).copied().unwrap_or(0)
+        self.counter_total_where(name, |_| true)
     }
 
     /// Per-window totals of one counter summed across label sets
@@ -817,56 +775,43 @@ impl MetricRegistry {
         ws
     }
 
-    /// The JSONL export prologue: the `meta` line. Run totals live in
-    /// the footer ([`MetricRegistry::jsonl_tail`]) so a streaming sink
-    /// can write the header before the run ends.
-    pub fn jsonl_header(&self) -> String {
-        format!("{{\"kind\":\"meta\",\"window_ms\":{}}}\n", self.window_ms)
-    }
-
-    /// One window's JSONL block: its counter lines then gauge lines, in
-    /// sorted key order. Empty windows render as the empty string, which
-    /// is what keeps the streamed per-window concatenation byte-identical
-    /// to the end-of-run [`MetricRegistry::to_jsonl`].
-    pub fn jsonl_window(&self, window: u64) -> String {
-        let mut out = String::new();
-        for (key, windows) in &self.counters {
-            if let Some(&v) = windows.get(&window) {
-                let _ = writeln!(
-                    out,
-                    "{{\"kind\":\"counter\",\"name\":\"{}\",\"labels\":\"{}\",\"window\":{},\"start_ms\":{},\"value\":{}}}",
-                    key.name,
-                    key.labels.render(),
-                    window,
-                    self.window_start_ms(window),
-                    v
-                );
+    /// Serialises the registry as JSON Lines: one `meta` line, then each
+    /// populated window's counter and gauge lines in window-major,
+    /// sorted-key order, then run-scoped histogram lines and one
+    /// deterministic `footer` line (`records` / `skipped_samples`) —
+    /// deterministic bytes for a deterministic registry.
+    pub fn to_jsonl(&self) -> String {
+        let mut out = format!("{{\"kind\":\"meta\",\"window_ms\":{}}}\n", self.window_ms);
+        for window in self.populated_windows() {
+            for (key, windows) in &self.counters {
+                if let Some(&v) = windows.get(&window) {
+                    let _ = writeln!(
+                        out,
+                        "{{\"kind\":\"counter\",\"name\":\"{}\",\"labels\":\"{}\",\"window\":{},\"start_ms\":{},\"value\":{}}}",
+                        key.name,
+                        key.labels.render(),
+                        window,
+                        self.window_start_ms(window),
+                        v
+                    );
+                }
+            }
+            for (key, windows) in &self.gauges {
+                if let Some(cell) = windows.get(&window) {
+                    let _ = writeln!(
+                        out,
+                        "{{\"kind\":\"gauge\",\"name\":\"{}\",\"labels\":\"{}\",\"window\":{},\"start_ms\":{},\"count\":{},\"sum\":{},\"last\":{}}}",
+                        key.name,
+                        key.labels.render(),
+                        window,
+                        self.window_start_ms(window),
+                        cell.count,
+                        fmt_f64(cell.sum),
+                        fmt_f64(cell.last)
+                    );
+                }
             }
         }
-        for (key, windows) in &self.gauges {
-            if let Some(cell) = windows.get(&window) {
-                let _ = writeln!(
-                    out,
-                    "{{\"kind\":\"gauge\",\"name\":\"{}\",\"labels\":\"{}\",\"window\":{},\"start_ms\":{},\"count\":{},\"sum\":{},\"last\":{}}}",
-                    key.name,
-                    key.labels.render(),
-                    window,
-                    self.window_start_ms(window),
-                    cell.count,
-                    fmt_f64(cell.sum),
-                    fmt_f64(cell.last)
-                );
-            }
-        }
-        out
-    }
-
-    /// The JSONL export epilogue: run-scoped histogram lines, then one
-    /// deterministic `footer` line carrying the saturation-loss totals
-    /// (`dropped_records` / `skipped_samples`) so lossy runs are visible
-    /// in the artifact itself, not only in a stderr warning.
-    pub fn jsonl_tail(&self) -> String {
-        let mut out = String::new();
         for (key, hist) in &self.histograms {
             let bounds: Vec<String> = hist.bounds().iter().map(|&b| fmt_f64(b)).collect();
             let counts: Vec<String> = hist.counts().iter().map(|c| c.to_string()).collect();
@@ -883,70 +828,47 @@ impl MetricRegistry {
         }
         let _ = writeln!(
             out,
-            "{{\"kind\":\"footer\",\"records\":{},\"dropped_records\":{},\"skipped_samples\":{}}}",
-            self.records, self.dropped_records, self.skipped_samples
+            "{{\"kind\":\"footer\",\"records\":{},\"skipped_samples\":{}}}",
+            self.records, self.skipped_samples
         );
         out
     }
 
-    /// Serialises the registry as JSON Lines: one `meta` line, then each
-    /// populated window's counter and gauge lines in window-major order,
-    /// then histograms and the `footer` line — deterministic bytes for a
-    /// deterministic registry, and the exact concatenation a per-window
-    /// streaming sink produces.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = self.jsonl_header();
-        for w in self.populated_windows() {
-            out.push_str(&self.jsonl_window(w));
-        }
-        out.push_str(&self.jsonl_tail());
-        out
-    }
-
-    /// The CSV export prologue: the fixed column header.
-    pub fn csv_header(&self) -> String {
-        String::from("kind,name,labels,window,start_ms,value\n")
-    }
-
-    /// One window's CSV block — see [`MetricRegistry::jsonl_window`] for
-    /// the ordering and streaming contract.
-    pub fn csv_window(&self, window: u64) -> String {
-        let mut out = String::new();
-        for (key, windows) in &self.counters {
-            if let Some(&v) = windows.get(&window) {
-                let _ = writeln!(
-                    out,
-                    "counter,{},{},{},{},{}",
-                    key.name,
-                    csv_labels(&key.labels),
-                    window,
-                    self.window_start_ms(window),
-                    v
-                );
+    /// Serialises the registry as CSV with a fixed header, window-major
+    /// like [`MetricRegistry::to_jsonl`], then histogram bucket rows
+    /// (bucket bound in the `window` column position, `le=<bound>`) and
+    /// two `footer` rows carrying the run totals — same six-column shape
+    /// as every other row.
+    pub fn to_csv(&self) -> String {
+        let mut out = String::from("kind,name,labels,window,start_ms,value\n");
+        for window in self.populated_windows() {
+            for (key, windows) in &self.counters {
+                if let Some(&v) = windows.get(&window) {
+                    let _ = writeln!(
+                        out,
+                        "counter,{},{},{},{},{}",
+                        key.name,
+                        csv_labels(&key.labels),
+                        window,
+                        self.window_start_ms(window),
+                        v
+                    );
+                }
+            }
+            for (key, windows) in &self.gauges {
+                if let Some(cell) = windows.get(&window) {
+                    let _ = writeln!(
+                        out,
+                        "gauge,{},{},{},{},{}",
+                        key.name,
+                        csv_labels(&key.labels),
+                        window,
+                        self.window_start_ms(window),
+                        fmt_f64(cell.last)
+                    );
+                }
             }
         }
-        for (key, windows) in &self.gauges {
-            if let Some(cell) = windows.get(&window) {
-                let _ = writeln!(
-                    out,
-                    "gauge,{},{},{},{},{}",
-                    key.name,
-                    csv_labels(&key.labels),
-                    window,
-                    self.window_start_ms(window),
-                    fmt_f64(cell.last)
-                );
-            }
-        }
-        out
-    }
-
-    /// The CSV export epilogue: histogram bucket rows (bucket bound in
-    /// the `window` column position, `le=<bound>`), then three `footer`
-    /// rows carrying the run totals — same six-column shape as every
-    /// other row.
-    pub fn csv_tail(&self) -> String {
-        let mut out = String::new();
         for (key, hist) in &self.histograms {
             let mut bounds: Vec<String> = hist.bounds().iter().map(|&b| fmt_f64(b)).collect();
             bounds.push("+inf".to_string());
@@ -962,34 +884,9 @@ impl MetricRegistry {
             }
         }
         let _ = writeln!(out, "footer,records,-,,,{}", self.records);
-        let _ = writeln!(out, "footer,dropped_records,-,,,{}", self.dropped_records);
         let _ = writeln!(out, "footer,skipped_samples,-,,,{}", self.skipped_samples);
         out
     }
-
-    /// Serialises the registry as CSV with a fixed header, window-major,
-    /// ending in the deterministic footer rows — the exact concatenation
-    /// a per-window streaming sink produces.
-    pub fn to_csv(&self) -> String {
-        let mut out = self.csv_header();
-        for w in self.populated_windows() {
-            out.push_str(&self.csv_window(w));
-        }
-        out.push_str(&self.csv_tail());
-        out
-    }
-}
-
-/// Receives pre-rendered export chunks as windows seal. The world calls
-/// [`WindowStreamSink::append`] once with the headers when the sink is
-/// attached, once per sealed window (chunks may be empty), and once with
-/// the tails (histograms + footer) at the end of the run — so the files
-/// a sink writes are byte-identical to [`MetricRegistry::to_jsonl`] /
-/// [`MetricRegistry::to_csv`] of an unstreamed run, while the registry
-/// itself evicts sealed windows and stays bounded.
-pub trait WindowStreamSink {
-    /// Appends a JSONL chunk and the corresponding CSV chunk.
-    fn append(&mut self, jsonl: &str, csv: &str);
 }
 
 /// Deterministic float rendering shared by both exporters: integral
@@ -1405,7 +1302,7 @@ mod tests {
         assert!(reg.candidate_yield(None).is_empty());
         // Exporters still produce the meta/footer frame and header.
         assert_eq!(reg.to_jsonl().lines().count(), 2);
-        assert_eq!(reg.to_csv().lines().count(), 4);
+        assert_eq!(reg.to_csv().lines().count(), 3);
     }
 
     #[test]
@@ -1481,14 +1378,12 @@ mod tests {
         a.ingest(&outcome(100, false));
         b.ingest(&outcome(100, true));
         b.ingest(&outcome(600, false));
-        b.note_dropped(3);
 
         let mut merged = MetricRegistry::disabled();
         merged.merge(&a);
         merged.merge(&b);
         assert_eq!(merged.counter_total("recovery_outcomes"), 3);
         assert_eq!(merged.counter_total("recovery_failures"), 2);
-        assert_eq!(merged.dropped_records(), 3);
         assert_eq!(merged.records(), 3);
         let rate = merged.recovery_failure_rate();
         assert_eq!((rate[0].num, rate[0].den), (1, 2));
@@ -1529,9 +1424,7 @@ mod tests {
         assert!(jsonl.contains("\"labels\":\"mode=arq\""));
         assert!(jsonl.contains("\"le\":[0.500000,1,2,5,10,20,50,100]"));
         assert!(
-            jsonl.ends_with(
-                "{\"kind\":\"footer\",\"records\":2,\"dropped_records\":0,\"skipped_samples\":0}\n"
-            ),
+            jsonl.ends_with("{\"kind\":\"footer\",\"records\":2,\"skipped_samples\":0}\n"),
             "footer closes the stream"
         );
         // Every line is brace-delimited (cheap well-formedness check;
@@ -1543,9 +1436,7 @@ mod tests {
         assert!(csv.starts_with("kind,name,labels,window,start_ms,value\n"));
         assert!(csv.contains("counter,recovery_outcomes,mode=arq,0,0,1"));
         assert!(csv.contains("histogram,scheduler_service_time_ms,-,le=+inf,,0"));
-        assert!(csv.ends_with(
-            "footer,records,-,,,2\nfooter,dropped_records,-,,,0\nfooter,skipped_samples,-,,,0\n"
-        ));
+        assert!(csv.ends_with("footer,records,-,,,2\nfooter,skipped_samples,-,,,0\n"));
         let cols = csv.lines().next().unwrap().split(',').count();
         for line in csv.lines() {
             assert_eq!(line.split(',').count(), cols, "{line}");
@@ -1571,63 +1462,6 @@ mod tests {
         // Sealing is monotonic: re-sealing the same range yields nothing.
         assert!(reg.seal_until(3).is_empty());
         assert!(reg.seal_until(1).is_empty());
-    }
-
-    #[test]
-    fn eviction_preserves_lifetime_totals_and_series_names() {
-        let mut reg = MetricRegistry::new(SimDuration::from_millis(100));
-        reg.ingest(&outcome(50, false));
-        reg.ingest(&outcome(250, false));
-        reg.seal_until(2);
-        reg.evict_sealed();
-        // Window 0 is gone from the per-window view…
-        assert_eq!(
-            reg.counter_at("recovery_outcomes", Labels::mode("arq"), 0),
-            0
-        );
-        assert_eq!(reg.counter_total_where("recovery_outcomes", |_| true), 1);
-        // …but lifetime totals and the name vocabulary survive.
-        assert_eq!(reg.counter_total("recovery_outcomes"), 2);
-        assert_eq!(reg.counter_total("recovery_failures"), 2);
-        assert!(reg.counter_names().contains(&"recovery_outcomes"));
-    }
-
-    #[test]
-    fn streamed_chunk_concatenation_matches_batch_export() {
-        let build = || {
-            let mut reg = MetricRegistry::new(SimDuration::from_millis(100));
-            reg.ingest(&outcome(50, true));
-            reg.ingest(&outcome(150, false));
-            reg.ingest(&rec(
-                250,
-                TraceEvent::SchedulerRecommendation {
-                    stream: 1,
-                    substream: 0,
-                    candidates: 3,
-                    service_time_ms: 1.5,
-                },
-            ));
-            reg
-        };
-        let batch = build();
-        let (batch_jsonl, batch_csv) = (batch.to_jsonl(), batch.to_csv());
-
-        // Streamed: seal + render + evict window by window, as the
-        // world's streaming pump does.
-        let mut reg = build();
-        let mut jsonl = reg.jsonl_header();
-        let mut csv = reg.csv_header();
-        for upto in [1, 3, 4] {
-            for sw in reg.seal_until(upto) {
-                jsonl.push_str(&reg.jsonl_window(sw.window));
-                csv.push_str(&reg.csv_window(sw.window));
-            }
-            reg.evict_sealed();
-        }
-        jsonl.push_str(&reg.jsonl_tail());
-        csv.push_str(&reg.csv_tail());
-        assert_eq!(jsonl, batch_jsonl);
-        assert_eq!(csv, batch_csv);
     }
 
     #[test]

@@ -97,28 +97,9 @@ impl SimRng {
         (m >> 64) as u64
     }
 
-    /// Returns a uniform integer in `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo >= hi`.
-    pub fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo < hi, "empty range");
-        lo + self.below(hi - lo)
-    }
-
     /// Returns `true` with probability `p` (clamped to `[0, 1]`).
     pub fn chance(&mut self, p: f64) -> bool {
         self.f64() < p
-    }
-
-    /// Picks a uniformly random element of `items`, or `None` if empty.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T> {
-        if items.is_empty() {
-            None
-        } else {
-            Some(&items[self.below(items.len() as u64) as usize])
-        }
     }
 
     /// Shuffles `items` in place (Fisher–Yates).
@@ -137,11 +118,6 @@ impl SimRng {
         (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
     }
 
-    /// Samples a normal with the given mean and standard deviation.
-    pub fn normal_with(&mut self, mean: f64, std_dev: f64) -> f64 {
-        mean + std_dev * self.normal()
-    }
-
     /// Samples a lognormal: `exp(N(mu, sigma))`.
     pub fn lognormal(&mut self, mu: f64, sigma: f64) -> f64 {
         (mu + sigma * self.normal()).exp()
@@ -151,12 +127,6 @@ impl SimRng {
     pub fn exponential(&mut self, mean: f64) -> f64 {
         let u = self.f64().max(f64::MIN_POSITIVE);
         -mean * u.ln()
-    }
-
-    /// Samples a Pareto with scale `x_min` and shape `alpha`.
-    pub fn pareto(&mut self, x_min: f64, alpha: f64) -> f64 {
-        let u = self.f64().max(f64::MIN_POSITIVE);
-        x_min / u.powf(1.0 / alpha)
     }
 }
 

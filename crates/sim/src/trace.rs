@@ -2,8 +2,8 @@
 //!
 //! Discrete-event systems fail in ways that are hard to see from end
 //! metrics alone ("why did nothing play?"). [`TraceCounters`] counts
-//! named event kinds cheaply; [`RingTrace`] keeps the last N annotated
-//! events for post-mortem inspection without unbounded memory.
+//! named event kinds cheaply; [`TraceSink`] keeps typed
+//! [`TraceRecord`]s for post-mortem inspection and the obs layer.
 
 use crate::time::SimTime;
 use serde::Serialize;
@@ -62,80 +62,6 @@ impl std::fmt::Display for TraceCounters {
             writeln!(f, "{k:<32} {v:>12}")?;
         }
         Ok(())
-    }
-}
-
-/// One recorded trace entry.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
-pub struct TraceEntry {
-    /// When the event fired.
-    pub at: SimTime,
-    /// Event kind.
-    pub kind: &'static str,
-    /// Free-form detail (entity ids, sizes).
-    pub detail: String,
-}
-
-/// A bounded ring buffer of recent trace entries.
-#[derive(Debug, Clone)]
-pub struct RingTrace {
-    entries: VecDeque<TraceEntry>,
-    capacity: usize,
-    /// Entries dropped because the ring was full.
-    dropped: u64,
-}
-
-impl RingTrace {
-    /// Creates a ring holding at most `capacity` entries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "ring capacity must be positive");
-        RingTrace {
-            entries: VecDeque::with_capacity(capacity),
-            capacity,
-            dropped: 0,
-        }
-    }
-
-    /// Records an event, evicting the oldest entry when full.
-    pub fn record(&mut self, at: SimTime, kind: &'static str, detail: impl Into<String>) {
-        if self.entries.len() == self.capacity {
-            self.entries.pop_front();
-            self.dropped += 1;
-        }
-        self.entries.push_back(TraceEntry {
-            at,
-            kind,
-            detail: detail.into(),
-        });
-    }
-
-    /// The retained entries, oldest first.
-    pub fn entries(&self) -> impl Iterator<Item = &TraceEntry> {
-        self.entries.iter()
-    }
-
-    /// Retained entries of one kind, oldest first.
-    pub fn of_kind<'a>(&'a self, kind: &'a str) -> impl Iterator<Item = &'a TraceEntry> + 'a {
-        self.entries.iter().filter(move |e| e.kind == kind)
-    }
-
-    /// Number of retained entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether nothing has been retained.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Entries evicted so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
     }
 }
 
@@ -564,45 +490,30 @@ impl TraceSink {
     /// ring content identical to what direct sequential emission would
     /// have produced, regardless of which worker threads emitted when.
     pub fn absorb(&self, records: Vec<TraceRecord>) {
-        self.absorb_counted(records, 0);
-    }
-
-    /// [`TraceSink::absorb`] plus upstream-loss accounting: `dropped`
-    /// records were already lost before these reached us (the staging
-    /// buffer wrapped, or a bounded upstream ring evicted them), so they
-    /// are folded into this ring's [`TraceSink::dropped`] tally and
-    /// survive the merge instead of vanishing at the seam.
-    pub fn absorb_counted(&self, records: Vec<TraceRecord>, dropped: u64) {
-        if records.is_empty() && dropped == 0 {
+        if records.is_empty() {
             return;
         }
         let Some(inner) = &self.inner else {
             return;
         };
         let mut ring = inner.lock().expect("trace ring poisoned");
-        ring.dropped += dropped;
         for record in records {
             ring.append(record);
         }
     }
 
-    /// Takes every retained record out of the ring, oldest first.
+    /// Takes every retained record out of the ring, oldest first. The
+    /// drop counter is *not* reset: [`TraceSink::dropped`] describes the
+    /// ring's whole lifetime.
     pub fn drain(&self) -> Vec<TraceRecord> {
-        self.drain_counted().0
-    }
-
-    /// Like [`TraceSink::drain`], but also reports how many records the
-    /// ring evicted before this drain — so consumers aggregating the
-    /// stream (timeline rendering, the obs registry) can surface the
-    /// saturation instead of silently under-counting. The drop counter
-    /// is *not* reset: it describes the ring's whole lifetime.
-    pub fn drain_counted(&self) -> (Vec<TraceRecord>, u64) {
         match &self.inner {
-            None => (Vec::new(), 0),
-            Some(inner) => {
-                let mut ring = inner.lock().expect("trace ring poisoned");
-                (ring.records.drain(..).collect(), ring.dropped)
-            }
+            None => Vec::new(),
+            Some(inner) => inner
+                .lock()
+                .expect("trace ring poisoned")
+                .records
+                .drain(..)
+                .collect(),
         }
     }
 
@@ -671,35 +582,6 @@ mod tests {
         let za = text.find("zebra").expect("zebra present");
         let al = text.find("alpha").expect("alpha present");
         assert!(al < za, "sorted by name");
-    }
-
-    #[test]
-    fn ring_evicts_oldest() {
-        let mut ring = RingTrace::new(3);
-        for i in 0..5u64 {
-            ring.record(SimTime::from_secs(i), "tick", format!("i={i}"));
-        }
-        assert_eq!(ring.len(), 3);
-        assert_eq!(ring.dropped(), 2);
-        let first = ring.entries().next().expect("non-empty");
-        assert_eq!(first.at, SimTime::from_secs(2));
-    }
-
-    #[test]
-    fn ring_kind_filter() {
-        let mut ring = RingTrace::new(10);
-        ring.record(SimTime::ZERO, "a", "1");
-        ring.record(SimTime::ZERO, "b", "2");
-        ring.record(SimTime::ZERO, "a", "3");
-        assert_eq!(ring.of_kind("a").count(), 2);
-        assert_eq!(ring.of_kind("b").count(), 1);
-        assert_eq!(ring.of_kind("c").count(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity")]
-    fn zero_capacity_rejected() {
-        RingTrace::new(0);
     }
 
     #[test]
@@ -819,7 +701,7 @@ mod tests {
     }
 
     #[test]
-    fn drain_counted_reports_ring_saturation() {
+    fn drain_keeps_the_lifetime_drop_count() {
         let sink = TraceSink::ring(2);
         for i in 0..5u64 {
             sink.emit(
@@ -828,28 +710,9 @@ mod tests {
                 TraceEvent::CdnPrefill { frames: i as u32 },
             );
         }
-        let (records, dropped) = sink.drain_counted();
-        assert_eq!(records.len(), 2);
-        assert_eq!(dropped, 3);
+        assert_eq!(sink.drain().len(), 2);
         // The counter describes the ring's lifetime, not one drain.
         assert_eq!(sink.dropped(), 3);
-    }
-
-    #[test]
-    fn absorb_counted_carries_upstream_losses_through_the_seam() {
-        let upstream = TraceSink::ring(1);
-        upstream.emit(SimTime::ZERO, None, TraceEvent::CdnPrefill { frames: 1 });
-        upstream.emit(SimTime::ZERO, None, TraceEvent::CdnPrefill { frames: 2 });
-        let (records, lost) = upstream.drain_counted();
-        assert_eq!(lost, 1);
-
-        let merged = TraceSink::ring(16);
-        merged.absorb_counted(records, lost);
-        assert_eq!(merged.len(), 1);
-        assert_eq!(merged.dropped(), 1, "upstream loss survives the merge");
-        // Pure accounting (no records) still lands.
-        merged.absorb_counted(Vec::new(), 4);
-        assert_eq!(merged.dropped(), 5);
     }
 
     #[test]

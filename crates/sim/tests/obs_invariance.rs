@@ -16,7 +16,8 @@ use proptest::prelude::*;
 use rlive::config::{DeliveryMode, SystemConfig};
 use rlive::world::{GroupPolicy, World};
 use rlive::Fleet;
-use rlive_sim::{MetricRegistry, SimDuration};
+use rlive_sim::trace::TraceSink;
+use rlive_sim::{MetricRegistry, SimDuration, SimTime, SloEngine};
 use rlive_workload::scenario::Scenario;
 
 /// The (cell-pool jobs, world-jobs) grid every obs artefact must be
@@ -134,10 +135,84 @@ fn reference_run_produces_series() {
         "no obs series formed — the battery tests nothing"
     );
     assert!(obs.records() > 0);
-    assert_eq!(obs.dropped_records(), 0, "auto-attached sink is unbounded");
     assert!(obs.counter_total("session_joins") > 0);
     assert!(obs.to_jsonl().lines().count() > 1);
     assert!(obs
         .to_csv()
         .starts_with("kind,name,labels,window,start_ms,value"));
+}
+
+/// A caller's trace sink on an obs world is a tee of the world's own
+/// unbounded ring, and the obs sealed live during the run equals the
+/// end-of-run batch fold it replaced. For a bounded and an unbounded
+/// caller ring:
+///
+/// (a) `obs`/`slo` equal the same world with no sink attached — a
+///     256-record ring that wraps must not make obs under-count;
+/// (b) the caller's records (`seq` included) and drop count equal
+///     direct emission into the same ring on the same world, obs off;
+/// (c) `obs`/`slo` equal the finish-time batch reference, kept here
+///     verbatim: ingest every record, seal through the final window,
+///     feed the sealed windows to a fresh default-rules engine.
+#[test]
+fn caller_sink_is_an_unobservable_tee_and_live_obs_matches_batch() {
+    const WINDOW_MS: u64 = 500;
+    let run = |window_ms: u64, sink: Option<TraceSink>| {
+        let mut cfg = cfg(window_ms, 1);
+        cfg.slo_enabled = true;
+        let mut world = World::new(
+            scenario(3, 45),
+            cfg,
+            GroupPolicy::uniform(DeliveryMode::RLive),
+            13,
+        );
+        if let Some(sink) = sink {
+            world.attach_trace_sink(sink);
+        }
+        world.run()
+    };
+    let untapped = run(WINDOW_MS, None);
+    let untapped_obs = format!("{:?}\n---\n{:?}", untapped.obs, untapped.slo);
+    for bounded in [true, false] {
+        let label = if bounded { "ring(256)" } else { "unbounded" };
+        let make = || {
+            if bounded {
+                TraceSink::ring(256)
+            } else {
+                TraceSink::unbounded()
+            }
+        };
+        let tap = make();
+        let tapped = run(WINDOW_MS, Some(tap.clone()));
+        assert_eq!(
+            format!("{:?}\n---\n{:?}", tapped.obs, tapped.slo),
+            untapped_obs,
+            "(a) attaching {label} changed obs/slo"
+        );
+
+        let direct = make();
+        run(0, Some(direct.clone()));
+        assert_eq!(tap.dropped(), direct.dropped(), "(b) {label} drop count");
+        let records = tap.drain();
+        assert_eq!(records, direct.drain(), "(b) {label} records");
+        if bounded {
+            assert!(tap.dropped() > 0, "ring(256) never wrapped");
+            continue;
+        }
+
+        let mut reg = MetricRegistry::new(SimDuration::from_millis(WINDOW_MS));
+        reg.ingest_all(&records);
+        let final_window = reg.window_of(SimTime::ZERO + SimDuration::from_secs(45));
+        let sealed = reg.seal_until(final_window + 1);
+        let mut engine = SloEngine::with_default_rules();
+        for sw in &sealed {
+            engine.observe(sw);
+        }
+        assert_eq!(format!("{reg:?}"), format!("{:?}", tapped.obs), "(c) obs");
+        assert_eq!(
+            format!("{:?}", engine.finish()),
+            format!("{:?}", tapped.slo),
+            "(c) slo"
+        );
+    }
 }

@@ -1,10 +1,10 @@
 //! Differential determinism battery for the SLO/alerting engine and
-//! the streamed window-export path.
+//! incremental window sealing.
 //!
 //! The SLO engine consumes only **sealed** obs windows, and per-world
 //! alert streams merge window-ordered (exactly associative) in the
 //! fleet fold — so the alert stream, the incident timeline derived
-//! from it, and the streamed export bytes must all be byte-identical
+//! from it, and the export bytes must all be byte-identical
 //! across the whole (jobs, world-jobs) worker grid. These tests prove
 //! that differentially, fleet-level and world-level, on the same
 //! scripted storm the `experiments slo` subcommand runs.
@@ -17,10 +17,8 @@ use rlive::config::{DeliveryMode, SystemConfig};
 use rlive::incident::build_incidents;
 use rlive::world::GroupPolicy;
 use rlive::{Fleet, ScriptedEvent, WorldSpec};
-use rlive_sim::obs::WindowStreamSink;
 use rlive_sim::{SimDuration, SimTime};
 use rlive_workload::scenario::Scenario;
-use std::sync::{Arc, Mutex};
 
 /// The (cell-pool jobs, world-jobs) grid every SLO artefact must be
 /// invariant over. (1, 1) is the sequential reference.
@@ -117,90 +115,44 @@ fn alert_stream_and_incidents_identical_across_worker_grid() {
     }
 }
 
-/// A [`WindowStreamSink`] accumulating every streamed chunk into
-/// shared strings, so the test keeps a handle after the sink moves
-/// into the world.
-#[derive(Clone, Default)]
-struct VecSink {
-    jsonl: Arc<Mutex<String>>,
-    csv: Arc<Mutex<String>>,
-}
-
-impl VecSink {
-    fn contents(&self) -> (String, String) {
-        (
-            self.jsonl.lock().unwrap().clone(),
-            self.csv.lock().unwrap().clone(),
-        )
-    }
-}
-
-impl WindowStreamSink for VecSink {
-    fn append(&mut self, jsonl: &str, csv: &str) {
-        self.jsonl.lock().unwrap().push_str(jsonl);
-        self.csv.lock().unwrap().push_str(csv);
-    }
-}
-
-/// Builds one storm world with a streamed export sink attached and the
-/// shard floor forced low (so even tiny batches cross the worker
-/// pool), runs it, and returns the streamed bytes plus the run's
-/// sealed-window count and alert stream.
-fn run_streamed(world_jobs: usize) -> (String, String, u64, String) {
+/// Builds one storm world with the shard floor forced low (so even
+/// tiny batches cross the worker pool), runs it, and returns the run's
+/// seal watermark, both exports and its alert stream.
+fn run_world(world_jobs: usize) -> (u64, String, String, String) {
     let mut world = storm_spec(13, 1).build();
     world.set_world_jobs(world_jobs);
     world.set_shard_min_batch(2);
-    let sink = VecSink::default();
-    world.attach_obs_stream(Box::new(sink.clone()));
     let report = world.run();
-    let (jsonl, csv) = sink.contents();
     (
-        jsonl,
-        csv,
         report.obs.sealed_below(),
+        report.obs.to_jsonl(),
+        report.obs.to_csv(),
         format!("{:?}", report.slo),
     )
 }
 
-/// Streamed-export bytes, the seal watermark, and the alert stream are
-/// world-jobs invariant — the sharded event loop's min-across-shards
-/// watermark seals exactly the windows the sequential clock does.
+/// The seal watermark, the export bytes of the windows sealed during
+/// the run, and the alert stream are world-jobs invariant — the sharded
+/// event loop's min-across-shards watermark seals exactly the windows
+/// the sequential clock does.
 #[test]
 fn streamed_export_is_world_jobs_invariant() {
-    let (ref_jsonl, ref_csv, ref_sealed, ref_alerts) = run_streamed(1);
+    let (ref_sealed, ref_jsonl, ref_csv, ref_alerts) = run_world(1);
     assert!(ref_sealed > 0, "no window ever sealed");
     for world_jobs in [2, 3] {
-        let (jsonl, csv, sealed, alerts) = run_streamed(world_jobs);
+        let (sealed, jsonl, csv, alerts) = run_world(world_jobs);
         assert_eq!(
             sealed, ref_sealed,
             "seal watermark diverged at world-jobs={world_jobs}"
         );
         assert_eq!(
             jsonl, ref_jsonl,
-            "streamed JSONL diverged at world-jobs={world_jobs}"
+            "JSONL diverged at world-jobs={world_jobs}"
         );
-        assert_eq!(
-            csv, ref_csv,
-            "streamed CSV diverged at world-jobs={world_jobs}"
-        );
+        assert_eq!(csv, ref_csv, "CSV diverged at world-jobs={world_jobs}");
         assert_eq!(
             alerts, ref_alerts,
             "alert stream diverged at world-jobs={world_jobs}"
         );
     }
-}
-
-/// Streamed concatenation is byte-identical to the batch export of an
-/// identical non-streaming run: the per-window decomposition
-/// (header + Σ window chunks + tail) reproduces
-/// `MetricRegistry::to_jsonl` / `to_csv` exactly, and the SLO engine
-/// sees the same sealed windows either way (the non-streaming path
-/// evaluates the same rulebook at finish).
-#[test]
-fn streamed_concatenation_matches_batch_export() {
-    let (jsonl, csv, _, streamed_alerts) = run_streamed(1);
-    let report = storm_spec(13, 1).run();
-    assert_eq!(jsonl, report.obs.to_jsonl());
-    assert_eq!(csv, report.obs.to_csv());
-    assert_eq!(streamed_alerts, format!("{:?}", report.slo));
 }

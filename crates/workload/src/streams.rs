@@ -25,11 +25,6 @@ impl StreamPopularity {
         }
     }
 
-    /// Number of streams.
-    pub fn stream_count(&self) -> usize {
-        self.zipf.len()
-    }
-
     /// Samples the stream a newly arriving viewer joins (0 = hottest).
     pub fn sample_stream(&self, rng: &mut SimRng) -> usize {
         self.zipf.sample(rng)
@@ -38,11 +33,6 @@ impl StreamPopularity {
     /// Expected fraction of viewers on the top `k` streams.
     pub fn top_k_share(&self, k: usize) -> f64 {
         (0..k.min(self.zipf.len())).map(|i| self.zipf.pmf(i)).sum()
-    }
-
-    /// Expected viewers of stream `rank` given `total_viewers`.
-    pub fn expected_viewers(&self, rank: usize, total_viewers: f64) -> f64 {
-        self.zipf.pmf(rank) * total_viewers
     }
 }
 

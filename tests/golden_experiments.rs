@@ -407,6 +407,25 @@ fn unknown_subcommand_is_a_usage_error() {
     }
 }
 
+// An export path that cannot be created is an error before the world
+// runs — usage on stderr, exit 2, empty stdout — not a panic after it.
+// No file can be created under a regular file, on any host.
+#[test]
+fn unwritable_obs_export_is_an_error_not_a_panic() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml/x");
+    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["obs", "7", "--obs-export", path])
+        .output()
+        .expect("spawn experiments binary");
+    assert_eq!(out.status.code(), Some(2), "obs --obs-export {path}");
+    assert!(out.stdout.is_empty(), "obs --obs-export wrote to stdout");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.starts_with(&format!("error: cannot create {path}.jsonl: ")),
+        "obs --obs-export {path}: {stderr}"
+    );
+}
+
 // ----- full sweep (simulated worlds; minutes in release) ---------------
 
 #[test]
