@@ -75,10 +75,7 @@ pub fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<CliArgs, Stri
                 )?)
             }
             "--obs-window" => {
-                args.obs_window = Some(parse_positive_u64(
-                    "--obs-window",
-                    &flag_value("--obs-window")?,
-                )?)
+                args.obs_window = Some(parse_obs_window(&flag_value("--obs-window")?)?)
             }
             "--obs-export" => args.obs_export = Some(flag_value("--obs-export")?),
             "--slo" => args.slo = true,
@@ -99,7 +96,7 @@ pub fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<CliArgs, Stri
                 } else if let Some(v) = arg.strip_prefix("--world-jobs=") {
                     args.world_jobs = Some(parse_positive("--world-jobs", v)?);
                 } else if let Some(v) = arg.strip_prefix("--obs-window=") {
-                    args.obs_window = Some(parse_positive_u64("--obs-window", v)?);
+                    args.obs_window = Some(parse_obs_window(v)?);
                 } else if let Some(v) = arg.strip_prefix("--obs-export=") {
                     args.obs_export = Some(v.to_string());
                 } else if let Some(v) = arg.strip_prefix("--sched-policy=") {
@@ -131,10 +128,17 @@ fn parse_positive(name: &str, v: &str) -> Result<usize, String> {
     }
 }
 
-fn parse_positive_u64(name: &str, v: &str) -> Result<u64, String> {
+/// A window width in ms whose µs value fits the simulator clock.
+fn parse_obs_window(v: &str) -> Result<u64, String> {
     match v.parse::<u64>() {
-        Ok(n) if n > 0 => Ok(n),
-        _ => Err(format!("{name} expects a positive integer, got '{v}'")),
+        Ok(ms) if ms > 0 && ms.checked_mul(1_000).is_some() => Ok(ms),
+        Ok(ms) if ms > 0 => Err(format!(
+            "--obs-window expects at most {} ms, got '{v}'",
+            u64::MAX / 1_000
+        )),
+        _ => Err(format!(
+            "--obs-window expects a positive integer, got '{v}'"
+        )),
     }
 }
 
@@ -304,7 +308,18 @@ mod tests {
 
         // Zero, negative and non-numeric windows are parse errors, not
         // silent fallbacks; the message must name the bad value.
-        for bad in ["0", "-5", "1.5", "abc", ""] {
+        let widest = parse(&["obs", "--obs-window", "18446744073709551"]).unwrap();
+        assert_eq!(widest.obs_window, Some(u64::MAX / 1_000));
+        // One more ms overflows the µs clock, as does u64::MAX itself.
+        for bad in [
+            "0",
+            "-5",
+            "1.5",
+            "abc",
+            "",
+            "18446744073709552",
+            "18446744073709551615",
+        ] {
             let err = parse(&["obs", "--obs-window", bad]).unwrap_err();
             assert!(
                 err.contains("--obs-window") && err.contains(bad),

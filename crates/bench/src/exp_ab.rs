@@ -8,6 +8,7 @@ use rlive_bench::{
     compare_head, compare_row, fanout_config, fanout_scenario, header, offset_seeds, peak_config,
     peak_scenario, print_daily, runner, DailyDiffs, DAY_SEEDS,
 };
+use rlive_data::recovery::DEDICATED_UNIT_COST;
 use rlive_workload::scenario::Scenario;
 
 fn day_seeds(seed: u64) -> Vec<u64> {
@@ -150,7 +151,7 @@ pub fn table2(seed: u64) {
     .remove(0);
     let t = &r.test_traffic;
     let gamma = t.expansion_rate().unwrap_or(0.0);
-    let per_byte = t.equivalent_traffic(1.35) / t.client_bytes().max(1) as f64;
+    let per_byte = t.equivalent_traffic(DEDICATED_UNIT_COST) / t.client_bytes().max(1) as f64;
     compare_head();
     compare_row(
         "evening EqT reduction (Test 1)",
@@ -158,8 +159,8 @@ pub fn table2(seed: u64) {
         &format!("{:+.1} %", d.mean(|x| x.eqt_pct)),
     );
     compare_row(
-        "per-byte EqT vs dedicated (1.35)",
-        "< 1.35",
+        &format!("per-byte EqT vs dedicated ({DEDICATED_UNIT_COST})"),
+        &format!("< {DEDICATED_UNIT_COST}"),
         &format!("{per_byte:.3}"),
     );
     compare_row(

@@ -21,7 +21,7 @@ use rlive::{
 };
 use rlive_bench::{header, offset_seeds, runner};
 use rlive_control::SchedulerPolicyKind;
-use rlive_data::recovery::RecoveryPolicyKind;
+use rlive_data::recovery::{RecoveryPolicyKind, DEDICATED_UNIT_COST};
 use rlive_sim::obs::{MetricRegistry, DEFAULT_WINDOW_MS};
 use rlive_sim::slo::default_rulebook;
 use rlive_sim::{SimDuration, SimTime};
@@ -133,15 +133,13 @@ fn run_arms(
     runner::run_fleet(fleet)
 }
 
-/// What a cell reads: one group's merged QoE and traffic, the fleet
-/// report they were folded into, and the unit cost of dedicated
-/// traffic that prices equivalent traffic.
+/// What a cell reads: one group's merged QoE and traffic, and the
+/// fleet report they were folded into.
 struct Column<'a> {
     label: &'a str,
     qoe: &'a GroupQoe,
     traffic: &'a TrafficLedger,
     fleet: &'a FleetReport,
-    cost: f64,
 }
 
 /// What a row prints in one column.
@@ -228,7 +226,7 @@ const HEDGE_ROWS: [Row; 8] = [
         mean(c.traffic.dedicated_serving as f64 / 1e6)
     }),
     ("equivalent traffic (EqT)", |c| {
-        mean(c.traffic.equivalent_traffic(c.cost) / 1e6)
+        mean(c.traffic.equivalent_traffic(DEDICATED_UNIT_COST) / 1e6)
     }),
 ];
 
@@ -344,7 +342,6 @@ fn policy_ab(
             qoe: &fleet.test_qoe,
             traffic: &fleet.test_traffic,
             fleet,
-            cost: config.dedicated_unit_cost,
         })
         .collect();
     let qoe: Vec<Row> = QOE_ROWS
@@ -400,21 +397,21 @@ pub fn fleet(
         report.duration.as_secs_f64()
     );
 
-    let cost = config.dedicated_unit_cost;
     let group = |label, qoe, traffic| Column {
         label,
         qoe,
         traffic,
         fleet: &report,
-        cost,
     };
     let columns = [
         group("control", &report.control_qoe, &report.control_traffic),
         group("test", &report.test_qoe, &report.test_traffic),
     ];
-    let eqt = format!("EqT MB (cost {cost})");
+    let eqt = format!("EqT MB (cost {DEDICATED_UNIT_COST})");
     let mut rows: Vec<Row> = QOE_ROWS.iter().map(|r| (r.1, r.2)).collect();
-    rows.push((&eqt, |c| mean(c.traffic.equivalent_traffic(c.cost) / 1e6)));
+    rows.push((&eqt, |c| {
+        mean(c.traffic.equivalent_traffic(DEDICATED_UNIT_COST) / 1e6)
+    }));
     rows.push(("expansion rate γ", |c| {
         c.traffic.expansion_rate().map_or("-".to_string(), mean)
     }));

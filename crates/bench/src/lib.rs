@@ -119,13 +119,12 @@ impl DailyDiffs {
         config: &SystemConfig,
         seeds: &[u64],
     ) -> Self {
-        let dedicated_cost = config.dedicated_unit_cost;
         let policy = GroupPolicy::ab(control, test);
         let fleet = Fleet::seeded("daily-ab", scenario, config, &policy, seeds);
         let days = runner::run_fleet(fleet)
             .worlds
             .into_iter()
-            .map(|run| AbReport::from_run(run, dedicated_cost))
+            .map(AbReport::from_run)
             .collect();
         DailyDiffs { days }
     }

@@ -23,14 +23,8 @@ use std::collections::HashMap;
 /// Adviser configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AdviserConfig {
-    /// Under-utilisation threshold θ.
-    pub util_threshold: f64,
     /// Width of the sliding utilisation window.
     pub util_window: usize,
-    /// Re-evaluation interval (deployed: 10 s).
-    pub evaluate_interval: SimDuration,
-    /// Fraction of connections flagged as QoS outliers (deployed: 5 %).
-    pub outlier_fraction: f64,
     /// Minimum connections before Z-scores are meaningful.
     pub min_connections: usize,
 }
@@ -38,14 +32,20 @@ pub struct AdviserConfig {
 impl Default for AdviserConfig {
     fn default() -> Self {
         AdviserConfig {
-            util_threshold: 0.3,
             util_window: 6,
-            evaluate_interval: SimDuration::from_secs(10),
-            outlier_fraction: 0.05,
             min_connections: 8,
         }
     }
 }
+
+/// Under-utilisation threshold θ.
+const UTIL_THRESHOLD: f64 = 0.3;
+
+/// Re-evaluation interval (deployed: 10 s).
+const EVALUATE_INTERVAL: SimDuration = SimDuration::from_secs(10);
+
+/// Fraction of connections flagged as QoS outliers (deployed: 5 %).
+const OUTLIER_FRACTION: f64 = 0.05;
 
 /// A proactive suggestion emitted by the adviser.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -152,14 +152,9 @@ impl EdgeAdviser {
         self.connection_qos.remove(&client);
     }
 
-    /// Number of tracked connections.
-    pub fn connection_count(&self) -> usize {
-        self.connection_qos.len()
-    }
-
     /// Whether the evaluation interval has elapsed.
     pub fn due(&self, now: SimTime) -> bool {
-        now.saturating_since(self.last_evaluation) >= self.cfg.evaluate_interval
+        now.saturating_since(self.last_evaluation) >= EVALUATE_INTERVAL
     }
 
     /// Runs one evaluation round. `stream_util` is the scheduler-supplied
@@ -177,9 +172,9 @@ impl EdgeAdviser {
 
         // Cost-aware trigger.
         let u_node = self.sliding_utilization();
-        if self.util_window.len() >= self.cfg.util_window && u_node < self.cfg.util_threshold {
+        if self.util_window.len() >= self.cfg.util_window && u_node < UTIL_THRESHOLD {
             if let Some(u_stream) = stream_util {
-                if u_stream < self.cfg.util_threshold {
+                if u_stream < UTIL_THRESHOLD {
                     self.trace.emit(
                         now,
                         None,
@@ -217,7 +212,7 @@ impl EdgeAdviser {
         out
     }
 
-    /// Computes Z-scores and returns the worst `outlier_fraction` of
+    /// Computes Z-scores and returns the worst [`OUTLIER_FRACTION`] of
     /// connections whose Z-score is positive (bad = above-mean metric).
     /// Returns `None` if too few connections are attached.
     fn qos_outliers(&self) -> Option<Vec<(ClientId, f64)>> {
@@ -242,7 +237,7 @@ impl EdgeAdviser {
             .map(|(&c, &x)| (c, (x - mean) / sd))
             .collect();
         scored.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite z-scores"));
-        let take = ((n as f64 * self.cfg.outlier_fraction).ceil() as usize).max(1);
+        let take = ((n as f64 * OUTLIER_FRACTION).ceil() as usize).max(1);
         Some(
             scored
                 .into_iter()
@@ -374,9 +369,12 @@ mod tests {
     #[test]
     fn connection_removal() {
         let mut a = adviser();
-        a.record_connection_qos(ClientId(1), 10.0);
-        assert_eq!(a.connection_count(), 1);
-        a.remove_connection(ClientId(1));
-        assert_eq!(a.connection_count(), 0);
+        for i in 0..19 {
+            a.record_connection_qos(ClientId(i), 50.0);
+        }
+        a.record_connection_qos(ClientId(99), 500.0);
+        a.remove_connection(ClientId(99));
+        let s = a.evaluate(SimTime::from_secs(10), key(), Some(0.9));
+        assert!(s.is_empty(), "departed outlier still flagged: {s:?}");
     }
 }

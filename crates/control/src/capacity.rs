@@ -1,10 +1,10 @@
-//! Scheduler capacity planning: sustainable QPS and queueing delay.
+//! Scheduler capacity planning: queueing delay and fleet size.
 //!
 //! Fig 12(c) of the paper shows the global scheduler absorbing several
 //! million recommendation queries per second at the evening peak. This
 //! module provides the standard M/M/c approximation used to size such a
 //! service: given a per-request service time and a shard/worker count,
-//! it predicts utilisation, queueing delay and the sustainable QPS for a
+//! it predicts utilisation, queueing delay and the workers needed for a
 //! latency target — the back-of-envelope that connects our measured
 //! microsecond-scale recommendation cost to the paper's production QPS.
 
@@ -92,25 +92,6 @@ impl CapacityModel {
             .map(|q| q + self.service_time)
     }
 
-    /// The highest QPS at which the mean total latency stays at or
-    /// below `target`, found by bisection. Returns 0 if even an idle
-    /// system misses the target.
-    pub fn sustainable_qps(&self, target: SimDuration) -> f64 {
-        if self.service_time > target {
-            return 0.0;
-        }
-        let mut lo = 0.0;
-        let mut hi = self.saturation_qps() * 0.999_999;
-        for _ in 0..64 {
-            let mid = (lo + hi) / 2.0;
-            match self.mean_latency(mid) {
-                Some(l) if l <= target => lo = mid,
-                _ => hi = mid,
-            }
-        }
-        lo
-    }
-
     /// Workers needed to carry `offered_qps` with mean latency at or
     /// below `target` (smallest fleet found by doubling + bisection).
     pub fn workers_for(service_time: SimDuration, offered_qps: f64, target: SimDuration) -> u32 {
@@ -189,26 +170,6 @@ mod tests {
         let high = m.mean_latency(m.saturation_qps() * 0.99).expect("stable");
         assert!(high > low.saturating_mul(3));
         assert_eq!(m.mean_latency(m.saturation_qps() * 1.1), None);
-    }
-
-    #[test]
-    fn sustainable_qps_respects_target() {
-        let m = CapacityModel::new(ms(10), 16);
-        let target = ms(15);
-        let qps = m.sustainable_qps(target);
-        assert!(qps > 0.0 && qps < m.saturation_qps());
-        let at = m.mean_latency(qps * 0.999).expect("stable");
-        assert!(at <= target);
-        // Beyond the sustainable point, latency exceeds the target.
-        if let Some(beyond) = m.mean_latency((qps * 1.05).min(m.saturation_qps() * 0.999)) {
-            assert!(beyond > target);
-        }
-    }
-
-    #[test]
-    fn impossible_target_yields_zero() {
-        let m = CapacityModel::new(ms(100), 4);
-        assert_eq!(m.sustainable_qps(ms(50)), 0.0);
     }
 
     #[test]

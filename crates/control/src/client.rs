@@ -17,28 +17,23 @@ use serde::{Deserialize, Serialize};
 pub struct ClientControllerConfig {
     /// Maximum candidates probed per mapping round (deployed: 3).
     pub max_probes: usize,
-    /// Switching cost `t_change` added to candidate RTTs: reconnection
-    /// plus initialisation delay.
-    pub t_change: SimDuration,
-    /// Consecutive failures before a node is locally blacklisted.
-    pub blacklist_after: u32,
-    /// How long a blacklist entry lasts.
-    pub blacklist_duration: SimDuration,
-    /// Interval of the periodic QoS assessment.
-    pub assess_interval: SimDuration,
 }
 
 impl Default for ClientControllerConfig {
     fn default() -> Self {
-        ClientControllerConfig {
-            max_probes: 3,
-            t_change: SimDuration::from_millis(60),
-            blacklist_after: 3,
-            blacklist_duration: SimDuration::from_secs(120),
-            assess_interval: SimDuration::from_secs(2),
-        }
+        ClientControllerConfig { max_probes: 3 }
     }
 }
+
+/// Switching cost `t_change` added to candidate RTTs: reconnection plus
+/// initialisation delay.
+pub const T_CHANGE: SimDuration = SimDuration::from_millis(60);
+
+/// Consecutive failures before a node is locally blacklisted.
+const BLACKLIST_AFTER: u32 = 3;
+
+/// How long a blacklist entry lasts.
+const BLACKLIST_DURATION: SimDuration = SimDuration::from_secs(120);
 
 /// Result of probing one candidate.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -85,8 +80,6 @@ pub struct ClientController {
     failures: Vec<(NodeId, u32)>,
     /// Blacklist expiry per node, sorted by node.
     blacklist: Vec<(NodeId, SimTime)>,
-    /// Last probe-measured RTT per candidate, sorted by node.
-    candidate_rtts: Vec<(NodeId, SimDuration)>,
 }
 
 impl ClientController {
@@ -96,13 +89,7 @@ impl ClientController {
             cfg,
             failures: Vec::new(),
             blacklist: Vec::new(),
-            candidate_rtts: Vec::new(),
         }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &ClientControllerConfig {
-        &self.cfg
     }
 
     /// Filters a candidate list down to the nodes worth probing: skips
@@ -129,7 +116,7 @@ impl ClientController {
         for o in outcomes {
             match o.rtt {
                 Some(rtt) => {
-                    self.record_success(o.node, rtt);
+                    self.record_success(o.node);
                     if best.map(|(_, b)| rtt < b).unwrap_or(true) {
                         best = Some((o.node, rtt));
                     }
@@ -141,13 +128,12 @@ impl ClientController {
     }
 
     /// Records a successful interaction (probe or data) with a node.
-    pub fn record_success(&mut self, node: NodeId, rtt: SimDuration) {
+    pub fn record_success(&mut self, node: NodeId) {
         table_remove(&mut self.failures, node);
-        table_set(&mut self.candidate_rtts, node, rtt);
     }
 
     /// Records a failure; blacklists the node after
-    /// `blacklist_after` consecutive failures.
+    /// `BLACKLIST_AFTER` consecutive failures.
     pub fn record_failure(&mut self, now: SimTime, node: NodeId) {
         let count = match table_search(&self.failures, node) {
             Ok(i) => {
@@ -159,23 +145,10 @@ impl ClientController {
                 1
             }
         };
-        if count >= self.cfg.blacklist_after {
-            table_set(&mut self.blacklist, node, now + self.cfg.blacklist_duration);
+        if count >= BLACKLIST_AFTER {
+            table_set(&mut self.blacklist, node, now + BLACKLIST_DURATION);
             table_remove(&mut self.failures, node);
-            table_remove(&mut self.candidate_rtts, node);
         }
-    }
-
-    /// Whether a node is currently blacklisted.
-    pub fn is_blacklisted(&mut self, now: SimTime, node: NodeId) -> bool {
-        self.expire_blacklist(now);
-        table_search(&self.blacklist, node).is_ok()
-    }
-
-    /// Currently blacklisted nodes, in ascending node-id order — the
-    /// iteration-order contract regression tests pin.
-    pub fn blacklisted_nodes(&self) -> Vec<NodeId> {
-        self.blacklist.iter().map(|&(n, _)| n).collect()
     }
 
     fn expire_blacklist(&mut self, now: SimTime) {
@@ -195,26 +168,14 @@ impl ClientController {
         candidates: &[(NodeId, SimDuration)],
     ) -> SwitchDecision {
         self.expire_blacklist(now);
-        for &(n, rtt) in candidates {
-            table_set(&mut self.candidate_rtts, n, rtt);
-        }
         let best = candidates
             .iter()
             .filter(|&&(n, _)| n != current && table_search(&self.blacklist, n).is_err())
             .min_by_key(|(_, rtt)| *rtt);
         match best {
-            Some(&(node, rtt)) if current_rtt > rtt + self.cfg.t_change => {
-                SwitchDecision::SwitchTo(node)
-            }
+            Some(&(node, rtt)) if current_rtt > rtt + T_CHANGE => SwitchDecision::SwitchTo(node),
             _ => SwitchDecision::Stay,
         }
-    }
-
-    /// Last known RTT for a node, if measured.
-    pub fn known_rtt(&self, node: NodeId) -> Option<SimDuration> {
-        table_search(&self.candidate_rtts, node)
-            .ok()
-            .map(|i| self.candidate_rtts[i].1)
     }
 }
 
@@ -320,7 +281,6 @@ mod tests {
         for _ in 0..3 {
             c.record_failure(t, NodeId(5));
         }
-        assert!(c.is_blacklisted(t, NodeId(5)));
         // Blacklisted nodes are excluded from probe lists and switches.
         let probes = c.probe_list(t, &[NodeId(5), NodeId(6)]);
         assert_eq!(probes, vec![NodeId(6)]);
@@ -334,9 +294,9 @@ mod tests {
         let t = SimTime::from_secs(1);
         c.record_failure(t, NodeId(5));
         c.record_failure(t, NodeId(5));
-        c.record_success(NodeId(5), ms(20));
+        c.record_success(NodeId(5));
         c.record_failure(t, NodeId(5));
-        assert!(!c.is_blacklisted(t, NodeId(5)));
+        assert_eq!(c.probe_list(t, &[NodeId(5)]), vec![NodeId(5)]);
     }
 
     #[test]
@@ -346,44 +306,8 @@ mod tests {
         for _ in 0..3 {
             c.record_failure(t0, NodeId(5));
         }
-        assert!(c.is_blacklisted(t0, NodeId(5)));
+        assert!(c.probe_list(t0, &[NodeId(5)]).is_empty());
         let later = t0 + SimDuration::from_secs(121);
-        assert!(!c.is_blacklisted(later, NodeId(5)));
-    }
-
-    /// Regression: node-keyed state must iterate in a deterministic
-    /// order regardless of insertion order. The `HashMap`s this state
-    /// used to live in iterate in randomized order, which would let
-    /// replay-sensitive consumers diverge between identical runs.
-    #[test]
-    fn node_tables_iterate_in_ascending_node_order() {
-        let t = SimTime::from_secs(1);
-        // Blacklist the same node set through two different insertion
-        // orders; the observable order must be identical (ascending).
-        let orders: [&[u64]; 2] = [&[9, 2, 17, 5], &[5, 17, 2, 9]];
-        let mut seen = Vec::new();
-        for order in orders {
-            let mut c = controller();
-            for &n in order {
-                for _ in 0..3 {
-                    c.record_failure(t, NodeId(n));
-                }
-            }
-            seen.push(c.blacklisted_nodes());
-        }
-        assert_eq!(seen[0], seen[1], "order must not depend on insertion");
-        assert_eq!(
-            seen[0],
-            vec![NodeId(2), NodeId(5), NodeId(9), NodeId(17)],
-            "ascending node id"
-        );
-    }
-
-    #[test]
-    fn known_rtt_tracked() {
-        let mut c = controller();
-        assert_eq!(c.known_rtt(NodeId(1)), None);
-        c.record_success(NodeId(1), ms(25));
-        assert_eq!(c.known_rtt(NodeId(1)), Some(ms(25)));
+        assert_eq!(c.probe_list(later, &[NodeId(5)]), vec![NodeId(5)]);
     }
 }

@@ -111,11 +111,6 @@ impl NodeStatus {
             (self.used_mbps / self.capacity_mbps).clamp(0.0, 1.0)
         }
     }
-
-    /// Whether the node is actively forwarding any substream.
-    pub fn is_active(&self) -> bool {
-        !self.forwarding.is_empty()
-    }
 }
 
 /// One heartbeat from a node to the global scheduler.
@@ -238,7 +233,6 @@ mod tests {
         let mut s = NodeStatus::idle(100.0);
         assert_eq!(s.residual_mbps(), 100.0);
         assert_eq!(s.utilization(), 0.0);
-        assert!(!s.is_active());
         s.used_mbps = 25.0;
         s.forwarding.insert(StreamKey {
             stream_id: 1,
@@ -246,7 +240,6 @@ mod tests {
         });
         assert_eq!(s.residual_mbps(), 75.0);
         assert!((s.utilization() - 0.25).abs() < 1e-12);
-        assert!(s.is_active());
     }
 
     #[test]

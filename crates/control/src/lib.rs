@@ -36,9 +36,7 @@ pub mod scoring;
 pub use adviser::{AdviserConfig, EdgeAdviser, SwitchSuggestion};
 pub use client::{ClientController, ClientControllerConfig, ProbeOutcome};
 pub use features::{ClientInfo, NodeClass, NodeId, NodeStatus, StaticFeatures, StreamKey};
-pub use policy::{
-    AdaptiveConfig, AdaptivePolicy, SchedulerPolicy, SchedulerPolicyKind, StaticScorePolicy,
-};
+pub use policy::{AdaptivePolicy, SchedulerPolicy, SchedulerPolicyKind, StaticScorePolicy};
 pub use registry::HashTreeRegistry;
 pub use scheduler::{GlobalScheduler, SchedulerConfig};
 pub use scoring::{Platform, ScoreWeights};

@@ -17,12 +17,10 @@
 //!   aggregated into fixed-width tumbling **sim-time** windows (the same
 //!   window arithmetic the obs layer uses; wall clock never enters any
 //!   decision). When a node's window looks bad — recovery failure rate
-//!   above [`AdaptiveConfig::demote_threshold`] or probe yield below
-//!   [`AdaptiveConfig::yield_threshold`] — for
-//!   [`AdaptiveConfig::hysteresis`] consecutive judged windows, its
-//!   multiplicative score factor is demoted (bounded below by
-//!   [`AdaptiveConfig::floor`]); sustained good windows boost it back
-//!   towards 1.0, so a node can recover.
+//!   above `DEMOTE_THRESHOLD` or probe yield below `YIELD_THRESHOLD` —
+//!   for `HYSTERESIS` consecutive judged windows, its multiplicative
+//!   score factor is demoted (bounded below by `FLOOR`); sustained good
+//!   windows boost it back towards 1.0, so a node can recover.
 //!
 //! Determinism: a policy never draws randomness and never reads wall
 //! clock. Its state is a pure function of the (sim-time-ordered)
@@ -62,47 +60,6 @@ impl SchedulerPolicyKind {
         match self {
             SchedulerPolicyKind::Static => "static",
             SchedulerPolicyKind::Adaptive => "adaptive",
-        }
-    }
-}
-
-/// Tuning of [`AdaptivePolicy`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AdaptiveConfig {
-    /// Tumbling feedback window width (sim time). Should match the obs
-    /// layer's `obs_window_ms` so scheduler feedback and exported
-    /// series describe the same windows.
-    pub window: SimDuration,
-    /// Minimum feedback samples (recovery outcomes + probes) in a
-    /// window before the node is judged at all.
-    pub min_samples: u64,
-    /// A window with recovery failure rate above this is bad.
-    pub demote_threshold: f64,
-    /// A window with candidate-probe yield below this is bad.
-    pub yield_threshold: f64,
-    /// Consecutive bad (good) judged windows before the factor is
-    /// demoted (boosted). Absorbs one-window blips.
-    pub hysteresis: u32,
-    /// Multiplicative demotion per trip (< 1).
-    pub demote_factor: f64,
-    /// Multiplicative recovery per trip (> 1), capped at 1.0.
-    pub boost_factor: f64,
-    /// Lowest factor a node can be demoted to (> 0 so a demoted node
-    /// keeps receiving probe traffic and can prove itself again).
-    pub floor: f64,
-}
-
-impl Default for AdaptiveConfig {
-    fn default() -> Self {
-        AdaptiveConfig {
-            window: SimDuration::from_millis(1_000),
-            min_samples: 2,
-            demote_threshold: 0.5,
-            yield_threshold: 0.35,
-            hysteresis: 2,
-            demote_factor: 0.5,
-            boost_factor: 1.3,
-            floor: 0.25,
         }
     }
 }
@@ -189,39 +146,57 @@ impl Default for NodeState {
     }
 }
 
+/// Tumbling feedback window width (sim time). Should match the obs
+/// layer's `obs_window_ms` so scheduler feedback and exported series
+/// describe the same windows.
+const WINDOW: SimDuration = SimDuration::from_millis(1_000);
+
+/// Minimum feedback samples (recovery outcomes + probes) in a window
+/// before the node is judged at all.
+const MIN_SAMPLES: u64 = 2;
+
+/// A window with recovery failure rate above this is bad.
+const DEMOTE_THRESHOLD: f64 = 0.5;
+
+/// A window with candidate-probe yield below this is bad.
+const YIELD_THRESHOLD: f64 = 0.35;
+
+/// Consecutive bad (good) judged windows before the factor is demoted
+/// (boosted). Absorbs one-window blips.
+const HYSTERESIS: u32 = 2;
+
+/// Multiplicative demotion per trip (< 1).
+const DEMOTE_FACTOR: f64 = 0.5;
+
+/// Multiplicative recovery per trip (> 1), capped at 1.0.
+const BOOST_FACTOR: f64 = 1.3;
+
+/// Lowest factor a node can be demoted to (> 0 so a demoted node keeps
+/// receiving probe traffic and can prove itself again).
+const FLOOR: f64 = 0.25;
+
+const _: () = assert!(WINDOW.as_millis() > 0, "window must be positive");
+const _: () = assert!(FLOOR > 0.0 && FLOOR <= 1.0, "floor must be in (0, 1]");
+const _: () = assert!(
+    DEMOTE_FACTOR > 0.0 && DEMOTE_FACTOR < 1.0,
+    "demote factor must be in (0, 1)"
+);
+const _: () = assert!(BOOST_FACTOR >= 1.0, "boost factor must be >= 1");
+
 /// The telemetry-driven feedback policy (see module docs).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct AdaptivePolicy {
-    cfg: AdaptiveConfig,
     /// Window the pending feedback belongs to.
     current_window: u64,
     pending: BTreeMap<NodeId, WindowFeedback>,
     state: BTreeMap<NodeId, NodeState>,
     demotions: BTreeMap<u64, u64>,
-    boosts: u64,
 }
 
 impl AdaptivePolicy {
-    /// Creates the policy with the given tuning.
-    pub fn new(cfg: AdaptiveConfig) -> Self {
-        assert!(cfg.window > SimDuration::ZERO, "window must be positive");
-        assert!(
-            cfg.floor > 0.0 && cfg.floor <= 1.0,
-            "floor must be in (0, 1]"
-        );
-        assert!(
-            cfg.demote_factor > 0.0 && cfg.demote_factor < 1.0,
-            "demote_factor must be in (0, 1)"
-        );
-        assert!(cfg.boost_factor >= 1.0, "boost_factor must be >= 1");
-        AdaptivePolicy {
-            cfg,
-            current_window: 0,
-            pending: BTreeMap::new(),
-            state: BTreeMap::new(),
-            demotions: BTreeMap::new(),
-            boosts: 0,
-        }
+    /// Creates the policy with no feedback absorbed.
+    pub fn new() -> Self {
+        AdaptivePolicy::default()
     }
 
     /// Current multiplicative factor of a node (1.0 if never judged).
@@ -229,13 +204,8 @@ impl AdaptivePolicy {
         self.state.get(&node).map(|s| s.factor).unwrap_or(1.0)
     }
 
-    /// Boosts applied so far.
-    pub fn boost_count(&self) -> u64 {
-        self.boosts
-    }
-
-    fn window_of(&self, at: SimTime) -> u64 {
-        at.as_millis() / self.cfg.window.as_millis().max(1)
+    fn window_of(at: SimTime) -> u64 {
+        at.as_millis() / WINDOW.as_millis()
     }
 
     /// Judges every node that produced feedback in `window` and applies
@@ -244,7 +214,7 @@ impl AdaptivePolicy {
     fn fold_window(&mut self, window: u64) {
         let pending = std::mem::take(&mut self.pending);
         for (node, fb) in pending {
-            if fb.recovery_outcomes + fb.probes < self.cfg.min_samples {
+            if fb.recovery_outcomes + fb.probes < MIN_SAMPLES {
                 continue;
             }
             let failure_rate = if fb.recovery_outcomes > 0 {
@@ -257,14 +227,13 @@ impl AdaptivePolicy {
             } else {
                 1.0
             };
-            let bad =
-                failure_rate > self.cfg.demote_threshold || probe_yield < self.cfg.yield_threshold;
+            let bad = failure_rate > DEMOTE_THRESHOLD || probe_yield < YIELD_THRESHOLD;
             let st = self.state.entry(node).or_default();
             if bad {
                 st.bad_streak += 1;
                 st.good_streak = 0;
-                if st.bad_streak >= self.cfg.hysteresis {
-                    let next = (st.factor * self.cfg.demote_factor).max(self.cfg.floor);
+                if st.bad_streak >= HYSTERESIS {
+                    let next = (st.factor * DEMOTE_FACTOR).max(FLOOR);
                     if next < st.factor {
                         st.factor = next;
                         *self.demotions.entry(window).or_insert(0) += 1;
@@ -273,16 +242,15 @@ impl AdaptivePolicy {
             } else {
                 st.good_streak += 1;
                 st.bad_streak = 0;
-                if st.good_streak >= self.cfg.hysteresis && st.factor < 1.0 {
-                    st.factor = (st.factor * self.cfg.boost_factor).min(1.0);
-                    self.boosts += 1;
+                if st.good_streak >= HYSTERESIS && st.factor < 1.0 {
+                    st.factor = (st.factor * BOOST_FACTOR).min(1.0);
                 }
             }
         }
     }
 
     fn roll_to(&mut self, now: SimTime) {
-        let w = self.window_of(now);
+        let w = Self::window_of(now);
         if w > self.current_window {
             // Only the current window can hold pending feedback;
             // intermediate empty windows judge nobody.
@@ -332,13 +300,10 @@ impl SchedulerPolicy for AdaptivePolicy {
 }
 
 /// Builds the boxed policy for a kind.
-pub fn build_policy(
-    kind: SchedulerPolicyKind,
-    adaptive: &AdaptiveConfig,
-) -> Box<dyn SchedulerPolicy> {
+pub fn build_policy(kind: SchedulerPolicyKind) -> Box<dyn SchedulerPolicy> {
     match kind {
         SchedulerPolicyKind::Static => Box::new(StaticScorePolicy),
-        SchedulerPolicyKind::Adaptive => Box::new(AdaptivePolicy::new(adaptive.clone())),
+        SchedulerPolicyKind::Adaptive => Box::new(AdaptivePolicy::new()),
     }
 }
 
@@ -375,7 +340,7 @@ mod tests {
 
     #[test]
     fn hysteresis_requires_consecutive_bad_windows() {
-        let mut p = AdaptivePolicy::new(AdaptiveConfig::default());
+        let mut p = AdaptivePolicy::new();
         let n = NodeId(1);
         failing_window(&mut p, 0, n);
         p.advance(at(1_000));
@@ -389,7 +354,7 @@ mod tests {
 
     #[test]
     fn good_window_resets_bad_streak() {
-        let mut p = AdaptivePolicy::new(AdaptiveConfig::default());
+        let mut p = AdaptivePolicy::new();
         let n = NodeId(1);
         failing_window(&mut p, 0, n);
         healthy_window(&mut p, 1, n);
@@ -402,7 +367,7 @@ mod tests {
 
     #[test]
     fn factor_is_floored_and_recovers() {
-        let mut p = AdaptivePolicy::new(AdaptiveConfig::default());
+        let mut p = AdaptivePolicy::new();
         let n = NodeId(4);
         // Many consecutive bad windows: factor bottoms out at the floor.
         for w in 0..10 {
@@ -420,12 +385,11 @@ mod tests {
         }
         p.advance(at(20_000));
         assert_eq!(p.factor(n), 1.0);
-        assert!(p.boost_count() >= 4);
     }
 
     #[test]
     fn adjust_applies_current_factor() {
-        let mut p = AdaptivePolicy::new(AdaptiveConfig::default());
+        let mut p = AdaptivePolicy::new();
         let n = NodeId(9);
         failing_window(&mut p, 0, n);
         failing_window(&mut p, 1, n);
@@ -437,7 +401,7 @@ mod tests {
 
     #[test]
     fn sparse_windows_are_not_judged() {
-        let mut p = AdaptivePolicy::new(AdaptiveConfig::default());
+        let mut p = AdaptivePolicy::new();
         let n = NodeId(2);
         // One sample per window: below min_samples, never judged.
         for w in 0..5 {
@@ -449,7 +413,7 @@ mod tests {
 
     #[test]
     fn probe_yield_alone_can_demote() {
-        let mut p = AdaptivePolicy::new(AdaptiveConfig::default());
+        let mut p = AdaptivePolicy::new();
         let n = NodeId(6);
         for w in 0..2 {
             let t = at(w * 1_000 + 5);
@@ -464,7 +428,7 @@ mod tests {
     #[test]
     fn feedback_sequence_is_deterministic() {
         let run = || {
-            let mut p = AdaptivePolicy::new(AdaptiveConfig::default());
+            let mut p = AdaptivePolicy::new();
             for w in 0..8u64 {
                 for node in [NodeId(1), NodeId(2), NodeId(3)] {
                     let t = at(w * 1_000 + node.0 * 7);

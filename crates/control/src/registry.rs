@@ -326,7 +326,7 @@ impl HashTreeRegistry {
     }
 
     /// Removes a node from every index entry.
-    pub fn remove_node(&mut self, node: NodeId) {
+    fn remove_node(&mut self, node: NodeId) {
         if let Some(paths) = self.paths.remove(&node) {
             for p in paths {
                 self.remove_path(node, &p);
@@ -520,15 +520,6 @@ mod tests {
         let (nodes, level) = reg.retrieve(&query(), 3);
         assert_eq!(level, MatchLevel::AnyClass);
         assert_eq!(nodes.len(), 3);
-    }
-
-    #[test]
-    fn remove_node_clears_all_paths() {
-        let mut reg = setup();
-        reg.remove_node(NodeId(1));
-        let (nodes, _) = reg.retrieve(&query(), 100);
-        assert!(!nodes.contains(&NodeId(1)));
-        assert_eq!(reg.len(), 4);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use crate::features::{
     ClientInfo, Heartbeat, NodeClass, NodeId, NodeStatus, StaticFeatures, StreamKey,
 };
-use crate::policy::{build_policy, AdaptiveConfig, SchedulerPolicy, SchedulerPolicyKind};
+use crate::policy::{build_policy, SchedulerPolicy, SchedulerPolicyKind};
 use crate::registry::{AttrQuery, HashTreeRegistry, MatchLevel};
 use crate::scoring::{score, NatSuccessHistory, ScoreWeights};
 use rlive_sim::metrics::{Percentiles, Summary};
@@ -28,37 +28,24 @@ use std::hash::{BuildHasherDefault, Hasher};
 pub struct SchedulerConfig {
     /// Number of candidates returned to the client (top-K).
     pub top_k: usize,
-    /// Heartbeats older than this mark a node stale and unrecommendable.
-    pub staleness: SimDuration,
     /// Relative cost multiplier for a node that must newly subscribe to
     /// the CDN (back-to-CDN traffic), versus one already forwarding.
     pub back_to_cdn_cost: f64,
     /// Fraction of the candidate list reserved for exploration (idle or
     /// under-observed nodes), the §8.2 explore–exploit balance.
     pub explore_fraction: f64,
-    /// Base processing time of one recommendation request.
-    pub service_base: SimDuration,
-    /// Additional processing time per scored candidate.
-    pub service_per_candidate: SimDuration,
     /// Which scoring policy serves recommendations (see
     /// [`crate::policy`]).
     pub policy: SchedulerPolicyKind,
-    /// Tuning for [`SchedulerPolicyKind::Adaptive`]; ignored under
-    /// [`SchedulerPolicyKind::Static`].
-    pub adaptive: AdaptiveConfig,
 }
 
 impl Default for SchedulerConfig {
     fn default() -> Self {
         SchedulerConfig {
             top_k: 8,
-            staleness: SimDuration::from_secs(30),
             back_to_cdn_cost: 2.0,
             explore_fraction: 0.2,
-            service_base: SimDuration::from_millis(20),
-            service_per_candidate: SimDuration::from_micros(100),
             policy: SchedulerPolicyKind::Static,
-            adaptive: AdaptiveConfig::default(),
         }
     }
 }
@@ -94,14 +81,23 @@ struct NodeRecord {
     last_heartbeat: SimTime,
 }
 
+/// Heartbeats older than this mark a node stale and unrecommendable.
+const STALENESS: SimDuration = SimDuration::from_secs(30);
+
+/// Base processing time of one recommendation request.
+const SERVICE_BASE: SimDuration = SimDuration::from_millis(20);
+
+/// Additional processing time per scored candidate.
+const SERVICE_PER_CANDIDATE: SimDuration = SimDuration::from_micros(100);
+
 impl NodeRecord {
     /// Whether the node may still be recommended and still vouches for
     /// the capacity of the streams it forwards: it has never sent a
     /// heartbeat (just registered), or its last one is no older than
-    /// `staleness`.
-    fn is_fresh(&self, now: SimTime, staleness: SimDuration) -> bool {
+    /// [`STALENESS`].
+    fn is_fresh(&self, now: SimTime) -> bool {
         self.last_heartbeat == SimTime::ZERO
-            || now.saturating_since(self.last_heartbeat) <= staleness
+            || now.saturating_since(self.last_heartbeat) <= STALENESS
     }
 }
 
@@ -127,9 +123,8 @@ impl Hasher for NodeIdHasher {
 
 /// The scheduler's node records: a dense slab plus an id → slot map.
 ///
-/// Point lookups only. Slab order depends on the removal history, so
-/// nothing that reaches output may iterate it; ordered walks go through
-/// the registry, which is ordered by construction.
+/// Point lookups only; ordered walks go through the registry, which is
+/// ordered by construction.
 #[derive(Default)]
 struct NodeTable {
     slab: Vec<NodeRecord>,
@@ -156,15 +151,6 @@ impl NodeTable {
                 let slot = u32::try_from(self.slab.len()).expect("fewer than 2^32 nodes");
                 self.slots.insert(rec.node, slot);
                 self.slab.push(rec);
-            }
-        }
-    }
-
-    fn remove(&mut self, node: NodeId) {
-        if let Some(i) = self.slots.remove(&node) {
-            self.slab.swap_remove(i as usize);
-            if let Some(moved) = self.slab.get(i as usize) {
-                self.slots.insert(moved.node, i);
             }
         }
     }
@@ -219,7 +205,7 @@ pub struct GlobalScheduler {
 impl GlobalScheduler {
     /// Creates a scheduler.
     pub fn new(cfg: SchedulerConfig, rng: SimRng) -> Self {
-        let policy = build_policy(cfg.policy, &cfg.adaptive);
+        let policy = build_policy(cfg.policy);
         GlobalScheduler {
             cfg,
             registry: HashTreeRegistry::new(),
@@ -260,12 +246,6 @@ impl GlobalScheduler {
             status,
             last_heartbeat: SimTime::ZERO,
         });
-    }
-
-    /// Removes a node entirely (e.g. observed offline).
-    pub fn deregister_node(&mut self, node: NodeId) {
-        self.registry.remove_node(node);
-        self.nodes.remove(node);
     }
 
     /// Number of known nodes.
@@ -337,7 +317,7 @@ impl GlobalScheduler {
         forwarders.sort_unstable();
         let mut s = Summary::new();
         for rec in forwarders.into_iter().filter_map(|n| self.nodes.get(n)) {
-            if rec.is_fresh(now, self.cfg.staleness) {
+            if rec.is_fresh(now) {
                 s.add(rec.status.utilization());
             }
         }
@@ -364,7 +344,7 @@ impl GlobalScheduler {
             let Some(rec) = self.nodes.get(node) else {
                 continue;
             };
-            if !rec.is_fresh(now, self.cfg.staleness) {
+            if !rec.is_fresh(now) {
                 continue;
             }
             // The policy seam: the static score passes through
@@ -447,11 +427,7 @@ impl GlobalScheduler {
         // Base cost plus per-candidate scoring plus a lognormal tail for
         // queueing/GC/IO — calibrated to Fig 12(a): P50 ≈ 58 ms,
         // P90 ≈ 111.5 ms.
-        let base = self.cfg.service_base
-            + self
-                .cfg
-                .service_per_candidate
-                .saturating_mul(candidates_scored as u64);
+        let base = SERVICE_BASE + SERVICE_PER_CANDIDATE.saturating_mul(candidates_scored as u64);
         let tail = self.rng.lognormal(3.55, 0.7);
         base + SimDuration::from_secs_f64(tail / 1000.0)
     }
@@ -729,62 +705,6 @@ mod tests {
     }
 
     #[test]
-    fn stream_utilization_excludes_deregistered_nodes() {
-        let mut s = GlobalScheduler::new(SchedulerConfig::default(), SimRng::new(4));
-        for i in 0..2 {
-            let mut status = NodeStatus::idle(100.0);
-            status.forwarding.insert(key());
-            status.used_mbps = 40.0;
-            s.register_node(NodeId(i), statics(1, 1, 1), status);
-        }
-        s.deregister_node(NodeId(1));
-        let u = s
-            .stream_utilization(SimTime::from_secs(1), key())
-            .expect("one forwarder left");
-        assert!((u - 0.4).abs() < 1e-9, "u {u}");
-        s.deregister_node(NodeId(0));
-        assert!(s.stream_utilization(SimTime::from_secs(1), key()).is_none());
-    }
-
-    #[test]
-    fn deregister_removes_from_recommendations() {
-        let mut s = scheduler_with_nodes(5);
-        for i in 0..5 {
-            s.deregister_node(NodeId(i));
-        }
-        let rec = s.recommend(SimTime::from_secs(1), &client(), key());
-        assert!(rec.candidates.is_empty());
-        assert_eq!(s.node_count(), 0);
-    }
-
-    /// Regression: a heartbeat that was already in flight when its node
-    /// was deregistered must not resurrect per-stream state — the
-    /// departed node can never be recommended and never counts toward
-    /// stream utilisation again.
-    #[test]
-    fn late_heartbeat_cannot_resurrect_deregistered_node() {
-        let mut s = scheduler_with_nodes(1);
-        s.deregister_node(NodeId(0));
-        let mut status = NodeStatus::idle(50.0);
-        status.forwarding.insert(key());
-        s.ingest_heartbeat(Heartbeat {
-            node: NodeId(0),
-            at: SimTime::from_secs(5),
-            status,
-        });
-        assert_eq!(s.node_count(), 0);
-        let rec = s.recommend(SimTime::from_secs(6), &client(), key());
-        assert!(
-            rec.candidates.is_empty(),
-            "deregistered node recommended: {:?}",
-            rec.candidates
-        );
-        assert!(s.stream_utilization(SimTime::from_secs(6), key()).is_none());
-        // Connection observations for the departed node are dropped too.
-        s.observe_connection(SimTime::from_secs(6), NodeId(0), false);
-    }
-
-    #[test]
     fn connection_observation_feeds_nat_history() {
         let mut s = scheduler_with_nodes(2);
         // Fail FullCone connections repeatedly; future scores drop but
@@ -861,7 +781,7 @@ mod tests {
             let Some(rec) = s.nodes.get(node) else {
                 continue;
             };
-            if now.saturating_since(rec.last_heartbeat) > s.cfg.staleness
+            if now.saturating_since(rec.last_heartbeat) > STALENESS
                 && rec.last_heartbeat != SimTime::ZERO
             {
                 continue;
@@ -957,9 +877,6 @@ mod tests {
                     status,
                 }),
             }
-        }
-        for i in (0..n).step_by(17) {
-            s.deregister_node(NodeId(i));
         }
         // Two bad windows for every fifth node: under `Adaptive` their
         // factor drops below 1; under `Static` this is a no-op.
@@ -1066,25 +983,6 @@ mod tests {
                 assert_same_state(&mut new, &mut old);
             }
         }
-    }
-
-    #[test]
-    fn node_table_survives_swap_remove() {
-        let mut s = scheduler_with_nodes(6);
-        s.deregister_node(NodeId(0));
-        s.deregister_node(NodeId(5));
-        s.deregister_node(NodeId(2));
-        assert_eq!(s.node_count(), 3);
-        for i in [1, 3, 4] {
-            assert_eq!(s.nodes.get(NodeId(i)).map(|r| r.node), Some(NodeId(i)));
-        }
-        for i in [0, 2, 5] {
-            assert!(s.nodes.get(NodeId(i)).is_none());
-        }
-        // Re-registering replaces the record in place.
-        s.register_node(NodeId(3), statics(2, 2, 7), NodeStatus::idle(1.0));
-        assert_eq!(s.node_count(), 3);
-        assert_eq!(s.nodes.get(NodeId(3)).map(|r| r.statics.isp), Some(2));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! consistency.
 
 use proptest::prelude::*;
-use rlive_control::client::{ClientController, ClientControllerConfig, SwitchDecision};
+use rlive_control::client::{ClientController, ClientControllerConfig, SwitchDecision, T_CHANGE};
 use rlive_control::features::{
     ClientId, ClientInfo, ConnectionType, NodeClass, NodeId, NodeStatus, StaticFeatures, StreamKey,
 };
@@ -15,17 +15,12 @@ use rlive_sim::{SimDuration, SimTime};
 use std::collections::HashSet;
 
 #[derive(Debug, Clone)]
-enum RegistryOp {
-    Index {
-        node: u64,
-        isp: u16,
-        region: u16,
-        class: NodeClass,
-        forwarding: Vec<StreamKey>,
-    },
-    Remove {
-        node: u64,
-    },
+struct RegistryOp {
+    node: u64,
+    isp: u16,
+    region: u16,
+    class: NodeClass,
+    forwarding: Vec<StreamKey>,
 }
 
 fn arb_class() -> impl Strategy<Value = NodeClass> {
@@ -40,23 +35,20 @@ fn arb_key() -> impl Strategy<Value = StreamKey> {
 }
 
 fn arb_op() -> impl Strategy<Value = RegistryOp> {
-    prop_oneof![
-        (
-            0u64..40,
-            0u16..3,
-            0u16..4,
-            arb_class(),
-            prop::collection::vec(arb_key(), 0..4),
-        )
-            .prop_map(|(node, isp, region, class, forwarding)| RegistryOp::Index {
-                node,
-                isp,
-                region,
-                class,
-                forwarding,
-            }),
-        (0u64..40).prop_map(|node| RegistryOp::Remove { node }),
-    ]
+    (
+        0u64..40,
+        0u16..3,
+        0u16..4,
+        arb_class(),
+        prop::collection::vec(arb_key(), 0..4),
+    )
+        .prop_map(|(node, isp, region, class, forwarding)| RegistryOp {
+            node,
+            isp,
+            region,
+            class,
+            forwarding,
+        })
 }
 
 fn arb_query() -> impl Strategy<Value = AttrQuery> {
@@ -123,7 +115,7 @@ mod reference {
             self.paths.insert(node, paths);
         }
 
-        pub fn remove_node(&mut self, node: NodeId) {
+        fn remove_node(&mut self, node: NodeId) {
             for (stream, isp, class, region) in self.paths.remove(&node).unwrap_or_default() {
                 // Emptied levels stay behind; an empty level yields no
                 // ids, so retrieval cannot tell.
@@ -256,24 +248,16 @@ fn reference_levels(reference: &reference::Registry, query: &AttrQuery) -> Vec<V
 }
 
 proptest! {
-    /// After any sequence of index/remove operations, retrieval returns
-    /// exactly the live nodes (no removed node, no duplicates) and the
-    /// reverse index size matches.
+    /// After any sequence of index and re-index operations, retrieval
+    /// returns exactly the indexed nodes (no duplicates) and the reverse
+    /// index size matches.
     #[test]
     fn registry_membership(ops in prop::collection::vec(arb_op(), 1..120)) {
         let mut reg = HashTreeRegistry::new();
         let mut live = HashSet::new();
         for op in ops {
-            match op {
-                RegistryOp::Index { node, isp, region, class, forwarding } => {
-                    reg.index_node(NodeId(node), isp, class, region, forwarding);
-                    live.insert(node);
-                }
-                RegistryOp::Remove { node } => {
-                    reg.remove_node(NodeId(node));
-                    live.remove(&node);
-                }
-            }
+            reg.index_node(NodeId(op.node), op.isp, op.class, op.region, op.forwarding);
+            live.insert(op.node);
         }
         prop_assert_eq!(reg.len(), live.len());
         let (nodes, _) = reg.retrieve(
@@ -288,13 +272,13 @@ proptest! {
         let unique: HashSet<_> = nodes.iter().collect();
         prop_assert_eq!(unique.len(), nodes.len(), "duplicates in retrieval");
         for n in &nodes {
-            prop_assert!(live.contains(&n.0), "removed node {n:?} returned");
+            prop_assert!(live.contains(&n.0), "unindexed node {n:?} returned");
         }
         prop_assert_eq!(nodes.len(), live.len(), "retrieval missed live nodes");
     }
 
     /// Bounded retrieval against the unbounded reference, whatever mix
-    /// of index, re-index and remove built the tree, for a `want` that
+    /// of index and re-index built the tree, for a `want` that
     /// is nothing, stops inside the stream-pinned levels, at the idle
     /// level, and never. The result is `want` ids of the reference's
     /// pool (all of it when it is smaller) at the reference's level,
@@ -309,16 +293,9 @@ proptest! {
         let mut reg = HashTreeRegistry::new();
         let mut reference = reference::Registry::default();
         for op in ops {
-            match op {
-                RegistryOp::Index { node, isp, region, class, forwarding } => {
-                    reg.index_node(NodeId(node), isp, class, region, forwarding.iter().copied());
-                    reference.index_node(NodeId(node), isp, class, region, forwarding);
-                }
-                RegistryOp::Remove { node } => {
-                    reg.remove_node(NodeId(node));
-                    reference.remove_node(NodeId(node));
-                }
-            }
+            let node = NodeId(op.node);
+            reg.index_node(node, op.isp, op.class, op.region, op.forwarding.iter().copied());
+            reference.index_node(node, op.isp, op.class, op.region, op.forwarding);
         }
         // A dirty buffer: `retrieve_into` must not depend on its content.
         let mut buf = vec![NodeId(u64::MAX); 3];
@@ -418,7 +395,6 @@ proptest! {
         candidates in prop::collection::vec((0u64..20, 1u64..2_000), 1..10),
     ) {
         let mut ctl = ClientController::new(ClientControllerConfig::default());
-        let t_change = ctl.config().t_change;
         let current = NodeId(999);
         let cands: Vec<(NodeId, SimDuration)> = candidates
             .iter()
@@ -440,14 +416,14 @@ proptest! {
                 let (bn, br) = best.expect("candidates non-empty");
                 prop_assert_eq!(n, *bn);
                 prop_assert!(
-                    SimDuration::from_millis(current_rtt) > *br + t_change,
+                    SimDuration::from_millis(current_rtt) > *br + T_CHANGE,
                     "switch without margin"
                 );
             }
             SwitchDecision::Stay => {
                 if let Some((_, br)) = best {
                     prop_assert!(
-                        SimDuration::from_millis(current_rtt) <= *br + t_change,
+                        SimDuration::from_millis(current_rtt) <= *br + T_CHANGE,
                         "missed a justified switch"
                     );
                 }

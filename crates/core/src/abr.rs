@@ -7,44 +7,35 @@
 
 use crate::config::{BASE_RUNG, BITRATE_LADDER};
 use rlive_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
-/// ABR configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct AbrConfig {
-    /// Fraction of estimated throughput a rung may consume.
-    pub safety: f64,
-    /// EWMA smoothing factor per throughput sample.
-    pub alpha: f64,
-    /// Minimum time between rung changes.
-    pub min_dwell: SimDuration,
-}
+/// Fraction of estimated throughput a rung may consume.
+const SAFETY: f64 = 0.8;
 
-impl Default for AbrConfig {
-    fn default() -> Self {
-        AbrConfig {
-            safety: 0.8,
-            alpha: 0.15,
-            min_dwell: SimDuration::from_secs(4),
-        }
-    }
-}
+/// EWMA smoothing factor per throughput sample.
+const ALPHA: f64 = 0.15;
+
+/// Minimum time between rung changes.
+const MIN_DWELL: SimDuration = SimDuration::from_secs(4);
 
 /// Per-client ABR state.
 #[derive(Debug, Clone)]
 pub struct AbrState {
-    cfg: AbrConfig,
     /// EWMA throughput estimate, bits per second.
     throughput_bps: f64,
     rung: usize,
     last_change: SimTime,
 }
 
+impl Default for AbrState {
+    fn default() -> Self {
+        AbrState::new()
+    }
+}
+
 impl AbrState {
     /// Starts at the base rung with an optimistic throughput estimate.
-    pub fn new(cfg: AbrConfig) -> Self {
+    pub fn new() -> Self {
         AbrState {
-            cfg,
             throughput_bps: BITRATE_LADDER[BASE_RUNG] as f64 * 1.5,
             rung: BASE_RUNG,
             last_change: SimTime::ZERO,
@@ -78,16 +69,15 @@ impl AbrState {
             return;
         }
         let sample = bytes as f64 * 8.0 / secs;
-        self.throughput_bps =
-            (1.0 - self.cfg.alpha) * self.throughput_bps + self.cfg.alpha * sample;
+        self.throughput_bps = (1.0 - ALPHA) * self.throughput_bps + ALPHA * sample;
     }
 
     /// Periodic rung re-evaluation. Returns the new rung if it changed.
     pub fn evaluate(&mut self, now: SimTime) -> Option<usize> {
-        if now.saturating_since(self.last_change) < self.cfg.min_dwell {
+        if now.saturating_since(self.last_change) < MIN_DWELL {
             return None;
         }
-        let budget = self.throughput_bps * self.cfg.safety;
+        let budget = self.throughput_bps * SAFETY;
         let mut target = 0;
         for (i, &rate) in BITRATE_LADDER.iter().enumerate() {
             if (rate as f64) <= budget {
@@ -136,7 +126,7 @@ mod tests {
 
     #[test]
     fn recovers_to_top_rung_under_good_throughput() {
-        let mut abr = AbrState::new(AbrConfig::default());
+        let mut abr = AbrState::new();
         abr.on_rebuffer(secs(1));
         assert_eq!(abr.rung(), BASE_RUNG - 1);
         feed(&mut abr, 10_000_000.0, 100);
@@ -147,7 +137,7 @@ mod tests {
 
     #[test]
     fn drops_under_poor_throughput() {
-        let mut abr = AbrState::new(AbrConfig::default());
+        let mut abr = AbrState::new();
         feed(&mut abr, 900_000.0, 100);
         abr.evaluate(secs(10));
         assert_eq!(abr.bitrate_bps(), 800_000);
@@ -155,7 +145,7 @@ mod tests {
 
     #[test]
     fn one_rung_up_at_a_time() {
-        let mut abr = AbrState::new(AbrConfig::default());
+        let mut abr = AbrState::new();
         abr.on_rebuffer(secs(0));
         abr.on_rebuffer(secs(0));
         assert_eq!(abr.rung(), 0);
@@ -168,7 +158,7 @@ mod tests {
 
     #[test]
     fn dwell_limits_flapping() {
-        let mut abr = AbrState::new(AbrConfig::default());
+        let mut abr = AbrState::new();
         feed(&mut abr, 900_000.0, 100);
         assert!(abr.evaluate(secs(10)).is_some());
         feed(&mut abr, 10_000_000.0, 100);
@@ -179,7 +169,7 @@ mod tests {
 
     #[test]
     fn rebuffer_steps_down() {
-        let mut abr = AbrState::new(AbrConfig::default());
+        let mut abr = AbrState::new();
         assert_eq!(abr.rung(), BASE_RUNG);
         abr.on_rebuffer(secs(5));
         assert_eq!(abr.rung(), BASE_RUNG - 1);
@@ -187,7 +177,7 @@ mod tests {
 
     #[test]
     fn rebuffer_at_floor_is_safe() {
-        let mut abr = AbrState::new(AbrConfig::default());
+        let mut abr = AbrState::new();
         for _ in 0..10 {
             abr.on_rebuffer(secs(5));
         }
@@ -196,7 +186,7 @@ mod tests {
 
     #[test]
     fn scale_tracks_rung() {
-        let mut abr = AbrState::new(AbrConfig::default());
+        let mut abr = AbrState::new();
         assert!((abr.scale() - 1.0).abs() < 1e-12);
         abr.on_rebuffer(secs(1));
         assert!((abr.scale() - 0.5).abs() < 1e-12);
@@ -204,7 +194,7 @@ mod tests {
 
     #[test]
     fn zero_elapsed_observation_ignored() {
-        let mut abr = AbrState::new(AbrConfig::default());
+        let mut abr = AbrState::new();
         let before = abr.throughput_bps();
         abr.observe(10_000, SimDuration::ZERO);
         assert_eq!(abr.throughput_bps(), before);

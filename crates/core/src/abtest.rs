@@ -2,30 +2,16 @@
 //!
 //! The paper validates RLive with two production A/B tests: users are
 //! split by ID hash into control and test groups served under different
-//! delivery policies inside the same live system. [`AbTest`] reproduces
-//! the methodology on the simulator: one shared world, per-user group
-//! assignment, per-group QoE/traffic/energy aggregation, and relative
-//! differences computed against the control group.
+//! delivery policies inside the same live system. The simulator
+//! reproduces the methodology with one shared world whose
+//! [`GroupPolicy::ab`](crate::world::GroupPolicy::ab) assigns each user
+//! to a group; [`AbReport::from_run`] turns its per-group
+//! QoE/traffic/energy aggregates into relative differences against the
+//! control group.
 
-use crate::config::{DeliveryMode, SystemConfig};
 use crate::qoe::GroupQoe;
-use crate::world::{GroupPolicy, RunReport, World};
-use rlive_workload::scenario::Scenario;
-
-/// A configured A/B experiment.
-#[derive(Debug, Clone)]
-pub struct AbTest {
-    /// The scenario both groups share.
-    pub scenario: Scenario,
-    /// System configuration (mode fields are overridden per group).
-    pub config: SystemConfig,
-    /// Control-group delivery mode.
-    pub control: DeliveryMode,
-    /// Test-group delivery mode.
-    pub test: DeliveryMode,
-    /// RNG seed.
-    pub seed: u64,
-}
+use crate::world::RunReport;
+use rlive_data::recovery::DEDICATED_UNIT_COST;
 
 /// Relative QoE differences of test vs control, in percent.
 #[derive(Debug, Clone, Copy)]
@@ -55,52 +41,10 @@ pub struct AbReport {
     pub energy_delta: (f64, f64, f64, f64),
 }
 
-impl AbTest {
-    /// Builds the §7.1 Test 1: evening peak, RLive vs CDN-only.
-    pub fn evening_peak_vs_cdn(seed: u64) -> Self {
-        AbTest {
-            scenario: Scenario::evening_peak(),
-            config: SystemConfig::default(),
-            control: DeliveryMode::CdnOnly,
-            test: DeliveryMode::RLive,
-            seed,
-        }
-    }
-
-    /// Builds the §7.1 Test 2 noon-window leg: at noon the control group
-    /// (evening-only policy) is still on CDN, while the test group
-    /// (double-peak policy) already uses RLive.
-    pub fn double_peak_vs_evening(seed: u64) -> Self {
-        AbTest {
-            scenario: Scenario::noon_peak(),
-            config: SystemConfig::default(),
-            control: DeliveryMode::CdnOnly,
-            test: DeliveryMode::RLive,
-            seed,
-        }
-    }
-
-    /// The group policy this A/B test assigns to its world.
-    pub fn policy(&self) -> GroupPolicy {
-        GroupPolicy::ab(self.control, self.test)
-    }
-
-    /// Runs the experiment.
-    pub fn run(self) -> AbReport {
-        let dedicated_cost = self.config.dedicated_unit_cost;
-        let policy = self.policy();
-        let world = World::new(self.scenario, self.config, policy, self.seed);
-        AbReport::from_run(world.run(), dedicated_cost)
-    }
-}
-
 impl AbReport {
-    /// Derives the A/B differences from a finished world run. This is
-    /// the analysis half of [`AbTest::run`], split out so fleets of
-    /// A/B worlds (`core::fleet`) can run the worlds on the shared
-    /// pool and compute reports from the merged-fold's per-world
-    /// [`RunReport`]s afterwards.
-    pub fn from_run(run: RunReport, dedicated_cost: f64) -> AbReport {
+    /// Derives the A/B differences from a finished world run, pricing
+    /// dedicated traffic at [`DEDICATED_UNIT_COST`].
+    pub fn from_run(run: RunReport) -> AbReport {
         let diff = QoeDiff {
             rebuffer_events_pct: GroupQoe::diff_pct(
                 run.test_qoe.rebuffers_per_100s.mean(),
@@ -124,9 +68,9 @@ impl AbReport {
             run.control_qoe.views.max(1) as f64,
         );
         // Normalise EqT by watch time so group sizes cancel.
-        let eqt_test =
-            run.test_traffic.equivalent_traffic(dedicated_cost) / run.test_qoe.watch_secs.max(1.0);
-        let eqt_control = run.control_traffic.equivalent_traffic(dedicated_cost)
+        let eqt_test = run.test_traffic.equivalent_traffic(DEDICATED_UNIT_COST)
+            / run.test_qoe.watch_secs.max(1.0);
+        let eqt_control = run.control_traffic.equivalent_traffic(DEDICATED_UNIT_COST)
             / run.control_qoe.watch_secs.max(1.0);
         let eqt_pct = GroupQoe::diff_pct(eqt_test, eqt_control);
         let energy_delta = (
@@ -145,13 +89,11 @@ impl AbReport {
     }
 }
 
-// The parallel experiment runner executes one `AbTest` per worker
-// thread and sends the `AbReport` back over a channel; pin the
-// auto-traits at compile time so world-construction state can't silently
-// regress per-cell isolation.
+// The parallel experiment runner sends each world's report back over a
+// channel; pin the auto-traits at compile time so report state can't
+// silently regress per-cell isolation.
 const _: () = {
     const fn assert_send<T: Send>() {}
-    assert_send::<AbTest>();
     assert_send::<AbReport>();
     assert_send::<QoeDiff>();
 };
@@ -159,22 +101,35 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{DeliveryMode, SystemConfig};
+    use crate::fleet::WorldSpec;
+    use crate::world::GroupPolicy;
     use rlive_sim::SimDuration;
+    use rlive_workload::scenario::Scenario;
 
-    fn small_test(seed: u64) -> AbTest {
-        let mut t = AbTest::evening_peak_vs_cdn(seed);
-        t.scenario = t.scenario.scaled(0.12);
-        t.scenario.duration = SimDuration::from_secs(120);
-        t.scenario.streams = 4;
-        t.config.multi_source_after = SimDuration::from_secs(5);
-        t.config.popularity_threshold = 1;
-        t.config.cdn_edge_mbps = 140;
-        t
+    fn small_test(seed: u64) -> AbReport {
+        let mut scenario = Scenario::evening_peak().scaled(0.12);
+        scenario.duration = SimDuration::from_secs(120);
+        scenario.streams = 4;
+        let config = SystemConfig {
+            multi_source_after: SimDuration::from_secs(5),
+            popularity_threshold: 1,
+            cdn_edge_mbps: 140,
+            ..SystemConfig::default()
+        };
+        let spec = WorldSpec {
+            seed,
+            scenario,
+            config,
+            policy: GroupPolicy::ab(DeliveryMode::CdnOnly, DeliveryMode::RLive),
+            schedule: Vec::new(),
+        };
+        AbReport::from_run(spec.run())
     }
 
     #[test]
     fn ab_groups_both_active() {
-        let report = small_test(11).run();
+        let report = small_test(11);
         assert!(report.run.control_qoe.views > 5);
         assert!(report.run.test_qoe.views > 5);
         assert!(report.view_split_pct.abs() < 90.0);
@@ -182,24 +137,14 @@ mod tests {
 
     #[test]
     fn test_group_offloads_traffic() {
-        let report = small_test(12).run();
+        let report = small_test(12);
         assert_eq!(report.run.control_traffic.best_effort_serving, 0);
         assert!(report.run.test_traffic.best_effort_serving > 0);
     }
 
     #[test]
-    fn test2_uses_noon_window() {
-        let t = AbTest::double_peak_vs_evening(1);
-        assert_eq!(t.scenario.start_hour, 12.0);
-        assert_eq!(t.control, DeliveryMode::CdnOnly);
-        assert_eq!(t.test, DeliveryMode::RLive);
-        let t1 = AbTest::evening_peak_vs_cdn(1);
-        assert_eq!(t1.scenario.start_hour, 21.0);
-    }
-
-    #[test]
     fn energy_delta_is_small_and_positive_leaning() {
-        let report = small_test(13).run();
+        let report = small_test(13);
         let (cpu, mem, temp, bat) = report.energy_delta;
         // RLive clients do strictly more work, but marginally (Fig 10).
         assert!(cpu > -0.5, "cpu delta {cpu}");

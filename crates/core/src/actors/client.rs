@@ -1,7 +1,7 @@
 //! The viewer-client actor: reordering, playback pacing, ABR, energy
 //! and the per-session bookkeeping the control loops act on.
 
-use crate::abr::{AbrConfig, AbrState};
+use crate::abr::AbrState;
 use crate::actors::ActorCtx;
 use crate::config::DeliveryMode;
 use crate::energy::EnergyAccount;
@@ -16,6 +16,12 @@ use rlive_data::ring::SeqRing;
 use rlive_media::footprint::LocalChain;
 use rlive_media::frame::FrameHeader;
 use rlive_sim::{SimDuration, SimTime};
+
+/// Client playback target buffer.
+pub(crate) const TARGET_BUFFER: SimDuration = SimDuration::from_millis(2_500);
+
+/// Startup threshold: playback begins at this occupancy.
+const STARTUP_BUFFER: SimDuration = SimDuration::from_millis(800);
 
 /// One source of one substream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -141,7 +147,7 @@ impl Client {
             controller: ClientController::new(controller_cfg),
             reorder: ReorderBuffer::new(),
             playback: PlaybackBuffer::new(frame_interval, fallback_threshold),
-            abr: AbrState::new(AbrConfig::default()),
+            abr: AbrState::new(),
             recovery_stats: RecoveryStats::default(),
             session: SessionMetrics::new(now),
             energy: EnergyAccount::new(),
@@ -268,7 +274,7 @@ impl Client {
             .observe_mem_kb(self.playback.len() as f64 * ctx.energy_model.mem_per_buffered_frame);
 
         // Start playback once the startup buffer fills.
-        if !self.playback.is_started() && self.playback.occupancy() >= ctx.cfg.startup_buffer {
+        if !self.playback.is_started() && self.playback.occupancy() >= STARTUP_BUFFER {
             self.playback.start();
             self.session.first_frame_at = Some(now);
             ctx.queue
@@ -328,7 +334,6 @@ impl Client {
         let now = ctx.now;
         let cid = self.id;
         let interval = ctx.frame_interval();
-        let target = ctx.cfg.target_buffer;
         if self.departed {
             return false;
         }
@@ -337,7 +342,7 @@ impl Client {
         // tick to chase latency back down. Eroded: present every fourth
         // frame a tick longer so the buffer regrows. Jitterier paths
         // therefore settle at proportionally higher end-to-end latency.
-        let effective_target = target.mul_f64(0.5) + self.jitter_pad();
+        let effective_target = TARGET_BUFFER.mul_f64(0.5) + self.jitter_pad();
         let occ = self.playback.occupancy();
         if occ > effective_target + SimDuration::from_millis(400) {
             self.playback.drop_oldest();

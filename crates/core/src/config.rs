@@ -103,27 +103,16 @@ pub struct SystemConfig {
     pub mode: DeliveryMode,
     /// Number of substreams K per stream.
     pub substreams: u16,
-    /// Number of CDN edge servers.
-    pub cdn_edges: usize,
     /// Uplink capacity of each CDN edge, Mbps.
     pub cdn_edge_mbps: u64,
-    /// RTT between clients and CDN edges, ms.
-    pub cdn_rtt_ms: u64,
     /// Viewing time before a client may upgrade to multi-source (§7.1.1:
     /// 30 s in deployment).
     pub multi_source_after: SimDuration,
     /// Minimum concurrent viewers of a stream before multi-source pays
     /// off (§7.1.1 popularity gate).
     pub popularity_threshold: usize,
-    /// Client playback target buffer.
-    pub target_buffer: SimDuration,
-    /// Startup threshold: playback begins at this occupancy.
-    pub startup_buffer: SimDuration,
     /// CDN fallback threshold (§7.4, deployed 400 ms).
     pub fallback_threshold: SimDuration,
-    /// Relative unit cost of dedicated bandwidth (best-effort = 1.0;
-    /// §2.1: best-effort is 20–40 % cheaper, so dedicated ≈ 1.35).
-    pub dedicated_unit_cost: f64,
     /// Scheduler settings.
     pub scheduler: SchedulerConfig,
     /// Client controller settings.
@@ -138,13 +127,6 @@ pub struct SystemConfig {
     pub recovery_policy: RecoveryPolicyKind,
     /// Transport profile (§7.4).
     pub transport: TransportProfile,
-    /// Retransmission timeout before a frame without a gap signal is
-    /// treated as incomplete.
-    pub retx_timeout: SimDuration,
-    /// Client control loop interval.
-    pub control_interval: SimDuration,
-    /// Relay maintenance (adviser/heartbeat) interval.
-    pub relay_tick: SimDuration,
     /// Frame-to-substream partition strategy: the deployed static hash
     /// (§6) or the §8.3 criticality-aware extension.
     pub partition: rlive_media::substream::PartitionStrategy,
@@ -192,24 +174,16 @@ impl Default for SystemConfig {
         SystemConfig {
             mode: DeliveryMode::RLive,
             substreams: 4,
-            cdn_edges: 2,
             cdn_edge_mbps: 420,
-            cdn_rtt_ms: 36,
             multi_source_after: SimDuration::from_secs(30),
             popularity_threshold: 5,
-            target_buffer: SimDuration::from_millis(2_500),
-            startup_buffer: SimDuration::from_millis(800),
             fallback_threshold: SimDuration::from_millis(400),
-            dedicated_unit_cost: 1.35,
             scheduler: SchedulerConfig::default(),
             client_controller: ClientControllerConfig::default(),
             adviser: AdviserConfig::default(),
             recovery: RecoveryConfig::default(),
             recovery_policy: RecoveryPolicyKind::default(),
             transport: TransportProfile::Flv,
-            retx_timeout: SimDuration::from_millis(120),
-            control_interval: SimDuration::from_secs(2),
-            relay_tick: SimDuration::from_secs(5),
             cdn_background_peak_frac: 0.30,
             multi_on_weak_tier: false,
             dns_bypass: true,

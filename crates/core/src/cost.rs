@@ -70,9 +70,11 @@ impl TrafficLedger {
     }
 
     /// Equivalent traffic: `unit_cost × volume`, with best-effort as
-    /// the cost unit and `dedicated_unit_cost` the dedicated multiplier.
-    pub fn equivalent_traffic(&self, dedicated_unit_cost: f64) -> f64 {
-        self.dedicated_bytes() as f64 * dedicated_unit_cost + self.best_effort_serving as f64
+    /// the cost unit and `dedicated_price` the dedicated multiplier
+    /// (the simulator prices it at
+    /// [`DEDICATED_UNIT_COST`](rlive_data::recovery::DEDICATED_UNIT_COST)).
+    pub fn equivalent_traffic(&self, dedicated_price: f64) -> f64 {
+        self.dedicated_bytes() as f64 * dedicated_price + self.best_effort_serving as f64
     }
 
     /// The §2.2 traffic expansion rate γ = serving / backward for the

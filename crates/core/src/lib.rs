@@ -49,7 +49,7 @@ pub(crate) mod shard;
 pub mod telemetry;
 pub mod world;
 
-pub use abtest::{AbReport, AbTest};
+pub use abtest::AbReport;
 pub use config::{DeliveryMode, SystemConfig, TransportProfile};
 pub use cost::{TrafficClass, TrafficLedger};
 pub use fleet::{Dispersion, Fleet, FleetReport, WorldSpec};

@@ -8,6 +8,7 @@
 use crate::incident::Incident;
 use crate::qoe::GroupQoe;
 use crate::world::RunReport;
+use rlive_data::recovery::DEDICATED_UNIT_COST;
 use rlive_sim::obs::{MetricRegistry, WindowRatio};
 use rlive_sim::slo::{Direction, RuleKind, SloReport, SloRule};
 use std::fmt::Write;
@@ -49,7 +50,7 @@ pub fn format_qoe(title: &str, qoe: &GroupQoe) -> String {
 }
 
 /// Renders the traffic block of one group.
-pub fn format_traffic(title: &str, report: &RunReport, dedicated_unit_cost: f64) -> String {
+pub fn format_traffic(title: &str, report: &RunReport) -> String {
     let t = &report.test_traffic;
     let mut out = String::new();
     let _ = writeln!(out, "=== Traffic: {title} ===");
@@ -74,7 +75,7 @@ pub fn format_traffic(title: &str, report: &RunReport, dedicated_unit_cost: f64)
     let _ = writeln!(
         out,
         "equivalent traffic       {:.1} MB-units",
-        t.equivalent_traffic(dedicated_unit_cost) / 1e6
+        t.equivalent_traffic(DEDICATED_UNIT_COST) / 1e6
     );
     out
 }
@@ -251,7 +252,7 @@ pub fn format_incidents(incidents: &[Incident]) -> String {
 
 /// Renders everything: QoE of both groups (when they differ), traffic,
 /// control plane, and event counters.
-pub fn format_full(report: &RunReport, dedicated_unit_cost: f64) -> String {
+pub fn format_full(report: &RunReport) -> String {
     let mut out = String::new();
     if report.control_qoe.views > 0 {
         out.push_str(&format_qoe("control", &report.control_qoe));
@@ -259,7 +260,7 @@ pub fn format_full(report: &RunReport, dedicated_unit_cost: f64) -> String {
     }
     out.push_str(&format_qoe("test", &report.test_qoe));
     out.push('\n');
-    out.push_str(&format_traffic("test", report, dedicated_unit_cost));
+    out.push_str(&format_traffic("test", report));
     out.push('\n');
     out.push_str(&format_control_plane(report));
     out.push('\n');
@@ -290,7 +291,7 @@ mod tests {
     #[test]
     fn full_report_contains_all_sections() {
         let r = small_report();
-        let text = format_full(&r, 1.35);
+        let text = format_full(&r);
         for needle in [
             "=== QoE: test ===",
             "=== Traffic: test ===",
@@ -455,7 +456,7 @@ mod tests {
     #[test]
     fn traffic_block_shows_expansion_when_present() {
         let r = small_report();
-        let text = format_traffic("test", &r, 1.35);
+        let text = format_traffic("test", &r);
         if r.test_traffic.expansion_rate().is_some() {
             assert!(text.contains('γ'));
         }

@@ -8,7 +8,7 @@
 
 use crate::actors::actor_ctx;
 use crate::actors::cdn::CdnRequest;
-use crate::actors::client::{Client, ClientMode, HedgeState, SubSource};
+use crate::actors::client::{Client, ClientMode, HedgeState, SubSource, TARGET_BUFFER};
 use crate::config::{DeliveryMode, BASE_RUNG, BITRATE_LADDER};
 use crate::cost::TrafficClass;
 use crate::events::{Event, TraceEvent, FULL_STREAM};
@@ -23,6 +23,13 @@ use rlive_media::frame::FrameHeader;
 use rlive_sim::{SimDuration, SimTime};
 use rlive_workload::streams::sample_view_duration_secs;
 use rlive_workload::traces::RetxServer;
+
+/// Retransmission timeout before a frame without a gap signal is
+/// treated as incomplete.
+const RETX_TIMEOUT: SimDuration = SimDuration::from_millis(120);
+
+/// Client control loop interval.
+const CONTROL_INTERVAL: SimDuration = SimDuration::from_secs(2);
 
 /// Trace label of a delivery-mode policy.
 fn policy_label(mode: DeliveryMode) -> &'static str {
@@ -82,7 +89,7 @@ pub(crate) fn cdn_prefill(world: &mut World, now: SimTime, cid: u64) {
     let Some(&latest) = order.last() else {
         return;
     };
-    let window = world.cfg.target_buffer.as_millis();
+    let window = TARGET_BUFFER.as_millis();
     // Refill from where the player is, so stalls translate into
     // end-to-end latency drift (live viewers lag behind after
     // rebuffering). Only re-anchor towards the live edge when the
@@ -147,7 +154,7 @@ pub(crate) fn on_control_tick(world: &mut World, now: SimTime, cid: u64) {
     control_recovery(world, now, cid);
     if let Some(client) = world.clients.get_mut(&cid) {
         client.abr.evaluate(now);
-        let next = now + world.cfg.control_interval;
+        let next = now + CONTROL_INTERVAL;
         if next <= world.end_at && next < client.leaves_at {
             world
                 .queue
@@ -341,9 +348,7 @@ pub(crate) fn control_recovery(world: &mut World, now: SimTime, cid: u64) {
             return;
         };
         let stream = client.stream as usize;
-        let incomplete = client
-            .reorder
-            .incomplete_frames(now, world.cfg.retx_timeout);
+        let incomplete = client.reorder.incomplete_frames(now, RETX_TIMEOUT);
         let mut states: Vec<FrameState> = incomplete
             .iter()
             .filter(|f| may_redecide(now, client.requested_recovery.get(f.header.dts_ms)))
@@ -358,10 +363,7 @@ pub(crate) fn control_recovery(world: &mut World, now: SimTime, cid: u64) {
             .collect();
         // Wholly-lost frames announced by chains but never received:
         // reconstruct their headers from the stream source record.
-        for (dts, cnt) in client
-            .reorder
-            .missing_chain_frames(now, world.cfg.retx_timeout)
-        {
+        for (dts, cnt) in client.reorder.missing_chain_frames(now, RETX_TIMEOUT) {
             if !may_redecide(now, client.requested_recovery.get(dts)) {
                 continue;
             }
@@ -1167,9 +1169,8 @@ fn pick_relay_excluding(
             && world.traversal.attempt(relay.spec.nat, &mut world.rng);
         world.scheduler.observe_connection(now, node, usable);
         if usable {
-            let rtt = SimDuration::from_millis(relay.spec.base_rtt_ms);
             if let Some(client) = world.clients.get_mut(&cid) {
-                client.controller.record_success(node, rtt);
+                client.controller.record_success(node);
             }
             return Some(rid);
         }
@@ -1292,10 +1293,9 @@ pub(crate) fn on_client_arrival(world: &mut World, now: SimTime) {
                 .schedule(upgrade_at, Event::MultiSourceUpgrade { client: cid });
         }
     }
-    world.queue.schedule(
-        now + world.cfg.control_interval,
-        Event::ControlTick { client: cid },
-    );
+    world
+        .queue
+        .schedule(now + CONTROL_INTERVAL, Event::ControlTick { client: cid });
     world.queue.schedule(
         leaves_at.min(world.end_at),
         Event::ClientDeparture { client: cid },

@@ -38,6 +38,12 @@ use rlive_workload::traces::RetxTraceGenerator;
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
+/// Number of CDN edge servers.
+const CDN_EDGES: usize = 2;
+
+/// RTT between clients and CDN edges, ms.
+const CDN_RTT_MS: u64 = 36;
+
 /// Experiment group of a client, for A/B splits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Group {
@@ -247,8 +253,8 @@ impl World {
             .collect();
 
         // CDN edges.
-        let cdn: Vec<CdnEdge> = (0..cfg.cdn_edges)
-            .map(|i| CdnEdge::new(cfg.cdn_edge_mbps, cfg.cdn_rtt_ms, rng.fork(200 + i as u64)))
+        let cdn: Vec<CdnEdge> = (0..CDN_EDGES)
+            .map(|i| CdnEdge::new(cfg.cdn_edge_mbps, CDN_RTT_MS, rng.fork(200 + i as u64)))
             .collect();
 
         // Relays, all drawing churn from one shared model.
@@ -539,10 +545,13 @@ impl World {
     /// event earlier than `at` has been handled and merged, and trace
     /// emission happens at handling time.
     pub(crate) fn obs_advance(&mut self, at: SimTime) {
-        if !self.obs.is_enabled() {
-            return;
+        if self.obs.is_enabled() {
+            self.obs_seal_until(self.obs.window_of(at));
         }
-        let upto = self.obs.window_of(at);
+    }
+
+    /// Drains, seals and alerts every window below index `upto`.
+    fn obs_seal_until(&mut self, upto: u64) {
         if upto <= self.obs.sealed_below() {
             return;
         }
@@ -641,8 +650,11 @@ impl World {
             )
         };
         // Seal through the final window: the session close-outs above
-        // emitted at `end_at`, which lands in `window_of(end_at)`.
-        self.obs_advance(self.end_at + SimDuration::from_millis(self.cfg.obs_window_ms));
+        // emitted at `end_at`, which lands in `window_of(end_at)`. The
+        // bound is a window index, so no window width can overflow it.
+        if self.obs.is_enabled() {
+            self.obs_seal_until(self.obs.window_of(self.end_at) + 1);
+        }
         let obs = std::mem::take(&mut self.obs);
         let slo = self.slo.take().map(SloEngine::finish).unwrap_or_default();
         RunReport {

@@ -174,47 +174,45 @@ impl RecoveryStats {
     }
 }
 
-/// Cost/λ configuration of the loss function.
+/// λ: weight of the unplayability term relative to bandwidth cost.
+const LAMBDA: f64 = 50.0;
+
+/// Relative per-byte cost of dedicated-CDN bandwidth (best-effort
+/// bandwidth is the unit; §2.1 prices best-effort 20–40 % cheaper).
+pub const DEDICATED_UNIT_COST: f64 = 1.35;
+
+/// Per-request overhead (in KB-equivalents) of a dedicated-node frame
+/// retrieval — the processing/connection burden that makes "repeatedly
+/// requesting individual frames" inefficient (§5.3).
+const REQUEST_OVERHEAD_KB: f64 = 8.0;
+
+/// Per-switch overhead (in KB-equivalents) of re-homing a substream.
+const SWITCH_REQUEST_KB: f64 = 4.0;
+
+/// Whole-stream frames priced in when traffic redirects to the CDN — a
+/// substream switch redirects `horizon / K` of them, full-stream
+/// fallback all of them; only the dedicated-vs-best-effort price
+/// *difference* is charged, since the data must flow either way.
+const SWITCH_HORIZON_FRAMES: f64 = 60.0;
+
+/// risk(F) for I-frames (P/B scale down from it via
+/// [`FrameType::risk_weight`]).
+const I_FRAME_RISK: f64 = 8.0;
+
+/// Lost frames of one substream in a single retransmission list that
+/// make switching that substream worth considering (§5.3 action 2).
+const CONSECUTIVE_LOSS_THRESHOLD: usize = 3;
+
+/// Configuration of the loss function.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RecoveryConfig {
-    /// λ: weight of the unplayability term relative to bandwidth cost.
-    pub lambda: f64,
-    /// Relative per-byte cost of dedicated-CDN bandwidth (best-effort
-    /// bandwidth is the unit; §2.1 prices best-effort 20–40 % cheaper).
-    pub dedicated_cost_factor: f64,
-    /// Per-request overhead (in KB-equivalents) of a dedicated-node
-    /// frame retrieval — the processing/connection burden that makes
-    /// "repeatedly requesting individual frames" inefficient (§5.3).
-    pub request_overhead_kb: f64,
-    /// Per-switch overhead (in KB-equivalents) of re-homing a substream.
-    pub switch_request_kb: f64,
-    /// Whole-stream frames priced in when traffic redirects to the CDN —
-    /// a substream switch redirects `horizon / K` of them, full-stream
-    /// fallback all of them; only the dedicated-vs-best-effort price
-    /// *difference* is charged, since the data must flow either way.
-    pub switch_horizon_frames: f64,
     /// Number of substreams K.
     pub substream_count: u16,
-    /// risk(F) for I-frames (P/B scale down from it via
-    /// [`FrameType::risk_weight`]).
-    pub i_frame_risk: f64,
-    /// Lost frames of one substream in a single retransmission list that
-    /// make switching that substream worth considering (§5.3 action 2).
-    pub consecutive_loss_threshold: usize,
 }
 
 impl Default for RecoveryConfig {
     fn default() -> Self {
-        RecoveryConfig {
-            lambda: 50.0,
-            dedicated_cost_factor: 1.35,
-            request_overhead_kb: 8.0,
-            switch_request_kb: 4.0,
-            switch_horizon_frames: 60.0,
-            substream_count: 4,
-            i_frame_risk: 8.0,
-            consecutive_loss_threshold: 3,
-        }
+        RecoveryConfig { substream_count: 4 }
     }
 }
 
@@ -270,15 +268,10 @@ impl RecoveryDecider {
         RecoveryDecider { cfg }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &RecoveryConfig {
-        &self.cfg
-    }
-
     /// `risk(Fᵢ)`: unplayability impact, by frame type (I-frames decode
     /// the whole GoP, §5.3).
     pub fn risk(&self, frame_type: FrameType) -> f64 {
-        self.cfg.i_frame_risk * frame_type.risk_weight() / FrameType::I.risk_weight()
+        I_FRAME_RISK * frame_type.risk_weight() / FrameType::I.risk_weight()
     }
 
     /// `P(Fᵢ | aᵢ, S)`: probability the frame misses its deadline.
@@ -331,26 +324,24 @@ impl RecoveryDecider {
     pub fn cost(&self, action: RecoveryAction, frame: &FrameState) -> f64 {
         let frame_kb = frame.size as f64 / 1000.0;
         let missing_kb = (frame.missing_packets as f64 * 1.2).min(frame_kb.max(0.0));
-        let price_delta = self.cfg.dedicated_cost_factor - 1.0;
+        let price_delta = DEDICATED_UNIT_COST - 1.0;
         match action {
             // Only the missing packets travel, at best-effort prices.
             RecoveryAction::BestEffortPackets => missing_kb,
             // The whole frame travels again at dedicated prices, plus a
             // per-request overhead.
-            RecoveryAction::DedicatedFrame => {
-                self.cfg.request_overhead_kb + frame_kb * self.cfg.dedicated_cost_factor
-            }
+            RecoveryAction::DedicatedFrame => REQUEST_OVERHEAD_KB + frame_kb * DEDICATED_UNIT_COST,
             // This substream's share of the horizon now travels at
             // dedicated prices; charge the price difference.
             RecoveryAction::SwitchSubstream => {
-                self.cfg.switch_request_kb
-                    + (self.cfg.switch_horizon_frames / self.cfg.substream_count as f64)
+                SWITCH_REQUEST_KB
+                    + (SWITCH_HORIZON_FRAMES / self.cfg.substream_count as f64)
                         * frame_kb
                         * price_delta
             }
             // All substreams redirect.
             RecoveryAction::FullStream => {
-                self.cfg.switch_request_kb + self.cfg.switch_horizon_frames * frame_kb * price_delta
+                SWITCH_REQUEST_KB + SWITCH_HORIZON_FRAMES * frame_kb * price_delta
             }
         }
     }
@@ -358,14 +349,12 @@ impl RecoveryDecider {
     /// Loss of one `(action, frame)` pair.
     pub fn loss(&self, action: RecoveryAction, frame: &FrameState, stats: &RecoveryStats) -> f64 {
         self.cost(action, frame)
-            + self.cfg.lambda
-                * self.failure_probability(action, frame, stats)
-                * self.risk(frame.frame_type)
+            + LAMBDA * self.failure_probability(action, frame, stats) * self.risk(frame.frame_type)
     }
 
     /// Decides the action vector `A = (a₁ … a_m)` for a retransmission
     /// list by per-frame argmin, then applies the §5.3 escalation: when
-    /// at least `consecutive_loss_threshold` frames of one substream are
+    /// at least `CONSECUTIVE_LOSS_THRESHOLD` frames of one substream are
     /// in the list, per-frame dedicated recovery is inefficient and the
     /// substream switch is evaluated collectively.
     pub fn decide(&self, frames: &[FrameState], stats: &RecoveryStats) -> Vec<Decision> {
@@ -412,7 +401,7 @@ impl RecoveryDecider {
             .map(|(ss, &count)| (ss as u16, count))
             .chain(overflow.iter().copied());
         for (ss, count) in tallied {
-            if count < self.cfg.consecutive_loss_threshold {
+            if count < CONSECUTIVE_LOSS_THRESHOLD {
                 continue;
             }
             // Amortised switch: one setup redirects all of this
@@ -433,7 +422,7 @@ impl RecoveryDecider {
                     let shared_cost =
                         self.cost(RecoveryAction::SwitchSubstream, f) / members.len() as f64;
                     shared_cost
-                        + self.cfg.lambda
+                        + LAMBDA
                             * self.failure_probability(RecoveryAction::SwitchSubstream, f, stats)
                             * self.risk(f.frame_type)
                 })

@@ -561,11 +561,6 @@ impl ReorderBuffer {
     }
 }
 
-/// Default CDN-fallback threshold (§7.4: 400 ms balances latency and
-/// smoothness; 300 ms degrades sharply, 500 ms adds latency for little
-/// gain).
-pub const DEFAULT_FALLBACK_THRESHOLD: SimDuration = SimDuration::from_millis(400);
-
 /// The player-side buffer of decoded-order frames.
 #[derive(Debug)]
 pub struct PlaybackBuffer {
@@ -870,7 +865,7 @@ mod tests {
     #[test]
     fn playback_buffer_counts_rebuffers() {
         let interval = SimDuration::from_millis(33);
-        let mut pb = PlaybackBuffer::new(interval, DEFAULT_FALLBACK_THRESHOLD);
+        let mut pb = PlaybackBuffer::new(interval, SimDuration::from_millis(400));
         let pkts = make_packets(3);
         pb.push(pkts[0][0].frame);
         pb.push(pkts[1][0].frame);
@@ -910,7 +905,7 @@ mod tests {
     #[test]
     fn late_frames_dropped_at_playhead() {
         let interval = SimDuration::from_millis(33);
-        let mut pb = PlaybackBuffer::new(interval, DEFAULT_FALLBACK_THRESHOLD);
+        let mut pb = PlaybackBuffer::new(interval, SimDuration::from_millis(400));
         let pkts = make_packets(3);
         pb.push(pkts[2][0].frame);
         pb.start();
@@ -927,7 +922,8 @@ mod tests {
 
     #[test]
     fn no_ticks_before_start() {
-        let mut pb = PlaybackBuffer::new(SimDuration::from_millis(33), DEFAULT_FALLBACK_THRESHOLD);
+        let mut pb =
+            PlaybackBuffer::new(SimDuration::from_millis(33), SimDuration::from_millis(400));
         let pkts = make_packets(1);
         pb.push(pkts[0][0].frame);
         assert!(pb.tick(t(0)).is_none());

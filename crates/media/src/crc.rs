@@ -80,16 +80,16 @@ impl Crc32 {
     }
 }
 
-/// Convenience: CRC-32 of a single slice.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = Crc32::new();
-    c.update(bytes);
-    c.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// CRC-32 of a single slice.
+    fn crc32(bytes: &[u8]) -> u32 {
+        let mut c = Crc32::new();
+        c.update(bytes);
+        c.finish()
+    }
 
     /// Bit-at-a-time CRC-32: the definition the tables must reproduce.
     fn bitwise(bytes: &[u8]) -> u32 {

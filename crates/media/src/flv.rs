@@ -10,7 +10,7 @@
 //! frame-chain design (§2.4, challenge 2).
 
 use crate::frame::{FrameHeader, FrameType};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 
 /// FLV tag types.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -189,19 +189,6 @@ pub fn encode_frame_tag(header: &FrameHeader) -> Tag {
     }
 }
 
-/// Recovers a frame header from a video tag produced by
-/// [`encode_frame_tag`].
-pub fn decode_frame_tag(tag: &Tag) -> Result<FrameHeader, FlvError> {
-    if tag.tag_type != TagType::Video || tag.payload.len() < 22 {
-        return Err(FlvError::Truncated);
-    }
-    let mut bytes = [0u8; 21];
-    let mut payload = tag.payload.clone();
-    payload.advance(1);
-    payload.copy_to_slice(&mut bytes);
-    FrameHeader::from_bytes(&bytes).ok_or(FlvError::Truncated)
-}
-
 /// Parses a full FLV byte stream into tags.
 pub fn decode_stream(buf: &[u8]) -> Result<Vec<Tag>, FlvError> {
     let mut pos = decode_file_header(buf)?;
@@ -217,6 +204,18 @@ pub fn decode_stream(buf: &[u8]) -> Result<Vec<Tag>, FlvError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Recovers a frame header from a video tag produced by
+    /// [`encode_frame_tag`].
+    fn decode_frame_tag(tag: &Tag) -> Result<FrameHeader, FlvError> {
+        match tag.payload.get(1..22) {
+            Some(bytes) if tag.tag_type == TagType::Video => {
+                FrameHeader::from_bytes(bytes.try_into().expect("21 bytes"))
+                    .ok_or(FlvError::Truncated)
+            }
+            _ => Err(FlvError::Truncated),
+        }
+    }
 
     fn sample_header(dts: u64) -> FrameHeader {
         FrameHeader {

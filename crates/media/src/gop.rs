@@ -91,12 +91,6 @@ impl GopGenerator {
         &self.cfg
     }
 
-    /// Switches the bitrate target (ABR rung change) without disturbing
-    /// the GoP phase.
-    pub fn set_bitrate(&mut self, bitrate_bps: u64) {
-        self.cfg.bitrate_bps = bitrate_bps;
-    }
-
     fn type_for(&self, idx_in_gop: u64) -> FrameType {
         if idx_in_gop == 0 {
             FrameType::I
@@ -224,9 +218,16 @@ mod tests {
 
     #[test]
     fn bitrate_switch_changes_sizes() {
-        let mut g = generator(5);
-        let before: u64 = g.take_frames(300).iter().map(|f| f.size() as u64).sum();
-        g.set_bitrate(6_000_000);
+        let before: u64 = generator(5)
+            .take_frames(300)
+            .iter()
+            .map(|f| f.size() as u64)
+            .sum();
+        let cfg = GopConfig {
+            bitrate_bps: 6_000_000,
+            ..GopConfig::default()
+        };
+        let mut g = GopGenerator::new(1, cfg, SimRng::new(5));
         let after: u64 = g.take_frames(300).iter().map(|f| f.size() as u64).sum();
         assert!(after as f64 > before as f64 * 1.7, "{before} -> {after}");
     }

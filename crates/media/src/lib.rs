@@ -8,27 +8,23 @@
 //!
 //! - frame and GoP modelling with realistic size/cadence statistics
 //!   ([`frame`], [`gop`]),
-//! - a byte-level FLV tag codec ([`flv`]) and NALU header model
-//!   ([`nalu`]),
+//! - a byte-level FLV tag codec ([`flv`]),
 //! - FNV-1a hashing and the static round-robin substream partitioner
 //!   `ssid(f) = fnv1a(dts) mod K` (§6) ([`hash`], [`substream`]),
 //! - CRC-32 and the frame footprint `(dts, crc, cnt)` with local frame
 //!   chains of length δ (§5.2) ([`crc`], [`footprint`]),
-//! - an AMF0 codec for FLV `onMetaData` script tags ([`amf`]),
 //! - fixed-size packetisation with a wire codec for the subscribe-push
 //!   data path ([`packet`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod amf;
 pub mod crc;
 pub mod flv;
 pub mod footprint;
 pub mod frame;
 pub mod gop;
 pub mod hash;
-pub mod nalu;
 pub mod packet;
 pub mod substream;
 

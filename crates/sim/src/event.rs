@@ -8,7 +8,7 @@
 //! cancelled sequence numbers are indexed, so `schedule`, `pop` and
 //! `peek` touch nothing but the heap while nothing is cancelled.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
 
@@ -99,11 +99,6 @@ impl<E> EventQueue<E> {
         EventHandle(seq)
     }
 
-    /// Schedules `payload` after a relative delay from the current time.
-    pub fn schedule_after(&mut self, delay: SimDuration, payload: E) -> EventHandle {
-        self.schedule(self.now + delay, payload)
-    }
-
     /// Cancels a previously scheduled event. Returns `true` if the event
     /// was still pending (i.e. not yet popped or cancelled). Scans the
     /// heap: cancellation is rare, the schedule/pop path is not.
@@ -128,11 +123,6 @@ impl<E> EventQueue<E> {
             return Some((entry.at, entry.payload));
         }
         None
-    }
-
-    /// Returns the timestamp of the next pending event without popping it.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.peek().map(|(at, _)| at)
     }
 
     /// Returns the next pending event — timestamp and a borrow of its
@@ -247,17 +237,8 @@ mod tests {
         let h = q.schedule(SimTime::from_millis(1), 1);
         q.schedule(SimTime::from_millis(2), 2);
         q.cancel(h);
-        assert_eq!(q.peek_time(), Some(SimTime::from_millis(2)));
+        assert_eq!(q.peek().map(|(at, _)| at), Some(SimTime::from_millis(2)));
         assert_eq!(q.pop(), Some((SimTime::from_millis(2), 2)));
-    }
-
-    #[test]
-    fn schedule_after_uses_current_time() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(10), "first");
-        q.pop();
-        q.schedule_after(SimDuration::from_secs(5), "second");
-        assert_eq!(q.pop(), Some((SimTime::from_secs(15), "second")));
     }
 
     #[test]

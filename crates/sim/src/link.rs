@@ -86,16 +86,6 @@ pub enum TxOutcome {
     QueueDrop,
 }
 
-impl TxOutcome {
-    /// Returns the delivery time if the packet was delivered.
-    pub fn delivered_at(self) -> Option<SimTime> {
-        match self {
-            TxOutcome::Delivered(t) => Some(t),
-            _ => None,
-        }
-    }
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum LossState {
     Good,
@@ -179,17 +169,6 @@ impl Link {
     /// Current queueing delay a packet offered at `now` would experience.
     pub fn queue_delay(&self, now: SimTime) -> SimDuration {
         self.busy_until.saturating_since(now)
-    }
-
-    /// Instantaneous utilisation proxy: fraction of the queue budget in use.
-    pub fn queue_occupancy(&self, now: SimTime) -> f64 {
-        let q = self.queue_delay(now).as_secs_f64();
-        let cap = self.cfg.max_queue_delay.as_secs_f64();
-        if cap <= 0.0 {
-            0.0
-        } else {
-            (q / cap).min(1.0)
-        }
     }
 
     fn advance_jitter(&mut self, now: SimTime) {
@@ -289,15 +268,6 @@ impl Link {
     pub fn packets_lost(&self) -> u64 {
         self.packets_lost
     }
-
-    /// Observed loss fraction over the link's lifetime.
-    pub fn loss_rate(&self) -> f64 {
-        if self.packets_sent == 0 {
-            0.0
-        } else {
-            self.packets_lost as f64 / self.packets_sent as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -333,8 +303,12 @@ mod tests {
     #[test]
     fn back_to_back_packets_queue() {
         let mut link = Link::new(lossless(1_000_000), SimRng::new(1));
-        let a = link.transmit(SimTime::ZERO, 1250).delivered_at().unwrap();
-        let b = link.transmit(SimTime::ZERO, 1250).delivered_at().unwrap();
+        let delivered = |out| match out {
+            TxOutcome::Delivered(at) => at,
+            other => panic!("not delivered: {other:?}"),
+        };
+        let a = delivered(link.transmit(SimTime::ZERO, 1250));
+        let b = delivered(link.transmit(SimTime::ZERO, 1250));
         assert_eq!(b - a, SimDuration::from_millis(10));
     }
 
@@ -344,8 +318,8 @@ mod tests {
         link.transmit(SimTime::ZERO, 1250);
         // Offer the next packet long after the first drained.
         let t = SimTime::from_secs(1);
-        let out = link.transmit(t, 1250).delivered_at().unwrap();
-        assert_eq!(out, t + SimDuration::from_millis(20));
+        let out = link.transmit(t, 1250);
+        assert_eq!(out, TxOutcome::Delivered(t + SimDuration::from_millis(20)));
     }
 
     #[test]
@@ -446,7 +420,7 @@ mod tests {
         }
         assert_eq!(link.packets_sent(), 10);
         assert_eq!(link.bytes_sent(), 5_000);
-        assert_eq!(link.loss_rate(), 0.0);
+        assert_eq!(link.packets_lost(), 0);
     }
 
     #[test]
@@ -454,11 +428,13 @@ mod tests {
         let mut cfg = lossless(1_000_000);
         cfg.max_queue_delay = SimDuration::from_millis(100);
         let mut link = Link::new(cfg, SimRng::new(23));
-        assert_eq!(link.queue_occupancy(SimTime::ZERO), 0.0);
+        assert_eq!(link.queue_delay(SimTime::ZERO), SimDuration::ZERO);
         for _ in 0..5 {
             link.transmit(SimTime::ZERO, 1250); // 10ms each
         }
-        let occ = link.queue_occupancy(SimTime::ZERO);
-        assert!((occ - 0.5).abs() < 1e-9, "occ {occ}");
+        assert_eq!(
+            link.queue_delay(SimTime::ZERO),
+            SimDuration::from_millis(50)
+        );
     }
 }

@@ -113,11 +113,6 @@ impl Summary {
         (self.sum_sq / self.n as f64 - mean * mean).max(0.0)
     }
 
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Smallest sample (0 if empty).
     pub fn min(&self) -> f64 {
         if self.n == 0 {
@@ -278,21 +273,6 @@ impl Percentiles {
         self.ensure_sorted();
         let idx = self.samples.partition_point(|&v| v <= x);
         idx as f64 / self.samples.len() as f64
-    }
-
-    /// Produces `(value, cumulative_probability)` points for plotting a
-    /// CDF with `resolution` evenly spaced probability steps.
-    pub fn cdf_points(&mut self, resolution: usize) -> Vec<(f64, f64)> {
-        if self.samples.is_empty() || resolution == 0 {
-            return Vec::new();
-        }
-        self.ensure_sorted();
-        (0..=resolution)
-            .map(|i| {
-                let q = i as f64 / resolution as f64;
-                (self.quantile(q), q)
-            })
-            .collect()
     }
 
     /// Merges another accumulator into this one (sample concatenation).
@@ -477,18 +457,6 @@ impl FixedHistogram {
         }
     }
 
-    /// Fraction of samples in buckets whose bound is `<= bound`
-    /// (0 if empty). `bound` must be one of the configured bounds to be
-    /// meaningful; other values round down to the nearest bucket edge.
-    pub fn fraction_le(&self, bound: f64) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let idx = self.bounds.partition_point(|&b| b <= bound);
-        let below: u64 = self.counts[..idx].iter().sum();
-        below as f64 / self.total as f64
-    }
-
     /// Merges another histogram into this one (element-wise addition).
     ///
     /// An empty side adopts the other's bounds, so a default-constructed
@@ -632,7 +600,7 @@ mod tests {
     fn empty_summary_is_zeroed() {
         let s = Summary::new();
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.std_dev(), 0.0);
+        assert_eq!(s.variance(), 0.0);
         assert_eq!(s.min(), 0.0);
         assert_eq!(s.max(), 0.0);
         assert_eq!(s.sum(), 0.0);
@@ -666,7 +634,6 @@ mod tests {
         assert_eq!(p.median(), 0.0);
         assert_eq!(p.cdf_at(42.0), 0.0);
         assert_eq!(p.mean(), 0.0);
-        assert!(p.cdf_points(10).is_empty());
         // A NaN quantile argument is clamped rather than propagated.
         p.add(7.0);
         assert_eq!(p.quantile(f64::NAN), 7.0);
@@ -691,10 +658,6 @@ mod tests {
         assert_eq!(p.cdf_at(3.0), 1.0);
         assert!((p.cdf_at(1.0) - 0.5).abs() < 1e-9);
         assert!(p.mean().is_finite());
-        assert!(p
-            .cdf_points(4)
-            .iter()
-            .all(|&(v, q)| v.is_finite() && q.is_finite()));
     }
 
     #[test]
@@ -758,10 +721,6 @@ mod tests {
         assert!((p.cdf_at(5.0) - 0.5).abs() < 1e-9);
         assert_eq!(p.cdf_at(0.0), 0.0);
         assert_eq!(p.cdf_at(100.0), 1.0);
-        let pts = p.cdf_points(10);
-        assert_eq!(pts.len(), 11);
-        assert_eq!(pts[0].1, 0.0);
-        assert_eq!(pts[10].1, 1.0);
     }
 
     #[test]
@@ -832,8 +791,6 @@ mod tests {
         assert_eq!(h.counts(), &[2, 1, 1, 1]);
         assert_eq!(h.total(), 5);
         assert!((h.sum() - 113.5).abs() < 1e-9);
-        assert!((h.fraction_le(5.0) - 0.6).abs() < 1e-9);
-        assert_eq!(h.fraction_le(10.0), 0.8);
     }
 
     #[test]

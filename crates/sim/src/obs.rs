@@ -725,18 +725,6 @@ impl MetricRegistry {
         })
     }
 
-    /// Per-window totals of one counter restricted to one node's label
-    /// set — the per-node series an adaptive scheduling policy consumes
-    /// (e.g. `churn_transitions` or `adviser_cost_triggers` for node 3).
-    pub fn node_windowed_totals(&self, name: &str, node: u64) -> BTreeMap<u64, u64> {
-        self.windowed_totals_where(name, |l| l.node == Some(node))
-    }
-
-    /// Per-window `num / den` ratio for one node's label set.
-    pub fn node_windowed_ratio(&self, num: &str, den: &str, node: u64) -> Vec<WindowRatio> {
-        self.windowed_ratio_where(num, den, |l| l.node == Some(node))
-    }
-
     /// The `k` windows with the largest totals for one counter (summed
     /// across matching labels), largest first; ties break toward the
     /// earlier window so the ranking is total-ordered.
@@ -1284,11 +1272,15 @@ mod tests {
             SimTime::from_millis(100),
             7,
         );
-        let n3 = reg.node_windowed_totals("churn_transitions", 3);
+        let n3 = reg.windowed_totals_where("churn_transitions", |l| l.node == Some(3));
         assert_eq!(n3.get(&0), Some(&1));
         assert_eq!(n3.get(&1), Some(&2));
-        assert!(reg.node_windowed_totals("churn_transitions", 4).is_empty());
-        let ratio = reg.node_windowed_ratio("churn_transitions", "churn_transitions", 9);
+        assert!(reg
+            .windowed_totals_where("churn_transitions", |l| l.node == Some(4))
+            .is_empty());
+        let ratio = reg.windowed_ratio_where("churn_transitions", "churn_transitions", |l| {
+            l.node == Some(9)
+        });
         assert_eq!(ratio.len(), 1);
         assert_eq!((ratio[0].num, ratio[0].den), (7, 7));
     }

@@ -67,8 +67,6 @@ pub enum ScenarioKind {
     DoublePeak,
     /// §7.3.3: a mega-broadcast burst (×demand on few streams).
     FifaWorldCup,
-    /// An off-peak control window.
-    OffPeak,
 }
 
 /// A fully specified experiment scenario.
@@ -125,15 +123,6 @@ impl Scenario {
         Scenario {
             kind: ScenarioKind::DoublePeak,
             start_hour: 12.0,
-            ..Scenario::evening_peak()
-        }
-    }
-
-    /// An off-peak control window (6 am trough).
-    pub fn off_peak() -> Self {
-        Scenario {
-            kind: ScenarioKind::OffPeak,
-            start_hour: 6.0,
             ..Scenario::evening_peak()
         }
     }
@@ -273,13 +262,16 @@ mod tests {
     fn presets_have_expected_windows() {
         assert_eq!(Scenario::evening_peak().start_hour, 21.0);
         assert_eq!(Scenario::noon_peak().start_hour, 12.0);
-        assert_eq!(Scenario::off_peak().start_hour, 6.0);
     }
 
     #[test]
     fn evening_peak_demand_exceeds_off_peak() {
         let evening = Scenario::evening_peak();
-        let off = Scenario::off_peak();
+        // The 6 am trough.
+        let off = Scenario {
+            start_hour: 6.0,
+            ..Scenario::evening_peak()
+        };
         assert!(
             evening.viewers_at(SimDuration::ZERO) > 2 * off.viewers_at(SimDuration::ZERO),
             "evening {} off {}",
@@ -310,7 +302,6 @@ mod tests {
         for s in [
             Scenario::evening_peak(),
             Scenario::noon_peak(),
-            Scenario::off_peak(),
             Scenario::fifa_world_cup(),
         ] {
             assert_eq!(s.validate(), Ok(()));
@@ -405,8 +396,11 @@ mod tests {
     #[test]
     fn viewers_follow_diurnal_within_run() {
         // A run starting at 6 am should see demand grow towards noon.
-        let mut s = Scenario::off_peak();
-        s.duration = SimDuration::from_secs(6 * 3600);
+        let s = Scenario {
+            start_hour: 6.0,
+            duration: SimDuration::from_secs(6 * 3600),
+            ..Scenario::evening_peak()
+        };
         let early = s.viewers_at(SimDuration::ZERO);
         let later = s.viewers_at(SimDuration::from_secs(5 * 3600));
         assert!(later > early);

@@ -86,40 +86,6 @@ impl DiurnalModel {
     pub fn viewers_at(&self, hour: f64, peak_viewers: usize) -> usize {
         (self.load_at(hour) * peak_viewers as f64).round() as usize
     }
-
-    /// Whether `hour` falls in the evening peak window (8 pm – 11 pm).
-    pub fn is_evening_peak(hour: f64) -> bool {
-        let h = hour.rem_euclid(24.0);
-        (20.0..23.0).contains(&h)
-    }
-
-    /// Whether `hour` falls in the noon peak window (11 am – 2 pm).
-    pub fn is_noon_peak(hour: f64) -> bool {
-        let h = hour.rem_euclid(24.0);
-        (11.0..14.0).contains(&h)
-    }
-}
-
-/// A Poisson viewer arrival process whose rate follows the diurnal
-/// curve, producing exponential inter-arrival gaps.
-#[derive(Debug, Clone)]
-pub struct ViewerArrivals {
-    model: DiurnalModel,
-    /// Arrival rate (viewers/second) at the evening peak.
-    peak_rate: f64,
-}
-
-impl ViewerArrivals {
-    /// Creates an arrival process.
-    pub fn new(model: DiurnalModel, peak_rate: f64) -> Self {
-        ViewerArrivals { model, peak_rate }
-    }
-
-    /// Samples the gap to the next arrival at simulation hour `hour`.
-    pub fn next_gap_secs(&self, hour: f64, rng: &mut SimRng) -> f64 {
-        let rate = (self.model.load_at(hour) * self.peak_rate).max(1e-6);
-        rng.exponential(1.0 / rate)
-    }
 }
 
 /// Viewing-session length model: most live viewers leave quickly, some
@@ -174,38 +140,11 @@ mod tests {
     }
 
     #[test]
-    fn peak_windows() {
-        assert!(DiurnalModel::is_evening_peak(21.0));
-        assert!(!DiurnalModel::is_evening_peak(15.0));
-        assert!(DiurnalModel::is_noon_peak(12.0));
-        assert!(!DiurnalModel::is_noon_peak(21.0));
-    }
-
-    #[test]
     fn viewers_scale_with_peak() {
         let m = DiurnalModel::default();
         assert_eq!(m.viewers_at(21.0, 10_000), 10_000);
         let six_am = m.viewers_at(6.0, 10_000);
         assert!((2_700..3_000).contains(&six_am), "{six_am}");
-    }
-
-    #[test]
-    fn arrivals_faster_at_peak() {
-        let arr = ViewerArrivals::new(DiurnalModel::default(), 100.0);
-        let mut rng = SimRng::new(5);
-        let n = 5_000;
-        let mean_peak: f64 = (0..n)
-            .map(|_| arr.next_gap_secs(21.0, &mut rng))
-            .sum::<f64>()
-            / n as f64;
-        let mean_trough: f64 = (0..n)
-            .map(|_| arr.next_gap_secs(6.0, &mut rng))
-            .sum::<f64>()
-            / n as f64;
-        assert!(
-            mean_trough > mean_peak * 2.0,
-            "{mean_trough} vs {mean_peak}"
-        );
     }
 
     #[test]

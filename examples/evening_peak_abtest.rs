@@ -8,8 +8,10 @@
 //! RLive test group inside one shared world (the paper's methodology),
 //! then prints the relative QoE differences Fig 9 and Table 2 report.
 
-use rlive::abtest::AbTest;
+use rlive::abtest::AbReport;
 use rlive::config::{DeliveryMode, SystemConfig};
+use rlive::world::GroupPolicy;
+use rlive::WorldSpec;
 use rlive_sim::SimDuration;
 use rlive_workload::scenario::Scenario;
 
@@ -19,23 +21,23 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(7);
 
-    let mut test = AbTest {
+    let mut spec = WorldSpec {
+        seed,
         scenario: Scenario::evening_peak().scaled(0.2),
         config: SystemConfig::default(),
-        control: DeliveryMode::CdnOnly,
-        test: DeliveryMode::RLive,
-        seed,
+        policy: GroupPolicy::ab(DeliveryMode::CdnOnly, DeliveryMode::RLive),
+        schedule: Vec::new(),
     };
-    test.scenario.duration = SimDuration::from_secs(240);
-    test.scenario.streams = 4;
-    test.scenario.population.isps = 2;
-    test.scenario.population.regions = 4;
-    test.config.cdn_edge_mbps = 130;
-    test.config.multi_source_after = SimDuration::from_secs(10);
-    test.config.popularity_threshold = 2;
+    spec.scenario.duration = SimDuration::from_secs(240);
+    spec.scenario.streams = 4;
+    spec.scenario.population.isps = 2;
+    spec.scenario.population.regions = 4;
+    spec.config.cdn_edge_mbps = 130;
+    spec.config.multi_source_after = SimDuration::from_secs(10);
+    spec.config.popularity_threshold = 2;
 
     println!("Evening-peak A/B: control = CDN-only, test = RLive (seed {seed})");
-    let report = test.run();
+    let report = AbReport::from_run(spec.run());
 
     let c = &report.run.control_qoe;
     let t = &report.run.test_qoe;

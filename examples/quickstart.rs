@@ -48,5 +48,5 @@ fn main() {
     )
     .run();
 
-    print!("\n{}", rlive::report::format_full(&report, 1.35));
+    print!("\n{}", rlive::report::format_full(&report));
 }

@@ -426,6 +426,40 @@ fn unwritable_obs_export_is_an_error_not_a_panic() {
     );
 }
 
+// The widest window whose µs width fits the clock is one window over
+// the whole run: the final seal must still ingest every trace record
+// (3097 at seed 7, as with the default 1 s windows).
+#[test]
+fn widest_obs_window_still_seals_the_final_window() {
+    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["obs", "7", "--obs-window", "18446744073709551"])
+        .output()
+        .expect("spawn experiments binary");
+    assert!(out.status.success(), "obs --obs-window 18446744073709551");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let ingested = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("trace records ingested"))
+        .map(str::trim);
+    assert_eq!(ingested, Some("3097"), "{stdout}");
+}
+
+// One ms more overflows the µs clock: a usage error (exit 2, empty
+// stdout), not a width that silently wraps to 1 ms.
+#[test]
+fn obs_window_past_the_clock_is_an_error_not_a_wrap() {
+    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["obs", "7", "--obs-window", "18446744073709552"])
+        .output()
+        .expect("spawn experiments binary");
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "obs --obs-window 18446744073709552"
+    );
+    assert!(out.stdout.is_empty(), "obs --obs-window wrote to stdout");
+}
+
 // ----- full sweep (simulated worlds; minutes in release) ---------------
 
 #[test]

@@ -5,29 +5,31 @@
 //! *signs* and rough factors (who wins), which is what the reproduction
 //! promises. Each assertion averages several seeds to tame variance.
 
-use rlive::abtest::AbTest;
+use rlive::abtest::AbReport;
 use rlive::config::{DeliveryMode, SystemConfig};
 use rlive::world::{GroupPolicy, RunReport, World};
+use rlive::WorldSpec;
+use rlive_data::recovery::DEDICATED_UNIT_COST;
 use rlive_sim::SimDuration;
 use rlive_workload::scenario::Scenario;
 
-fn ab(control: DeliveryMode, test: DeliveryMode, seed: u64, cdn_mbps: u64) -> AbTest {
-    let mut t = AbTest {
+fn ab(control: DeliveryMode, test: DeliveryMode, seed: u64, cdn_mbps: u64) -> AbReport {
+    let mut spec = WorldSpec {
+        seed,
         scenario: Scenario::evening_peak().scaled(0.15),
         config: SystemConfig::default(),
-        control,
-        test,
-        seed,
+        policy: GroupPolicy::ab(control, test),
+        schedule: Vec::new(),
     };
-    t.scenario.duration = SimDuration::from_secs(180);
-    t.scenario.streams = 4;
-    t.scenario.population.isps = 2;
-    t.scenario.population.regions = 4;
-    t.scenario.population.high_quality_fraction = 0.10;
-    t.config.multi_source_after = SimDuration::from_secs(8);
-    t.config.popularity_threshold = 2;
-    t.config.cdn_edge_mbps = cdn_mbps;
-    t
+    spec.scenario.duration = SimDuration::from_secs(180);
+    spec.scenario.streams = 4;
+    spec.scenario.population.isps = 2;
+    spec.scenario.population.regions = 4;
+    spec.scenario.population.high_quality_fraction = 0.10;
+    spec.config.multi_source_after = SimDuration::from_secs(8);
+    spec.config.popularity_threshold = 2;
+    spec.config.cdn_edge_mbps = cdn_mbps;
+    AbReport::from_run(spec.run())
 }
 
 fn mean_diffs(
@@ -40,7 +42,7 @@ fn mean_diffs(
     let mut bitrate = 0.0;
     let mut e2e = 0.0;
     for &s in seeds {
-        let r = ab(control, test, s, cdn_mbps).run();
+        let r = ab(control, test, s, cdn_mbps);
         rebuf += r.diff.rebuffer_events_pct;
         bitrate += r.diff.bitrate_pct;
         e2e += r.diff.e2e_latency_pct;
@@ -161,7 +163,7 @@ fn fig8_view_split_is_fair() {
     let mut total = 0.0;
     let seeds = [10u64, 11, 12, 13];
     for &s in &seeds {
-        let r = ab(DeliveryMode::CdnOnly, DeliveryMode::RLive, s, 140).run();
+        let r = ab(DeliveryMode::CdnOnly, DeliveryMode::RLive, s, 140);
         total += r.view_split_pct;
     }
     let mean = total / seeds.len() as f64;
@@ -187,11 +189,11 @@ fn table2_eqt_per_byte_falls_with_fanout() {
     let r = World::new(s, cfg, GroupPolicy::uniform(DeliveryMode::RLive), 31).run();
     let t = &r.test_traffic;
     let gamma = t.expansion_rate().unwrap_or(0.0);
-    let per_byte = t.equivalent_traffic(1.35) / t.client_bytes().max(1) as f64;
+    let per_byte = t.equivalent_traffic(DEDICATED_UNIT_COST) / t.client_bytes().max(1) as f64;
     assert!(gamma > 3.0, "fan-out too low: γ {gamma}");
     assert!(
-        per_byte < 1.35,
-        "per-byte EqT {per_byte} should beat the dedicated price 1.35 (γ {gamma})"
+        per_byte < DEDICATED_UNIT_COST,
+        "per-byte EqT {per_byte} should beat the dedicated price {DEDICATED_UNIT_COST} (γ {gamma})"
     );
 }
 
