@@ -86,7 +86,7 @@ bash benchmark/run.sh --workload dataplane --seed 101 --seconds 2 --trace 0 | aw
 # directories such as crates/core/src/actors/ included. The ceiling is
 # the last deletion PR's exit total rounded up to the next 50; a PR that
 # deletes code lowers it, none raises it.
-loc_ceiling=30000
+loc_ceiling=29750
 echo "==> every .rs file under crates/*/src <= $loc_ceiling lines (source-size ratchet)"
 loc=$(find crates/*/src -name '*.rs' -exec cat {} + | wc -l)
 echo "$loc total"

@@ -70,24 +70,7 @@ impl WorldSpec {
             self.seed,
         );
         for ev in &self.schedule {
-            match *ev {
-                ScriptedEvent::MassOutage {
-                    at,
-                    duration,
-                    fraction,
-                } => world.inject_mass_outage(at, duration, fraction),
-                ScriptedEvent::RegionalOutage {
-                    at,
-                    duration,
-                    region,
-                } => world.inject_region_outage(at, duration, region),
-                ScriptedEvent::ChurnStorm {
-                    at,
-                    duration,
-                    fraction,
-                } => world.inject_churn_storm(at, duration, fraction),
-            }
-            .expect("invalid WorldSpec scripted event");
+            world.inject(ev).expect("invalid WorldSpec scripted event");
         }
         world
     }

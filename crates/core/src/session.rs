@@ -168,42 +168,14 @@ pub(crate) fn on_control_tick(world: &mut World, now: SimTime, cid: u64) {
 /// safety net: degraded single-source clients re-map to another
 /// top-tier relay instead of returning to the CDN data path.
 fn control_fallback_check(world: &mut World, now: SimTime, cid: u64) {
-    let (needs_fallback, strawman, current_relay) = {
-        let client = &world.clients[&cid];
-        (
-            client.uses_best_effort() && client.playback.below_fallback_threshold(),
-            client.mode_policy == DeliveryMode::SingleSource,
-            match &client.mode {
-                ClientMode::SingleSource { relay } => Some(*relay),
-                _ => None,
-            },
-        )
-    };
-    if needs_fallback && strawman {
-        if let Some(dead) = current_relay {
-            let full_mbps = BITRATE_LADDER[BASE_RUNG] as f64 / 1e6;
+    let client = &world.clients[&cid];
+    if !(client.uses_best_effort() && client.playback.below_fallback_threshold()) {
+        return;
+    }
+    if client.mode_policy == DeliveryMode::SingleSource {
+        if let ClientMode::SingleSource { relay: dead } = client.mode {
             if let Some(next) = pick_relay_for(world, now, cid, 0) {
-                if next != dead
-                    && subscribe(
-                        world,
-                        cid,
-                        next,
-                        world.clients[&cid].stream,
-                        FULL_STREAM,
-                        full_mbps,
-                    )
-                {
-                    unsubscribe(
-                        world,
-                        cid,
-                        dead,
-                        world.clients[&cid].stream,
-                        FULL_STREAM,
-                        full_mbps,
-                    );
-                    if let Some(client) = world.clients.get_mut(&cid) {
-                        client.mode = ClientMode::SingleSource { relay: next };
-                    }
+                if next != dead && move_source(world, cid, FULL_STREAM, dead, next) {
                     world.trace.emit(
                         now,
                         Some(cid),
@@ -220,30 +192,38 @@ fn control_fallback_check(world: &mut World, now: SimTime, cid: u64) {
         }
         return;
     }
-    if needs_fallback {
-        let from = world.clients[&cid].mode.label();
-        teardown_relay_subscriptions(world, cid);
-        let client = world.clients.get_mut(&cid).expect("exists");
-        client.mode = ClientMode::CdnFull;
-        client.session.fell_back_to_cdn = true;
-        world.trace.emit(
-            now,
-            Some(cid),
-            TraceEvent::ModeSwitch {
-                from,
-                to: "cdn_full",
-                reason: "buffer_fallback",
-            },
-        );
-        // Try multi-source again once stabilised.
-        let retry = now + SimDuration::from_secs(15);
-        client.upgrade_scheduled = true;
-        world
-            .queue
-            .schedule(retry, Event::MultiSourceUpgrade { client: cid });
-        // Refill the buffer aggressively from the CDN (§8.2).
-        cdn_prefill(world, now, cid);
-    }
+    fall_back_to_cdn(world, now, cid, "buffer_fallback");
+    // Try multi-source again once stabilised.
+    world
+        .clients
+        .get_mut(&cid)
+        .expect("exists")
+        .upgrade_scheduled = true;
+    world.queue.schedule(
+        now + SimDuration::from_secs(15),
+        Event::MultiSourceUpgrade { client: cid },
+    );
+    // Refill the buffer aggressively from the CDN (§8.2).
+    cdn_prefill(world, now, cid);
+}
+
+/// §7.4: tears down every relay subscription and returns the client to
+/// CDN full-stream delivery, tracing the switch under `reason`.
+fn fall_back_to_cdn(world: &mut World, now: SimTime, cid: u64, reason: &'static str) {
+    let from = world.clients[&cid].mode.label();
+    teardown_relay_subscriptions(world, cid);
+    let client = world.clients.get_mut(&cid).expect("exists");
+    client.mode = ClientMode::CdnFull;
+    client.session.fell_back_to_cdn = true;
+    world.trace.emit(
+        now,
+        Some(cid),
+        TraceEvent::ModeSwitch {
+            from,
+            to: "cdn_full",
+            reason,
+        },
+    );
 }
 
 fn control_failover_and_switch(world: &mut World, now: SimTime, cid: u64) {
@@ -348,63 +328,56 @@ pub(crate) fn control_recovery(world: &mut World, now: SimTime, cid: u64) {
             return;
         };
         let stream = client.stream as usize;
-        let incomplete = client.reorder.incomplete_frames(now, RETX_TIMEOUT);
-        let mut states: Vec<FrameState> = incomplete
+        let state = |h: &FrameHeader, substream: u16, size: u32, missing_packets: u32| FrameState {
+            dts_ms: h.dts_ms,
+            deadline: frame_deadline(client, h.dts_ms),
+            size,
+            missing_packets,
+            frame_type: h.frame_type,
+            substream,
+        };
+        let mut states: Vec<FrameState> = client
+            .reorder
+            .incomplete_frames(now, RETX_TIMEOUT)
             .iter()
             .filter(|f| may_redecide(now, client.requested_recovery.get(f.header.dts_ms)))
-            .map(|f| FrameState {
-                dts_ms: f.header.dts_ms,
-                deadline: frame_deadline(client, f.header.dts_ms),
-                size: f.header.size,
-                missing_packets: f.missing.len() as u32,
-                frame_type: f.header.frame_type,
-                substream: f.substream,
+            .map(|f| {
+                state(
+                    &f.header,
+                    f.substream,
+                    f.header.size,
+                    f.missing.len() as u32,
+                )
             })
             .collect();
-        // Wholly-lost frames announced by chains but never received:
-        // reconstruct their headers from the stream source record.
-        for (dts, cnt) in client.reorder.missing_chain_frames(now, RETX_TIMEOUT) {
+        // Frames with no data to decide on, whose headers are rebuilt
+        // from the stream source record: wholly-lost frames announced by
+        // chains but never received (`Some(lost packets)`), then, under
+        // centralised sequencing (§7.3.2), frames whose data arrived but
+        // whose sequence metadata is missing or late (`None`). The client
+        // conservatively re-pulls the latter from the CDN, whose response
+        // carries authoritative ordering: the extra retransmission load
+        // the distributed design eliminates.
+        let unorderable = if client.mode_policy == DeliveryMode::RLiveCentralSequencing {
+            let age = SimDuration::from_millis(400);
+            client.reorder.unorderable_complete(now, age, 8)
+        } else {
+            Vec::new()
+        };
+        let wholly_lost = client.reorder.missing_chain_frames(now, RETX_TIMEOUT);
+        let rebuilt = wholly_lost.into_iter().map(|(dts, n)| (dts, Some(n)));
+        for (dts, lost) in rebuilt.chain(unorderable.into_iter().map(|dts| (dts, None))) {
             if !may_redecide(now, client.requested_recovery.get(dts)) {
                 continue;
             }
             let Some((header, _)) = world.streams[stream].recent_frame(dts) else {
                 continue;
             };
-            states.push(FrameState {
-                dts_ms: dts,
-                deadline: frame_deadline(client, dts),
-                size: header.size.max(cnt * 1_000),
-                missing_packets: cnt,
-                frame_type: header.frame_type,
-                substream: world.substream_for(header),
-            });
-        }
-        // Centralised sequencing (§7.3.2): frames whose data arrived
-        // but whose sequence metadata is missing or late cannot be
-        // handed to the decoder; after a timeout the client
-        // conservatively re-pulls them from the CDN, whose response
-        // carries authoritative ordering. This is the extra
-        // retransmission load the distributed design eliminates.
-        if client.mode_policy == DeliveryMode::RLiveCentralSequencing {
-            for dts in client
-                .reorder
-                .unorderable_complete(now, SimDuration::from_millis(400), 8)
-            {
-                if !may_redecide(now, client.requested_recovery.get(dts)) {
-                    continue;
-                }
-                let Some((header, _)) = world.streams[stream].recent_frame(dts) else {
-                    continue;
-                };
-                states.push(FrameState {
-                    dts_ms: dts,
-                    deadline: frame_deadline(client, dts),
-                    size: header.size,
-                    missing_packets: header.size.div_ceil(1_200).max(1),
-                    frame_type: header.frame_type,
-                    substream: world.substream_for(header),
-                });
-            }
+            let (size, missing) = match lost {
+                Some(n) => (header.size.max(n * 1_000), n),
+                None => (header.size, header.size.div_ceil(1_200).max(1)),
+            };
+            states.push(state(header, world.substream_for(header), size, missing));
         }
         if states.is_empty() {
             return;
@@ -463,50 +436,34 @@ pub(crate) fn control_recovery(world: &mut World, now: SimTime, cid: u64) {
             issue_hedge_batch(world, now, cid, d.dts_ms, fanout, &suppliers);
             continue;
         }
-        match d.action {
-            RecoveryAction::BestEffortPackets => {
-                let rec = world
-                    .retx_traces
-                    .sample(RetxServer::BestEffort, &mut world.rng);
-                let at = now + SimDuration::from_secs_f64(rec.spent_ms / 1000.0);
-                world.queue.schedule(
-                    at,
-                    Event::RecoveryOutcome {
-                        client: cid,
-                        dts: d.dts_ms,
-                        action: d.action,
-                        success: rec.success,
-                    },
-                );
-            }
-            RecoveryAction::DedicatedFrame
-            | RecoveryAction::SwitchSubstream
-            | RecoveryAction::FullStream => {
-                let rec = world
-                    .retx_traces
-                    .sample(RetxServer::Dedicated, &mut world.rng);
-                // Without the §8.1 DNS bypass, each dedicated
-                // recovery pays a resolver round trip first.
-                let dns = if world.cfg.dns_bypass {
-                    SimDuration::ZERO
-                } else {
-                    SimDuration::from_secs_f64(world.rng.lognormal(3.4, 0.6) / 1000.0)
-                };
-                let at = now + dns + SimDuration::from_secs_f64(rec.spent_ms / 1000.0);
-                world
-                    .ledger_mut(group)
-                    .add(TrafficClass::DedicatedServing, 1_500);
-                world.queue.schedule(
-                    at,
-                    Event::RecoveryOutcome {
-                        client: cid,
-                        dts: d.dts_ms,
-                        action: d.action,
-                        success: rec.success,
-                    },
-                );
-            }
+        let dedicated = d.action != RecoveryAction::BestEffortPackets;
+        let server = if dedicated {
+            RetxServer::Dedicated
+        } else {
+            RetxServer::BestEffort
+        };
+        let rec = world.retx_traces.sample(server, &mut world.rng);
+        // Without the §8.1 DNS bypass, each dedicated recovery pays a
+        // resolver round trip first.
+        let dns = if dedicated && !world.cfg.dns_bypass {
+            SimDuration::from_secs_f64(world.rng.lognormal(3.4, 0.6) / 1000.0)
+        } else {
+            SimDuration::ZERO
+        };
+        if dedicated {
+            world
+                .ledger_mut(group)
+                .add(TrafficClass::DedicatedServing, 1_500);
         }
+        world.queue.schedule(
+            now + dns + SimDuration::from_secs_f64(rec.spent_ms / 1000.0),
+            Event::RecoveryOutcome {
+                client: cid,
+                dts: d.dts_ms,
+                action: d.action,
+                success: rec.success,
+            },
+        );
     }
 }
 
@@ -591,22 +548,17 @@ pub(crate) fn on_hedge_outcome(
         Some(c) if !c.departed => c.stream,
         _ => return,
     };
-    let header = world.streams[stream as usize]
-        .recent_frame(dts)
-        .map(|(h, _)| *h);
-    let redundant_bytes = |header: Option<FrameHeader>| header.map_or(0, |h| h.size as u64 / 3);
 
     // Resolve this leg against the race state. Everything the borrow of
     // the client needs is extracted here; world-level effects follow.
     enum LegFate {
-        /// Race already decided or evicted; leg is moot.
-        Stale,
-        /// Leg lost; race still undecided (or already decided earlier).
-        Lost { race_over: bool, won: bool },
-        /// This leg decided the race.
+        /// The leg decides nothing: the race is gone (head eviction or
+        /// a newer round), already won, or still has legs out.
+        Moot,
+        /// This leg won the race; `remaining` legs are cancelled.
         Won { remaining: u8 },
-        /// Leg succeeded after the race was already won: redundant.
-        RedundantWin,
+        /// The last leg of a race every leg lost.
+        Lost,
     }
     let (fate, supplier, live) = {
         let client = world.clients.get_mut(&cid).expect("checked above");
@@ -615,25 +567,22 @@ pub(crate) fn on_hedge_outcome(
                 let supplier = h.suppliers.get(attempt as usize).copied();
                 let live = !h.won;
                 h.outstanding = h.outstanding.saturating_sub(1);
-                let fate = if success && !h.won {
+                let fate = if success && live {
                     h.won = true;
                     LegFate::Won {
                         remaining: h.outstanding,
                     }
-                } else if success {
-                    LegFate::RedundantWin
+                } else if !success && live && h.outstanding == 0 {
+                    LegFate::Lost
                 } else {
-                    LegFate::Lost {
-                        race_over: h.outstanding == 0,
-                        won: h.won,
-                    }
+                    LegFate::Moot
                 };
                 if h.outstanding == 0 {
                     client.hedges.remove(dts);
                 }
                 (fate, supplier, live)
             }
-            _ => (LegFate::Stale, None, false),
+            _ => (LegFate::Moot, None, false),
         }
     };
 
@@ -653,15 +602,19 @@ pub(crate) fn on_hedge_outcome(
     }
 
     match fate {
-        LegFate::Stale => {
-            // The race is gone (head eviction or a newer round); a
-            // successful stale leg still moved bytes.
+        LegFate::Moot => {
+            // A successful moot leg's bytes travelled anyway. Redundant
+            // hedge traffic is the price of racing.
             if success {
                 let group = world.clients.get(&cid).expect("checked above").group;
+                let bytes = world.streams[stream as usize]
+                    .recent_frame(dts)
+                    .map_or(0, |(h, _)| h.size as u64 / 3);
                 world
                     .ledger_mut(group)
-                    .add(TrafficClass::BestEffortServing, redundant_bytes(header));
+                    .add(TrafficClass::BestEffortServing, bytes);
             }
+            return;
         }
         LegFate::Won { remaining } => {
             world.trace.emit(
@@ -682,72 +635,61 @@ pub(crate) fn on_hedge_outcome(
                     },
                 );
             }
-            // Exactly one logical recovery outcome per race.
-            world.trace.emit(
-                now,
-                Some(cid),
-                TraceEvent::RecoveryOutcome {
-                    dts_ms: dts,
-                    action: RecoveryAction::BestEffortPackets.label(),
-                    success: true,
-                },
-            );
-            {
-                let client = world.clients.get_mut(&cid).expect("checked above");
-                if client.requested_recovery.get(dts).map(|(a, _)| *a)
-                    == Some(RecoveryAction::BestEffortPackets)
-                {
-                    client.requested_recovery.remove(dts);
-                }
-            }
-            if let Some(header) = header {
-                let group;
-                {
-                    let chain = world.streams[stream as usize]
-                        .recent_frame(dts)
-                        .map(|(_, c)| *c);
-                    let client = world.clients.get_mut(&cid).expect("checked above");
-                    group = client.group;
-                    client.ingest_recovered_frame(now, header, chain.as_ref());
-                }
-                world
-                    .ledger_mut(group)
-                    .add(TrafficClass::BestEffortServing, header.size as u64 / 3);
-            }
         }
-        LegFate::RedundantWin => {
-            // The race was already won; this leg's bytes travelled
-            // anyway. Redundant hedge traffic is the price of racing.
-            let group = world.clients.get(&cid).expect("checked above").group;
-            world
-                .ledger_mut(group)
-                .add(TrafficClass::BestEffortServing, redundant_bytes(header));
-        }
-        LegFate::Lost { race_over, won } => {
-            if race_over && !won {
-                // Every leg lost: one logical failure, then re-decide —
-                // the shrunken deadline usually escalates (§5.3).
-                world.trace.emit(
-                    now,
-                    Some(cid),
-                    TraceEvent::RecoveryOutcome {
-                        dts_ms: dts,
-                        action: RecoveryAction::BestEffortPackets.label(),
-                        success: false,
-                    },
-                );
-                {
-                    let client = world.clients.get_mut(&cid).expect("checked above");
-                    if client.requested_recovery.get(dts).map(|(a, _)| *a)
-                        == Some(RecoveryAction::BestEffortPackets)
-                    {
-                        client.requested_recovery.remove(dts);
-                    }
-                }
-                control_recovery(world, now, cid);
-            }
-        }
+        LegFate::Lost => {}
     }
+    // Exactly one logical recovery outcome per race: the winning leg's
+    // success, or one failure once every leg has lost.
+    let action = RecoveryAction::BestEffortPackets;
+    settle_recovery(world, now, cid, dts, action, success);
+}
+
+/// Settles one logical recovery attempt on the frame at `dts`: traces
+/// its outcome and retires the in-flight request if `action` still owns
+/// it (a late outcome of a superseded request leaves the superseding
+/// entry in flight). A success absorbs the recovered frame and prices
+/// it in the ledger; a failure re-decides right away — the shrunken
+/// deadline usually escalates the action (§5.3).
+fn settle_recovery(
+    world: &mut World,
+    now: SimTime,
+    cid: u64,
+    dts: u64,
+    action: RecoveryAction,
+    success: bool,
+) {
+    world.trace.emit(
+        now,
+        Some(cid),
+        TraceEvent::RecoveryOutcome {
+            dts_ms: dts,
+            action: action.label(),
+            success,
+        },
+    );
+    let client = world
+        .clients
+        .get_mut(&cid)
+        .expect("settled sessions are live");
+    if client.requested_recovery.get(dts).map(|(a, _)| *a) == Some(action) {
+        client.requested_recovery.remove(dts);
+    }
+    if !success {
+        control_recovery(world, now, cid);
+        return;
+    }
+    let Some(&(header, chain)) = world.streams[client.stream as usize].recent_frame(dts) else {
+        return;
+    };
+    client.ingest_recovered_frame(now, header, Some(&chain));
+    let group = client.group;
+    let (class, bytes) = match action {
+        RecoveryAction::BestEffortPackets => {
+            (TrafficClass::BestEffortServing, header.size as u64 / 3)
+        }
+        _ => (TrafficClass::DedicatedServing, header.size as u64),
+    };
+    world.ledger_mut(group).add(class, bytes);
 }
 
 /// Completion of a recovery attempt issued by
@@ -766,41 +708,24 @@ pub(crate) fn on_recovery_outcome(
         Some(c) if !c.departed => c.stream,
         _ => return,
     };
-    world.trace.emit(
-        now,
-        Some(cid),
-        TraceEvent::RecoveryOutcome {
-            dts_ms: dts,
-            action: action.label(),
-            success,
-        },
-    );
     let header = world.streams[stream as usize]
         .recent_frame(dts)
         .map(|(h, _)| *h);
-    {
-        let client = world.clients.get_mut(&cid).expect("checked above");
-        client.recovery_stats.observe_retx(success);
-        if client.requested_recovery.get(dts).map(|(a, _)| *a) == Some(action) {
-            client.requested_recovery.remove(dts);
-        }
-    }
+    let client = world.clients.get_mut(&cid).expect("checked above");
+    client.recovery_stats.observe_retx(success);
     // Attribute the outcome to the relay sourcing the frame's substream
     // and feed the scheduler's policy window (a no-op under the static
     // policy). CDN-sourced substreams have no node to blame.
-    let source_relay = world
-        .clients
-        .get(&cid)
-        .and_then(|client| match &client.mode {
-            ClientMode::SingleSource { relay } => Some(*relay),
-            ClientMode::Multi { sources, .. } => {
-                header.and_then(|h| match sources.get(world.substream_for(&h) as usize) {
-                    Some(SubSource::Relay(rid)) => Some(*rid),
-                    _ => None,
-                })
-            }
-            ClientMode::CdnFull => None,
-        });
+    let source_relay = match &world.clients[&cid].mode {
+        ClientMode::SingleSource { relay } => Some(*relay),
+        ClientMode::Multi { sources, .. } => {
+            header.and_then(|h| match sources.get(world.substream_for(&h) as usize) {
+                Some(SubSource::Relay(rid)) => Some(*rid),
+                _ => None,
+            })
+        }
+        ClientMode::CdnFull => None,
+    };
     if let Some(rid) = source_relay {
         world
             .scheduler
@@ -814,37 +739,7 @@ pub(crate) fn on_recovery_outcome(
                 .note_attempt_outcome(now, rid as u64, success);
         }
     }
-    if !success {
-        // Re-evaluate right away; the shrunken deadline usually
-        // escalates the action (§5.3).
-        control_recovery(world, now, cid);
-    }
-    if success {
-        if let Some(header) = header {
-            let group;
-            {
-                let chain = world.streams[stream as usize]
-                    .recent_frame(dts)
-                    .map(|(_, c)| *c);
-                let client = world.clients.get_mut(&cid).expect("checked above");
-                group = client.group;
-                client.ingest_recovered_frame(now, header, chain.as_ref());
-            }
-            let bytes = (header.size as f64) as u64;
-            match action {
-                RecoveryAction::BestEffortPackets => {
-                    world
-                        .ledger_mut(group)
-                        .add(TrafficClass::BestEffortServing, bytes / 3);
-                }
-                _ => {
-                    world
-                        .ledger_mut(group)
-                        .add(TrafficClass::DedicatedServing, bytes);
-                }
-            }
-        }
-    }
+    settle_recovery(world, now, cid, dts, action, success);
     match action {
         RecoveryAction::SwitchSubstream => {
             if let Some(header) = header {
@@ -852,27 +747,7 @@ pub(crate) fn on_recovery_outcome(
                 switch_substream_to_cdn(world, cid, ss);
             }
         }
-        RecoveryAction::FullStream => {
-            let from = world
-                .clients
-                .get(&cid)
-                .map(|c| c.mode.label())
-                .unwrap_or("cdn_full");
-            teardown_relay_subscriptions(world, cid);
-            if let Some(client) = world.clients.get_mut(&cid) {
-                client.mode = ClientMode::CdnFull;
-                client.session.fell_back_to_cdn = true;
-            }
-            world.trace.emit(
-                now,
-                Some(cid),
-                TraceEvent::ModeSwitch {
-                    from,
-                    to: "cdn_full",
-                    reason: "recovery_full_stream",
-                },
-            );
-        }
+        RecoveryAction::FullStream => fall_back_to_cdn(world, now, cid, "recovery_full_stream"),
         _ => {}
     }
 }
@@ -895,33 +770,48 @@ pub(crate) fn deliver_suggestion(world: &mut World, rid: u32, s: &SwitchSuggesti
 
 // ----- mapping: subscribe / unsubscribe / switch -----------------------
 
+/// Bandwidth one subscription reserves, Mbps: the base rung for
+/// [`FULL_STREAM`], an even share of it for one of the K substreams.
+fn subscription_mbps(world: &World, ss: u16) -> f64 {
+    let full_mbps = BITRATE_LADDER[BASE_RUNG] as f64 / 1e6;
+    if ss == FULL_STREAM {
+        full_mbps
+    } else {
+        full_mbps / world.cfg.substreams as f64
+    }
+}
+
 /// Subscribes `cid` to `(stream, ss)` on relay `rid`, reserving quota.
-pub(crate) fn subscribe(
-    world: &mut World,
-    cid: u64,
-    rid: u32,
-    stream: u32,
-    ss: u16,
-    bandwidth_mbps: f64,
-) -> bool {
+pub(crate) fn subscribe(world: &mut World, cid: u64, rid: u32, stream: u32, ss: u16) -> bool {
     let client_exists = world.clients.contains_key(&cid);
-    let admitted =
-        world.relays[rid as usize].subscribe(cid, stream, ss, bandwidth_mbps, client_exists);
+    let mbps = subscription_mbps(world, ss);
+    let admitted = world.relays[rid as usize].subscribe(cid, stream, ss, mbps, client_exists);
     world.refile_feeder(rid, stream);
     admitted
 }
 
 /// Reverses one [`subscribe`].
-pub(crate) fn unsubscribe(
-    world: &mut World,
-    cid: u64,
-    rid: u32,
-    stream: u32,
-    ss: u16,
-    bandwidth_mbps: f64,
-) {
-    world.relays[rid as usize].unsubscribe(cid, stream, ss, bandwidth_mbps);
+pub(crate) fn unsubscribe(world: &mut World, cid: u64, rid: u32, stream: u32, ss: u16) {
+    let mbps = subscription_mbps(world, ss);
+    world.relays[rid as usize].unsubscribe(cid, stream, ss, mbps);
     world.refile_feeder(rid, stream);
+}
+
+/// Moves `cid`'s `ss` (or [`FULL_STREAM`]) subscription from relay
+/// `from` to relay `to`: subscribes first and, only once `to` admits,
+/// releases `from` and re-points the client. Returns whether it moved.
+fn move_source(world: &mut World, cid: u64, ss: u16, from: u32, to: u32) -> bool {
+    let stream = world.clients[&cid].stream;
+    if !subscribe(world, cid, to, stream, ss) {
+        return false;
+    }
+    unsubscribe(world, cid, from, stream, ss);
+    let client = world.clients.get_mut(&cid).expect("exists");
+    match &mut client.mode {
+        ClientMode::Multi { sources, .. } => sources[ss as usize] = SubSource::Relay(to),
+        mode => *mode = ClientMode::SingleSource { relay: to },
+    }
+    true
 }
 
 pub(crate) fn teardown_relay_subscriptions(world: &mut World, cid: u64) {
@@ -929,31 +819,23 @@ pub(crate) fn teardown_relay_subscriptions(world: &mut World, cid: u64) {
         return;
     };
     let stream = client.stream;
-    let per_sub_mbps = BITRATE_LADDER[BASE_RUNG] as f64 / 1e6 / world.cfg.substreams as f64;
     match &client.mode {
         ClientMode::CdnFull => {}
         ClientMode::SingleSource { relay } => {
             let rid = *relay;
-            unsubscribe(
-                world,
-                cid,
-                rid,
-                stream,
-                FULL_STREAM,
-                BITRATE_LADDER[BASE_RUNG] as f64 / 1e6,
-            );
+            unsubscribe(world, cid, rid, stream, FULL_STREAM);
         }
         ClientMode::Multi { sources, redundant } => {
             let sources = sources.clone();
             let redundant = redundant.clone();
             for (ss, src) in sources.iter().enumerate() {
                 if let SubSource::Relay(rid) = src {
-                    unsubscribe(world, cid, *rid, stream, ss as u16, per_sub_mbps);
+                    unsubscribe(world, cid, *rid, stream, ss as u16);
                 }
             }
             for (ss, r) in redundant.iter().enumerate() {
                 if let Some(rid) = r {
-                    unsubscribe(world, cid, *rid, stream, ss as u16, per_sub_mbps);
+                    unsubscribe(world, cid, *rid, stream, ss as u16);
                 }
             }
         }
@@ -965,13 +847,12 @@ fn switch_substream_to_cdn(world: &mut World, cid: u64, ss: u16) {
         return;
     };
     let stream = client.stream;
-    let per_sub_mbps = BITRATE_LADDER[BASE_RUNG] as f64 / 1e6 / world.cfg.substreams as f64;
     let old = match &client.mode {
         ClientMode::Multi { sources, .. } => sources.get(ss as usize).copied(),
         _ => None,
     };
     if let Some(SubSource::Relay(rid)) = old {
-        unsubscribe(world, cid, rid, stream, ss, per_sub_mbps);
+        unsubscribe(world, cid, rid, stream, ss);
     }
     if let Some(client) = world.clients.get_mut(&cid) {
         if let ClientMode::Multi { sources, .. } = &mut client.mode {
@@ -1014,15 +895,13 @@ fn replace_relay_source(world: &mut World, now: SimTime, cid: u64, dead: u32) {
         }
         (stream, affected)
     };
-    let per_sub_mbps = BITRATE_LADDER[BASE_RUNG] as f64 / 1e6 / world.cfg.substreams as f64;
     for ss in affected {
         if ss == usize::MAX {
             // Single-source re-map: another top-tier relay, or the
             // CDN as last resort.
-            let full_mbps = BITRATE_LADDER[BASE_RUNG] as f64 / 1e6;
             let next = pick_relay_for(world, now, cid, 0);
             let subscribed = next
-                .map(|rid| subscribe(world, cid, rid, stream, FULL_STREAM, full_mbps))
+                .map(|rid| subscribe(world, cid, rid, stream, FULL_STREAM))
                 .unwrap_or(false);
             if let Some(client) = world.clients.get_mut(&cid) {
                 client.mode = match (subscribed, next) {
@@ -1037,7 +916,7 @@ fn replace_relay_source(world: &mut World, now: SimTime, cid: u64, dead: u32) {
         }
         // Try to find a replacement relay right away.
         if let Some(new_rid) = pick_relay_for(world, now, cid, ss as u16) {
-            if subscribe(world, cid, new_rid, stream, ss as u16, per_sub_mbps) {
+            if subscribe(world, cid, new_rid, stream, ss as u16) {
                 if let Some(client) = world.clients.get_mut(&cid) {
                     if let ClientMode::Multi { sources, .. } = &mut client.mode {
                         sources[ss] = SubSource::Relay(new_rid);
@@ -1052,40 +931,19 @@ fn swap_relay(world: &mut World, cid: u64, from: u32, to: u32) {
     let Some(client) = world.clients.get(&cid) else {
         return;
     };
-    let stream = client.stream;
-    let per_sub_mbps = BITRATE_LADDER[BASE_RUNG] as f64 / 1e6 / world.cfg.substreams as f64;
-    match &client.mode {
-        ClientMode::SingleSource { relay } if *relay == from => {
-            let full_mbps = BITRATE_LADDER[BASE_RUNG] as f64 / 1e6;
-            if subscribe(world, cid, to, stream, FULL_STREAM, full_mbps) {
-                unsubscribe(world, cid, from, stream, FULL_STREAM, full_mbps);
-                if let Some(client) = world.clients.get_mut(&cid) {
-                    client.mode = ClientMode::SingleSource { relay: to };
-                }
-            }
-        }
+    let ss = match &client.mode {
+        ClientMode::SingleSource { relay } if *relay == from => FULL_STREAM,
+        // Move one substream per assessment round (gradual re-mapping
+        // limits disruption).
         ClientMode::Multi { sources, .. } => {
-            let affected: Vec<usize> = sources
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| **s == SubSource::Relay(from))
-                .map(|(i, _)| i)
-                .collect();
-            // Move one substream per assessment round (gradual
-            // re-mapping limits disruption).
-            if let Some(&ss) = affected.first() {
-                if subscribe(world, cid, to, stream, ss as u16, per_sub_mbps) {
-                    unsubscribe(world, cid, from, stream, ss as u16, per_sub_mbps);
-                    if let Some(client) = world.clients.get_mut(&cid) {
-                        if let ClientMode::Multi { sources, .. } = &mut client.mode {
-                            sources[ss] = SubSource::Relay(to);
-                        }
-                    }
-                }
+            match sources.iter().position(|s| *s == SubSource::Relay(from)) {
+                Some(ss) => ss as u16,
+                None => return,
             }
         }
-        _ => {}
-    }
+        _ => return,
+    };
+    move_source(world, cid, ss, from, to);
 }
 
 fn refresh_candidates(world: &mut World, now: SimTime, cid: u64) {
@@ -1327,48 +1185,26 @@ pub(crate) fn on_upgrade(world: &mut World, now: SimTime, cid: u64) {
     match mode_policy {
         DeliveryMode::CdnOnly => {}
         DeliveryMode::SingleSource => {
-            let full_mbps = BITRATE_LADDER[BASE_RUNG] as f64 / 1e6;
-            let mut granted = false;
-            if let Some(rid) = pick_relay_for(world, now, cid, 0) {
-                if subscribe(world, cid, rid, stream, FULL_STREAM, full_mbps) {
-                    if let Some(client) = world.clients.get_mut(&cid) {
-                        client.mode = ClientMode::SingleSource { relay: rid };
-                    }
-                    granted = true;
-                }
+            let relay = pick_relay_for(world, now, cid, 0)
+                .filter(|&rid| subscribe(world, cid, rid, stream, FULL_STREAM));
+            if let Some(relay) = relay {
+                world.clients.get_mut(&cid).expect("exists").mode =
+                    ClientMode::SingleSource { relay };
             }
-            world.trace.emit(
-                now,
-                Some(cid),
-                TraceEvent::MultiSourcePromotion {
-                    granted,
-                    relays: granted as u32,
-                },
-            );
-            if granted {
-                world.trace.emit(
-                    now,
-                    Some(cid),
-                    TraceEvent::ModeSwitch {
-                        from: "cdn_full",
-                        to: "single_source",
-                        reason: "promotion",
-                    },
-                );
-            }
+            let granted = relay.is_some();
+            trace_promotion(world, now, cid, granted, granted as u32, "single_source");
         }
         DeliveryMode::RLive
         | DeliveryMode::RedundantMulti
         | DeliveryMode::RLiveCentralSequencing => {
             let k = world.cfg.substreams as usize;
-            let per_sub_mbps = BITRATE_LADDER[BASE_RUNG] as f64 / 1e6 / k as f64;
             let mut sources = vec![SubSource::Cdn; k];
             let mut redundant = vec![None; k];
             let mut any = false;
             let mut taken: Vec<u32> = Vec::new();
             for ss in 0..k {
                 if let Some(rid) = pick_relay_excluding(world, now, cid, ss as u16, &taken) {
-                    if subscribe(world, cid, rid, stream, ss as u16, per_sub_mbps) {
+                    if subscribe(world, cid, rid, stream, ss as u16) {
                         sources[ss] = SubSource::Relay(rid);
                         taken.push(rid);
                         any = true;
@@ -1376,36 +1212,47 @@ pub(crate) fn on_upgrade(world: &mut World, now: SimTime, cid: u64) {
                 }
                 if mode_policy == DeliveryMode::RedundantMulti {
                     if let Some(rid2) = pick_relay_excluding(world, now, cid, ss as u16, &taken) {
-                        if subscribe(world, cid, rid2, stream, ss as u16, per_sub_mbps) {
+                        if subscribe(world, cid, rid2, stream, ss as u16) {
                             redundant[ss] = Some(rid2);
                             taken.push(rid2);
                         }
                     }
                 }
             }
-            world.trace.emit(
-                now,
-                Some(cid),
-                TraceEvent::MultiSourcePromotion {
-                    granted: any,
-                    relays: taken.len() as u32,
-                },
-            );
             if any {
-                world.trace.emit(
-                    now,
-                    Some(cid),
-                    TraceEvent::ModeSwitch {
-                        from: "cdn_full",
-                        to: "multi",
-                        reason: "promotion",
-                    },
-                );
-                if let Some(client) = world.clients.get_mut(&cid) {
-                    client.mode = ClientMode::Multi { sources, redundant };
-                }
+                world.clients.get_mut(&cid).expect("exists").mode =
+                    ClientMode::Multi { sources, redundant };
             }
+            trace_promotion(world, now, cid, any, taken.len() as u32, "multi");
         }
+    }
+}
+
+/// Traces a promotion attempt over `relays` relays and, when granted,
+/// the client's switch off CDN full-stream delivery onto mode `to`.
+fn trace_promotion(
+    world: &World,
+    now: SimTime,
+    cid: u64,
+    granted: bool,
+    relays: u32,
+    to: &'static str,
+) {
+    world.trace.emit(
+        now,
+        Some(cid),
+        TraceEvent::MultiSourcePromotion { granted, relays },
+    );
+    if granted {
+        world.trace.emit(
+            now,
+            Some(cid),
+            TraceEvent::ModeSwitch {
+                from: "cdn_full",
+                to,
+                reason: "promotion",
+            },
+        );
     }
 }
 

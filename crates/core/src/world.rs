@@ -25,12 +25,14 @@ use crate::shard::ShardBatch;
 use rlive_control::features::Heartbeat;
 use rlive_control::{GlobalScheduler, NodeClass, NodeId, NodeStatus, StaticFeatures};
 use rlive_media::frame::FrameHeader;
+use rlive_sim::churn::{ChurnModel, ChurnTimeline};
 use rlive_sim::metrics::TimeSeries;
 use rlive_sim::nat::TraversalModel;
 use rlive_sim::obs::{time_stage, Stage};
 use rlive_sim::slo::{SloEngine, SloReport};
 use rlive_sim::trace::TraceCounters;
 use rlive_sim::{EventQueue, MetricRegistry, SimDuration, SimRng, SimTime};
+use rlive_workload::dsl::ScriptedEvent;
 use rlive_workload::nodes::NodePopulation;
 use rlive_workload::scenario::{Scenario, ScenarioError};
 use rlive_workload::streams::StreamPopularity;
@@ -399,127 +401,89 @@ impl World {
 
     /// Replaces every relay's churn timeline with one drawn from
     /// `model` — a failure-injection hook for robustness tests.
-    pub fn inject_churn_model(&mut self, model: &rlive_sim::churn::ChurnModel) {
+    pub fn inject_churn_model(&mut self, model: &ChurnModel) {
         let model = Arc::new(model.clone());
         for (i, relay) in self.relays.iter_mut().enumerate() {
-            relay.set_churn(rlive_sim::churn::ChurnTimeline::new(
+            relay.set_churn(ChurnTimeline::new(
                 Arc::clone(&model),
                 self.rng.fork(9_000 + i as u64),
             ));
         }
     }
 
-    /// Failure injection: a `fraction` of relays (chosen
-    /// deterministically) goes offline at `at` for `outage`, then
-    /// resumes normal churn. Models a correlated vendor/region outage.
+    /// Failure injection: scripts `event` onto the churn timelines of
+    /// the relays it hits, each of which goes offline for its window and
+    /// then resumes normal churn.
     ///
-    /// `fraction` is clamped to `[0, 1]`; a non-finite fraction or a
-    /// zero-length outage is rejected rather than silently scripting a
-    /// no-op timeline. Returns the number of relays scripted.
-    pub fn inject_mass_outage(
-        &mut self,
-        at: SimTime,
-        outage: SimDuration,
-        fraction: f64,
-    ) -> Result<usize, &'static str> {
-        if outage.as_millis() == 0 {
-            return Err("mass outage duration must be non-zero");
-        }
-        if !fraction.is_finite() {
-            return Err("mass outage fraction must be finite");
-        }
-        let n = (self.relays.len() as f64 * fraction.clamp(0.0, 1.0)).round() as usize;
-        let n = n.min(self.relays.len());
-        let model = Arc::new(rlive_sim::churn::ChurnModel::production());
-        for i in 0..n {
-            let rng = self.rng.fork(17_000 + i as u64);
-            self.relays[i].set_churn(rlive_sim::churn::ChurnTimeline::scripted(
-                Arc::clone(&model),
-                rng,
-                at,
-                outage,
-            ));
-        }
-        Ok(n)
-    }
-
-    /// Failure injection: every relay in `region` goes offline at `at`
-    /// for `outage`, then resumes normal churn — a correlated regional
-    /// failure (power cut, carrier outage). Returns the number of
-    /// relays scripted (zero when the region has no relays, which is
-    /// not an error: the region exists, it is just empty).
-    pub fn inject_region_outage(
-        &mut self,
-        at: SimTime,
-        outage: SimDuration,
-        region: u16,
-    ) -> Result<usize, &'static str> {
-        if outage.as_millis() == 0 {
-            return Err("regional outage duration must be non-zero");
-        }
-        if region >= self.scenario.population.regions {
-            return Err("regional outage region out of range");
-        }
-        let targets: Vec<usize> = self
-            .relays
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.spec.region == region)
-            .map(|(i, _)| i)
-            .collect();
-        let model = Arc::new(rlive_sim::churn::ChurnModel::production());
-        for &i in &targets {
-            let rng = self.rng.fork(23_000 + i as u64);
-            self.relays[i].set_churn(rlive_sim::churn::ChurnTimeline::scripted(
-                Arc::clone(&model),
-                rng,
-                at,
-                outage,
-            ));
-        }
-        Ok(targets.len())
-    }
-
-    /// Failure injection: a correlated churn storm. A `fraction` of
-    /// relays (spread deterministically across the population) each
-    /// drops offline at a jittered point inside `[at, at + window)`
-    /// for a jittered sub-window — the flappy, staggered failure mode
-    /// that mass outages (everyone at once) do not exercise. Returns
-    /// the number of relays scripted.
-    pub fn inject_churn_storm(
-        &mut self,
-        at: SimTime,
-        window: SimDuration,
-        fraction: f64,
-    ) -> Result<usize, &'static str> {
-        if window.as_millis() == 0 {
-            return Err("churn storm window must be non-zero");
-        }
-        if !fraction.is_finite() {
-            return Err("churn storm fraction must be finite");
+    /// - A mass outage takes down the first `fraction` of relays at
+    ///   once: a correlated vendor outage.
+    /// - A regional outage takes down every relay in `region`: a power
+    ///   cut or carrier outage. An empty region scripts zero relays,
+    ///   which is not an error.
+    /// - A churn storm spreads `fraction` of relays across the
+    ///   population, each dropping at a jittered point inside
+    ///   `[at, at + duration)` for a jittered sub-window: the flappy,
+    ///   staggered failure mode everyone-at-once outages miss.
+    ///
+    /// Fractions clamp to `[0, 1]`. A zero-length window, a non-finite
+    /// fraction or an out-of-range region is rejected rather than
+    /// silently scripting a no-op timeline. Returns the number of relays
+    /// scripted.
+    pub fn inject(&mut self, event: &ScriptedEvent) -> Result<usize, &'static str> {
+        let (at, duration) = match *event {
+            ScriptedEvent::MassOutage { at, duration, .. }
+            | ScriptedEvent::RegionalOutage { at, duration, .. }
+            | ScriptedEvent::ChurnStorm { at, duration, .. } => (at, duration),
+        };
+        if duration.as_millis() == 0 {
+            return Err("scripted event window must be non-zero");
         }
         let total = self.relays.len();
-        let n = ((total as f64 * fraction.clamp(0.0, 1.0)).round() as usize).min(total);
-        let window_ms = window.as_millis().max(1);
-        let model = Arc::new(rlive_sim::churn::ChurnModel::production());
-        for k in 0..n {
+        let count = |fraction: f64| {
+            if fraction.is_finite() {
+                Ok(((total as f64 * fraction.clamp(0.0, 1.0)).round() as usize).min(total))
+            } else {
+                Err("scripted event fraction must be finite")
+            }
+        };
+        // The relays hit, each with the salt its timeline RNG forks from.
+        let (salt, targets): (u64, Vec<usize>) = match *event {
+            ScriptedEvent::MassOutage { fraction, .. } => (17_000, (0..count(fraction)?).collect()),
+            ScriptedEvent::RegionalOutage { region, .. } => {
+                if region >= self.scenario.population.regions {
+                    return Err("regional outage region out of range");
+                }
+                let hit = (0..total).filter(|&i| self.relays[i].spec.region == region);
+                (23_000, hit.collect())
+            }
             // Stride selection: floor(k·total/n) is strictly increasing
             // for n ≤ total, so picks are distinct and spread across
             // regions/capacity tiers instead of clustering at index 0.
-            let i = k * total / n;
-            let mut rng = self.rng.fork(29_000 + i as u64);
-            let start = at + SimDuration::from_millis(rng.below(window_ms.max(2) / 2));
-            let offline = SimDuration::from_millis(
-                (window_ms / 4).max(1) + rng.below((window_ms / 2).max(1)),
-            );
-            self.relays[i].set_churn(rlive_sim::churn::ChurnTimeline::scripted(
+            ScriptedEvent::ChurnStorm { fraction, .. } => {
+                let n = count(fraction)?;
+                (29_000, (0..n).map(|k| k * total / n).collect())
+            }
+        };
+        let storm = matches!(event, ScriptedEvent::ChurnStorm { .. });
+        let window_ms = duration.as_millis();
+        let model = Arc::new(ChurnModel::production());
+        for &i in &targets {
+            let mut rng = self.rng.fork(salt + i as u64);
+            let (start, offline) = if storm {
+                let start = at + SimDuration::from_millis(rng.below(window_ms.max(2) / 2));
+                let offline = (window_ms / 4).max(1) + rng.below((window_ms / 2).max(1));
+                (start, SimDuration::from_millis(offline))
+            } else {
+                (at, duration)
+            };
+            self.relays[i].set_churn(ChurnTimeline::scripted(
                 Arc::clone(&model),
                 rng,
                 start,
                 offline,
             ));
         }
-        Ok(n)
+        Ok(targets.len())
     }
 
     /// Overrides the shard worker count resolved from the config

@@ -17,6 +17,7 @@ use proptest::prelude::*;
 use rlive::config::{DeliveryMode, SystemConfig};
 use rlive::events::{TraceRecord, TraceSink};
 use rlive::world::{GroupPolicy, RunReport, World};
+use rlive::ScriptedEvent;
 use rlive_sim::{SimDuration, SimTime};
 use rlive_workload::scenario::Scenario;
 
@@ -67,7 +68,11 @@ fn run_once(
     let mut world = World::new(scn.clone(), cfg.clone(), GroupPolicy::uniform(mode), seed);
     if let Some(at) = outage_at {
         world
-            .inject_mass_outage(SimTime::from_secs(at), SimDuration::from_secs(15), 0.5)
+            .inject(&ScriptedEvent::MassOutage {
+                at: SimTime::from_secs(at),
+                duration: SimDuration::from_secs(15),
+                fraction: 0.5,
+            })
             .expect("valid outage");
     }
     world.set_world_jobs(jobs);

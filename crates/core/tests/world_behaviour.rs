@@ -4,6 +4,7 @@
 
 use rlive::config::{DeliveryMode, SystemConfig};
 use rlive::world::{GroupPolicy, RunReport, World};
+use rlive::ScriptedEvent;
 use rlive_sim::{SimDuration, SimTime};
 use rlive_workload::scenario::Scenario;
 
@@ -283,7 +284,11 @@ fn mass_outage_rejects_zero_duration() {
         GroupPolicy::uniform(DeliveryMode::RLive),
         30,
     );
-    let err = world.inject_mass_outage(SimTime::from_secs(10), SimDuration::ZERO, 0.5);
+    let err = world.inject(&ScriptedEvent::MassOutage {
+        at: SimTime::from_secs(10),
+        duration: SimDuration::ZERO,
+        fraction: 0.5,
+    });
     assert!(err.is_err(), "zero-duration outage must be rejected");
 }
 
@@ -296,8 +301,11 @@ fn mass_outage_rejects_non_finite_fraction() {
         GroupPolicy::uniform(DeliveryMode::RLive),
         31,
     );
-    let err =
-        world.inject_mass_outage(SimTime::from_secs(10), SimDuration::from_secs(30), f64::NAN);
+    let err = world.inject(&ScriptedEvent::MassOutage {
+        at: SimTime::from_secs(10),
+        duration: SimDuration::from_secs(30),
+        fraction: f64::NAN,
+    });
     assert!(err.is_err(), "NaN fraction must be rejected");
 }
 
@@ -312,10 +320,18 @@ fn mass_outage_clamps_fraction_and_reports_count() {
     );
     // Over-unity fractions clamp to all relays, not beyond.
     let all = world
-        .inject_mass_outage(SimTime::from_secs(10), SimDuration::from_secs(30), 7.5)
+        .inject(&ScriptedEvent::MassOutage {
+            at: SimTime::from_secs(10),
+            duration: SimDuration::from_secs(30),
+            fraction: 7.5,
+        })
         .expect("valid outage");
     let again = world
-        .inject_mass_outage(SimTime::from_secs(10), SimDuration::from_secs(30), 1.0)
+        .inject(&ScriptedEvent::MassOutage {
+            at: SimTime::from_secs(10),
+            duration: SimDuration::from_secs(30),
+            fraction: 1.0,
+        })
         .expect("valid outage");
     assert_eq!(all, again, "fraction > 1 must clamp to 1");
     // Negative fractions clamp to zero relays.
@@ -326,7 +342,11 @@ fn mass_outage_clamps_fraction_and_reports_count() {
         33,
     );
     let none = world2
-        .inject_mass_outage(SimTime::from_secs(10), SimDuration::from_secs(30), -0.5)
+        .inject(&ScriptedEvent::MassOutage {
+            at: SimTime::from_secs(10),
+            duration: SimDuration::from_secs(30),
+            fraction: -0.5,
+        })
         .expect("valid outage");
     assert_eq!(none, 0, "negative fraction clamps to zero relays");
 }
@@ -341,7 +361,11 @@ fn mass_outage_survivable_end_to_end() {
     cfg.cdn_edge_mbps = 140;
     let mut world = World::new(scenario, cfg, GroupPolicy::uniform(DeliveryMode::RLive), 34);
     let n = world
-        .inject_mass_outage(SimTime::from_secs(40), SimDuration::from_secs(20), 0.5)
+        .inject(&ScriptedEvent::MassOutage {
+            at: SimTime::from_secs(40),
+            duration: SimDuration::from_secs(20),
+            fraction: 0.5,
+        })
         .expect("valid outage");
     assert!(n > 0, "half the fleet should be scripted");
     let report = world.run();

@@ -148,11 +148,6 @@ impl RecoveryStats {
     pub fn observe_retx(&mut self, success: bool) {
         let idx = (self.retx_attempts % RETX_WINDOW as u64) as usize;
         let (word, bit) = (idx / 64, idx % 64);
-        if self.retx_window.len() != RETX_WINDOW / 64 {
-            // Deserialized from an older shape: rebuild a zeroed window.
-            self.retx_window = vec![0; RETX_WINDOW / 64];
-            self.retx_window_successes = 0;
-        }
         if self.retx_attempts >= RETX_WINDOW as u64 && self.retx_window[word] >> bit & 1 == 1 {
             // The outcome leaving the window was a success.
             self.retx_window_successes -= 1;

@@ -114,12 +114,12 @@ impl Phase {
     }
 
     /// The `[start, end)` window of a churn-scripting phase, `None` for
-    /// population/demand-shaping phases.
+    /// population/demand-shaping phases (an end past `u64::MAX` saturates).
     fn churn_window(&self) -> Option<(u64, u64)> {
         match *self {
             Phase::RegionalOutage { at_s, dur_s, .. }
             | Phase::MassOutage { at_s, dur_s, .. }
-            | Phase::ChurnStorm { at_s, dur_s, .. } => Some((at_s, at_s + dur_s)),
+            | Phase::ChurnStorm { at_s, dur_s, .. } => Some((at_s, at_s.saturating_add(dur_s))),
             _ => None,
         }
     }
@@ -138,9 +138,7 @@ impl Phase {
                 at_s,
                 dur_s,
                 region,
-            } => {
-                format!("region{region}@{at_s}+{dur_s}")
-            }
+            } => format!("region{region}@{at_s}+{dur_s}"),
             Phase::MassOutage {
                 at_s,
                 dur_s,
@@ -294,6 +292,8 @@ impl ScenarioProgram {
                 "program name must be a non-empty single token".into(),
             ));
         }
+        let overflow = ScenarioError::BadParameter("duration overflows the microsecond clock");
+        self.duration_s.checked_mul(1_000_000).ok_or(overflow)?;
         // Base-knob screening via the scenario's own validator.
         self.base_scenario().validate()?;
         let finite_unit = |v: f64| v.is_finite() && (0.0..=1.0).contains(&v);
@@ -322,10 +322,10 @@ impl ScenarioProgram {
                     dur_s,
                     multiplier,
                 } => {
-                    if dur_s == 0 || at_s + dur_s > self.duration_s {
+                    let end = at_s.saturating_add(dur_s);
+                    if dur_s == 0 || end > self.duration_s {
                         return Err(DslError::PhaseOutOfWindow(format!(
-                            "flash_crowd [{at_s}, {}) vs run window {} s",
-                            at_s + dur_s,
+                            "flash_crowd [{at_s}, {end}) vs run window {} s",
                             self.duration_s
                         )));
                     }
@@ -492,13 +492,11 @@ impl ScenarioProgram {
                     at_s,
                     dur_s,
                     region,
-                } => {
-                    schedule.push(ScriptedEvent::RegionalOutage {
-                        at: SimTime::from_secs(at_s),
-                        duration: SimDuration::from_secs(dur_s),
-                        region,
-                    });
-                }
+                } => schedule.push(ScriptedEvent::RegionalOutage {
+                    at: SimTime::from_secs(at_s),
+                    duration: SimDuration::from_secs(dur_s),
+                    region,
+                }),
                 Phase::ChurnStorm {
                     at_s,
                     dur_s,
@@ -518,14 +516,10 @@ impl ScenarioProgram {
     /// Rust's shortest round-trip formatting, so
     /// `parse_spec(render_spec(p)) == p` exactly.
     pub fn render_spec(&self) -> String {
-        let mut out = String::new();
-        out.push_str("# rlive scenario spec v1\n");
-        out.push_str(&format!("name {}\n", self.name));
-        out.push_str(&format!("duration {}\n", self.duration_s));
-        out.push_str(&format!("viewers {}\n", self.peak_viewers));
-        out.push_str(&format!("streams {}\n", self.streams));
-        out.push_str(&format!("zipf {}\n", self.zipf_s));
-        out.push_str(&format!("nodes {}\n", self.nodes));
+        let mut out = format!(
+            "# rlive scenario spec v1\nname {}\nduration {}\nviewers {}\nstreams {}\nzipf {}\nnodes {}\n",
+            self.name, self.duration_s, self.peak_viewers, self.streams, self.zipf_s, self.nodes
+        );
         for p in &self.phases {
             match *p {
                 Phase::FlashCrowd {
@@ -652,7 +646,8 @@ impl ScenarioProgram {
                         "regional_outage" => Phase::RegionalOutage {
                             at_s: get_u64("at")?,
                             dur_s: get_u64("dur")?,
-                            region: get_u64("region")? as u16,
+                            region: u16::try_from(get_u64("region")?)
+                                .map_err(|_| bad("field 'region' does not fit in u16"))?,
                         },
                         "mass_outage" => Phase::MassOutage {
                             at_s: get_u64("at")?,
@@ -1042,22 +1037,25 @@ mod tests {
 
     #[test]
     fn parse_rejects_malformed_specs() {
-        assert!(matches!(
-            ScenarioProgram::parse_spec("duration 40\n"),
-            Err(DslError::Parse(_))
-        ));
-        assert!(matches!(
-            ScenarioProgram::parse_spec("name x\nphase warp_drive at=1\n"),
-            Err(DslError::Parse(_))
-        ));
-        assert!(matches!(
-            ScenarioProgram::parse_spec("name x\nphase mass_outage at=1 dur=5\n"),
-            Err(DslError::Parse(_))
-        ));
-        assert!(matches!(
-            ScenarioProgram::parse_spec("name x\nbogus 4\n"),
-            Err(DslError::Parse(_))
-        ));
+        for spec in [
+            "duration 40\n",
+            "name x\nphase warp_drive at=1\n",
+            "name x\nphase mass_outage at=1 dur=5\n",
+            "name x\nbogus 4\n",
+            // A region beyond u16 is an error, not a silent truncation.
+            "name x\nphase regional_outage at=1 dur=5 region=65536\n",
+        ] {
+            let parsed = ScenarioProgram::parse_spec(spec);
+            assert!(matches!(parsed, Err(DslError::Parse(_))), "{spec}");
+        }
+        // Windows and durations past the u64 clock are not panics.
+        for spec in [
+            "name x\nphase mass_outage at=1 dur=18446744073709551615 frac=0.5\n",
+            "name x\nphase flash_crowd at=18446744073709551615 dur=1 mult=2\n",
+            "name x\nduration 18446744073709551\n",
+        ] {
+            assert!(ScenarioProgram::parse_spec(spec).is_err(), "{spec}");
+        }
         // Parsed specs are validated: an out-of-window phase is a hard
         // error even if syntactically fine.
         assert!(matches!(

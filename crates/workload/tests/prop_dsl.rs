@@ -5,11 +5,12 @@
 //! properties cover exactly the program space the fuzz campaign can
 //! reach: every reachable program validates, compiles, scripts its
 //! disruptions inside the run window, and round-trips through the
-//! textual spec format bit-exactly.
+//! textual spec format bit-exactly. Hand-written specs with arbitrary
+//! field values never panic the parser.
 
 use proptest::prelude::*;
 use rlive_sim::{SimDuration, SimRng, SimTime};
-use rlive_workload::dsl::{ScenarioProgram, ScriptedEvent};
+use rlive_workload::dsl::{Phase, ScenarioProgram, ScriptedEvent};
 
 /// A random program: `steps` mutations from the base under one seed.
 fn chain(seed: u64, steps: usize) -> ScenarioProgram {
@@ -28,6 +29,54 @@ fn event_window(ev: &ScriptedEvent) -> (SimTime, SimDuration) {
         | ScriptedEvent::RegionalOutage { at, duration, .. }
         | ScriptedEvent::ChurnStorm { at, duration, .. } => (at, duration),
     }
+}
+
+/// A spec field value: small (so some specs validate), anywhere in
+/// `u64`, or the largest one.
+fn int() -> impl Strategy<Value = u64> {
+    prop_oneof![0u64..64, any::<u64>(), Just(u64::MAX)]
+}
+
+/// A spec field value: in the range phases accept, any finite `f64`,
+/// or a non-finite one.
+fn float() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        0.0f64..4.0,
+        any::<f64>(),
+        Just(f64::NAN),
+        Just(f64::INFINITY)
+    ]
+}
+
+/// One phase line of any kind, in `render_spec`'s format.
+fn phase_line() -> impl Strategy<Value = String> {
+    prop_oneof![
+        (int(), int(), float())
+            .prop_map(|(a, d, m)| format!("phase flash_crowd at={a} dur={d} mult={m}\n")),
+        float().prop_map(|h| format!("phase diurnal_ramp start={h}\n")),
+        (int(), int(), int())
+            .prop_map(|(a, d, r)| format!("phase regional_outage at={a} dur={d} region={r}\n")),
+        (int(), int(), float())
+            .prop_map(|(a, d, f)| format!("phase mass_outage at={a} dur={d} frac={f}\n")),
+        (int(), int(), float())
+            .prop_map(|(a, d, f)| format!("phase churn_storm at={a} dur={d} frac={f}\n")),
+        float().prop_map(|h| format!("phase nat_shift hard={h}\n")),
+        (float(), float()).prop_map(|(s, q)| format!("phase capacity_tiers scale={s} hq={q}\n")),
+    ]
+}
+
+/// A spec setting every base key, followed by up to three phases.
+fn any_spec() -> impl Strategy<Value = String> {
+    let base = (int(), int(), int(), float(), int());
+    (base, prop::collection::vec(phase_line(), 0..4)).prop_map(
+        |((duration, viewers, streams, zipf, nodes), phases)| {
+            format!(
+                "# rlive scenario spec v1\nname any\nduration {duration}\nviewers {viewers}\n\
+                 streams {streams}\nzipf {zipf}\nnodes {nodes}\n{}",
+                phases.concat()
+            )
+        },
+    )
 }
 
 proptest! {
@@ -104,5 +153,32 @@ proptest! {
         let a = chain(seed, 6);
         let b = chain(seed, 6);
         prop_assert_eq!(a, b);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// `parse_spec` returns instead of panicking on any field value,
+    /// and whatever it accepts is the spec exactly (no field silently
+    /// truncated) with every window inside a run the microsecond clock
+    /// can hold.
+    #[test]
+    fn parse_spec_never_panics(spec in any_spec()) {
+        if let Ok(program) = ScenarioProgram::parse_spec(&spec) {
+            prop_assert_eq!(program.render_spec(), spec);
+            prop_assert!(program.duration_s.checked_mul(1_000_000).is_some());
+            for phase in &program.phases {
+                if let Phase::FlashCrowd { at_s, dur_s, .. }
+                | Phase::RegionalOutage { at_s, dur_s, .. }
+                | Phase::MassOutage { at_s, dur_s, .. }
+                | Phase::ChurnStorm { at_s, dur_s, .. } = *phase
+                {
+                    let end = at_s.checked_add(dur_s);
+                    prop_assert!(end.is_some_and(|end| end <= program.duration_s));
+                }
+            }
+            prop_assert!(program.compile().is_ok());
+        }
     }
 }

@@ -4,6 +4,7 @@
 
 use rlive::config::{DeliveryMode, SystemConfig};
 use rlive::world::{GroupPolicy, RunReport, World};
+use rlive::ScriptedEvent;
 use rlive_sim::{SimDuration, SimTime};
 use rlive_workload::scenario::Scenario;
 
@@ -36,8 +37,12 @@ fn mass_relay_outage_is_survivable() {
     // multi-source design re-maps / falls back; sessions keep playing.
     let baseline = run_with(DeliveryMode::RLive, 41, |_| {});
     let outaged = run_with(DeliveryMode::RLive, 41, |w| {
-        w.inject_mass_outage(SimTime::from_secs(50), SimDuration::from_secs(30), 0.5)
-            .expect("valid outage");
+        w.inject(&ScriptedEvent::MassOutage {
+            at: SimTime::from_secs(50),
+            duration: SimDuration::from_secs(30),
+            fraction: 0.5,
+        })
+        .expect("valid outage");
     });
     assert!(outaged.test_qoe.views > 5);
     assert!(
@@ -76,8 +81,12 @@ fn total_relay_outage_falls_back_to_cdn() {
     // Every relay dies for the rest of the run: all sessions must end up
     // on CDN delivery and keep playing.
     let r = run_with(DeliveryMode::RLive, 42, |w| {
-        w.inject_mass_outage(SimTime::from_secs(40), SimDuration::from_secs(600), 1.0)
-            .expect("valid outage");
+        w.inject(&ScriptedEvent::MassOutage {
+            at: SimTime::from_secs(40),
+            duration: SimDuration::from_secs(600),
+            fraction: 1.0,
+        })
+        .expect("valid outage");
     });
     assert!(r.test_qoe.views > 5);
     assert!(
@@ -95,8 +104,12 @@ fn total_relay_outage_falls_back_to_cdn() {
 #[test]
 fn single_source_mode_survives_outage_via_remapping() {
     let r = run_with(DeliveryMode::SingleSource, 43, |w| {
-        w.inject_mass_outage(SimTime::from_secs(40), SimDuration::from_secs(20), 0.6)
-            .expect("valid outage");
+        w.inject(&ScriptedEvent::MassOutage {
+            at: SimTime::from_secs(40),
+            duration: SimDuration::from_secs(20),
+            fraction: 0.6,
+        })
+        .expect("valid outage");
     });
     assert!(r.test_qoe.views > 5);
     assert!(r.test_qoe.watch_secs > 60.0);
@@ -142,12 +155,20 @@ fn zero_relay_population_degrades_to_cdn_only() {
 #[test]
 fn outage_injection_is_deterministic() {
     let a = run_with(DeliveryMode::RLive, 46, |w| {
-        w.inject_mass_outage(SimTime::from_secs(30), SimDuration::from_secs(15), 0.3)
-            .expect("valid outage");
+        w.inject(&ScriptedEvent::MassOutage {
+            at: SimTime::from_secs(30),
+            duration: SimDuration::from_secs(15),
+            fraction: 0.3,
+        })
+        .expect("valid outage");
     });
     let b = run_with(DeliveryMode::RLive, 46, |w| {
-        w.inject_mass_outage(SimTime::from_secs(30), SimDuration::from_secs(15), 0.3)
-            .expect("valid outage");
+        w.inject(&ScriptedEvent::MassOutage {
+            at: SimTime::from_secs(30),
+            duration: SimDuration::from_secs(15),
+            fraction: 0.3,
+        })
+        .expect("valid outage");
     });
     assert_eq!(a.test_qoe.views, b.test_qoe.views);
     assert_eq!(
