@@ -18,7 +18,6 @@ use crate::features::{ClientId, NodeId, StreamKey};
 use rlive_sim::trace::{TraceEvent, TraceSink};
 use rlive_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Adviser configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -94,8 +93,10 @@ pub struct EdgeAdviser {
     node: NodeId,
     /// Sliding window of recent utilisation samples.
     util_window: Vec<f64>,
-    /// Latest QoS metric (e.g. smoothed RTT in ms) per connection.
-    connection_qos: HashMap<ClientId, f64>,
+    /// Latest QoS metric (e.g. smoothed RTT in ms) per connection,
+    /// sorted by client id: sums and z-score ties then follow one fixed
+    /// order, whatever order the connections were recorded in.
+    connection_qos: Vec<(ClientId, f64)>,
     last_evaluation: SimTime,
     /// Structured trace sink (disabled by default): cost and QoS
     /// triggers are emitted when they fire.
@@ -109,7 +110,7 @@ impl EdgeAdviser {
             cfg,
             node,
             util_window: Vec::new(),
-            connection_qos: HashMap::new(),
+            connection_qos: Vec::new(),
             last_evaluation: SimTime::ZERO,
             trace: TraceSink::disabled(),
         }
@@ -144,12 +145,23 @@ impl EdgeAdviser {
 
     /// Updates the QoS metric of one subscriber connection.
     pub fn record_connection_qos(&mut self, client: ClientId, metric: f64) {
-        self.connection_qos.insert(client, metric);
+        match self
+            .connection_qos
+            .binary_search_by_key(&client, |&(c, _)| c)
+        {
+            Ok(i) => self.connection_qos[i].1 = metric,
+            Err(i) => self.connection_qos.insert(i, (client, metric)),
+        }
     }
 
     /// Removes a departed subscriber.
     pub fn remove_connection(&mut self, client: ClientId) {
-        self.connection_qos.remove(&client);
+        if let Ok(i) = self
+            .connection_qos
+            .binary_search_by_key(&client, |&(c, _)| c)
+        {
+            self.connection_qos.remove(i);
+        }
     }
 
     /// Whether the evaluation interval has elapsed.
@@ -220,11 +232,11 @@ impl EdgeAdviser {
         if n < self.cfg.min_connections {
             return None;
         }
-        let mean = self.connection_qos.values().sum::<f64>() / n as f64;
+        let mean = self.connection_qos.iter().map(|(_, x)| x).sum::<f64>() / n as f64;
         let var = self
             .connection_qos
-            .values()
-            .map(|x| (x - mean).powi(2))
+            .iter()
+            .map(|(_, x)| (x - mean).powi(2))
             .sum::<f64>()
             / n as f64;
         let sd = var.sqrt();
@@ -234,8 +246,9 @@ impl EdgeAdviser {
         let mut scored: Vec<(ClientId, f64)> = self
             .connection_qos
             .iter()
-            .map(|(&c, &x)| (c, (x - mean) / sd))
+            .map(|&(c, x)| (c, (x - mean) / sd))
             .collect();
+        // Stable: tied z-scores keep ascending client-id order.
         scored.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite z-scores"));
         let take = ((n as f64 * OUTLIER_FRACTION).ceil() as usize).max(1);
         Some(

@@ -10,6 +10,7 @@
 //! important attributes pinned as long as possible.
 
 use crate::features::{NodeClass, NodeId, StreamKey};
+use rlive_sim::BuildIdHasher;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Bound;
 
@@ -80,7 +81,7 @@ pub struct HashTreeRegistry {
     /// The idle index: every node, whatever it forwards.
     idle: IspLevel,
     /// Reverse index for O(1) removal.
-    paths: HashMap<NodeId, Vec<AttrPath>>,
+    paths: HashMap<NodeId, Vec<AttrPath>, BuildIdHasher>,
 }
 
 type RegionLevel = BTreeMap<u16, Leaf>;

@@ -17,11 +17,10 @@ use crate::registry::{AttrQuery, HashTreeRegistry, MatchLevel};
 use crate::scoring::{score, NatSuccessHistory, ScoreWeights};
 use rlive_sim::metrics::{Percentiles, Summary};
 use rlive_sim::trace::{TraceEvent, TraceSink};
-use rlive_sim::{SimDuration, SimRng, SimTime};
+use rlive_sim::{BuildIdHasher, SimDuration, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// Scheduler configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -101,26 +100,6 @@ impl NodeRecord {
     }
 }
 
-/// Hashes a [`NodeId`] by one multiplication. Node ids are assigned by
-/// the simulator, never taken from outside input, so there is nobody to
-/// defend against with a keyed hash.
-#[derive(Default)]
-struct NodeIdHasher(u64);
-
-impl Hasher for NodeIdHasher {
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("a NodeId hashes as a single u64");
-    }
-
-    fn write_u64(&mut self, id: u64) {
-        self.0 = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 /// The scheduler's node records: a dense slab plus an id → slot map.
 ///
 /// Point lookups only; ordered walks go through the registry, which is
@@ -128,7 +107,7 @@ impl Hasher for NodeIdHasher {
 #[derive(Default)]
 struct NodeTable {
     slab: Vec<NodeRecord>,
-    slots: HashMap<NodeId, u32, BuildHasherDefault<NodeIdHasher>>,
+    slots: HashMap<NodeId, u32, BuildIdHasher>,
 }
 
 impl NodeTable {

@@ -1,8 +1,9 @@
 //! Property-based tests of the control plane: registry membership
-//! invariants, quota accounting, scoring bounds and switching-rule
-//! consistency.
+//! invariants, quota accounting, scoring bounds, switching-rule
+//! consistency and the edge adviser's independence of record order.
 
 use proptest::prelude::*;
+use rlive_control::adviser::{AdviserConfig, EdgeAdviser, SwitchSuggestion};
 use rlive_control::client::{ClientController, ClientControllerConfig, SwitchDecision, T_CHANGE};
 use rlive_control::features::{
     ClientId, ClientInfo, ConnectionType, NodeClass, NodeId, NodeStatus, StaticFeatures, StreamKey,
@@ -430,4 +431,34 @@ proptest! {
             }
         }
     }
+}
+
+/// Tied QoS outliers straddling the adviser's cut: the flagged list is a
+/// function of the connections alone, not of the order they were
+/// recorded in (nor of a hash map's per-instance seed).
+#[test]
+fn tied_outliers_do_not_depend_on_record_order() {
+    // 40 connections flag the worst 2; five tie for worst.
+    let qos = |i: u64| if i % 8 == 3 { 900.0 } else { 50.0 + i as f64 };
+    let key = StreamKey {
+        stream_id: 1,
+        substream: 0,
+    };
+    let flagged: Vec<_> = [1, 3, 7, 9, 11, 13, 17, 19]
+        .iter()
+        .map(|stride| {
+            let mut a = EdgeAdviser::new(NodeId(7), AdviserConfig::default());
+            for j in 0..40 {
+                let c = j * stride % 40;
+                a.record_connection_qos(ClientId(c), qos(c));
+            }
+            a.evaluate(SimTime::from_secs(10), key, None)
+        })
+        .collect();
+    let SwitchSuggestion::QosOutlier { clients, .. } = &flagged[0][0] else {
+        panic!("no QoS trigger: {flagged:?}");
+    };
+    let ids: Vec<_> = clients.iter().map(|(c, _)| c.0).collect();
+    assert_eq!(ids, [3, 11], "ties go to the lowest client ids");
+    assert!(flagged.iter().all(|f| *f == flagged[0]), "{flagged:?}");
 }

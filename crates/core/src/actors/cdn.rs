@@ -100,7 +100,7 @@ impl CdnEdge {
                 // residual loss per frame.
                 ctx.queue.schedule(
                     arrive,
-                    Event::ClientSlice(Box::new(SliceDelivery {
+                    Event::ClientSlice(ctx.slices.boxed(SliceDelivery {
                         client: req.client,
                         header: req.header,
                         substream: req.substream,
@@ -125,6 +125,7 @@ mod tests {
     use crate::config::{DeliveryMode, SystemConfig};
     use crate::cost::TrafficLedger;
     use crate::energy::EnergyModel;
+    use crate::events::SlicePool;
     use rlive_media::frame::{FrameHeader, FrameType};
     use rlive_sim::EventQueue;
 
@@ -144,6 +145,7 @@ mod tests {
             cfg: &cfg,
             rng: &mut rng,
             queue: &mut queue,
+            slices: &mut SlicePool::default(),
             energy_model: &energy_model,
             control_traffic: &mut control,
             test_traffic: &mut test,
@@ -198,6 +200,7 @@ mod tests {
             cfg: &cfg,
             rng: &mut rng,
             queue: &mut queue,
+            slices: &mut SlicePool::default(),
             energy_model: &energy_model,
             control_traffic: &mut control,
             test_traffic: &mut test,

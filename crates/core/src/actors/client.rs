@@ -10,7 +10,7 @@ use crate::qoe::SessionMetrics;
 use crate::world::Group;
 use rlive_control::scheduler::Candidate;
 use rlive_control::{ClientController, ClientControllerConfig, ClientInfo};
-use rlive_data::recovery::{RecoveryAction, RecoveryStats};
+use rlive_data::recovery::{RecoveryAction, RecoveryStats, MAX_FANOUT};
 use rlive_data::reorder::{PlaybackBuffer, ReorderBuffer};
 use rlive_data::ring::SeqRing;
 use rlive_media::footprint::LocalChain;
@@ -74,7 +74,7 @@ pub(crate) struct HedgeState {
     /// Whether a leg already won this race.
     pub won: bool,
     /// Supplier (relay id) behind each leg, by attempt index.
-    pub suppliers: Vec<u64>,
+    pub suppliers: [u64; MAX_FANOUT as usize],
 }
 
 /// One viewer session.
@@ -220,28 +220,26 @@ impl Client {
     }
 
     /// Every relay currently serving this client (primary + redundant).
-    pub fn relay_sources(&self) -> Vec<u32> {
-        match &self.mode {
-            ClientMode::CdnFull => Vec::new(),
-            ClientMode::SingleSource { relay } => vec![*relay],
-            ClientMode::Multi { sources, redundant } => {
-                let mut v: Vec<u32> = sources
-                    .iter()
-                    .filter_map(|s| match s {
-                        SubSource::Relay(r) => Some(*r),
-                        SubSource::Cdn => None,
-                    })
-                    .collect();
-                v.extend(redundant.iter().flatten().copied());
-                v
-            }
-        }
+    pub fn relay_sources(&self) -> impl Iterator<Item = u32> + '_ {
+        let (single, sources, redundant): (_, &[_], &[_]) = match &self.mode {
+            ClientMode::CdnFull => (None, &[], &[]),
+            ClientMode::SingleSource { relay } => (Some(*relay), &[], &[]),
+            ClientMode::Multi { sources, redundant } => (None, sources, redundant),
+        };
+        let primaries = sources.iter().filter_map(|s| match s {
+            SubSource::Relay(r) => Some(*r),
+            SubSource::Cdn => None,
+        });
+        single
+            .into_iter()
+            .chain(primaries)
+            .chain(redundant.iter().flatten().copied())
     }
 
     /// Absorbs one arriving slice: ABR/energy accounting, reorder
     /// ingest, playback pushes, and playback start once the startup
     /// buffer fills (scheduling the first player tick).
-    pub fn ingest_slice(&mut self, ctx: &mut ActorCtx<'_>, d: SliceDelivery) {
+    pub fn ingest_slice(&mut self, ctx: &mut ActorCtx<'_>, d: &SliceDelivery) {
         if self.departed {
             return;
         }
@@ -475,7 +473,7 @@ mod tests {
         let mut c = client(DeliveryMode::RLive);
         assert!(!c.uses_best_effort());
         assert_eq!(c.mode.label(), "cdn_full");
-        assert!(c.relay_sources().is_empty());
+        assert_eq!(c.relay_sources().count(), 0);
 
         c.mode = ClientMode::Multi {
             sources: vec![
@@ -488,7 +486,7 @@ mod tests {
         };
         assert!(c.uses_best_effort());
         assert_eq!(c.mode.label(), "multi");
-        assert_eq!(c.relay_sources(), vec![3, 5, 3, 9]);
+        assert_eq!(c.relay_sources().collect::<Vec<_>>(), [3, 5, 3, 9]);
 
         // A failover punched every relay out: all-CDN multi still
         // counts as best-effort mode (subscriptions may return), but
@@ -498,11 +496,11 @@ mod tests {
             redundant: vec![None; 4],
         };
         assert!(c.uses_best_effort());
-        assert!(c.relay_sources().is_empty());
+        assert_eq!(c.relay_sources().count(), 0);
 
         c.mode = ClientMode::SingleSource { relay: 7 };
         assert_eq!(c.mode.label(), "single_source");
-        assert_eq!(c.relay_sources(), vec![7]);
+        assert_eq!(c.relay_sources().collect::<Vec<_>>(), [7]);
 
         c.mode = ClientMode::CdnFull;
         assert!(!c.uses_best_effort());
@@ -540,7 +538,7 @@ mod tests {
                     round: 0,
                     outstanding: 2,
                     won: false,
-                    suppliers: vec![1, 2],
+                    suppliers: [1, 2, 0],
                 },
             );
         }
@@ -569,6 +567,7 @@ mod tests {
             cfg: &cfg,
             rng: &mut rng,
             queue: &mut queue,
+            slices: &mut crate::events::SlicePool::default(),
             energy_model: &energy_model,
             control_traffic: &mut control,
             test_traffic: &mut test,

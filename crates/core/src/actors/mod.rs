@@ -16,14 +16,14 @@ pub(crate) mod stream;
 use crate::config::SystemConfig;
 use crate::cost::TrafficLedger;
 use crate::energy::EnergyModel;
-use crate::events::Event;
+use crate::events::{Event, SlicePool};
 use crate::world::Group;
 use rlive_sim::{EventQueue, SimDuration, SimRng, SimTime};
 
 /// The shared services an actor handler may use: the clock, the world
 /// RNG (all randomness flows through it, in deterministic order), the
-/// event queue, configuration, the energy model and the per-group
-/// traffic ledgers.
+/// event queue, the slice pool, configuration, the energy model and the
+/// per-group traffic ledgers.
 ///
 /// Borrowing these as one bundle (disjoint from the actor collections)
 /// is what lets a handler mutate its own actor while scheduling events
@@ -39,6 +39,8 @@ pub(crate) struct ActorCtx<'a> {
     pub rng: &'a mut SimRng,
     /// The event queue.
     pub queue: &'a mut EventQueue<Event>,
+    /// Where scheduled slices get their boxes.
+    pub slices: &'a mut SlicePool,
     /// Client-side energy model.
     pub energy_model: &'a EnergyModel,
     /// Control-group traffic ledger.
@@ -73,6 +75,7 @@ macro_rules! actor_ctx {
             cfg: &$world.cfg,
             rng: &mut $world.rng,
             queue: &mut $world.queue,
+            slices: &mut $world.slices,
             energy_model: &$world.energy_model,
             control_traffic: &mut $world.control_traffic,
             test_traffic: &mut $world.test_traffic,

@@ -446,7 +446,7 @@ impl Relay {
                 let arrive = at + ctx.cfg.transport.hop_overhead();
                 ctx.queue.schedule(
                     arrive,
-                    Event::ClientSlice(Box::new(SliceDelivery {
+                    Event::ClientSlice(ctx.slices.boxed(SliceDelivery {
                         client: view.client,
                         header,
                         substream: ss,

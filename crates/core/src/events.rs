@@ -180,6 +180,9 @@ impl Event {
     }
 }
 
+// Every heap sift moves whole events: the slice payload stays boxed.
+const _: () = assert!(std::mem::size_of::<Event>() <= 24);
+
 /// Payload of an [`Event::ClientSlice`]: one frame's worth of packets
 /// delivered to a client from either a CDN edge or a relay.
 #[derive(Debug, Clone)]
@@ -198,4 +201,31 @@ pub struct SliceDelivery {
     pub chain: Option<LocalChain>,
     /// Bytes that actually arrived (for throughput/energy accounting).
     pub bytes: u64,
+}
+
+/// Recycled [`SliceDelivery`] boxes (the boxes, not the payloads, are
+/// what it keeps). Relay fan-out and CDN delivery box each slice from
+/// here and the world hands the box back once the client has ingested
+/// it, so a world that reached its working set schedules slices without
+/// allocating. A world owns its pool: no box passes to the next world.
+#[derive(Default)]
+#[allow(clippy::vec_box)]
+pub(crate) struct SlicePool(Vec<Box<SliceDelivery>>);
+
+impl SlicePool {
+    /// Boxes `d`, reusing a returned box when there is one.
+    pub fn boxed(&mut self, d: SliceDelivery) -> Box<SliceDelivery> {
+        match self.0.pop() {
+            Some(mut b) => {
+                *b = d;
+                b
+            }
+            None => Box::new(d),
+        }
+    }
+
+    /// Returns an ingested slice's box for reuse.
+    pub fn recycle(&mut self, b: Box<SliceDelivery>) {
+        self.0.push(b);
+    }
 }

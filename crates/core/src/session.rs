@@ -17,7 +17,7 @@ use rlive_control::adviser::SwitchSuggestion;
 use rlive_control::features::{ClientId, ClientInfo};
 use rlive_control::scheduler::Candidate;
 use rlive_control::{NodeId, Platform, StreamKey};
-use rlive_data::recovery::{FrameState, PlannedRecovery, RecoveryAction};
+use rlive_data::recovery::{FrameState, PlannedRecovery, RecoveryAction, MAX_FANOUT};
 use rlive_media::footprint::LocalChain;
 use rlive_media::frame::FrameHeader;
 use rlive_sim::{SimDuration, SimTime};
@@ -30,6 +30,22 @@ const RETX_TIMEOUT: SimDuration = SimDuration::from_millis(120);
 
 /// Client control loop interval.
 const CONTROL_INTERVAL: SimDuration = SimDuration::from_secs(2);
+
+/// The per-client passes' buffers, owned by the world: a pass takes
+/// them out, fills them from queries that borrow the client and puts
+/// them back, so neither the recovery pass nor the control tick
+/// allocates once warm.
+#[derive(Default)]
+pub(crate) struct ControlScratch {
+    /// Recovery: the retransmission list, its suppliers and the plans.
+    states: Vec<FrameState>,
+    suppliers: Vec<u64>,
+    plans: Vec<PlannedRecovery>,
+    /// Control tick: the serving relays and the switch candidates.
+    sources: Vec<u32>,
+    candidates: Vec<Candidate>,
+    candidate_rtts: Vec<(NodeId, SimDuration)>,
+}
 
 /// Trace label of a delivery-mode policy.
 fn policy_label(mode: DeliveryMode) -> &'static str {
@@ -150,7 +166,9 @@ pub(crate) fn on_control_tick(world: &mut World, now: SimTime, cid: u64) {
         .add_cpu(world.energy_model.per_control_round);
 
     control_fallback_check(world, now, cid);
-    control_failover_and_switch(world, now, cid);
+    let mut scratch = std::mem::take(&mut world.control);
+    failover_and_switch(world, now, cid, &mut scratch);
+    world.control = scratch;
     control_recovery(world, now, cid);
     if let Some(client) = world.clients.get_mut(&cid) {
         client.abr.evaluate(now);
@@ -226,35 +244,41 @@ fn fall_back_to_cdn(world: &mut World, now: SimTime, cid: u64, reason: &'static 
     );
 }
 
-fn control_failover_and_switch(world: &mut World, now: SimTime, cid: u64) {
-    let (sources, suggested) = {
-        let client = &world.clients[&cid];
-        (client.relay_sources(), client.switch_suggested)
-    };
+fn failover_and_switch(world: &mut World, now: SimTime, cid: u64, scratch: &mut ControlScratch) {
+    let ControlScratch {
+        sources,
+        candidates,
+        candidate_rtts,
+        ..
+    } = scratch;
+    let client = &world.clients[&cid];
+    let suggested = client.switch_suggested;
+    sources.clear();
+    sources.extend(client.relay_sources());
     if sources.is_empty() {
         return;
     }
     // Rapid failover: replace offline relays immediately.
-    for rid in &sources {
-        if !world.relays[*rid as usize].online {
-            replace_relay_source(world, now, cid, *rid);
+    for &rid in sources.iter() {
+        if !world.relays[rid as usize].online {
+            replace_relay_source(world, now, cid, rid);
         }
     }
     // Periodic RTT-based switching (§4.2.1), also entered on a
     // proactive suggestion (§4.2.2).
-    let (sources, candidates) = {
-        let client = &world.clients[&cid];
-        let mut all: Vec<Candidate> = client.all_candidates().copied().collect();
-        all.sort_by_key(|c| c.node);
-        all.dedup_by_key(|c| c.node);
-        (client.relay_sources(), all)
-    };
+    let client = &world.clients[&cid];
+    candidates.clear();
+    candidates.extend(client.all_candidates().copied());
+    candidates.sort_by_key(|c| c.node);
+    candidates.dedup_by_key(|c| c.node);
+    sources.clear();
+    sources.extend(client.relay_sources());
     if sources.is_empty() {
         return;
     }
-    let hq_only = world.clients[&cid].mode_policy == DeliveryMode::SingleSource;
-    let mut candidate_rtts: Vec<(NodeId, SimDuration)> = Vec::new();
-    for c in &candidates {
+    let hq_only = client.mode_policy == DeliveryMode::SingleSource;
+    candidate_rtts.clear();
+    for c in candidates.iter() {
         let idx = c.node.0 as usize;
         if idx < world.relays.len()
             && world.relays[idx].online
@@ -273,7 +297,7 @@ fn control_failover_and_switch(world: &mut World, now: SimTime, cid: u64) {
             let client = world.clients.get_mut(&cid).expect("exists");
             client
                 .controller
-                .assess_switch(now, NodeId(rid as u64), cur_rtt, &candidate_rtts)
+                .assess_switch(now, NodeId(rid as u64), cur_rtt, candidate_rtts)
         };
         match decision {
             rlive_control::client::SwitchDecision::SwitchTo(node) => {
@@ -323,99 +347,110 @@ fn may_redecide(now: SimTime, in_flight: Option<&(RecoveryAction, SimTime)>) -> 
 ///
 /// [`RecoveryPolicy`]: rlive_data::recovery::RecoveryPolicy
 pub(crate) fn control_recovery(world: &mut World, now: SimTime, cid: u64) {
-    let (plans, suppliers) = {
-        let Some(client) = world.clients.get(&cid) else {
-            return;
-        };
-        let stream = client.stream as usize;
-        let state = |h: &FrameHeader, substream: u16, size: u32, missing_packets: u32| FrameState {
-            dts_ms: h.dts_ms,
-            deadline: frame_deadline(client, h.dts_ms),
-            size,
-            missing_packets,
-            frame_type: h.frame_type,
-            substream,
-        };
-        let mut states: Vec<FrameState> = client
-            .reorder
-            .incomplete_frames(now, RETX_TIMEOUT)
-            .iter()
-            .filter(|f| may_redecide(now, client.requested_recovery.get(f.header.dts_ms)))
-            .map(|f| {
-                state(
-                    &f.header,
-                    f.substream,
-                    f.header.size,
-                    f.missing.len() as u32,
-                )
-            })
-            .collect();
-        // Frames with no data to decide on, whose headers are rebuilt
-        // from the stream source record: wholly-lost frames announced by
-        // chains but never received (`Some(lost packets)`), then, under
-        // centralised sequencing (§7.3.2), frames whose data arrived but
-        // whose sequence metadata is missing or late (`None`). The client
-        // conservatively re-pulls the latter from the CDN, whose response
-        // carries authoritative ordering: the extra retransmission load
-        // the distributed design eliminates.
-        let unorderable = if client.mode_policy == DeliveryMode::RLiveCentralSequencing {
-            let age = SimDuration::from_millis(400);
-            client.reorder.unorderable_complete(now, age, 8)
-        } else {
-            Vec::new()
-        };
-        let wholly_lost = client.reorder.missing_chain_frames(now, RETX_TIMEOUT);
-        let rebuilt = wholly_lost.into_iter().map(|(dts, n)| (dts, Some(n)));
-        for (dts, lost) in rebuilt.chain(unorderable.into_iter().map(|dts| (dts, None))) {
-            if !may_redecide(now, client.requested_recovery.get(dts)) {
-                continue;
-            }
-            let Some((header, _)) = world.streams[stream].recent_frame(dts) else {
-                continue;
-            };
-            let (size, missing) = match lost {
-                Some(n) => (header.size.max(n * 1_000), n),
-                None => (header.size, header.size.div_ceil(1_200).max(1)),
-            };
-            states.push(state(header, world.substream_for(header), size, missing));
-        }
-        if states.is_empty() {
-            return;
-        }
-        let suppliers: Vec<u64> = client.relay_sources().iter().map(|&r| r as u64).collect();
-        let mut plans = world.recovery_policy.plan(
-            &states,
-            &client.recovery_stats,
-            &suppliers,
-            &world.trace,
-            now,
-            cid,
-        );
-        // The §2.2 strawman has no QoE-driven recovery: lost data is
-        // re-requested from the same best-effort relay, full stop.
-        // (CDN-full phases still recover from the CDN.)
-        if client.mode_policy == DeliveryMode::SingleSource && client.uses_best_effort() {
-            for p in &mut plans {
-                p.decision.action = RecoveryAction::BestEffortPackets;
-                p.fanout = 1;
-            }
-        }
-        // A client on CDN full-stream delivery has no best-effort
-        // publisher to retransmit from; recovery goes to the CDN.
-        if !client.uses_best_effort() {
-            for p in &mut plans {
-                if p.decision.action == RecoveryAction::BestEffortPackets {
-                    p.decision.action = RecoveryAction::DedicatedFrame;
-                }
-                p.fanout = 1;
-            }
-        }
-        (plans, suppliers)
+    let mut scratch = std::mem::take(&mut world.control);
+    if plan_recovery(world, now, cid, &mut scratch) {
+        issue_recovery(world, now, cid, &scratch);
+    }
+    world.control = scratch;
+}
+
+/// Fills `scratch` with the client's retransmission list, suppliers and
+/// the policy's plans; returns whether there is anything to issue.
+fn plan_recovery(world: &mut World, now: SimTime, cid: u64, scratch: &mut ControlScratch) -> bool {
+    let Some(client) = world.clients.get(&cid) else {
+        return false;
     };
-    for PlannedRecovery {
-        decision: d,
+    let stream = client.stream as usize;
+    let state = |h: &FrameHeader, substream: u16, size: u32, missing_packets: u32| FrameState {
+        dts_ms: h.dts_ms,
+        deadline: frame_deadline(client, h.dts_ms),
+        size,
+        missing_packets,
+        frame_type: h.frame_type,
+        substream,
+    };
+    let states = &mut scratch.states;
+    states.clear();
+    let incomplete = client.reorder.incomplete_frames(now, RETX_TIMEOUT);
+    states.extend(
+        incomplete
+            .filter(|f| may_redecide(now, client.requested_recovery.get(f.header.dts_ms)))
+            .map(|f| state(&f.header, f.substream, f.header.size, f.missing.len())),
+    );
+    // Frames with no data to decide on, whose headers are rebuilt
+    // from the stream source record: wholly-lost frames announced by
+    // chains but never received (`Some(lost packets)`), then, under
+    // centralised sequencing (§7.3.2), frames whose data arrived but
+    // whose sequence metadata is missing or late (`None`). The client
+    // conservatively re-pulls the latter from the CDN, whose response
+    // carries authoritative ordering: the extra retransmission load
+    // the distributed design eliminates.
+    let unorderable = (client.mode_policy == DeliveryMode::RLiveCentralSequencing).then(|| {
+        client
+            .reorder
+            .unorderable_complete(now, SimDuration::from_millis(400), 8)
+    });
+    let wholly_lost = client.reorder.missing_chain_frames(now, RETX_TIMEOUT);
+    let rebuilt = wholly_lost.map(|(dts, n)| (dts, Some(n)));
+    for (dts, lost) in rebuilt.chain(unorderable.into_iter().flatten().map(|dts| (dts, None))) {
+        if !may_redecide(now, client.requested_recovery.get(dts)) {
+            continue;
+        }
+        let Some((header, _)) = world.streams[stream].recent_frame(dts) else {
+            continue;
+        };
+        let (size, missing) = match lost {
+            Some(n) => (header.size.max(n * 1_000), n),
+            None => (header.size, header.size.div_ceil(1_200).max(1)),
+        };
+        states.push(state(header, world.substream_for(header), size, missing));
+    }
+    if states.is_empty() {
+        return false;
+    }
+    scratch.suppliers.clear();
+    scratch
+        .suppliers
+        .extend(client.relay_sources().map(u64::from));
+    let plans = &mut scratch.plans;
+    plans.clear();
+    plans.extend_from_slice(world.recovery_policy.plan(
+        states,
+        &client.recovery_stats,
+        &scratch.suppliers,
+        &world.trace,
+        now,
+        cid,
+    ));
+    // The §2.2 strawman has no QoE-driven recovery: lost data is
+    // re-requested from the same best-effort relay, full stop.
+    // (CDN-full phases still recover from the CDN.)
+    if client.mode_policy == DeliveryMode::SingleSource && client.uses_best_effort() {
+        for p in plans.iter_mut() {
+            p.decision.action = RecoveryAction::BestEffortPackets;
+            p.fanout = 1;
+        }
+    }
+    // A client on CDN full-stream delivery has no best-effort
+    // publisher to retransmit from; recovery goes to the CDN.
+    if !client.uses_best_effort() {
+        for p in plans.iter_mut() {
+            if p.decision.action == RecoveryAction::BestEffortPackets {
+                p.decision.action = RecoveryAction::DedicatedFrame;
+            }
+            p.fanout = 1;
+        }
+    }
+    true
+}
+
+/// Issues the plans [`plan_recovery`] left in `scratch`.
+fn issue_recovery(world: &mut World, now: SimTime, cid: u64, scratch: &ControlScratch) {
+    let suppliers = &scratch.suppliers;
+    for &PlannedRecovery {
+        decision: ref d,
         fanout,
-    } in plans
+    } in &scratch.plans
     {
         let client = world.clients.get_mut(&cid).expect("exists");
         // Skip if this would merely repeat a fresh in-flight action.
@@ -433,7 +468,7 @@ pub(crate) fn control_recovery(world: &mut World, now: SimTime, cid: u64) {
         // A hedged batch needs at least two attempts and at least two
         // suppliers to race; everything else takes the single path.
         if fanout >= 2 && d.action == RecoveryAction::BestEffortPackets && suppliers.len() >= 2 {
-            issue_hedge_batch(world, now, cid, d.dts_ms, fanout, &suppliers);
+            issue_hedge_batch(world, now, cid, d.dts_ms, fanout, suppliers);
             continue;
         }
         let dedicated = d.action != RecoveryAction::BestEffortPackets;
@@ -497,9 +532,9 @@ fn issue_hedge_batch(
             fanout,
         },
     );
-    let mut attempt_suppliers = Vec::with_capacity(fanout as usize);
+    let mut attempt_suppliers = [0; MAX_FANOUT as usize];
     for attempt in 0..fanout {
-        attempt_suppliers.push(suppliers[attempt as usize % suppliers.len()]);
+        attempt_suppliers[attempt as usize] = suppliers[attempt as usize % suppliers.len()];
         let rec = world
             .retx_traces
             .sample(RetxServer::BestEffort, &mut world.rng);
@@ -1008,7 +1043,7 @@ fn pick_relay_excluding(
             })
             .collect();
         let probe_ids = client.controller.probe_list(now, &ids);
-        (probe_ids, client.relay_sources())
+        (probe_ids, client.relay_sources().collect::<Vec<_>>())
     };
     exclude.extend_from_slice(extra);
     for node in candidates {
@@ -1068,7 +1103,6 @@ pub(crate) fn on_client_arrival(world: &mut World, now: SimTime) {
     let user = world
         .rng
         .below((world.scenario.peak_viewers as u64 * 4).max(10));
-    world.users_seen.insert(user);
     let group = if (rlive_media::hash::fnv1a_u64(user) as f64 / u64::MAX as f64)
         < world.policy.test_fraction
     {

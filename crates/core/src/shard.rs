@@ -57,13 +57,13 @@ use crate::arena::IdArena;
 use crate::config::{DeliveryMode, SystemConfig};
 use crate::cost::TrafficLedger;
 use crate::energy::EnergyModel;
-use crate::events::{Event, ShardClass};
+use crate::events::{Event, ShardClass, SlicePool};
 use crate::session;
 use crate::world::World;
 use rlive_sim::obs::{time_stage, Stage};
 use rlive_sim::runner::run_shards;
 use rlive_sim::trace::{TraceRecord, TraceSink};
-use rlive_sim::{EventQueue, SimRng, SimTime};
+use rlive_sim::{BuildIdHasher, EventQueue, SimRng, SimTime};
 use std::collections::{HashMap, HashSet};
 
 /// Seed of the per-event sentinel RNG handed to worker-side handlers.
@@ -82,7 +82,7 @@ pub(crate) struct ShardBatch {
     /// all-`ChainDelivery` runs which may span instants.
     pub events: Vec<(SimTime, Event)>,
     /// Clients whose `PlayerTick` is in the batch (formation scratch).
-    ticked: HashSet<u64>,
+    ticked: HashSet<u64, BuildIdHasher>,
 }
 
 /// Everything one worker-side handler produced, merged in batch order.
@@ -337,6 +337,7 @@ fn run_client_shard(
     sink: &TraceSink,
 ) -> Vec<(usize, EventOutcome)> {
     let sentinel = SimRng::new(SENTINEL_RNG_SEED);
+    let mut slices = SlicePool::default();
     let mut out = Vec::with_capacity(events.len());
     for (idx, at, event) in events {
         let cid = event.shard_key();
@@ -365,12 +366,13 @@ fn run_client_shard(
             cfg,
             rng: &mut rng,
             queue: &mut queue,
+            slices: &mut slices,
             energy_model,
             control_traffic: &mut outcome.control_delta,
             test_traffic: &mut outcome.test_delta,
         };
         match event {
-            Event::ClientSlice(d) => client.ingest_slice(&mut ctx, *d),
+            Event::ClientSlice(d) => client.ingest_slice(&mut ctx, &d),
             Event::ChainDelivery { stream, dts, .. } => {
                 if let Some((_, chain)) = streams[stream as usize].recent_frame(dts) {
                     client.ingest_chain(&mut ctx, chain);
@@ -412,6 +414,7 @@ fn run_relay_shard(
     end_at: SimTime,
 ) -> Vec<(usize, EventOutcome)> {
     let sentinel = SimRng::new(SENTINEL_RNG_SEED);
+    let mut slices = SlicePool::default();
     let mut out = Vec::with_capacity(events.len());
     for (idx, at, event) in events {
         let Event::RelayFrame { relay, stream, dts } = event else {
@@ -446,6 +449,7 @@ fn run_relay_shard(
             cfg,
             rng: &mut rng,
             queue: &mut queue,
+            slices: &mut slices,
             energy_model,
             control_traffic: &mut outcome.control_delta,
             test_traffic: &mut outcome.test_delta,

@@ -18,7 +18,7 @@ use crate::arena::IdArena;
 use crate::config::{DeliveryMode, SystemConfig};
 use crate::cost::TrafficLedger;
 use crate::energy::EnergyModel;
-use crate::events::{Event, TraceEvent, TraceSink, FULL_STREAM};
+use crate::events::{Event, SliceDelivery, SlicePool, TraceEvent, TraceSink, FULL_STREAM};
 use crate::qoe::GroupQoe;
 use crate::session;
 use crate::shard::ShardBatch;
@@ -37,7 +37,7 @@ use rlive_workload::nodes::NodePopulation;
 use rlive_workload::scenario::{Scenario, ScenarioError};
 use rlive_workload::streams::StreamPopularity;
 use rlive_workload::traces::RetxTraceGenerator;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Number of CDN edge servers.
@@ -169,7 +169,6 @@ pub struct World {
     pub(crate) feeders: Vec<Vec<u32>>,
     pub(crate) clients: IdArena<Client>,
     pub(crate) next_client: u64,
-    pub(crate) users_seen: HashSet<u64>,
     pub(crate) control_qoe: GroupQoe,
     pub(crate) test_qoe: GroupQoe,
     pub(crate) control_traffic: TrafficLedger,
@@ -217,12 +216,16 @@ pub struct World {
     /// seam), resolved from [`SystemConfig::recovery_policy`].
     pub(crate) recovery_policy: Box<dyn rlive_data::recovery::RecoveryPolicy>,
     /// Event-loop scratch, reused so steady-state routing allocates
-    /// nothing: relay fan-out views, client ids of one stream frame, and
-    /// the batch (events plus ticked clients) `form_batch` fills and the
-    /// inline path hands back.
+    /// nothing: relay fan-out views, client ids of one stream frame, the
+    /// batch (events plus ticked clients) `form_batch` fills and the
+    /// inline path hands back, the boxes of in-flight slices, and the
+    /// buffers of the per-client recovery and control passes. Each
+    /// starts empty and grows on first use.
     pub(crate) views: Vec<SubscriberView>,
     pub(crate) client_ids: Vec<u64>,
     pub(crate) batch: ShardBatch,
+    pub(crate) slices: SlicePool,
+    pub(crate) control: session::ControlScratch,
 }
 
 impl World {
@@ -308,7 +311,6 @@ impl World {
             relays,
             clients: IdArena::new(),
             next_client: 0,
-            users_seen: HashSet::new(),
             control_qoe: GroupQoe::new(),
             test_qoe: GroupQoe::new(),
             control_traffic: TrafficLedger::new(),
@@ -334,6 +336,8 @@ impl World {
             views: Vec::new(),
             client_ids: Vec::new(),
             batch: ShardBatch::default(),
+            slices: SlicePool::default(),
+            control: session::ControlScratch::default(),
         };
         // Observability needs the *complete* trace stream (a wrapped
         // ring under-counts early windows), so an obs-enabled world
@@ -687,7 +691,7 @@ impl World {
             Event::RelayFrame { relay, stream, dts } => {
                 self.on_relay_frame(now, relay, stream, dts)
             }
-            Event::ClientSlice(d) => self.on_client_slice(now, *d),
+            Event::ClientSlice(d) => self.on_client_slice(now, d),
             Event::ChainDelivery {
                 client,
                 stream,
@@ -728,11 +732,12 @@ impl World {
 
         // Feed relays that forward this stream (full frames for their
         // substream, headers for the others), in ascending id order.
-        debug_assert_eq!(
-            self.feeders[s],
-            (0..self.relays.len() as u32)
-                .filter(|&rid| self.relays[rid as usize].feeds(stream))
-                .collect::<Vec<_>>(),
+        debug_assert!(
+            self.feeders[s]
+                .iter()
+                .copied()
+                .eq((0..self.relays.len() as u32)
+                    .filter(|&rid| self.relays[rid as usize].feeds(stream))),
             "feeder index of stream {stream}"
         );
         for k in 0..self.feeders[s].len() {
@@ -847,12 +852,12 @@ impl World {
         }
     }
 
-    fn on_client_slice(&mut self, now: SimTime, d: crate::events::SliceDelivery) {
-        let cid = d.client;
+    fn on_client_slice(&mut self, now: SimTime, d: Box<SliceDelivery>) {
         let mut ctx = actor_ctx!(self, now);
-        if let Some(client) = self.clients.get_mut(&cid) {
-            client.ingest_slice(&mut ctx, d);
+        if let Some(client) = self.clients.get_mut(&d.client) {
+            client.ingest_slice(&mut ctx, &d);
         }
+        self.slices.recycle(d);
     }
 
     // ----- player loop -------------------------------------------------

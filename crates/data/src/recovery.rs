@@ -353,69 +353,57 @@ impl RecoveryDecider {
     /// in the list, per-frame dedicated recovery is inefficient and the
     /// substream switch is evaluated collectively.
     pub fn decide(&self, frames: &[FrameState], stats: &RecoveryStats) -> Vec<Decision> {
+        let mut decisions = Vec::with_capacity(frames.len());
+        self.decide_into(frames, stats, &mut decisions);
+        decisions
+    }
+
+    /// [`RecoveryDecider::decide`] into `decisions`, which it clears
+    /// first: the policies reuse one buffer call after call.
+    fn decide_into(
+        &self,
+        frames: &[FrameState],
+        stats: &RecoveryStats,
+        decisions: &mut Vec<Decision>,
+    ) {
         // Stage-profiled (wall clock, stderr-only reporting).
         let _span = rlive_sim::obs::time_stage(rlive_sim::obs::Stage::RecoveryDecision);
-        let mut decisions: Vec<Decision> = frames
-            .iter()
-            .map(|f| {
-                let (action, loss) = RecoveryAction::ALL
-                    .iter()
-                    .map(|&a| (a, self.loss(a, f, stats)))
-                    .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite losses"))
-                    .expect("non-empty action set");
-                Decision {
-                    dts_ms: f.dts_ms,
-                    action,
-                    loss,
-                    failure_probability: self.failure_probability(action, f, stats),
-                }
-            })
-            .collect();
-
-        // Escalation: count frames per substream in the list. A
-        // fixed-size stack array indexed by substream id (substream
-        // counts are single-digit; `FULL_STREAM` = u16::MAX lands in
-        // the shared overflow slot) replaces the old heap-allocated
-        // `HashMap<u16, usize>` — no allocation, and the escalation
-        // loop visits substreams in deterministic ascending order.
-        const TALLY_SLOTS: usize = 64;
-        let mut tally = [0usize; TALLY_SLOTS];
-        let mut overflow: Vec<(u16, usize)> = Vec::new();
-        for f in frames {
-            if (f.substream as usize) < TALLY_SLOTS {
-                tally[f.substream as usize] += 1;
-            } else if let Some(slot) = overflow.iter_mut().find(|(s, _)| *s == f.substream) {
-                slot.1 += 1;
-            } else {
-                overflow.push((f.substream, 1));
+        decisions.clear();
+        decisions.extend(frames.iter().map(|f| {
+            let (action, loss) = RecoveryAction::ALL
+                .iter()
+                .map(|&a| (a, self.loss(a, f, stats)))
+                .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite losses"))
+                .expect("non-empty action set");
+            Decision {
+                dts_ms: f.dts_ms,
+                action,
+                loss,
+                failure_probability: self.failure_probability(action, f, stats),
             }
-        }
-        let tallied = tally
-            .iter()
-            .enumerate()
-            .map(|(ss, &count)| (ss as u16, count))
-            .chain(overflow.iter().copied());
-        for (ss, count) in tallied {
-            if count < CONSECUTIVE_LOSS_THRESHOLD {
+        }));
+
+        // Escalation, once per substream in the list, at its first
+        // frame. Substreams own disjoint frames, so the order in which
+        // they are visited cannot change a decision.
+        for (first, f) in frames.iter().enumerate() {
+            let ss = f.substream;
+            let count = frames[first..].iter().filter(|g| g.substream == ss).count();
+            if count < CONSECUTIVE_LOSS_THRESHOLD
+                || frames[..first].iter().any(|g| g.substream == ss)
+            {
                 continue;
             }
-            // Amortised switch: one setup redirects all of this
+            // Amortised switch: one setup redirects all `count` of this
             // substream's listed frames.
-            let members: Vec<usize> = frames
-                .iter()
-                .enumerate()
-                .filter(|(_, f)| f.substream == ss)
-                .map(|(i, _)| i)
-                .collect();
-            let current_total: f64 = members.iter().map(|&i| decisions[i].loss).sum();
-            let switch_total: f64 = members
-                .iter()
-                .map(|&i| {
+            let members = || (first..frames.len()).filter(|&i| frames[i].substream == ss);
+            let current_total: f64 = members().map(|i| decisions[i].loss).sum();
+            let switch_total: f64 = members()
+                .map(|i| {
                     let f = &frames[i];
                     // Shared setup cost: charge the horizon once, spread
                     // evenly; risk term per frame.
-                    let shared_cost =
-                        self.cost(RecoveryAction::SwitchSubstream, f) / members.len() as f64;
+                    let shared_cost = self.cost(RecoveryAction::SwitchSubstream, f) / count as f64;
                     shared_cost
                         + LAMBDA
                             * self.failure_probability(RecoveryAction::SwitchSubstream, f, stats)
@@ -423,12 +411,12 @@ impl RecoveryDecider {
                 })
                 .sum();
             if switch_total < current_total {
-                for &i in &members {
+                for i in members() {
                     let f = &frames[i];
                     decisions[i] = Decision {
                         dts_ms: f.dts_ms,
                         action: RecoveryAction::SwitchSubstream,
-                        loss: switch_total / members.len() as f64,
+                        loss: switch_total / count as f64,
                         failure_probability: self.failure_probability(
                             RecoveryAction::SwitchSubstream,
                             f,
@@ -438,55 +426,54 @@ impl RecoveryDecider {
                 }
             }
         }
-        decisions
     }
 
-    /// [`RecoveryDecider::decide`] plus structured observability: every
-    /// chosen action is emitted into `sink` as a
-    /// [`TraceEvent::RecoveryDecision`], attributed to `session`.
-    /// Decisions are byte-identical to the untraced path.
-    pub fn decide_traced(
+    /// Structured observability of a decided list: every chosen action
+    /// is emitted into `sink` as a [`TraceEvent::RecoveryDecision`],
+    /// attributed to `session`, and so is every switch-class action
+    /// whose deadline is already blown.
+    fn trace(
         &self,
+        decisions: &[Decision],
         frames: &[FrameState],
         stats: &RecoveryStats,
         sink: &TraceSink,
         now: SimTime,
         session: u64,
-    ) -> Vec<Decision> {
-        let decisions = self.decide(frames, stats);
-        if sink.is_enabled() {
-            for (d, f) in decisions.iter().zip(frames) {
+    ) {
+        if !sink.is_enabled() {
+            return;
+        }
+        for (d, f) in decisions.iter().zip(frames) {
+            sink.emit(
+                now,
+                Some(session),
+                TraceEvent::RecoveryDecision {
+                    dts_ms: d.dts_ms,
+                    action: d.action.label(),
+                    loss: d.loss,
+                    failure_probability: d.failure_probability,
+                },
+            );
+            // A switch-class action picked for a frame whose deadline
+            // is already inside the switch setup cannot save that frame
+            // — surface the blown deadline instead of letting it pass
+            // as "escalated with zero budget".
+            if matches!(
+                d.action,
+                RecoveryAction::SwitchSubstream | RecoveryAction::FullStream
+            ) && self.switch_deadline_blown(f, stats)
+            {
                 sink.emit(
                     now,
                     Some(session),
-                    TraceEvent::RecoveryDecision {
+                    TraceEvent::RecoveryDeadlineBlown {
                         dts_ms: d.dts_ms,
                         action: d.action.label(),
-                        loss: d.loss,
-                        failure_probability: d.failure_probability,
                     },
                 );
-                // A switch-class action picked for a frame whose
-                // deadline is already inside the switch setup cannot
-                // save that frame — surface the blown deadline instead
-                // of letting it pass as "escalated with zero budget".
-                if matches!(
-                    d.action,
-                    RecoveryAction::SwitchSubstream | RecoveryAction::FullStream
-                ) && self.switch_deadline_blown(f, stats)
-                {
-                    sink.emit(
-                        now,
-                        Some(session),
-                        TraceEvent::RecoveryDeadlineBlown {
-                            dts_ms: d.dts_ms,
-                            action: d.action.label(),
-                        },
-                    );
-                }
             }
         }
-        decisions
     }
 }
 
@@ -535,19 +522,13 @@ pub struct PlannedRecovery {
     /// The per-frame action and its loss bookkeeping.
     pub decision: Decision,
     /// Concurrent attempts to issue (only meaningful for
-    /// [`RecoveryAction::BestEffortPackets`]; always 1 otherwise).
+    /// [`RecoveryAction::BestEffortPackets`]; always 1 otherwise), at
+    /// most [`MAX_FANOUT`].
     pub fanout: u32,
 }
 
-impl PlannedRecovery {
-    /// Wraps a decision in the no-hedging shape.
-    pub fn single(decision: Decision) -> Self {
-        PlannedRecovery {
-            decision,
-            fanout: 1,
-        }
-    }
-}
+/// The widest hedge any policy plans: a racing batch's legs fit inline.
+pub const MAX_FANOUT: u32 = 3;
 
 /// The recovery-policy seam. The session layer hands the policy the
 /// current retransmission list and per-session statistics; the policy
@@ -564,7 +545,8 @@ pub trait RecoveryPolicy: Send {
         self.kind().label()
     }
 
-    /// Plans recovery for a retransmission list. `suppliers` are the
+    /// Plans recovery for a retransmission list, one plan per frame,
+    /// lent out of the policy's own buffer. `suppliers` are the
     /// best-effort supplier ids currently serving this session (relay
     /// actor ids), in deterministic order; policies may use their
     /// learned quality to size the hedge fanout.
@@ -576,7 +558,7 @@ pub trait RecoveryPolicy: Send {
         sink: &TraceSink,
         now: SimTime,
         session: u64,
-    ) -> Vec<PlannedRecovery>;
+    ) -> &[PlannedRecovery];
 
     /// Feedback: one best-effort attempt against `supplier` finished.
     /// Default no-op; learning policies fold this into per-supplier
@@ -585,12 +567,15 @@ pub trait RecoveryPolicy: Send {
 }
 
 /// The classic §5.3 decider behind the seam: delegates straight to
-/// [`RecoveryDecider::decide_traced`] with fanout 1 everywhere, so the
-/// decision stream — and therefore every pinned golden — is
+/// [`RecoveryDecider::decide`], traced, with fanout 1 everywhere, so
+/// the decision stream — and therefore every pinned golden — is
 /// byte-identical to the pre-seam code.
 #[derive(Debug)]
 pub struct QoeEdfPolicy {
     decider: RecoveryDecider,
+    /// The last call's decisions and plans, reused call after call.
+    decisions: Vec<Decision>,
+    plans: Vec<PlannedRecovery>,
 }
 
 impl QoeEdfPolicy {
@@ -598,6 +583,8 @@ impl QoeEdfPolicy {
     pub fn new(cfg: RecoveryConfig) -> Self {
         QoeEdfPolicy {
             decider: RecoveryDecider::new(cfg),
+            decisions: Vec::new(),
+            plans: Vec::new(),
         }
     }
 }
@@ -615,12 +602,17 @@ impl RecoveryPolicy for QoeEdfPolicy {
         sink: &TraceSink,
         now: SimTime,
         session: u64,
-    ) -> Vec<PlannedRecovery> {
+    ) -> &[PlannedRecovery] {
+        self.decider.decide_into(frames, stats, &mut self.decisions);
         self.decider
-            .decide_traced(frames, stats, sink, now, session)
-            .into_iter()
-            .map(PlannedRecovery::single)
-            .collect()
+            .trace(&self.decisions, frames, stats, sink, now, session);
+        self.plans.clear();
+        let plans = self.decisions.iter().map(|d| PlannedRecovery {
+            decision: d.clone(),
+            fanout: 1,
+        });
+        self.plans.extend(plans);
+        &self.plans
     }
 }
 
@@ -695,12 +687,14 @@ pub struct RacingPolicy {
     windows: std::collections::BTreeMap<u64, SupplierWindow>,
     /// Tumbling window width in milliseconds.
     window_ms: u64,
-    /// Fanout while suppliers look healthy.
+    /// Fanout while suppliers look healthy ([`MAX_FANOUT`] while some
+    /// supplier's windowed failure rate is high).
     base_fanout: u32,
-    /// Fanout while some supplier's windowed failure rate is high.
-    max_fanout: u32,
     /// Windowed failure rate at which the fanout widens.
     bad_supplier_threshold: f64,
+    /// The last call's decisions and plans, reused call after call.
+    decisions: Vec<Decision>,
+    plans: Vec<PlannedRecovery>,
 }
 
 impl RacingPolicy {
@@ -711,8 +705,9 @@ impl RacingPolicy {
             windows: std::collections::BTreeMap::new(),
             window_ms: 1_000,
             base_fanout: 2,
-            max_fanout: 3,
             bad_supplier_threshold: 0.3,
+            decisions: Vec::new(),
+            plans: Vec::new(),
         }
     }
 
@@ -731,7 +726,7 @@ impl RacingPolicy {
                 .is_some_and(|r| r >= self.bad_supplier_threshold)
         });
         let want = if any_bad {
-            self.max_fanout
+            MAX_FANOUT
         } else {
             self.base_fanout
         };
@@ -752,58 +747,44 @@ impl RecoveryPolicy for RacingPolicy {
         sink: &TraceSink,
         now: SimTime,
         session: u64,
-    ) -> Vec<PlannedRecovery> {
+    ) -> &[PlannedRecovery] {
         // Decide untraced, escalate, then trace the *final* actions:
         // the decision stream must reflect what the racing policy
         // actually issues, and escalation guarantees it never issues a
         // switch whose deadline is already blown — so the racing arm
         // emits no `RecoveryDeadlineBlown` events of its own.
-        let decisions = self.decider.decide(frames, stats);
+        self.decider.decide_into(frames, stats, &mut self.decisions);
         let fanout = self.fanout_for(suppliers);
-        let plans: Vec<PlannedRecovery> = decisions
-            .into_iter()
-            .zip(frames)
-            .map(|(mut d, f)| {
-                // Deadline-aware escalation: once the remaining window
-                // is inside the switch setup, neither a race leg nor a
-                // substream switch can make the deadline — go straight
-                // to the CDN for the frame itself.
-                let doomed_switch = matches!(
-                    d.action,
-                    RecoveryAction::SwitchSubstream | RecoveryAction::FullStream
-                ) && self.decider.switch_deadline_blown(f, stats);
-                let blown_race_window = d.action == RecoveryAction::BestEffortPackets
-                    && f.deadline <= stats.switch_setup;
-                if doomed_switch || blown_race_window {
-                    d.action = RecoveryAction::DedicatedFrame;
-                    d.loss = self.decider.loss(d.action, f, stats);
-                    d.failure_probability = self.decider.failure_probability(d.action, f, stats);
-                    return PlannedRecovery::single(d);
-                }
-                if d.action != RecoveryAction::BestEffortPackets {
-                    return PlannedRecovery::single(d);
-                }
-                PlannedRecovery {
-                    decision: d,
-                    fanout,
-                }
-            })
-            .collect();
-        if sink.is_enabled() {
-            for p in &plans {
-                sink.emit(
-                    now,
-                    Some(session),
-                    TraceEvent::RecoveryDecision {
-                        dts_ms: p.decision.dts_ms,
-                        action: p.decision.action.label(),
-                        loss: p.decision.loss,
-                        failure_probability: p.decision.failure_probability,
-                    },
-                );
+        let decider = &self.decider;
+        for (d, f) in self.decisions.iter_mut().zip(frames) {
+            // Deadline-aware escalation: once the remaining window is
+            // inside the switch setup, neither a race leg nor a
+            // substream switch can make the deadline — go straight to
+            // the CDN for the frame itself.
+            let doomed_switch = matches!(
+                d.action,
+                RecoveryAction::SwitchSubstream | RecoveryAction::FullStream
+            ) && decider.switch_deadline_blown(f, stats);
+            let blown_race_window =
+                d.action == RecoveryAction::BestEffortPackets && f.deadline <= stats.switch_setup;
+            if doomed_switch || blown_race_window {
+                d.action = RecoveryAction::DedicatedFrame;
+                d.loss = decider.loss(d.action, f, stats);
+                d.failure_probability = decider.failure_probability(d.action, f, stats);
             }
         }
-        plans
+        decider.trace(&self.decisions, frames, stats, sink, now, session);
+        self.plans.clear();
+        let plans = self.decisions.iter().map(|d| PlannedRecovery {
+            decision: d.clone(),
+            fanout: if d.action == RecoveryAction::BestEffortPackets {
+                fanout
+            } else {
+                1
+            },
+        });
+        self.plans.extend(plans);
+        &self.plans
     }
 
     fn note_attempt_outcome(&mut self, now: SimTime, supplier: u64, success: bool) {
@@ -1073,7 +1054,9 @@ mod tests {
             .collect();
         frames[0].deadline = SimDuration::from_millis(20);
         let sink = TraceSink::unbounded();
-        let decisions = d.decide_traced(&frames, &stats, &sink, SimTime::from_secs(1), 42);
+        let mut policy = QoeEdfPolicy::new(RecoveryConfig::default());
+        let plans = policy.plan(&frames, &stats, &[], &sink, SimTime::from_secs(1), 42);
+        let decisions: Vec<Decision> = plans.iter().map(|p| p.decision.clone()).collect();
         assert!(
             decisions
                 .iter()

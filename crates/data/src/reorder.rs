@@ -68,7 +68,8 @@ impl PacketSet {
         true
     }
 
-    fn contains(&self, idx: u32) -> bool {
+    /// Whether `idx` is present.
+    pub fn contains(&self, idx: u32) -> bool {
         let (word, bit) = (idx as usize / 64, idx as usize % 64);
         let slot = if word < INLINE_PACKET_WORDS {
             self.inline[word]
@@ -93,6 +94,11 @@ impl PacketSet {
 
     fn words(&self) -> impl Iterator<Item = u64> + '_ {
         self.inline.iter().chain(&self.spill).copied()
+    }
+
+    /// The indices below `n` that are absent.
+    fn complement_below(&self, n: u32) -> PacketSet {
+        (0..n).filter(|&i| !self.contains(i)).collect()
     }
 
     /// The highest index present.
@@ -133,12 +139,6 @@ struct FrameAssembly {
 }
 
 impl FrameAssembly {
-    fn missing(&self) -> Vec<u32> {
-        (0..self.expected)
-            .filter(|&i| !self.received.contains(i))
-            .collect()
-    }
-
     fn complete(&self) -> bool {
         self.received.len() >= self.expected
     }
@@ -155,14 +155,14 @@ pub struct ReadyFrame {
 
 /// Loss indication for the recovery engine: a frame with missing
 /// packets, annotated with arrival context.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct IncompleteFrame {
     /// The frame header.
     pub header: FrameHeader,
     /// Substream the frame belongs to.
     pub substream: u16,
     /// Missing packet indices.
-    pub missing: Vec<u32>,
+    pub missing: PacketSet,
     /// Expected total packets.
     pub expected: u32,
     /// Whether packets after a gap arrived (out-of-order signal that
@@ -481,47 +481,47 @@ impl ReorderBuffer {
     /// Frames with missing packets, for the recovery engine. A frame is
     /// reported once packets beyond a gap have arrived (out-of-order
     /// fast path) or once `timeout` has elapsed since its first packet.
-    pub fn incomplete_frames(&self, now: SimTime, timeout: SimDuration) -> Vec<IncompleteFrame> {
-        self.assembling
-            .values()
-            .filter_map(|asm| {
-                let missing = asm.missing();
-                if missing.is_empty() {
-                    return None;
-                }
-                let gap = missing.iter().any(|&m| m < asm.max_seen);
-                let timed_out = now.saturating_since(asm.first_arrival) >= timeout;
-                if gap || timed_out {
-                    Some(IncompleteFrame {
-                        header: asm.header,
-                        substream: asm.substream,
-                        missing,
-                        expected: asm.expected,
-                        out_of_order_gap: gap,
-                        first_arrival: asm.first_arrival,
-                    })
-                } else {
-                    None
-                }
+    pub fn incomplete_frames(
+        &self,
+        now: SimTime,
+        timeout: SimDuration,
+    ) -> impl Iterator<Item = IncompleteFrame> + '_ {
+        self.assembling.values().filter_map(move |asm| {
+            let missing = asm.received.complement_below(asm.expected);
+            if missing.is_empty() {
+                return None;
+            }
+            let gap = (0..asm.max_seen).any(|m| missing.contains(m));
+            let timed_out = now.saturating_since(asm.first_arrival) >= timeout;
+            (gap || timed_out).then_some(IncompleteFrame {
+                header: asm.header,
+                substream: asm.substream,
+                missing,
+                expected: asm.expected,
+                out_of_order_gap: gap,
+                first_arrival: asm.first_arrival,
             })
-            .collect()
+        })
     }
 
     /// Frames that embedded chains have announced but for which no data
     /// has arrived at all within `timeout` — e.g. the publishing relay
-    /// died. Returns `(dts, packet_count)` pairs; the caller recovers
+    /// died. Yields `(dts, packet_count)` pairs; the caller recovers
     /// them as whole frames (the CDN supports dts-indexed recovery, §6).
-    pub fn missing_chain_frames(&self, now: SimTime, timeout: SimDuration) -> Vec<(u64, u32)> {
+    pub fn missing_chain_frames(
+        &self,
+        now: SimTime,
+        timeout: SimDuration,
+    ) -> impl Iterator<Item = (u64, u32)> + '_ {
         self.chain_announced
             .iter()
-            .filter(|&(dts, &(seen, _))| {
+            .filter(move |&(dts, &(seen, _))| {
                 now.saturating_since(seen) >= timeout
                     && !self.assembling.contains_key(dts)
                     && !self.complete.contains_key(dts)
                     && self.released_watermark.map(|w| dts > w).unwrap_or(true)
             })
             .map(|(dts, &(_, cnt))| (dts, cnt))
-            .collect()
     }
 
     /// Frames sitting complete but blocked on chain order.
@@ -532,17 +532,21 @@ impl ReorderBuffer {
     /// The dts values of complete frames that cannot release because no
     /// ordering information covers them — the failure mode of the
     /// centralised sequencing design when the metadata channel lags or
-    /// loses entries (§7.3.2). Returns up to `limit` frames that have
+    /// loses entries (§7.3.2). Yields up to `limit` frames that have
     /// been complete for at least `age`.
-    pub fn unorderable_complete(&self, now: SimTime, age: SimDuration, limit: usize) -> Vec<u64> {
+    pub fn unorderable_complete(
+        &self,
+        now: SimTime,
+        age: SimDuration,
+        limit: usize,
+    ) -> impl Iterator<Item = u64> + '_ {
         self.complete
             .iter()
-            .filter(|&(dts, r)| {
+            .filter(move |&(dts, r)| {
                 now.saturating_since(r.completed_at) >= age && self.chain.status_of(dts).is_none()
             })
             .map(|(dts, _)| dts)
             .take(limit)
-            .collect()
     }
 
     /// Frames still assembling.
@@ -786,9 +790,11 @@ mod tests {
         for p in &frame_pkts[1..] {
             assert!(rb.ingest(t(1), p).is_empty());
         }
-        let incomplete = rb.incomplete_frames(t(2), SimDuration::from_millis(100));
+        let incomplete: Vec<_> = rb
+            .incomplete_frames(t(2), SimDuration::from_millis(100))
+            .collect();
         assert_eq!(incomplete.len(), 1);
-        assert_eq!(incomplete[0].missing, vec![0]);
+        assert!(incomplete[0].missing.contains(0) && incomplete[0].missing.len() == 1);
         assert!(incomplete[0].out_of_order_gap);
         // Retransmission completes the frame.
         let released = rb.ingest(t(5), &frame_pkts[0]);
@@ -807,8 +813,10 @@ mod tests {
             rb.ingest(t(1), p);
         }
         let early = rb.incomplete_frames(t(5), SimDuration::from_millis(100));
-        assert!(early.is_empty(), "no gap and no timeout yet");
-        let late = rb.incomplete_frames(t(200), SimDuration::from_millis(100));
+        assert_eq!(early.count(), 0, "no gap and no timeout yet");
+        let late: Vec<_> = rb
+            .incomplete_frames(t(200), SimDuration::from_millis(100))
+            .collect();
         assert_eq!(late.len(), 1);
         assert!(!late[0].out_of_order_gap);
     }

@@ -162,13 +162,28 @@ fn differential(frames: &[Frame], steps: &[Step]) -> Result<(), TestCaseError> {
         };
         prop_assert_eq!(a, b, "release order at step {} ({:?})", i, step);
         prop_assert_eq!(
-            new.missing_chain_frames(now, timeout),
+            new.missing_chain_frames(now, timeout).collect::<Vec<_>>(),
             old.missing_chain_frames(now, timeout),
             "missing_chain_frames at step {}",
             i
         );
+        // The parent listed missing indices; the new buffer hands out
+        // their set, whose count the recovery pass reads.
+        let mut incomplete = Vec::new();
+        for f in new.incomplete_frames(now, timeout) {
+            let missing: Vec<u32> = (0..f.expected).filter(|&i| f.missing.contains(i)).collect();
+            prop_assert_eq!(f.missing.len() as usize, missing.len());
+            incomplete.push(reference::IncompleteFrame {
+                header: f.header,
+                substream: f.substream,
+                missing,
+                expected: f.expected,
+                out_of_order_gap: f.out_of_order_gap,
+                first_arrival: f.first_arrival,
+            });
+        }
         prop_assert_eq!(
-            new.incomplete_frames(now, timeout),
+            incomplete,
             old.incomplete_frames(now, timeout),
             "incomplete_frames at step {}",
             i
@@ -235,10 +250,11 @@ proptest! {
 
 /// The parent commit's `GlobalChain` and `ReorderBuffer`, verbatim
 /// except for the three methods this change deletes (none of them
-/// announces, merges or releases).
+/// announces, merges or releases), plus the `IncompleteFrame` shape the
+/// parent's `incomplete_frames` returned.
 #[allow(dead_code, clippy::clone_on_copy)]
 mod reference {
-    use rlive_data::reorder::{IncompleteFrame, ReadyFrame};
+    use rlive_data::reorder::ReadyFrame;
     use rlive_data::ring::SeqRing;
     use rlive_data::sequencing::{LinkStatus, MatchResult};
     use rlive_media::crc::Crc32;
@@ -248,6 +264,25 @@ mod reference {
     use rlive_sim::trace::{TraceEvent, TraceSink};
     use rlive_sim::{SimDuration, SimTime};
     use std::collections::VecDeque;
+
+    /// Loss indication for the recovery engine: a frame with missing
+    /// packets, annotated with arrival context.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct IncompleteFrame {
+        /// The frame header.
+        pub header: FrameHeader,
+        /// Substream the frame belongs to.
+        pub substream: u16,
+        /// Missing packet indices.
+        pub missing: Vec<u32>,
+        /// Expected total packets.
+        pub expected: u32,
+        /// Whether packets after a gap arrived (out-of-order signal that
+        /// justifies fast retransmission rather than timeout, §5.3).
+        pub out_of_order_gap: bool,
+        /// First packet arrival time (for timeout-based retransmission).
+        pub first_arrival: SimTime,
+    }
 
     #[derive(Debug, Clone)]
     struct Entry {

@@ -1,20 +1,13 @@
-//! Discrete-event queue with cancellation.
+//! Discrete-event queue.
 //!
 //! The simulator is a classic discrete-event design: a priority queue of
 //! `(time, sequence, payload)` entries. The sequence number breaks ties so
 //! that events scheduled earlier at the same instant fire first, keeping
-//! runs deterministic. Cancellation is supported through [`EventHandle`]s
-//! and lazy deletion (cancelled entries are skipped on pop). Only
-//! cancelled sequence numbers are indexed, so `schedule`, `pop` and
-//! `peek` touch nothing but the heap while nothing is cancelled.
+//! runs deterministic.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
-
-/// Identifies a scheduled event so it can be cancelled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventHandle(u64);
+use std::collections::BinaryHeap;
 
 struct Entry<E> {
     at: SimTime,
@@ -59,8 +52,6 @@ impl<E> Ord for Entry<E> {
 /// ```
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
-    /// Seqs cancelled but still in the heap (a subset of its entries).
-    cancelled: HashSet<u64>,
     next_seq: u64,
     now: SimTime,
 }
@@ -76,7 +67,6 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            cancelled: HashSet::new(),
             next_seq: 0,
             now: SimTime::ZERO,
         }
@@ -91,53 +81,25 @@ impl<E> EventQueue<E> {
     ///
     /// Events scheduled in the past fire at the current time (they still
     /// pop after already-queued events with earlier timestamps).
-    pub fn schedule(&mut self, at: SimTime, payload: E) -> EventHandle {
+    pub fn schedule(&mut self, at: SimTime, payload: E) {
         let at = at.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Entry { at, seq, payload });
-        EventHandle(seq)
-    }
-
-    /// Cancels a previously scheduled event. Returns `true` if the event
-    /// was still pending (i.e. not yet popped or cancelled). Scans the
-    /// heap: cancellation is rare, the schedule/pop path is not.
-    pub fn cancel(&mut self, handle: EventHandle) -> bool {
-        !self.cancelled.contains(&handle.0)
-            && self.heap.iter().any(|e| e.seq == handle.0)
-            && self.cancelled.insert(handle.0)
-    }
-
-    /// Whether a heap entry was cancelled (and forgets it if so).
-    fn take_cancelled(&mut self, seq: u64) -> bool {
-        !self.cancelled.is_empty() && self.cancelled.remove(&seq)
     }
 
     /// Pops the next pending event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(entry) = self.heap.pop() {
-            if self.take_cancelled(entry.seq) {
-                continue;
-            }
-            self.now = entry.at;
-            return Some((entry.at, entry.payload));
-        }
-        None
+        let entry = self.heap.pop()?;
+        self.now = entry.at;
+        Some((entry.at, entry.payload))
     }
 
     /// Returns the next pending event — timestamp and a borrow of its
     /// payload — without popping it. Used by batch formation: the world
     /// inspects the queue head to decide whether the next event extends
     /// the current shardable batch.
-    pub fn peek(&mut self) -> Option<(SimTime, &E)> {
-        // Lazily discard cancelled heads first (needs a separate loop:
-        // `peek` borrows immutably, `pop` mutably).
-        while let Some(seq) = self.heap.peek().map(|e| e.seq) {
-            if !self.take_cancelled(seq) {
-                break;
-            }
-            self.heap.pop();
-        }
+    pub fn peek(&self) -> Option<(SimTime, &E)> {
         self.heap.peek().map(|entry| (entry.at, &entry.payload))
     }
 
@@ -151,18 +113,14 @@ impl<E> EventQueue<E> {
     /// numbers in insertion order, the post-merge queue is byte-for-byte
     /// the queue a sequential run would have built.
     pub fn drain_ordered(&mut self) -> Vec<(SimTime, E)> {
-        let cancelled = std::mem::take(&mut self.cancelled);
-        let mut entries: Vec<Entry<E>> = std::mem::take(&mut self.heap)
-            .into_iter()
-            .filter(|e| !cancelled.contains(&e.seq))
-            .collect();
+        let mut entries = std::mem::take(&mut self.heap).into_vec();
         entries.sort_by_key(|e| e.seq);
         entries.into_iter().map(|e| (e.at, e.payload)).collect()
     }
 
-    /// Number of pending (non-cancelled) events.
+    /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len() - self.cancelled.len()
+        self.heap.len()
     }
 
     /// Returns `true` if no events are pending.
@@ -220,28 +178,6 @@ mod tests {
     }
 
     #[test]
-    fn cancellation() {
-        let mut q = EventQueue::new();
-        let h1 = q.schedule(SimTime::from_millis(1), 1);
-        let h2 = q.schedule(SimTime::from_millis(2), 2);
-        assert!(q.cancel(h1));
-        assert!(!q.cancel(h1), "double cancel reports false");
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop(), Some((SimTime::from_millis(2), 2)));
-        assert!(!q.cancel(h2), "cancel after pop reports false");
-    }
-
-    #[test]
-    fn peek_skips_cancelled() {
-        let mut q = EventQueue::new();
-        let h = q.schedule(SimTime::from_millis(1), 1);
-        q.schedule(SimTime::from_millis(2), 2);
-        q.cancel(h);
-        assert_eq!(q.peek().map(|(at, _)| at), Some(SimTime::from_millis(2)));
-        assert_eq!(q.pop(), Some((SimTime::from_millis(2), 2)));
-    }
-
-    #[test]
     fn peek_exposes_payload_without_popping() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_millis(2), "b");
@@ -259,9 +195,7 @@ mod tests {
         // in schedule order, not pop order.
         q.schedule(SimTime::from_millis(30), "late");
         q.schedule(SimTime::from_millis(10), "early");
-        let cancelled = q.schedule(SimTime::from_millis(20), "gone");
         q.schedule(SimTime::from_millis(20), "mid");
-        q.cancel(cancelled);
         let drained = q.drain_ordered();
         assert_eq!(
             drained,
@@ -294,20 +228,5 @@ mod tests {
         let a: Vec<i32> = std::iter::from_fn(|| direct.pop().map(|(_, e)| e)).collect();
         let b: Vec<i32> = std::iter::from_fn(|| replayed.pop().map(|(_, e)| e)).collect();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn len_accounts_for_cancelled() {
-        let mut q = EventQueue::new();
-        let handles: Vec<_> = (0..5)
-            .map(|i| q.schedule(SimTime::from_millis(i), i))
-            .collect();
-        assert_eq!(q.len(), 5);
-        q.cancel(handles[0]);
-        q.cancel(handles[3]);
-        assert_eq!(q.len(), 3);
-        assert!(!q.is_empty());
-        while q.pop().is_some() {}
-        assert!(q.is_empty());
     }
 }

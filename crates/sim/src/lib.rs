@@ -3,8 +3,8 @@
 //! This crate provides the pieces of "testbed" that the RLive paper takes
 //! for granted in its production deployment and that we must synthesise:
 //!
-//! - a virtual clock ([`time::SimTime`]) and an event queue with
-//!   cancellation ([`event::EventQueue`]),
+//! - a virtual clock ([`time::SimTime`]) and an event queue
+//!   ([`event::EventQueue`]),
 //! - a deterministic random number generator and the statistical
 //!   distributions used to model node populations and network dynamics
 //!   ([`rng`]),
@@ -46,9 +46,36 @@ pub mod time;
 pub mod trace;
 
 pub use coverage::CoverageCatalog;
-pub use event::{EventHandle, EventQueue};
+pub use event::EventQueue;
 pub use link::{Link, LinkConfig};
 pub use obs::{MetricRegistry, SealedWindow, Stage, StageTable};
 pub use rng::SimRng;
 pub use slo::{AlertEvent, AlertState, Severity, SloEngine, SloReport, SloRule};
 pub use time::{SimDuration, SimTime};
+
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Hashes one simulator-assigned `u64` id (a node or client id) by one
+/// multiplication. Ids never come from outside input, so there is
+/// nobody to defend against with a keyed hash, and a fixed hasher keeps
+/// every map's layout — and so its allocation count — the same from one
+/// process to the next.
+#[derive(Default)]
+pub struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("an id hashes as a single u64");
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The `HashMap` / `HashSet` hasher builder over [`IdHasher`].
+pub type BuildIdHasher = BuildHasherDefault<IdHasher>;

@@ -78,7 +78,9 @@ fn lost_substream_detected_and_recoverable_via_decider() {
     }
     // Chains from surviving relays announce the missing frames.
     let now = t(60 * 33 + 500);
-    let missing = rb.missing_chain_frames(now, SimDuration::from_millis(120));
+    let missing: Vec<_> = rb
+        .missing_chain_frames(now, SimDuration::from_millis(120))
+        .collect();
     assert!(!missing.is_empty(), "dead substream's frames must surface");
     for (dts, _) in &missing {
         let f = stream
@@ -155,14 +157,16 @@ fn packet_loss_recovery_round_trip() {
     }
     assert!(!dropped.is_empty(), "loss process must drop something");
     let now = t(2_000);
-    let incomplete = rb.incomplete_frames(now, SimDuration::from_millis(100));
+    let incomplete: Vec<_> = rb
+        .incomplete_frames(now, SimDuration::from_millis(100))
+        .collect();
     // Every incomplete frame corresponds to dropped packets.
     for f in &incomplete {
-        for m in &f.missing {
+        for m in (0..f.expected).filter(|&m| f.missing.contains(m)) {
             assert!(
                 dropped
                     .iter()
-                    .any(|p| p.frame.dts_ms == f.header.dts_ms && p.packet_index == *m),
+                    .any(|p| p.frame.dts_ms == f.header.dts_ms && p.packet_index == m),
                 "missing packet {m} of dts {} was not dropped",
                 f.header.dts_ms
             );
