@@ -60,57 +60,35 @@ pub fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<CliArgs, Stri
     let mut args = CliArgs::default();
     let mut raw = raw.into_iter();
     while let Some(arg) = raw.next() {
-        let mut flag_value = |name: &str| -> Result<String, String> {
-            raw.next().ok_or_else(|| format!("{name} expects a value"))
+        // `--flag=value` and `--flag value` are one spelling; only flags
+        // that take a value accept the first.
+        let (flag, inline) = match arg.split_once('=') {
+            Some((flag, v)) if flag.starts_with("--") => (flag, Some(v.to_string())),
+            _ => (arg.as_str(), None),
         };
-        match arg.as_str() {
+        let takes_value = !matches!(flag, "--help" | "-h" | "--slo");
+        let mut value = || match inline.clone() {
+            Some(v) => Ok(v),
+            None => raw.next().ok_or_else(|| format!("{flag} expects a value")),
+        };
+        match flag {
+            _ if inline.is_some() && !takes_value => return Err(format!("unknown flag '{arg}'")),
             "--help" | "-h" => args.help = true,
-            "--seed" => args.seed = Some(parse_u64("--seed", &flag_value("--seed")?)?),
-            "--stream" => args.stream = Some(parse_u64("--stream", &flag_value("--stream")?)?),
-            "--jobs" => args.jobs = Some(parse_positive("--jobs", &flag_value("--jobs")?)?),
-            "--world-jobs" => {
-                args.world_jobs = Some(parse_positive(
-                    "--world-jobs",
-                    &flag_value("--world-jobs")?,
-                )?)
-            }
-            "--obs-window" => {
-                args.obs_window = Some(parse_obs_window(&flag_value("--obs-window")?)?)
-            }
-            "--obs-export" => args.obs_export = Some(flag_value("--obs-export")?),
             "--slo" => args.slo = true,
-            "--sched-policy" => {
-                args.sched_policy = Some(parse_policy(&flag_value("--sched-policy")?)?)
+            "--seed" => args.seed = Some(parse_u64(flag, &value()?)?),
+            "--stream" => args.stream = Some(parse_u64(flag, &value()?)?),
+            "--jobs" => args.jobs = Some(parse_positive(flag, &value()?)?),
+            "--world-jobs" => args.world_jobs = Some(parse_positive(flag, &value()?)?),
+            "--obs-window" => args.obs_window = Some(parse_obs_window(&value()?)?),
+            "--obs-export" => args.obs_export = Some(value()?),
+            "--sched-policy" => args.sched_policy = Some(parse_policy(&value()?)?),
+            "--recovery-policy" => args.recovery_policy = Some(parse_recovery_policy(&value()?)?),
+            // A typo'd flag must not silently become an ignored
+            // positional.
+            _ if arg.starts_with('-') && arg.len() > 1 => {
+                return Err(format!("unknown flag '{arg}'"))
             }
-            "--recovery-policy" => {
-                args.recovery_policy =
-                    Some(parse_recovery_policy(&flag_value("--recovery-policy")?)?)
-            }
-            _ => {
-                if let Some(v) = arg.strip_prefix("--seed=") {
-                    args.seed = Some(parse_u64("--seed", v)?);
-                } else if let Some(v) = arg.strip_prefix("--stream=") {
-                    args.stream = Some(parse_u64("--stream", v)?);
-                } else if let Some(v) = arg.strip_prefix("--jobs=") {
-                    args.jobs = Some(parse_positive("--jobs", v)?);
-                } else if let Some(v) = arg.strip_prefix("--world-jobs=") {
-                    args.world_jobs = Some(parse_positive("--world-jobs", v)?);
-                } else if let Some(v) = arg.strip_prefix("--obs-window=") {
-                    args.obs_window = Some(parse_obs_window(v)?);
-                } else if let Some(v) = arg.strip_prefix("--obs-export=") {
-                    args.obs_export = Some(v.to_string());
-                } else if let Some(v) = arg.strip_prefix("--sched-policy=") {
-                    args.sched_policy = Some(parse_policy(v)?);
-                } else if let Some(v) = arg.strip_prefix("--recovery-policy=") {
-                    args.recovery_policy = Some(parse_recovery_policy(v)?);
-                } else if arg.starts_with('-') && arg.len() > 1 {
-                    // A typo'd flag must not silently become an ignored
-                    // positional.
-                    return Err(format!("unknown flag '{arg}'"));
-                } else {
-                    args.positionals.push(arg);
-                }
-            }
+            _ => args.positionals.push(arg.clone()),
         }
     }
     Ok(args)

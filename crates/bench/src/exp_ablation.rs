@@ -3,15 +3,16 @@
 //! exploration mixing (§8.2), NAT traversal refinement (§8.1) and chain
 //! length δ (§5.2).
 //!
-//! Every world-running ablation fans its configuration sweep out as a
-//! [`Fleet`]; rows are printed from the spec-ordered per-world reports,
-//! so the tables are identical for any `--jobs` value.
+//! Every world-running ablation is one [`rlive_bench::sweep`] over its
+//! settings, printed as one row per setting, so the tables are identical
+//! for any `--jobs` value.
 
-use rlive::config::DeliveryMode;
-use rlive::world::{GroupPolicy, RunReport};
-use rlive::{Fleet, WorldSpec};
+use rlive::config::{DeliveryMode, SystemConfig};
+use rlive::WorldSpec;
+use rlive_bench::metric::{BITRATE_MBPS, E2E_MS, INVALID_CANDIDATES, REBUFFERS, REBUFFER_MS};
+use rlive_bench::Cell::{Fixed, Percent};
 use rlive_bench::{
-    compare_head, compare_row, header, offset_seeds, peak_config, peak_scenario, runner,
+    compare_head, compare_row, header, offset_seeds, peak_spec, print_variants, runner, sweep,
 };
 use rlive_data::sequencing::{GlobalChain, MatchResult};
 use rlive_media::footprint::{ChainGenerator, LocalChain, CHAIN_LEN};
@@ -32,18 +33,9 @@ pub fn all(seed: u64) {
     partition_strategy(seed);
 }
 
-/// One peak-scenario RLive world with a caller-tweaked config.
-fn peak_spec(seed: u64, tweak: impl Fn(&mut rlive::config::SystemConfig)) -> WorldSpec {
-    let mut cfg = peak_config();
-    cfg.mode = DeliveryMode::RLive;
-    tweak(&mut cfg);
-    WorldSpec {
-        seed,
-        scenario: peak_scenario(),
-        config: cfg,
-        policy: GroupPolicy::uniform(DeliveryMode::RLive),
-        schedule: Vec::new(),
-    }
+/// One peak-scenario RLive world with a caller's config edit.
+fn rlive_spec(seed: u64, edit: impl FnOnce(&mut SystemConfig)) -> WorldSpec {
+    peak_spec(seed, DeliveryMode::RLive, edit)
 }
 
 /// §8.3 (open question, implemented here): criticality-aware substream
@@ -52,38 +44,30 @@ fn peak_spec(seed: u64, tweak: impl Fn(&mut rlive::config::SystemConfig)) -> Wor
 pub fn partition_strategy(seed: u64) {
     use rlive_media::substream::PartitionStrategy;
     header("Extension — adaptive substream partitioning (§8.3)");
-    println!(
-        "{:<14} {:>14} {:>16} {:>12} {:>12}",
-        "strategy", "rebuf/100s", "rebuf ms/100s", "E2E ms", "bitrate"
-    );
-    println!("{}", "-".repeat(72));
     let strategies = [
         ("static-hash", PartitionStrategy::StaticHash),
         ("size-aware", PartitionStrategy::SizeAware),
     ];
-    let days = 3u64;
-    let day_seeds = offset_seeds(seed, 0..days);
-    let fleet = Fleet::product(
+    let groups = sweep(
         "ablation-partition",
         &strategies,
-        &day_seeds,
-        |&(_, strategy), &s| peak_spec(s, |cfg| cfg.partition = strategy),
+        &offset_seeds(seed, 0..3),
+        |&(_, strategy), s| rlive_spec(s, |cfg| cfg.partition = strategy),
     );
-    let reports = runner::run_fleet(fleet).worlds;
-    for ((label, _), group) in strategies.iter().zip(reports.chunks(days as usize)) {
-        let n = days as f64;
-        let sum = |f: &dyn Fn(&RunReport) -> f64| group.iter().map(f).sum::<f64>();
-        println!(
-            "{label:<14} {:>14.2} {:>16.0} {:>12.0} {:>12.2}",
-            sum(&|r| r.test_qoe.rebuffers_per_100s.mean()) / n,
-            sum(&|r| r.test_qoe.rebuffer_ms_per_100s.mean()) / n,
-            sum(&|r| r.test_qoe.e2e_latency_ms.mean()) / n,
-            sum(&|r| r.test_qoe.bitrate_bps.mean() / 1e6) / n,
-        );
-    }
+    print_variants(
+        ("strategy", 14),
+        72,
+        &[
+            ("rebuf/100s", 14, Fixed(2), REBUFFERS),
+            ("rebuf ms/100s", 16, Fixed(0), REBUFFER_MS),
+            ("E2E ms", 12, Fixed(0), E2E_MS),
+            ("bitrate", 12, Fixed(2), BITRATE_MBPS),
+        ],
+        strategies.iter().map(|(label, _)| label).zip(groups),
+    );
     println!(
-        "
-pinning I-frames to the stablest relay trades a little load balance for          fewer GoP-wide decode losses (§8.3's hypothesis)."
+        "\npinning I-frames to the stablest relay trades a little load balance for \
+         fewer GoP-wide decode losses (§8.3's hypothesis)."
     );
 }
 
@@ -91,137 +75,114 @@ pinning I-frames to the stablest relay trades a little load balance for         
 /// RLive's frame-level transmission.
 pub fn chunked_delivery(seed: u64) {
     header("Ablation — frame-level vs chunk-based relay forwarding (§5.1)");
-    println!(
-        "{:<16} {:>12} {:>14} {:>14}",
-        "granularity", "E2E ms", "rebuf/100s", "bitrate Mbps"
-    );
-    println!("{}", "-".repeat(60));
     let variants: [(&str, Option<u32>); 4] = [
         ("frame-level", None),
         ("0.5 s chunks", Some(15u32)),
         ("1 s chunks", Some(30)),
         ("2 s chunks", Some(60)),
     ];
-    let fleet = Fleet::product("ablation-chunk", &variants, &[seed], |&(_, chunk), &s| {
-        peak_spec(s, |cfg| cfg.chunk_frames = chunk)
+    let groups = sweep("ablation-chunk", &variants, &[seed], |&(_, chunk), s| {
+        rlive_spec(s, |cfg| cfg.chunk_frames = chunk)
     });
-    let reports = runner::run_fleet(fleet).worlds;
-    for ((label, _), r) in variants.iter().zip(&reports) {
-        println!(
-            "{label:<16} {:>12.0} {:>14.2} {:>14.2}",
-            r.test_qoe.e2e_latency_ms.mean(),
-            r.test_qoe.rebuffers_per_100s.mean(),
-            r.test_qoe.bitrate_bps.mean() / 1e6
-        );
-    }
+    print_variants(
+        ("granularity", 16),
+        60,
+        &[
+            ("E2E ms", 12, Fixed(0), E2E_MS),
+            ("rebuf/100s", 14, Fixed(2), REBUFFERS),
+            ("bitrate Mbps", 14, Fixed(2), BITRATE_MBPS),
+        ],
+        variants.iter().map(|(label, _)| label).zip(groups),
+    );
     println!(
-        "
-chunk accumulation adds head-of-line latency at every relay — the reason          RLive pushes at frame granularity (§5.1)."
+        "\nchunk accumulation adds head-of-line latency at every relay — the reason \
+         RLive pushes at frame granularity (§5.1)."
     );
 }
 
 /// §8.1: embedding the publisher IP in packets lets recovery skip DNS.
 pub fn dns_bypass(seed: u64) {
     header("Ablation — DNS bypass for frame recovery (§8.1)");
-    println!(
-        "{:<12} {:>14} {:>16} {:>12}",
-        "bypass", "rebuf/100s", "rebuf ms/100s", "E2E ms"
-    );
-    println!("{}", "-".repeat(58));
     let cells = [true, false];
-    let fleet = Fleet::product("ablation-dns", &cells, &[seed], |&bypass, &s| {
-        peak_spec(s, |cfg| cfg.dns_bypass = bypass)
+    let groups = sweep("ablation-dns", &cells, &[seed], |&bypass, s| {
+        rlive_spec(s, |cfg| cfg.dns_bypass = bypass)
     });
-    let reports = runner::run_fleet(fleet).worlds;
-    for (bypass, r) in cells.iter().zip(&reports) {
-        println!(
-            "{:<12} {:>14.2} {:>16.0} {:>12.0}",
-            bypass,
-            r.test_qoe.rebuffers_per_100s.mean(),
-            r.test_qoe.rebuffer_ms_per_100s.mean(),
-            r.test_qoe.e2e_latency_ms.mean()
-        );
-    }
-    println!(
-        "
-the bypass removes a resolver RTT from every dedicated recovery request."
+    print_variants(
+        ("bypass", 12),
+        58,
+        &[
+            ("rebuf/100s", 14, Fixed(2), REBUFFERS),
+            ("rebuf ms/100s", 16, Fixed(0), REBUFFER_MS),
+            ("E2E ms", 12, Fixed(0), E2E_MS),
+        ],
+        cells.iter().zip(groups),
     );
+    println!("\nthe bypass removes a resolver RTT from every dedicated recovery request.");
 }
 
 /// §4.1.2: probing more than three candidates yields <1 % success gain.
 pub fn probes(seed: u64) {
     header("Ablation — probe count (§4.1.2: deployed limit is 3)");
-    println!(
-        "{:<10} {:>16} {:>14} {:>14}",
-        "probes", "mapping success", "rebuf/100s", "bitrate Mbps"
-    );
-    println!("{}", "-".repeat(58));
     let cells = [1usize, 2, 3, 5];
-    let fleet = Fleet::product("ablation-probes", &cells, &[seed], |&max_probes, &s| {
-        peak_spec(s, |cfg| cfg.client_controller.max_probes = max_probes)
+    let groups = sweep("ablation-probes", &cells, &[seed], |&max_probes, s| {
+        rlive_spec(s, |cfg| cfg.client_controller.max_probes = max_probes)
     });
-    let reports = runner::run_fleet(fleet).worlds;
-    for (max_probes, r) in cells.iter().zip(&reports) {
-        let success = 1.0 - r.invalid_candidate_fraction;
-        println!(
-            "{max_probes:<10} {:>15.1}% {:>14.2} {:>14.2}",
-            success * 100.0,
-            r.test_qoe.rebuffers_per_100s.mean(),
-            r.test_qoe.bitrate_bps.mean() / 1e6
-        );
-    }
+    print_variants(
+        ("probes", 10),
+        58,
+        &[
+            ("mapping success", 16, Percent(1), |r| {
+                1.0 - INVALID_CANDIDATES(r)
+            }),
+            ("rebuf/100s", 14, Fixed(2), REBUFFERS),
+            ("bitrate Mbps", 14, Fixed(2), BITRATE_MBPS),
+        ],
+        cells.iter().zip(groups),
+    );
     println!("\npaper: beyond 3 probes, success improves <1 % at linear cost.");
 }
 
 /// §6/§8.3: substream count K.
 pub fn substreams(seed: u64) {
     header("Ablation — substream count K (deployed: 4)");
-    println!(
-        "{:<6} {:>12} {:>16} {:>14} {:>12}",
-        "K", "rebuf/100s", "rebuf ms/100s", "bitrate Mbps", "E2E ms"
-    );
-    println!("{}", "-".repeat(64));
     let cells = [1u16, 2, 4, 8];
-    let fleet = Fleet::product("ablation-substreams", &cells, &[seed], |&k, &s| {
-        peak_spec(s, |cfg| {
+    let groups = sweep("ablation-substreams", &cells, &[seed], |&k, s| {
+        rlive_spec(s, |cfg| {
             cfg.substreams = k;
             cfg.recovery.substream_count = k;
         })
     });
-    let reports = runner::run_fleet(fleet).worlds;
-    for (k, r) in cells.iter().zip(&reports) {
-        println!(
-            "{k:<6} {:>12.2} {:>16.0} {:>14.2} {:>12.0}",
-            r.test_qoe.rebuffers_per_100s.mean(),
-            r.test_qoe.rebuffer_ms_per_100s.mean(),
-            r.test_qoe.bitrate_bps.mean() / 1e6,
-            r.test_qoe.e2e_latency_ms.mean()
-        );
-    }
+    print_variants(
+        ("K", 6),
+        64,
+        &[
+            ("rebuf/100s", 12, Fixed(2), REBUFFERS),
+            ("rebuf ms/100s", 16, Fixed(0), REBUFFER_MS),
+            ("bitrate Mbps", 14, Fixed(2), BITRATE_MBPS),
+            ("E2E ms", 12, Fixed(0), E2E_MS),
+        ],
+        cells.iter().zip(groups),
+    );
     println!("\nK=1 loses the multi-source robustness; large K multiplies mapping work.");
 }
 
 /// §8.2: global explore–exploit mixing.
 pub fn explore(seed: u64) {
     header("Ablation — scheduler exploration fraction (§8.2)");
-    println!(
-        "{:<10} {:>14} {:>14} {:>16}",
-        "explore", "rebuf/100s", "bitrate Mbps", "invalid cands"
-    );
-    println!("{}", "-".repeat(58));
     let cells = [0.0, 0.2, 0.5];
-    let fleet = Fleet::product("ablation-explore", &cells, &[seed], |&frac, &s| {
-        peak_spec(s, |cfg| cfg.scheduler.explore_fraction = frac)
+    let groups = sweep("ablation-explore", &cells, &[seed], |&frac, s| {
+        rlive_spec(s, |cfg| cfg.scheduler.explore_fraction = frac)
     });
-    let reports = runner::run_fleet(fleet).worlds;
-    for (frac, r) in cells.iter().zip(&reports) {
-        println!(
-            "{frac:<10} {:>14.2} {:>14.2} {:>15.1}%",
-            r.test_qoe.rebuffers_per_100s.mean(),
-            r.test_qoe.bitrate_bps.mean() / 1e6,
-            r.invalid_candidate_fraction * 100.0
-        );
-    }
+    print_variants(
+        ("explore", 10),
+        58,
+        &[
+            ("rebuf/100s", 14, Fixed(2), REBUFFERS),
+            ("bitrate Mbps", 14, Fixed(2), BITRATE_MBPS),
+            ("invalid cands", 16, Percent(1), INVALID_CANDIDATES),
+        ],
+        cells.iter().zip(groups),
+    );
     println!("\nexploration keeps node state fresh at the cost of some riskier picks.");
 }
 

@@ -4,22 +4,20 @@
 //!
 //! The four subcommands differ only in the storm preset's free values,
 //! their scripted failures and their arms. An [`Arm`] is a column label
-//! plus a config edit. The grid runs as one [`Fleet::product`] (arms ×
-//! seeds, outer-major), so each arm's fold is an exact
-//! `worlds.chunks(n)` slice of the spec order and stdout is
-//! byte-identical for any `--jobs` / `--world-jobs` combination. A
-//! [`Row`] is a label plus a cell function over a [`Column`]. A bake-off
+//! plus a config edit. The grid runs as one [`rlive_bench::sweep`] (arms
+//! × seeds, arm-major) and each arm's worlds fold in seed order, so
+//! stdout is byte-identical for any `--jobs` / `--world-jobs`
+//! combination. A [`Row`] is a label plus a cell function over a [`Column`]. A bake-off
 //! candidate joins `adaptive` or `recover` as one more `arms` entry,
 //! which widens every table by one column; counters that only it emits
 //! need rows of their own.
 
 use rlive::config::{DeliveryMode, SystemConfig};
 use rlive::report::{format_incidents, format_obs_windows, format_slo_alerts, format_slo_rules};
-use rlive::world::{GroupPolicy, RunReport};
-use rlive::{
-    build_incidents, Fleet, FleetReport, GroupQoe, ScriptedEvent, TrafficLedger, WorldSpec,
-};
-use rlive_bench::{header, offset_seeds, runner};
+use rlive::world::GroupPolicy;
+use rlive::{build_incidents, FleetReport, GroupQoe, ScriptedEvent, TrafficLedger, WorldSpec};
+use rlive_bench::metric::{BITRATE_MBPS, E2E_MS, REBUFFERS, VIEWS};
+use rlive_bench::{header, offset_seeds, sweep, Metric};
 use rlive_control::SchedulerPolicyKind;
 use rlive_data::recovery::{RecoveryPolicyKind, DEDICATED_UNIT_COST};
 use rlive_sim::obs::{MetricRegistry, DEFAULT_WINDOW_MS};
@@ -107,8 +105,8 @@ impl Arm {
     }
 }
 
-/// Runs `arms × seeds` on the storm preset as one [`Fleet::product`]:
-/// arm `i` owns `worlds[i * n..(i + 1) * n]` for `n` seeds.
+/// Runs `arms × seeds` on the storm preset as one sweep and folds each
+/// arm's worlds, in seed order, into one report per arm.
 fn run_arms(
     label: &str,
     config: &SystemConfig,
@@ -116,9 +114,9 @@ fn run_arms(
     script: &[ScriptedEvent],
     arms: &[Arm],
     seeds: &[u64],
-) -> FleetReport {
+) -> Vec<FleetReport> {
     let scenario = storm_scenario();
-    let fleet = Fleet::product(label, arms, seeds, |arm, &seed| {
+    sweep(label, arms, seeds, |arm, seed| {
         let mut config = config.clone();
         config.scheduler.policy = arm.sched.unwrap_or(config.scheduler.policy);
         config.recovery_policy = arm.recovery.unwrap_or(config.recovery_policy);
@@ -129,8 +127,10 @@ fn run_arms(
             policy: groups.clone(),
             schedule: script.to_vec(),
         }
-    });
-    runner::run_fleet(fleet)
+    })
+    .into_iter()
+    .map(FleetReport::fold)
+    .collect()
 }
 
 /// What a cell reads: one group's merged QoE and traffic, and the
@@ -247,12 +247,9 @@ fn print_table(head: &str, columns: &[Column], rows: &[Row]) {
     }
 }
 
-/// A dispersion row: a label and the per-world metric.
-type Metric<'a> = (&'a str, fn(&RunReport) -> f64);
-
 /// Prints per-world min/median/max of each metric over `report`'s
 /// worlds.
-fn print_dispersion(head: &str, report: &FleetReport, rows: &[Metric]) {
+fn print_dispersion(head: &str, report: &FleetReport, rows: &[(&str, Metric)]) {
     println!("\n{head:<30} {:>10} {:>10} {:>10}", "min", "median", "max");
     println!("{}", "-".repeat(64));
     for (label, metric) in rows {
@@ -320,18 +317,12 @@ fn policy_ab(
     ));
     print_script(script);
     let groups = GroupPolicy::uniform(DeliveryMode::RLive);
-    let report = run_arms(label, config, groups, script, arms, seeds);
-    // Re-fold each arm's slice with the same exactly-associative
-    // algebra the whole-grid report used.
-    let folds: Vec<FleetReport> = report
-        .worlds
-        .chunks(n)
-        .map(|worlds| FleetReport::fold(worlds.to_vec()))
-        .collect();
+    let folds = run_arms(label, config, groups, script, arms, seeds);
+    let simulated = folds.iter().fold(SimDuration::ZERO, |t, f| t + f.duration);
     println!(
         "{} worlds, {:.0} s simulated in total (policies: {})",
-        report.world_count(),
-        report.duration.as_secs_f64(),
+        n * arms.len(),
+        simulated.as_secs_f64(),
         labels.join(", ")
     );
     let columns: Vec<Column> = arms
@@ -390,7 +381,7 @@ pub fn fleet(
         recovery: recovery_policy,
     };
     let groups = GroupPolicy::ab(DeliveryMode::CdnOnly, DeliveryMode::RLive);
-    let report = run_arms("fleet", &config, groups, &[], &[arm], &seeds);
+    let report = run_arms("fleet", &config, groups, &[], &[arm], &seeds).remove(0);
     println!(
         "{} worlds, {:.0} s simulated in total",
         report.world_count(),
@@ -421,16 +412,10 @@ pub fn fleet(
         "per-world dispersion (test)",
         &report,
         &[
-            ("views", |w| w.test_qoe.views as f64),
-            ("rebuffers /100s (mean)", |w| {
-                w.test_qoe.rebuffers_per_100s.mean()
-            }),
-            ("bitrate Mbps (mean)", |w| {
-                w.test_qoe.bitrate_bps.mean() / 1e6
-            }),
-            ("E2E latency ms (mean)", |w| {
-                w.test_qoe.e2e_latency_ms.mean()
-            }),
+            ("views", VIEWS),
+            ("rebuffers /100s (mean)", REBUFFERS),
+            ("bitrate Mbps (mean)", BITRATE_MBPS),
+            ("E2E latency ms (mean)", E2E_MS),
             ("client traffic MB", |w| {
                 w.test_traffic.client_bytes() as f64 / 1e6
             }),
@@ -570,7 +555,7 @@ pub fn slo(seed: u64, obs_window: Option<u64>) {
 
     let arm = Arm::sched(SchedulerPolicyKind::Adaptive);
     let groups = GroupPolicy::uniform(DeliveryMode::RLive);
-    let report = run_arms("slo", &config, groups, &script, &[arm], &seeds);
+    let report = run_arms("slo", &config, groups, &script, &[arm], &seeds).remove(0);
     println!();
     print!("{}", format_slo_alerts(&report.slo));
     println!();

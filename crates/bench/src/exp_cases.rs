@@ -2,76 +2,47 @@
 //! generality), Table 4 (FIFA World Cup burst) and the §7.4 fallback
 //! threshold trade-off.
 //!
-//! Each experiment is a (variant × day) [`Fleet`] whose per-world
-//! reports come back in spec-index order (see `rlive_bench::runner`).
+//! Each experiment is a (variant × day) [`rlive_bench::sweep`].
 
 use rlive::config::{DeliveryMode, SystemConfig, TransportProfile};
 use rlive::qoe::GroupQoe;
-use rlive::world::GroupPolicy;
-use rlive::{Fleet, WorldSpec};
+use rlive::world::RunReport;
+use rlive::WorldSpec;
+use rlive_bench::metric::{BITRATE_BPS, CDN_FALLBACKS, E2E_MS, REBUFFERS, REBUFFER_MS, VIEWS};
 use rlive_bench::{
-    compare_head, compare_row, header, offset_seeds, peak_config, peak_scenario, runner,
+    compare_head, compare_row, header, mean, offset_seeds, paired, peak_spec, print_variants,
+    sweep, uniform_spec, Cell, Metric,
 };
 use rlive_sim::SimDuration;
 use rlive_workload::scenario::Scenario;
 
+/// Prints one compare row per `(metric, paper, f)`: the mean over the
+/// days of `test`'s per-day difference from `base`, in %.
+fn diff_rows(test: &[RunReport], base: &[RunReport], rows: &[(&str, &str, Metric)]) {
+    compare_head();
+    for &(label, paper, f) in rows {
+        let diff = mean(&paired(test, base, f, GroupQoe::diff_pct));
+        compare_row(label, paper, &format!("{diff:+.1} %"));
+    }
+}
+
 /// Fig 13: RTM (WebRTC-based) protocol A/B against FLV.
 pub fn fig13(seed: u64) {
     header("Fig 13 — protocol generality: RTM vs FLV (both under RLive)");
-    let days = offset_seeds(seed, 0..4);
-    // One world per (day, transport): FLV first, RTM second.
-    let fleet = Fleet::product(
+    let groups = sweep(
         "fig13",
-        &days,
         &[TransportProfile::Flv, TransportProfile::Rtm],
-        |&s, &transport| {
-            let mut cfg = peak_config();
-            cfg.mode = DeliveryMode::RLive;
-            cfg.transport = transport;
-            WorldSpec {
-                seed: s,
-                scenario: peak_scenario(),
-                config: cfg,
-                policy: GroupPolicy::uniform(DeliveryMode::RLive),
-                schedule: Vec::new(),
-            }
-        },
+        &offset_seeds(seed, 0..4),
+        |&transport, s| peak_spec(s, DeliveryMode::RLive, |c| c.transport = transport),
     );
-    let reports = runner::run_fleet(fleet).worlds;
-    let mut lat = Vec::new();
-    let mut rebuf = Vec::new();
-    let mut bitrate = Vec::new();
-    for day in reports.chunks(2) {
-        let (flv, rtm) = (&day[0], &day[1]);
-        lat.push(GroupQoe::diff_pct(
-            rtm.test_qoe.e2e_latency_ms.mean(),
-            flv.test_qoe.e2e_latency_ms.mean(),
-        ));
-        rebuf.push(GroupQoe::diff_pct(
-            rtm.test_qoe.rebuffers_per_100s.mean(),
-            flv.test_qoe.rebuffers_per_100s.mean(),
-        ));
-        bitrate.push(GroupQoe::diff_pct(
-            rtm.test_qoe.bitrate_bps.mean(),
-            flv.test_qoe.bitrate_bps.mean(),
-        ));
-    }
-    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
-    compare_head();
-    compare_row(
-        "E2E latency (RTM vs FLV)",
-        "~+1 %",
-        &format!("{:+.1} %", mean(&lat)),
-    );
-    compare_row(
-        "bitrate",
-        "~unchanged",
-        &format!("{:+.1} %", mean(&bitrate)),
-    );
-    compare_row(
-        "rebuffering",
-        "~unchanged",
-        &format!("{:+.1} %", mean(&rebuf)),
+    diff_rows(
+        &groups[1],
+        &groups[0],
+        &[
+            ("E2E latency (RTM vs FLV)", "~+1 %", E2E_MS),
+            ("bitrate", "~unchanged", BITRATE_BPS),
+            ("rebuffering", "~unchanged", REBUFFERS),
+        ],
     );
 }
 
@@ -84,59 +55,28 @@ fn fifa_spec(mode: DeliveryMode, seed: u64) -> WorldSpec {
     cfg.cdn_edge_mbps = 150;
     cfg.multi_source_after = SimDuration::from_secs(8);
     cfg.popularity_threshold = 2;
-    WorldSpec {
-        seed,
-        scenario,
-        config: cfg,
-        policy: GroupPolicy::uniform(mode),
-        schedule: Vec::new(),
-    }
+    uniform_spec(seed, scenario, cfg)
 }
 
 /// Table 4: the 2022 FIFA World Cup mega-broadcast case study.
 pub fn table4(seed: u64) {
     header("Table 4 — FIFA World Cup case study (RLive vs CDNs)");
-    let days = offset_seeds(seed, 0..3);
-    let fleet = Fleet::product(
+    let groups = sweep(
         "table4",
-        &days,
         &[DeliveryMode::CdnOnly, DeliveryMode::RLive],
-        |&s, &mode| fifa_spec(mode, s),
+        &offset_seeds(seed, 0..3),
+        |&mode, s| fifa_spec(mode, s),
     );
-    let reports = runner::run_fleet(fleet).worlds;
-    let mut views = Vec::new();
-    let mut rebuf = Vec::new();
-    let mut bitrate = Vec::new();
-    let mut lat = Vec::new();
-    for day in reports.chunks(2) {
-        let (cdn, rlive) = (&day[0], &day[1]);
-        views.push(GroupQoe::diff_pct(
-            rlive.test_qoe.views as f64,
-            cdn.test_qoe.views as f64,
-        ));
-        rebuf.push(GroupQoe::diff_pct(
-            rlive.test_qoe.rebuffers_per_100s.mean(),
-            cdn.test_qoe.rebuffers_per_100s.mean(),
-        ));
-        bitrate.push(GroupQoe::diff_pct(
-            rlive.test_qoe.bitrate_bps.mean(),
-            cdn.test_qoe.bitrate_bps.mean(),
-        ));
-        lat.push(GroupQoe::diff_pct(
-            rlive.test_qoe.e2e_latency_ms.mean(),
-            cdn.test_qoe.e2e_latency_ms.mean(),
-        ));
-    }
-    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
-    compare_head();
-    compare_row("#views", "+21.78 %", &format!("{:+.1} %", mean(&views)));
-    compare_row(
-        "rebufferings",
-        "-8.82 %",
-        &format!("{:+.1} %", mean(&rebuf)),
+    diff_rows(
+        &groups[1],
+        &groups[0],
+        &[
+            ("#views", "+21.78 %", VIEWS),
+            ("rebufferings", "-8.82 %", REBUFFERS),
+            ("bitrate", "+1.72 %", BITRATE_BPS),
+            ("E2E latency", "-4.75 %", E2E_MS),
+        ],
     );
-    compare_row("bitrate", "+1.72 %", &format!("{:+.1} %", mean(&bitrate)));
-    compare_row("E2E latency", "-4.75 %", &format!("{:+.1} %", mean(&lat)));
     println!(
         "\nnote: views diff at production scale reflects capacity headroom during the \
          surge; our scaled run shows the same direction when the CDN alone saturates."
@@ -146,58 +86,33 @@ pub fn table4(seed: u64) {
 /// §7.4: fallback threshold trade-off (500 → 400 → 300 ms).
 pub fn fallback_threshold(seed: u64) {
     header("§7.4 — fallback threshold trade-off");
-    println!(
-        "{:<12} {:>14} {:>16} {:>14} {:>12}",
-        "threshold", "rebuf/100s", "rebuf ms/100s", "E2E ms", "fallbacks"
-    );
-    println!("{}", "-".repeat(72));
-    let days = 3u64;
-    // The full (threshold × day) grid, thresholds outer-major.
-    let day_seeds = offset_seeds(seed, 0..days);
-    let fleet = Fleet::product(
+    let thresholds = [300u64, 400, 500];
+    let groups = sweep(
         "fallback",
-        &[300u64, 400, 500],
-        &day_seeds,
-        |&threshold_ms, &s| {
-            let mut cfg = peak_config();
-            cfg.mode = DeliveryMode::RLive;
-            cfg.fallback_threshold = SimDuration::from_millis(threshold_ms);
-            WorldSpec {
-                seed: s,
-                scenario: peak_scenario(),
-                config: cfg,
-                policy: GroupPolicy::uniform(DeliveryMode::RLive),
-                schedule: Vec::new(),
-            }
+        &thresholds,
+        &offset_seeds(seed, 0..3),
+        |&ms, s| {
+            peak_spec(s, DeliveryMode::RLive, |c| {
+                c.fallback_threshold = SimDuration::from_millis(ms)
+            })
         },
     );
-    let reports = runner::run_fleet(fleet).worlds;
-    let mut results = Vec::new();
-    for (group, reports) in reports.chunks(days as usize).enumerate() {
-        let threshold_ms = [300u64, 400, 500][group];
-        let mut rebuf = 0.0;
-        let mut dur = 0.0;
-        let mut e2e = 0.0;
-        let mut fallbacks = 0u64;
-        for r in reports {
-            rebuf += r.test_qoe.rebuffers_per_100s.mean();
-            dur += r.test_qoe.rebuffer_ms_per_100s.mean();
-            e2e += r.test_qoe.e2e_latency_ms.mean();
-            fallbacks += r.test_qoe.cdn_fallbacks;
-        }
-        let n = days as f64;
-        println!(
-            "{threshold_ms:<9} ms {:>14.2} {:>16.0} {:>14.0} {:>12}",
-            rebuf / n,
-            dur / n,
-            e2e / n,
-            fallbacks / days
-        );
-        results.push((threshold_ms, rebuf / n));
-    }
+    print_variants(
+        ("threshold", 12),
+        72,
+        &[
+            ("rebuf/100s", 14, Cell::Fixed(2), REBUFFERS),
+            ("rebuf ms/100s", 16, Cell::Fixed(0), REBUFFER_MS),
+            ("E2E ms", 14, Cell::Fixed(0), E2E_MS),
+            ("fallbacks", 12, Cell::Count, CDN_FALLBACKS),
+        ],
+        thresholds
+            .iter()
+            .map(|ms| format!("{ms:<9} ms"))
+            .zip(groups),
+    );
     println!(
         "\npaper: 500→400 ms costs only minor rebuffering; 300 ms degrades sharply. \
          Production uses 400 ms."
     );
-    let _ = results;
 }

@@ -2,27 +2,18 @@
 //! invalid candidates, scheduler QPS over a day).
 
 use rlive::config::DeliveryMode;
-use rlive::world::GroupPolicy;
-use rlive::Fleet;
-use rlive_bench::{
-    compare_head, compare_row, header, peak_config, peak_scenario, print_series, runner,
-};
+use rlive_bench::metric::INVALID_CANDIDATES;
+use rlive_bench::{compare_head, compare_row, header, peak_spec, print_series, sweep};
 use rlive_workload::streams::DiurnalModel;
 
-/// Fig 12: global control plane statistics (a one-world fleet; the
+/// Fig 12: global control plane statistics (a one-world sweep; the
 /// projection onto the diurnal curve is pure arithmetic).
 pub fn fig12(seed: u64) {
     header("Fig 12 — global control plane statistics");
-    let mut cfg = peak_config();
-    cfg.mode = DeliveryMode::RLive;
-    let r = runner::run_fleet(Fleet::seeded(
-        "fig12",
-        &peak_scenario(),
-        &cfg,
-        &GroupPolicy::uniform(DeliveryMode::RLive),
-        &[seed],
-    ))
-    .worlds
+    let r = sweep("fig12", &[()], &[seed], |_, s| {
+        peak_spec(s, DeliveryMode::RLive, |_| {})
+    })
+    .remove(0)
     .remove(0);
 
     // (a) recommendation service time distribution.
@@ -50,7 +41,7 @@ pub fn fig12(seed: u64) {
     compare_row(
         "invalid candidates (probe failures)",
         "up to 35 %",
-        &format!("{:.1} %", r.invalid_candidate_fraction * 100.0),
+        &format!("{:.1} %", INVALID_CANDIDATES(&r) * 100.0),
     );
 
     // (c) scheduler QPS over a day: requests scale with viewer arrivals
@@ -73,7 +64,8 @@ pub fn fig12(seed: u64) {
             rlive_sim::SimDuration::from_millis(5),
         );
         println!(
-            "fleet sizing: {peak_mqps} MQPS at <=5 ms mean latency needs ~{workers} workers              (18 us/request, M/M/c)"
+            "fleet sizing: {peak_mqps} MQPS at <=5 ms mean latency needs ~{workers} workers \
+             (18 us/request, M/M/c)"
         );
     }
     let m = DiurnalModel::default();

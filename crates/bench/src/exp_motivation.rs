@@ -6,19 +6,30 @@
 //! cell-index order, so stdout is identical for any `--jobs` value.
 
 use rlive::config::DeliveryMode;
-use rlive::world::GroupPolicy;
-use rlive::{Fleet, WorldSpec};
+use rlive::WorldSpec;
+use rlive_bench::metric::{DISRUPTIONS, E2E_MS, REBUFFERS};
 use rlive_bench::{
-    compare_head, compare_row, header, healthy_cdn_config, offset_seeds, print_series, runner,
-    two_tier_scenario,
+    compare_head, compare_row, header, mean, offset_seeds, print_series, runner, series, sweep,
+    two_tier_scenario, two_tier_spec,
 };
 use rlive_sim::churn::ChurnModel;
 use rlive_sim::link::{Link, LinkConfig};
 use rlive_sim::metrics::Percentiles;
-use rlive_sim::{SimDuration, SimRng, SimTime};
+use rlive_sim::{SimRng, SimTime};
 use rlive_workload::nodes::{NodePopulation, PopulationConfig};
 use rlive_workload::streams::DiurnalModel;
 use rlive_workload::traces::{RetxServer, RetxTraceGenerator};
+
+/// `(quantile, q)` at `steps + 1` evenly spaced `q` from 0 to 1, for a
+/// CDF curve.
+fn cdf(p: &mut Percentiles, steps: u32) -> Vec<(f64, f64)> {
+    (0..=steps)
+        .map(|i| {
+            let q = i as f64 / steps as f64;
+            (p.quantile(q), q)
+        })
+        .collect()
+}
 
 /// Fig 1(b): distribution of bandwidth capacity among best-effort nodes.
 pub fn fig1b(seed: u64) {
@@ -52,110 +63,62 @@ pub fn fig1b(seed: u64) {
     for n in &pop.nodes {
         p.add(n.capacity_mbps);
     }
-    let pts: Vec<(f64, f64)> = (0..=40)
-        .map(|i| {
-            let q = i as f64 / 40.0;
-            (p.quantile(q), q)
-        })
-        .collect();
-    print_series("fig1b_capacity_cdf (Mbps, cumulative prob)", &pts);
+    print_series(
+        "fig1b_capacity_cdf (Mbps, cumulative prob)",
+        &cdf(&mut p, 40),
+    );
 }
 
 /// Fig 2(a): QoE of single-source transmission vs CDN-only.
 pub fn fig2a(seed: u64) {
     header("Fig 2(a) — single-source vs CDN-only QoE (the §2.2 strawman)");
     println!("setting: healthy CDN, scarce top-tier best-effort layer; 6 day-seeds");
-    // One world per (day, mode): 12 independent worlds.
-    let days = offset_seeds(seed, 0..6);
-    let fleet = Fleet::product(
+    let groups = sweep(
         "fig2a",
-        &days,
         &[DeliveryMode::CdnOnly, DeliveryMode::SingleSource],
-        |&s, &mode| WorldSpec {
-            seed: s,
+        &offset_seeds(seed, 0..6),
+        |&mode, s| WorldSpec {
             scenario: two_tier_scenario().scaled(1.4),
-            config: healthy_cdn_config_mode(mode),
-            policy: GroupPolicy::uniform(mode),
-            schedule: Vec::new(),
+            ..two_tier_spec(s, mode)
         },
     );
-    let reports = runner::run_fleet(fleet).worlds;
-    let mut cdn_rebuf = Vec::new();
-    let mut single_rebuf = Vec::new();
-    let mut cdn_disrupt = Vec::new();
-    let mut single_disrupt = Vec::new();
-    let mut cdn_e2e = Vec::new();
-    let mut single_e2e = Vec::new();
-    for day in reports.chunks(2) {
-        let (c, b) = (&day[0], &day[1]);
-        cdn_rebuf.push(c.test_qoe.rebuffers_per_100s.mean());
-        single_rebuf.push(b.test_qoe.rebuffers_per_100s.mean());
-        // Playback disruptions = stalls plus deadline-skipped frames; a
-        // skip is the player trading a stall for a visible glitch, so
-        // both count against the strawman.
-        cdn_disrupt.push(c.test_qoe.rebuffers_per_100s.mean() + c.test_qoe.skips_per_100s.mean());
-        single_disrupt
-            .push(b.test_qoe.rebuffers_per_100s.mean() + b.test_qoe.skips_per_100s.mean());
-        cdn_e2e.push(c.test_qoe.e2e_latency_ms.mean());
-        single_e2e.push(b.test_qoe.e2e_latency_ms.mean());
-    }
-    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
-    let rebuf_diff = (mean(&single_rebuf) - mean(&cdn_rebuf)) / mean(&cdn_rebuf).max(1e-9) * 100.0;
-    let disrupt_diff =
-        (mean(&single_disrupt) - mean(&cdn_disrupt)) / mean(&cdn_disrupt).max(1e-9) * 100.0;
-    let e2e_diff = (mean(&single_e2e) - mean(&cdn_e2e)) / mean(&cdn_e2e).max(1e-9) * 100.0;
+    let (cdn, single) = (&groups[0], &groups[1]);
     compare_head();
-    compare_row(
-        "rebuffering increase",
-        "+37.5 to +44.7 %",
-        &format!("{rebuf_diff:+.1} %"),
-    );
-    compare_row(
-        "playback disruptions (incl. skips)",
-        "positive",
-        &format!("{disrupt_diff:+.1} %"),
-    );
-    compare_row(
-        "E2E latency increase",
-        "+26 to +35 %",
-        &format!("{e2e_diff:+.1} %"),
-    );
-    println!("\nper-day rebuffers/100s    CDN-only: {cdn_rebuf:.2?}");
-    println!("per-day rebuffers/100s    single:   {single_rebuf:.2?}");
-    println!("per-day disruptions/100s  CDN-only: {cdn_disrupt:.2?}");
-    println!("per-day disruptions/100s  single:   {single_disrupt:.2?}");
-    println!("per-day E2E ms            CDN-only: {cdn_e2e:.0?}");
-    println!("per-day E2E ms            single:   {single_e2e:.0?}");
-}
-
-fn healthy_cdn_config_mode(mode: DeliveryMode) -> rlive::config::SystemConfig {
-    let mut cfg = healthy_cdn_config();
-    cfg.mode = mode;
-    cfg.multi_on_weak_tier = true;
-    cfg
+    // Skips count as disruptions against the strawman too.
+    for (label, paper, f) in [
+        ("rebuffering increase", "+37.5 to +44.7 %", REBUFFERS),
+        (
+            "playback disruptions (incl. skips)",
+            "positive",
+            DISRUPTIONS,
+        ),
+        ("E2E latency increase", "+26 to +35 %", E2E_MS),
+    ] {
+        let (c, s) = (mean(&series(cdn, f)), mean(&series(single, f)));
+        let diff = (s - c) / c.max(1e-9) * 100.0;
+        compare_row(label, paper, &format!("{diff:+.1} %"));
+    }
+    println!();
+    for (name, p, f) in [
+        ("rebuffers/100s", 2, REBUFFERS),
+        ("disruptions/100s", 2, DISRUPTIONS),
+        ("E2E ms", 0, E2E_MS),
+    ] {
+        println!("per-day {name:<17} CDN-only: {:.p$?}", series(cdn, f));
+        println!("per-day {name:<17} single:   {:.p$?}", series(single, f));
+    }
 }
 
 /// Fig 2(b): traffic expansion rate γ under single-source transmission.
 pub fn fig2b(seed: u64) {
     header("Fig 2(b) — traffic expansion rate γ (single-source)");
-    let days = offset_seeds(seed, 0..3);
-    // One world per day; each world's relay expansion rates are
-    // consumed in day (spec) order.
-    let fleet = Fleet::seeded(
-        "fig2b",
-        &two_tier_scenario(),
-        &healthy_cdn_config_mode(DeliveryMode::SingleSource),
-        &GroupPolicy::uniform(DeliveryMode::SingleSource),
-        &days,
-    );
-    let per_day: Vec<Vec<f64>> = runner::run_fleet(fleet)
-        .worlds
-        .into_iter()
-        .map(|r| r.relay_expansion_rates)
-        .collect();
+    let days = sweep("fig2b", &[()], &offset_seeds(seed, 0..3), |_, s| {
+        two_tier_spec(s, DeliveryMode::SingleSource)
+    })
+    .remove(0);
     let mut p = Percentiles::new();
-    for day in &per_day {
-        for &g in day {
+    for day in &days {
+        for &g in &day.relay_expansion_rates {
             p.add(g);
         }
     }
@@ -166,13 +129,7 @@ pub fn fig2b(seed: u64) {
         "58.5 %",
         &format!("{:.1} %", p.cdf_at(5.0) * 100.0),
     );
-    let pts: Vec<(f64, f64)> = (0..=20)
-        .map(|i| {
-            let q = i as f64 / 20.0;
-            (p.quantile(q), q)
-        })
-        .collect();
-    print_series("fig2b_gamma_cdf (gamma, cumulative prob)", &pts);
+    print_series("fig2b_gamma_cdf (gamma, cumulative prob)", &cdf(&mut p, 20));
     println!("note: γ is demand-limited at simulator scale; the paper's 1% tier served millions.");
 }
 
@@ -203,13 +160,10 @@ pub fn fig2c(seed: u64) {
         "~18 %",
         &format!("{:.1} %", p.cdf_at(1.0) * 100.0),
     );
-    let pts: Vec<(f64, f64)> = (0..=20)
-        .map(|i| {
-            let q = i as f64 / 20.0;
-            (p.quantile(q), q)
-        })
-        .collect();
-    print_series("fig2c_lifespan_cdf (hours, cumulative prob)", &pts);
+    print_series(
+        "fig2c_lifespan_cdf (hours, cumulative prob)",
+        &cdf(&mut p, 20),
+    );
 }
 
 /// Fig 2(d): one-way delay jitter through one best-effort node.
@@ -284,16 +238,14 @@ pub fn fig3(seed: u64) {
         "778 ms",
         &format!("{:.0} ms", lat_b.median()),
     );
-    let cdf = |p: &mut Percentiles| -> Vec<(f64, f64)> {
-        (0..=20)
-            .map(|i| {
-                let q = i as f64 / 20.0;
-                (p.quantile(q), q)
-            })
-            .collect()
-    };
-    print_series("fig3b_dedicated_latency_cdf (ms, prob)", &cdf(&mut lat_d));
-    print_series("fig3b_besteffort_latency_cdf (ms, prob)", &cdf(&mut lat_b));
+    print_series(
+        "fig3b_dedicated_latency_cdf (ms, prob)",
+        &cdf(&mut lat_d, 20),
+    );
+    print_series(
+        "fig3b_besteffort_latency_cdf (ms, prob)",
+        &cdf(&mut lat_b, 20),
+    );
 }
 
 /// Table 1: live streaming service overview (streams / nodes by hour).
@@ -322,5 +274,4 @@ pub fn table1() {
         );
     }
     println!("\nnode count stays ~0.9-1.05 M across the day (we model a fixed pool with churn).");
-    let _ = SimDuration::ZERO;
 }

@@ -16,21 +16,18 @@
 //! Wall-clock stage-profiler output stays on stderr (see
 //! `rlive_bench::runner`).
 
-use rlive::config::{DeliveryMode, SystemConfig};
 use rlive::report::{format_obs_summary, format_obs_windows};
-use rlive::world::{GroupPolicy, World};
+use rlive_bench::small_world;
 use rlive_sim::obs::{MetricRegistry, StageTable, WindowRatio, DEFAULT_WINDOW_MS};
-use rlive_sim::SimDuration;
-use rlive_workload::scenario::Scenario;
 use std::fs::File;
 use std::io::Write;
 
 /// Windows shown per top-k table.
 const TOP_K: usize = 5;
 
-/// Runs a 60 s, 10 %-scale evening-peak world under RLive with the obs
-/// layer enabled and prints the windowed series. `window_ms` overrides
-/// the default 1 s tumbling window; `stream` restricts the
+/// Runs [`small_world`] with the obs layer enabled and prints the
+/// windowed series. `window_ms` overrides the default 1 s tumbling
+/// window; `stream` restricts the
 /// candidate-yield table to one stream; `export` writes the raw series
 /// to `<export>.jsonl` and `<export>.csv` at the end (both files are
 /// created before the world runs, so an unwritable path is an error
@@ -48,27 +45,11 @@ pub fn obs(
 ) -> Result<(), String> {
     let export = export.map(create_export).transpose()?;
     let window_ms = window_ms.unwrap_or(DEFAULT_WINDOW_MS);
-    let mut scenario = Scenario::evening_peak().scaled(0.1);
-    scenario.duration = SimDuration::from_secs(60);
-    scenario.streams = 4;
-    let mut cfg = SystemConfig::for_mode(DeliveryMode::RLive);
-    cfg.multi_source_after = SimDuration::from_secs(5);
-    cfg.popularity_threshold = 1;
-    cfg.cdn_edge_mbps = 140;
-    cfg.obs_window_ms = window_ms;
-    if let Some(p) = sched_policy {
-        cfg.scheduler.policy = p;
-    }
-    if let Some(p) = recovery_policy {
-        cfg.recovery_policy = p;
-    }
-
-    let world = World::new(
-        scenario,
-        cfg,
-        GroupPolicy::uniform(DeliveryMode::RLive),
-        seed,
-    );
+    let world = small_world(seed, |cfg| {
+        cfg.obs_window_ms = window_ms;
+        cfg.scheduler.policy = sched_policy.unwrap_or(cfg.scheduler.policy);
+        cfg.recovery_policy = recovery_policy.unwrap_or(cfg.recovery_policy);
+    });
     // This subcommand runs one world inline (no cell runner), so it
     // reports its own wall-clock stage profile — stderr only, like the
     // runner's accounting line.

@@ -6,33 +6,17 @@
 //! world is single-threaded, so the rendered text is a pure function of
 //! the seed (and the optional stream filter).
 
-use rlive::config::{DeliveryMode, SystemConfig};
 use rlive::telemetry::{render_timeline, TraceSink};
-use rlive::world::{GroupPolicy, World};
-use rlive_sim::SimDuration;
-use rlive_workload::scenario::Scenario;
+use rlive_bench::small_world;
 
 /// Ring capacity: large enough to hold a short run's full event record.
 const RING_CAPACITY: usize = 4096;
 
-/// Runs a 60 s, 10 %-scale evening-peak world under RLive with tracing
-/// enabled and prints the per-session timeline. `stream` restricts the
-/// session blocks to viewers of that stream.
+/// Runs [`small_world`] with tracing enabled and prints the per-session
+/// timeline. `stream` restricts the session blocks to viewers of that
+/// stream.
 pub fn trace(seed: u64, stream: Option<u64>) {
-    let mut scenario = Scenario::evening_peak().scaled(0.1);
-    scenario.duration = SimDuration::from_secs(60);
-    scenario.streams = 4;
-    let mut cfg = SystemConfig::for_mode(DeliveryMode::RLive);
-    cfg.multi_source_after = SimDuration::from_secs(5);
-    cfg.popularity_threshold = 1;
-    cfg.cdn_edge_mbps = 140;
-
-    let mut world = World::new(
-        scenario,
-        cfg,
-        GroupPolicy::uniform(DeliveryMode::RLive),
-        seed,
-    );
+    let mut world = small_world(seed, |_| {});
     let sink = TraceSink::ring(RING_CAPACITY);
     world.attach_trace_sink(sink.clone());
     let report = world.run();

@@ -118,6 +118,31 @@ USAGE: experiments <subcommand> [args] [--seed N] [--jobs N] [--world-jobs N]
   all        Run everything
 ";
 
+/// A paper subcommand: it takes exactly `[seed]`.
+type Paper = (&'static str, fn(u64));
+
+/// The paper's tables and figures, in the order `all` runs them.
+const PAPER: [Paper; 18] = [
+    ("fig1b", exp_motivation::fig1b),
+    ("fig2a", exp_motivation::fig2a),
+    ("fig2b", exp_motivation::fig2b),
+    ("fig2c", exp_motivation::fig2c),
+    ("fig2d", exp_motivation::fig2d),
+    ("fig3", exp_motivation::fig3),
+    ("table1", |_| exp_motivation::table1()),
+    ("fig8", exp_ab::fig8),
+    ("fig9", exp_ab::fig9),
+    ("table2", exp_ab::table2),
+    ("fig10", exp_ab::fig10),
+    ("fig11", exp_multi::fig11),
+    ("fig12", exp_control::fig12),
+    ("table3", exp_multi::table3),
+    ("fig13", exp_cases::fig13),
+    ("table4", exp_cases::table4),
+    ("fallback", exp_cases::fallback_threshold),
+    ("ablation", exp_ablation::all),
+];
+
 fn main() {
     let args = match cli::parse_args(std::env::args().skip(1)) {
         Ok(args) => args,
@@ -149,116 +174,84 @@ fn die(err: &str) -> ! {
 }
 
 fn dispatch(args: &CliArgs) -> Result<(), String> {
-    match args.command() {
-        "help" => {
-            print!("{USAGE}");
-            return Ok(());
+    let command = args.command();
+    if command == "help" {
+        print!("{USAGE}");
+        return Ok(());
+    }
+    // `fleet`, `adaptive`, `recover` and `fuzz` take `<n> [seed]`,
+    // everything else exactly `[seed]`.
+    let n = match command {
+        "fleet" | "adaptive" | "recover" => {
+            args.required_count_at(1, &format!("{command} world count"))?
         }
-        "fleet" => {
-            let n = args.required_count_at(1, "fleet world count")?;
-            let seed = args.seed_at(2)?;
-            args.expect_at_most(2)?;
-            exp_arms::fleet(
-                n,
-                seed,
-                args.obs_window,
-                args.slo,
-                args.sched_policy,
-                args.recovery_policy,
-            );
-            return Ok(());
-        }
-        "slo" => {
-            let seed = args.seed_at(1)?;
-            args.expect_at_most(1)?;
-            exp_arms::slo(seed, args.obs_window);
-            return Ok(());
-        }
-        "adaptive" => {
-            let n = args.required_count_at(1, "adaptive world count")?;
-            let seed = args.seed_at(2)?;
-            args.expect_at_most(2)?;
-            exp_arms::adaptive(n, seed, args.obs_window);
-            return Ok(());
-        }
-        "recover" => {
-            let n = args.required_count_at(1, "recover world count")?;
-            let seed = args.seed_at(2)?;
-            args.expect_at_most(2)?;
-            exp_arms::recover(n, seed, args.obs_window);
-            return Ok(());
-        }
-        "fuzz" => {
-            let n = args.required_count_at(1, "fuzz candidate count")?;
-            let seed = args.seed_at(2)?;
-            args.expect_at_most(2)?;
-            exp_fuzz::fuzz(n, seed);
-            return Ok(());
-        }
-        "trace" => {
-            let seed = args.seed_at(1)?;
-            args.expect_at_most(1)?;
-            exp_trace::trace(seed, args.stream);
-            return Ok(());
-        }
+        "fuzz" => args.required_count_at(1, "fuzz candidate count")?,
+        _ => 0,
+    };
+    let seed_at = if n > 0 { 2 } else { 1 };
+    let seed = args.seed_at(seed_at)?;
+    args.expect_at_most(seed_at)?;
+    let window = args.obs_window;
+    match command {
+        "fleet" => exp_arms::fleet(
+            n,
+            seed,
+            window,
+            args.slo,
+            args.sched_policy,
+            args.recovery_policy,
+        ),
+        "adaptive" => exp_arms::adaptive(n, seed, window),
+        "recover" => exp_arms::recover(n, seed, window),
+        "fuzz" => exp_fuzz::fuzz(n, seed),
+        "slo" => exp_arms::slo(seed, window),
+        "trace" => exp_trace::trace(seed, args.stream),
         "obs" => {
-            let seed = args.seed_at(1)?;
-            args.expect_at_most(1)?;
             return exp_obs::obs(
                 seed,
-                args.obs_window,
+                window,
                 args.stream,
                 args.obs_export.as_deref(),
                 args.sched_policy,
                 args.recovery_policy,
-            );
+            )
         }
-        _ => {}
-    }
-
-    // Everything else takes exactly `[seed]`.
-    let seed = args.seed_at(1)?;
-    args.expect_at_most(1)?;
-    match args.command() {
-        "fig1b" => exp_motivation::fig1b(seed),
-        "fig2a" => exp_motivation::fig2a(seed),
-        "fig2b" => exp_motivation::fig2b(seed),
-        "fig2c" => exp_motivation::fig2c(seed),
-        "fig2d" => exp_motivation::fig2d(seed),
-        "fig3" => exp_motivation::fig3(seed),
-        "table1" => exp_motivation::table1(),
-        "fig8" => exp_ab::fig8(seed),
-        "fig9" => exp_ab::fig9(seed),
-        "table2" => exp_ab::table2(seed),
-        "fig10" => exp_ab::fig10(seed),
-        "fig11" => exp_multi::fig11(seed),
-        "fig12" => exp_control::fig12(seed),
-        "table3" => exp_multi::table3(seed),
-        "fig13" => exp_cases::fig13(seed),
-        "table4" => exp_cases::table4(seed),
-        "fallback" => exp_cases::fallback_threshold(seed),
-        "ablation" => exp_ablation::all(seed),
-        "all" => {
-            exp_motivation::fig1b(seed);
-            exp_motivation::fig2a(seed);
-            exp_motivation::fig2b(seed);
-            exp_motivation::fig2c(seed);
-            exp_motivation::fig2d(seed);
-            exp_motivation::fig3(seed);
-            exp_motivation::table1();
-            exp_ab::fig8(seed);
-            exp_ab::fig9(seed);
-            exp_ab::table2(seed);
-            exp_ab::fig10(seed);
-            exp_multi::fig11(seed);
-            exp_control::fig12(seed);
-            exp_multi::table3(seed);
-            exp_cases::fig13(seed);
-            exp_cases::table4(seed);
-            exp_cases::fallback_threshold(seed);
-            exp_ablation::all(seed);
-        }
-        other => return Err(format!("unknown subcommand '{other}'")),
+        "all" => PAPER.iter().for_each(|(_, run)| run(seed)),
+        name => match PAPER.iter().find(|(paper, _)| *paper == name) {
+            Some((_, run)) => run(seed),
+            None => return Err(format!("unknown subcommand '{name}'")),
+        },
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn usage_lists_exactly_the_dispatched_subcommands() {
+        // A USAGE subcommand line: two spaces, a lowercase name, then the
+        // end of the line, an argument or the description column.
+        let mut usage: Vec<&str> = USAGE
+            .lines()
+            .filter_map(|line| {
+                let rest = line.strip_prefix("  ")?;
+                let (name, tail) = rest.split_at(rest.find(' ').unwrap_or(rest.len()));
+                let word = name
+                    .bytes()
+                    .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit());
+                let follows =
+                    tail.is_empty() || ["  ", " <", " ["].iter().any(|p| tail.starts_with(p));
+                (!name.is_empty() && word && follows).then_some(name)
+            })
+            .collect();
+        let others = [
+            "fleet", "adaptive", "recover", "fuzz", "slo", "trace", "obs", "all",
+        ];
+        let mut dispatched: Vec<&str> = PAPER.iter().map(|(name, _)| *name).chain(others).collect();
+        usage.sort_unstable();
+        dispatched.sort_unstable();
+        assert_eq!(usage, dispatched);
+    }
 }

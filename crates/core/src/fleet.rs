@@ -14,7 +14,7 @@
 //!    fleet of sharded worlds uses `jobs × world_jobs` cores.
 //! 3. **Fold** — per-world [`RunReport`]s come back in spec-index order
 //!    and are folded left-to-right with the exactly-associative
-//!    `Summary`/`Counter`/`Percentiles` merge algebra (see
+//!    `Summary`/`Percentiles` merge algebra (see
 //!    `rlive_sim::metrics`), so the [`FleetReport`] is byte-identical
 //!    for any (`jobs`, `world_jobs`) combination.
 //!

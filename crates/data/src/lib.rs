@@ -10,8 +10,6 @@
 //! - [`recovery`]: the QoE-driven loss recovery decision framework
 //!   (§5.3) — four actions, a probabilistic loss function combining
 //!   bandwidth cost and unplayability risk, EDF-based failure models;
-//! - [`subscribe`]: subscribe-push control messages between clients and
-//!   best-effort nodes (§5.1, §6);
 //! - [`ring`]: the sequence-indexed ring buffer ([`ring::SeqRing`])
 //!   that backs the reorder/sequencing state — flat storage, zero
 //!   steady-state allocation, explicit eviction accounting.
@@ -23,9 +21,7 @@ pub mod recovery;
 pub mod reorder;
 pub mod ring;
 pub mod sequencing;
-pub mod subscribe;
 
 pub use recovery::{RecoveryAction, RecoveryConfig, RecoveryDecider};
 pub use reorder::{PlaybackBuffer, ReorderBuffer};
 pub use sequencing::{GlobalChain, LinkStatus, MatchResult};
-pub use subscribe::ControlMessage;

@@ -488,38 +488,6 @@ impl FixedHistogram {
     }
 }
 
-/// A counter bundle for rate-style metrics.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
-pub struct Counter {
-    /// Number of increments.
-    pub events: u64,
-    /// Sum of increment magnitudes.
-    pub total: f64,
-}
-
-impl Counter {
-    /// Adds one event of the given magnitude.
-    pub fn add(&mut self, magnitude: f64) {
-        self.events += 1;
-        self.total += magnitude;
-    }
-
-    /// Mean magnitude per event (0 if no events were recorded).
-    pub fn mean(&self) -> f64 {
-        if self.events == 0 {
-            0.0
-        } else {
-            self.total / self.events as f64
-        }
-    }
-
-    /// Merges another counter into this one (component-wise).
-    pub fn merge(&mut self, other: &Counter) {
-        self.events += other.events;
-        self.total += other.total;
-    }
-}
-
 // The parallel runner moves accumulators across worker threads; pin the
 // auto-traits at compile time so a future field can't silently lose them.
 const _: () = {
@@ -527,7 +495,6 @@ const _: () = {
     assert_send_sync::<Summary>();
     assert_send_sync::<Percentiles>();
     assert_send_sync::<TimeSeries>();
-    assert_send_sync::<Counter>();
     assert_send_sync::<FixedHistogram>();
 };
 
@@ -862,31 +829,5 @@ mod tests {
     #[should_panic(expected = "ascending")]
     fn histogram_rejects_unsorted_bounds() {
         FixedHistogram::new(&[2.0, 1.0]);
-    }
-
-    #[test]
-    fn counter_mean() {
-        let mut c = Counter::default();
-        c.add(2.0);
-        c.add(4.0);
-        assert_eq!(c.events, 2);
-        assert_eq!(c.mean(), 3.0);
-    }
-
-    #[test]
-    fn counter_empty_mean_is_zero() {
-        assert_eq!(Counter::default().mean(), 0.0);
-    }
-
-    #[test]
-    fn counter_merge() {
-        let mut a = Counter::default();
-        a.add(2.0);
-        let mut b = Counter::default();
-        b.add(4.0);
-        b.add(6.0);
-        a.merge(&b);
-        assert_eq!(a.events, 3);
-        assert_eq!(a.mean(), 4.0);
     }
 }
