@@ -11,6 +11,9 @@
 //! * any unknown `--flag` (e.g. the typo `--jbos=4`) used to be treated
 //!   as a positional and ignored. [`parse_args`] now rejects every
 //!   token starting with `-` that is not a recognised flag.
+//! * a known flag given to a subcommand that does not read it (e.g.
+//!   `fig8 --obs-window 300`) used to print the unflagged output.
+//!   [`CliArgs::expect_flags_apply`] now rejects it.
 
 /// Default seed when none is given on the command line.
 pub const DEFAULT_SEED: u64 = 2026;
@@ -158,6 +161,35 @@ impl CliArgs {
         match self.positionals.get(index) {
             None => Err(format!("missing {what}")),
             Some(raw) => parse_positive(what, raw),
+        }
+    }
+
+    /// Rejects a subcommand-specific flag given to a subcommand that does
+    /// not read it: a silently ignored flag would print the unflagged
+    /// output as if it were the flagged one. `--seed`, `--jobs`,
+    /// `--world-jobs` and `--help` are global.
+    pub fn expect_flags_apply(&self) -> Result<(), String> {
+        let command = self.command();
+        let readers = [
+            (
+                "--obs-window",
+                self.obs_window.is_some(),
+                "fleet adaptive recover slo obs",
+            ),
+            ("--slo", self.slo, "fleet"),
+            ("--sched-policy", self.sched_policy.is_some(), "fleet obs"),
+            (
+                "--recovery-policy",
+                self.recovery_policy.is_some(),
+                "fleet obs",
+            ),
+            ("--stream", self.stream.is_some(), "trace obs"),
+            ("--obs-export", self.obs_export.is_some(), "obs"),
+        ];
+        let mut stray = readers.iter().filter(|(_, given, _)| *given);
+        match stray.find(|(.., subs)| !subs.split(' ').any(|sub| sub == command)) {
+            Some((flag, ..)) => Err(format!("'{flag}' does not apply to '{command}'")),
+            None => Ok(()),
         }
     }
 

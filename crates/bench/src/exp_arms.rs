@@ -16,6 +16,7 @@ use rlive::config::{DeliveryMode, SystemConfig};
 use rlive::report::{format_incidents, format_obs_windows, format_slo_alerts, format_slo_rules};
 use rlive::world::GroupPolicy;
 use rlive::{build_incidents, FleetReport, GroupQoe, ScriptedEvent, TrafficLedger, WorldSpec};
+use rlive_bench::cli::CliArgs;
 use rlive_bench::metric::{BITRATE_MBPS, E2E_MS, REBUFFERS, VIEWS};
 use rlive_bench::{header, offset_seeds, sweep, Metric};
 use rlive_control::SchedulerPolicyKind;
@@ -352,22 +353,15 @@ fn policy_ab(
 /// per-world dispersion.
 ///
 /// Every option is opt-in, so the default output (and its golden
-/// digest) is unchanged. `obs_window` (`--obs-window`) turns the obs
-/// layer on and appends an obs roll-up: per-world recovery-failure-rate
-/// dispersion and the merged registry's worst windows. `slo` (`--slo`)
-/// runs the SLO engine (on 1 s obs windows unless `--obs-window` is
-/// given) and appends the merged alert log. `sched_policy`
-/// (`--sched-policy`) and `recovery_policy` (`--recovery-policy`)
-/// override the policies in every world.
-pub fn fleet(
-    n: usize,
-    seed: u64,
-    obs_window: Option<u64>,
-    slo: bool,
-    sched_policy: Option<SchedulerPolicyKind>,
-    recovery_policy: Option<RecoveryPolicyKind>,
-) {
-    let obs_window = obs_window.or(slo.then_some(DEFAULT_WINDOW_MS));
+/// file) is unchanged. `--obs-window` turns the obs layer on and
+/// appends an obs roll-up: per-world recovery-failure-rate dispersion
+/// and the merged registry's worst windows. `--slo` runs the SLO engine
+/// (on 1 s obs windows unless `--obs-window` is given) and appends the
+/// merged alert log. `--sched-policy` and `--recovery-policy` override
+/// the policies in every world.
+pub fn fleet(n: usize, seed: u64, args: &CliArgs) {
+    let slo = args.slo;
+    let obs_window = args.obs_window.or(slo.then_some(DEFAULT_WINDOW_MS));
     let config = storm_config(90, obs_window.unwrap_or(0), slo);
     let seeds = offset_seeds(seed, 0..n as u64);
     header(&format!(
@@ -377,8 +371,8 @@ pub fn fleet(
     ));
     let arm = Arm {
         label: "",
-        sched: sched_policy,
-        recovery: recovery_policy,
+        sched: args.sched_policy,
+        recovery: args.recovery_policy,
     };
     let groups = GroupPolicy::ab(DeliveryMode::CdnOnly, DeliveryMode::RLive);
     let report = run_arms("fleet", &config, groups, &[], &[arm], &seeds).remove(0);

@@ -12,11 +12,12 @@
 //! Everything printed to **stdout** here is a pure function of
 //! `(seed, window, stream)` — the series aggregate over the trace
 //! stream, which is itself seed-deterministic for any `--jobs` /
-//! `--world-jobs` setting — so the output is pinned by a golden digest.
+//! `--world-jobs` setting — so the output is pinned by a golden file.
 //! Wall-clock stage-profiler output stays on stderr (see
 //! `rlive_bench::runner`).
 
 use rlive::report::{format_obs_summary, format_obs_windows};
+use rlive_bench::cli::CliArgs;
 use rlive_bench::small_world;
 use rlive_sim::obs::{MetricRegistry, StageTable, WindowRatio, DEFAULT_WINDOW_MS};
 use std::fs::File;
@@ -26,30 +27,23 @@ use std::io::Write;
 const TOP_K: usize = 5;
 
 /// Runs [`small_world`] with the obs layer enabled and prints the
-/// windowed series. `window_ms` overrides the default 1 s tumbling
-/// window; `stream` restricts the
-/// candidate-yield table to one stream; `export` writes the raw series
-/// to `<export>.jsonl` and `<export>.csv` at the end (both files are
+/// windowed series. `--obs-window` overrides the default 1 s tumbling
+/// window; `--stream` restricts the candidate-yield table to one stream
+/// (one the world does not have is an error); `--obs-export P` writes
+/// the raw series to `P.jsonl` and `P.csv` at the end (both files are
 /// created before the world runs, so an unwritable path is an error
-/// up front, not after the run); `sched_policy` overrides the
-/// scheduler policy and `recovery_policy` the recovery policy (stdout
-/// stays a pure function of the full input tuple — the default-flag
-/// output is still pinned by the golden digest).
-pub fn obs(
-    seed: u64,
-    window_ms: Option<u64>,
-    stream: Option<u64>,
-    export: Option<&str>,
-    sched_policy: Option<rlive_control::SchedulerPolicyKind>,
-    recovery_policy: Option<rlive_data::recovery::RecoveryPolicyKind>,
-) -> Result<(), String> {
-    let export = export.map(create_export).transpose()?;
-    let window_ms = window_ms.unwrap_or(DEFAULT_WINDOW_MS);
-    let world = small_world(seed, |cfg| {
+/// up front, not after the run); `--sched-policy` and
+/// `--recovery-policy` override the policies (stdout stays a pure
+/// function of the full input tuple — the default-flag output is still
+/// pinned by the golden file).
+pub fn obs(seed: u64, args: &CliArgs) -> Result<(), String> {
+    let (stream, window_ms) = (args.stream, args.obs_window.unwrap_or(DEFAULT_WINDOW_MS));
+    let world = small_world(seed, stream, |cfg| {
         cfg.obs_window_ms = window_ms;
-        cfg.scheduler.policy = sched_policy.unwrap_or(cfg.scheduler.policy);
-        cfg.recovery_policy = recovery_policy.unwrap_or(cfg.recovery_policy);
-    });
+        cfg.scheduler.policy = args.sched_policy.unwrap_or(cfg.scheduler.policy);
+        cfg.recovery_policy = args.recovery_policy.unwrap_or(cfg.recovery_policy);
+    })?;
+    let export = args.obs_export.as_deref().map(create_export).transpose()?;
     // This subcommand runs one world inline (no cell runner), so it
     // reports its own wall-clock stage profile — stderr only, like the
     // runner's accounting line.

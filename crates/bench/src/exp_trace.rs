@@ -14,9 +14,9 @@ const RING_CAPACITY: usize = 4096;
 
 /// Runs [`small_world`] with tracing enabled and prints the per-session
 /// timeline. `stream` restricts the session blocks to viewers of that
-/// stream.
-pub fn trace(seed: u64, stream: Option<u64>) {
-    let mut world = small_world(seed, |_| {});
+/// stream; one the world does not have is an error.
+pub fn trace(seed: u64, stream: Option<u64>) -> Result<(), String> {
+    let mut world = small_world(seed, stream, |_| {})?;
     let sink = TraceSink::ring(RING_CAPACITY);
     world.attach_trace_sink(sink.clone());
     let report = world.run();
@@ -36,4 +36,5 @@ pub fn trace(seed: u64, stream: Option<u64>) {
         );
     }
     print!("{}", render_timeline(&sink.drain(), stream));
+    Ok(())
 }

@@ -129,22 +129,30 @@ pub fn two_tier_spec(seed: u64, mode: DeliveryMode) -> WorldSpec {
 }
 
 /// The 60 s, 10 %-scale evening-peak RLive world that `trace` and `obs`
-/// look inside, after the caller's edit to its config.
-pub fn small_world(seed: u64, edit: impl FnOnce(&mut SystemConfig)) -> World {
+/// look inside, after the caller's edit to its config. A `stream`
+/// filter past the scenario's last stream is an error: it would select
+/// nothing.
+pub fn small_world(
+    seed: u64,
+    stream: Option<u64>,
+    edit: impl FnOnce(&mut SystemConfig),
+) -> Result<World, String> {
     let mut scenario = Scenario::evening_peak().scaled(0.1);
     scenario.duration = SimDuration::from_secs(60);
     scenario.streams = 4;
+    if let Some(s) = stream.filter(|&s| s >= scenario.streams as u64) {
+        let last = scenario.streams - 1;
+        return Err(format!(
+            "'--stream {s}' is out of range: the world has streams 0 to {last}"
+        ));
+    }
     let mut config = SystemConfig::for_mode(DeliveryMode::RLive);
     config.multi_source_after = SimDuration::from_secs(5);
     config.popularity_threshold = 1;
     config.cdn_edge_mbps = 140;
     edit(&mut config);
-    World::new(
-        scenario,
-        config,
-        GroupPolicy::uniform(DeliveryMode::RLive),
-        seed,
-    )
+    let policy = GroupPolicy::uniform(DeliveryMode::RLive);
+    Ok(World::new(scenario, config, policy, seed))
 }
 
 /// Runs one world per (variant, day) as one variant-major [`Fleet`] on

@@ -34,8 +34,9 @@ experiments — regenerate the RLive paper's tables and figures
 USAGE: experiments <subcommand> [args] [--seed N] [--jobs N] [--world-jobs N]
 
   Most subcommands take an optional [seed] positional (default 2026);
-  --seed N overrides it. A malformed seed or an unknown flag is an
-  error (exit code 2), never a silent fallback.
+  --seed N overrides it. A malformed seed, an unknown flag or a flag
+  the subcommand does not read is an error (exit code 2), never a
+  silent fallback.
 
   --jobs N        worker threads for the cell runner (default: available
                   parallelism). Output is byte-identical for any N; only
@@ -44,9 +45,9 @@ USAGE: experiments <subcommand> [args] [--seed N] [--jobs N] [--world-jobs N]
                   world (default 1). Output is byte-identical for any N
                   here too — see DESIGN.md \"Sharded world execution\".
   --obs-window MS tumbling-window width (sim milliseconds) for the
-                  observability layer (obs and fleet subcommands).
-                  Must be a positive integer; default 1000 for obs,
-                  disabled for fleet unless given.
+                  observability layer (fleet, adaptive, recover, slo
+                  and obs). Must be a positive integer; default 1000
+                  for obs, disabled for fleet unless given.
   --obs-export P  (obs) also write the raw series to P.jsonl and P.csv
                   at the end of the run.
   --slo           (fleet) run the SLO/alert engine in every world and
@@ -57,13 +58,13 @@ USAGE: experiments <subcommand> [args] [--seed N] [--jobs N] [--world-jobs N]
                   (default, the paper's score path) or 'adaptive'
                   (telemetry-driven windowed demotion — see DESIGN.md
                   \"Scheduler policies\"). The adaptive subcommand runs
-                  both arms itself and ignores this flag.
+                  both arms itself and rejects this flag.
   --recovery-policy P
                   recovery policy for the fleet/obs worlds: 'qoe_edf'
                   (default, the paper's §5.3 EDF loss minimisation) or
                   'racing' (hedged retransmissions with cancel-on-
                   first-win — see DESIGN.md \"Recovery policies\"). The
-                  recover subcommand runs both arms itself and ignores
+                  recover subcommand runs both arms itself and rejects
                   this flag.
 
   fig1b      Best-effort node bandwidth capacity CDF
@@ -191,31 +192,16 @@ fn dispatch(args: &CliArgs) -> Result<(), String> {
     let seed_at = if n > 0 { 2 } else { 1 };
     let seed = args.seed_at(seed_at)?;
     args.expect_at_most(seed_at)?;
+    args.expect_flags_apply()?;
     let window = args.obs_window;
     match command {
-        "fleet" => exp_arms::fleet(
-            n,
-            seed,
-            window,
-            args.slo,
-            args.sched_policy,
-            args.recovery_policy,
-        ),
+        "fleet" => exp_arms::fleet(n, seed, args),
         "adaptive" => exp_arms::adaptive(n, seed, window),
         "recover" => exp_arms::recover(n, seed, window),
         "fuzz" => exp_fuzz::fuzz(n, seed),
         "slo" => exp_arms::slo(seed, window),
-        "trace" => exp_trace::trace(seed, args.stream),
-        "obs" => {
-            return exp_obs::obs(
-                seed,
-                window,
-                args.stream,
-                args.obs_export.as_deref(),
-                args.sched_policy,
-                args.recovery_policy,
-            )
-        }
+        "trace" => return exp_trace::trace(seed, args.stream),
+        "obs" => return exp_obs::obs(seed, args),
         "all" => PAPER.iter().for_each(|(_, run)| run(seed)),
         name => match PAPER.iter().find(|(paper, _)| *paper == name) {
             Some((_, run)) => run(seed),
@@ -228,6 +214,13 @@ fn dispatch(args: &CliArgs) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn subcommands() -> impl Iterator<Item = &'static str> {
+        let others = [
+            "fleet", "adaptive", "recover", "fuzz", "slo", "trace", "obs", "all",
+        ];
+        PAPER.iter().map(|(name, _)| *name).chain(others)
+    }
 
     #[test]
     fn usage_lists_exactly_the_dispatched_subcommands() {
@@ -246,12 +239,37 @@ mod tests {
                 (!name.is_empty() && word && follows).then_some(name)
             })
             .collect();
-        let others = [
-            "fleet", "adaptive", "recover", "fuzz", "slo", "trace", "obs", "all",
-        ];
-        let mut dispatched: Vec<&str> = PAPER.iter().map(|(name, _)| *name).chain(others).collect();
+        let mut dispatched: Vec<&str> = subcommands().collect();
         usage.sort_unstable();
         dispatched.sort_unstable();
         assert_eq!(usage, dispatched);
+    }
+
+    #[test]
+    fn a_flag_applies_exactly_to_the_subcommands_that_read_it() {
+        // The global flags apply everywhere: their readers are empty.
+        let readers = [
+            ("--obs-window 300", "fleet adaptive recover slo obs"),
+            ("--slo", "fleet"),
+            ("--sched-policy adaptive", "fleet obs"),
+            ("--recovery-policy racing", "fleet obs"),
+            ("--stream 1", "trace obs"),
+            ("--obs-export out", "obs"),
+            ("--seed 7", ""),
+            ("--jobs 2", ""),
+            ("--world-jobs 2", ""),
+        ];
+        for sub in subcommands() {
+            for (flag, subs) in readers {
+                let line = format!("{sub} {flag}");
+                let args = cli::parse_args(line.split(' ').map(String::from)).unwrap();
+                let name = flag.split(' ').next().unwrap();
+                let reads = subs.is_empty() || subs.split(' ').any(|s| s == sub);
+                let want = reads
+                    .then_some(())
+                    .ok_or(format!("'{name}' does not apply to '{sub}'"));
+                assert_eq!(args.expect_flags_apply(), want, "experiments {line}");
+            }
+        }
     }
 }

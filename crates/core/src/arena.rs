@@ -36,7 +36,6 @@ struct Slot<T> {
 pub(crate) struct Arena<T> {
     slots: Vec<Slot<T>>,
     free: Vec<u32>,
-    len: usize,
 }
 
 impl<T> Arena<T> {
@@ -45,19 +44,11 @@ impl<T> Arena<T> {
         Arena {
             slots: Vec::new(),
             free: Vec::new(),
-            len: 0,
         }
-    }
-
-    /// Number of live values.
-    #[allow(dead_code)]
-    pub fn len(&self) -> usize {
-        self.len
     }
 
     /// Inserts a value, reusing a freed slot when one exists.
     pub fn insert(&mut self, value: T) -> Handle {
-        self.len += 1;
         if let Some(index) = self.free.pop() {
             let slot = &mut self.slots[index as usize];
             debug_assert!(slot.value.is_none());
@@ -85,7 +76,6 @@ impl<T> Arena<T> {
         let value = slot.value.take();
         slot.gen = slot.gen.wrapping_add(1);
         self.free.push(h.index);
-        self.len -= 1;
         value
     }
 
@@ -128,12 +118,6 @@ impl<T> IdArena<T> {
 
     fn search(&self, id: u64) -> Result<usize, usize> {
         self.index.binary_search_by_key(&id, |&(k, _)| k)
-    }
-
-    /// Number of live entries.
-    #[allow(dead_code)]
-    pub fn len(&self) -> usize {
-        self.index.len()
     }
 
     /// The handle currently backing `id`, if present.
@@ -239,7 +223,6 @@ mod tests {
         let mut a: Arena<u32> = Arena::new();
         let h1 = a.insert(10);
         let h2 = a.insert(20);
-        assert_eq!(a.len(), 2);
         assert_eq!(a.get(h1), Some(&10));
         assert_eq!(a.remove(h1), Some(10));
         assert_eq!(a.get(h1), None, "removed handle is stale");
@@ -278,7 +261,7 @@ mod tests {
                 0 => assert_eq!(a.insert(id, v), m.insert(id, v)),
                 _ => assert_eq!(a.remove(&id), m.remove(&id)),
             }
-            assert_eq!(a.len(), m.len());
+            assert_eq!(a.keys().count(), m.len());
         }
         assert_eq!(
             a.keys().copied().collect::<Vec<_>>(),

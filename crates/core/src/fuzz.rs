@@ -20,8 +20,8 @@
 //! all driven by the single fuzz seed; candidate worlds are evaluated
 //! through the deterministic cell runner and folded in input order, so
 //! the rendered report is byte-identical for any `--jobs` /
-//! `--world-jobs` combination (pinned by `tests/fuzz_invariance.rs`
-//! and the `fuzz` golden digest).
+//! `--world-jobs` combination (pinned by the fuzz case of
+//! `tests/invariance.rs` and the `fuzz` golden file).
 
 use crate::config::{DeliveryMode, SystemConfig};
 use crate::fleet::WorldSpec;

@@ -136,7 +136,7 @@ proptest! {
     /// Compilation is a pure function of the program: two compiles
     /// yield identical scenarios and schedules (the replay-determinism
     /// half of the fuzzer's contract; the world-level half lives in
-    /// crates/core/tests/fuzz_invariance.rs).
+    /// the fuzz case of crates/core/tests/invariance.rs).
     #[test]
     fn compile_is_deterministic(seed in any::<u64>(), steps in 1usize..8) {
         let program = chain(seed, steps);
