@@ -42,22 +42,32 @@ bash benchmark/run.sh --workload sched_30k --seed 101 --seconds 2 --trace 1 | aw
     }
   }'
 
-# Count gate on data-plane heap churn: a dataplane run and a storm run
-# must each allocate at most 0.15 blocks per event and fail no check.
-# History: dataplane read 5.63 before PR 25 made the slice path
+# Count gates on heap churn per event: a dataplane run and a storm run
+# must each allocate at most 0.05 blocks per event, a sched_30k run at
+# most 0.6, and none may fail a check.
+# History, data plane: dataplane read 5.63 before the slice path became
 # allocation-free and 0.77 after (gate 1.5); storm read 0.69.
 # Recycling slice boxes through a world-owned pool and giving the
 # recovery and control passes world scratch took them to 0.027 / 0.031
-# (gate 0.15). With every hash map on the sequential path on a fixed
-# hasher, allocation counts repeat exactly at a fixed seed; wall-clock
-# numbers stay trend-only.
-for workload in dataplane storm; do
-  echo "==> benchmark: $workload allocs_per_event <= 0.15 (count gate)"
-  bash benchmark/run.sh --workload "$workload" --seed 101 --seconds 2 --trace 0 | awk -v w="$workload" '
+# (gate 0.15). A relay pick that probes from world scratch, inline
+# recovery priors and one candidate buffer per session took them to
+# 0.017 / 0.020 (gate 0.05).
+# History, control plane: sched_30k read 1.24 while every relay's
+# adviser grew a utilisation Vec, every recommendation returned a fresh
+# Vec and every session built its own recovery-latency CDF; inline
+# adviser windows, one candidate buffer per session, shared recovery
+# priors and prefill scratch took it to 0.48 (gate 0.6).
+# With every hash map on the sequential path on a fixed hasher,
+# allocation counts repeat exactly at a fixed seed; wall-clock numbers
+# stay trend-only.
+for gate in "dataplane 0.05" "storm 0.05" "sched_30k 0.6"; do
+  read -r workload bound <<< "$gate"
+  echo "==> benchmark: $workload allocs_per_event <= $bound (count gate)"
+  bash benchmark/run.sh --workload "$workload" --seed 101 --seconds 2 --trace 0 | awk -v w="$workload" -v bound="$bound" '
     $2 == "allocs_per_event" { allocs = $3; have_allocs = 1 }
     $2 == "ops_failed" { failed = $3; have_failed = 1 }
     END {
-      if (!have_allocs || !have_failed || allocs > 0.15 || failed != 0) {
+      if (!have_allocs || !have_failed || allocs > bound || failed != 0) {
         print w " alloc gate: allocs_per_event=" allocs " ops_failed=" failed > "/dev/stderr"
         exit 1
       }

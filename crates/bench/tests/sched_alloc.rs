@@ -1,7 +1,8 @@
 //! Scale regression test for the scheduler's read path: what one
 //! `recommend` and one `stream_utilization` allocate, and how many ids
 //! one retrieval hands the scorer, must not depend on how many nodes
-//! are registered. Counts, not timings: they hold on any host.
+//! are registered, and a warmed `stream_utilization` allocates nothing.
+//! Counts, not timings: they hold on any host.
 //!
 //! Its own test binary with a single `#[test]`: the counting allocator
 //! is process-wide, so a second test on another thread would be counted
@@ -118,6 +119,8 @@ fn measure(n: u64) -> ((u64, u64), (u64, u64)) {
             status,
         });
     }
+    // Warm-up: one call sizes the scratch the forwarders are sorted in.
+    sched.stream_utilization(now, hot);
     let utilization = allocated(|| {
         assert_eq!(sched.stream_utilization(now, hot), Some(0.25));
     });
@@ -129,6 +132,11 @@ fn read_path_allocation_does_not_grow_with_the_population() {
     let (recommend_2k, utilization_2k) = measure(2_000);
     let (blocks, _) = recommend_2k;
     assert!(blocks <= 3 * CALLS, "{blocks} blocks in {CALLS} recommends");
+    assert_eq!(
+        utilization_2k,
+        (0, 0),
+        "a warmed stream_utilization allocates"
+    );
     let want = SchedulerConfig::default().top_k * 8;
     assert_eq!(largest_pool(2_000, want), want);
     for n in [10_000, 100_000] {

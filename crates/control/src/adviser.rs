@@ -22,7 +22,8 @@ use serde::{Deserialize, Serialize};
 /// Adviser configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AdviserConfig {
-    /// Width of the sliding utilisation window.
+    /// Width of the sliding utilisation window, at most
+    /// [`UTIL_WINDOW_CAPACITY`].
     pub util_window: usize,
     /// Minimum connections before Z-scores are meaningful.
     pub min_connections: usize,
@@ -36,6 +37,11 @@ impl Default for AdviserConfig {
         }
     }
 }
+
+/// The most utilisation samples the sliding window holds. The window
+/// is inline in every relay's adviser, so it costs no heap block per
+/// node.
+pub const UTIL_WINDOW_CAPACITY: usize = 6;
 
 /// Under-utilisation threshold θ.
 const UTIL_THRESHOLD: f64 = 0.3;
@@ -91,8 +97,10 @@ pub enum SwitchSuggestion {
 pub struct EdgeAdviser {
     cfg: AdviserConfig,
     node: NodeId,
-    /// Sliding window of recent utilisation samples.
-    util_window: Vec<f64>,
+    /// Sliding window of recent utilisation samples, oldest first:
+    /// `util_window[..util_len]`.
+    util_window: [f64; UTIL_WINDOW_CAPACITY],
+    util_len: usize,
     /// Latest QoS metric (e.g. smoothed RTT in ms) per connection,
     /// sorted by client id: sums and z-score ties then follow one fixed
     /// order, whatever order the connections were recorded in.
@@ -105,11 +113,22 @@ pub struct EdgeAdviser {
 
 impl EdgeAdviser {
     /// Creates an adviser for `node`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.util_window` exceeds [`UTIL_WINDOW_CAPACITY`].
     pub fn new(node: NodeId, cfg: AdviserConfig) -> Self {
+        assert!(
+            cfg.util_window <= UTIL_WINDOW_CAPACITY,
+            "adviser utilisation window of {} samples exceeds the inline capacity of {}",
+            cfg.util_window,
+            UTIL_WINDOW_CAPACITY
+        );
         EdgeAdviser {
             cfg,
             node,
-            util_window: Vec::new(),
+            util_window: [0.0; UTIL_WINDOW_CAPACITY],
+            util_len: 0,
             connection_qos: Vec::new(),
             last_evaluation: SimTime::ZERO,
             trace: TraceSink::disabled(),
@@ -128,18 +147,24 @@ impl EdgeAdviser {
 
     /// Feeds one utilisation sample into the sliding window.
     pub fn record_utilization(&mut self, util: f64) {
-        self.util_window.push(util.clamp(0.0, 1.0));
-        if self.util_window.len() > self.cfg.util_window {
-            self.util_window.remove(0);
+        if self.util_len == self.cfg.util_window {
+            if self.util_len == 0 {
+                return;
+            }
+            self.util_window.copy_within(1..self.util_len, 0);
+            self.util_len -= 1;
         }
+        self.util_window[self.util_len] = util.clamp(0.0, 1.0);
+        self.util_len += 1;
     }
 
     /// The sliding-average utilisation `ū_node`.
     pub fn sliding_utilization(&self) -> f64 {
-        if self.util_window.is_empty() {
+        let window = &self.util_window[..self.util_len];
+        if window.is_empty() {
             0.0
         } else {
-            self.util_window.iter().sum::<f64>() / self.util_window.len() as f64
+            window.iter().sum::<f64>() / window.len() as f64
         }
     }
 
@@ -184,7 +209,7 @@ impl EdgeAdviser {
 
         // Cost-aware trigger.
         let u_node = self.sliding_utilization();
-        if self.util_window.len() >= self.cfg.util_window && u_node < UTIL_THRESHOLD {
+        if self.util_len >= self.cfg.util_window && u_node < UTIL_THRESHOLD {
             if let Some(u_stream) = stream_util {
                 if u_stream < UTIL_THRESHOLD {
                     self.trace.emit(

@@ -92,16 +92,23 @@ impl ClientController {
         }
     }
 
-    /// Filters a candidate list down to the nodes worth probing: skips
-    /// blacklisted entries and truncates to `max_probes`.
-    pub fn probe_list(&mut self, now: SimTime, candidates: &[NodeId]) -> Vec<NodeId> {
+    /// Filters a candidate list down to the nodes worth probing into
+    /// `out`, which is cleared first: skips blacklisted entries and
+    /// truncates to `max_probes`.
+    pub fn probe_list(
+        &mut self,
+        now: SimTime,
+        candidates: impl IntoIterator<Item = NodeId>,
+        out: &mut Vec<NodeId>,
+    ) {
         self.expire_blacklist(now);
-        candidates
-            .iter()
-            .copied()
-            .filter(|&n| table_search(&self.blacklist, n).is_err())
-            .take(self.cfg.max_probes)
-            .collect()
+        out.clear();
+        out.extend(
+            candidates
+                .into_iter()
+                .filter(|&n| table_search(&self.blacklist, n).is_err())
+                .take(self.cfg.max_probes),
+        );
     }
 
     /// Ingests probe outcomes and returns the chosen publisher: the
@@ -194,8 +201,8 @@ mod tests {
     #[test]
     fn probe_list_limited_to_three() {
         let mut c = controller();
-        let candidates: Vec<NodeId> = (0..10).map(NodeId).collect();
-        let probes = c.probe_list(SimTime::ZERO, &candidates);
+        let mut probes = Vec::new();
+        c.probe_list(SimTime::ZERO, (0..10).map(NodeId), &mut probes);
         assert_eq!(probes.len(), 3);
         assert_eq!(probes, vec![NodeId(0), NodeId(1), NodeId(2)]);
     }
@@ -282,7 +289,8 @@ mod tests {
             c.record_failure(t, NodeId(5));
         }
         // Blacklisted nodes are excluded from probe lists and switches.
-        let probes = c.probe_list(t, &[NodeId(5), NodeId(6)]);
+        let mut probes = Vec::new();
+        c.probe_list(t, [NodeId(5), NodeId(6)], &mut probes);
         assert_eq!(probes, vec![NodeId(6)]);
         let d = c.assess_switch(t, NodeId(1), ms(500), &[(NodeId(5), ms(1))]);
         assert_eq!(d, SwitchDecision::Stay);
@@ -296,7 +304,9 @@ mod tests {
         c.record_failure(t, NodeId(5));
         c.record_success(NodeId(5));
         c.record_failure(t, NodeId(5));
-        assert_eq!(c.probe_list(t, &[NodeId(5)]), vec![NodeId(5)]);
+        let mut probes = Vec::new();
+        c.probe_list(t, [NodeId(5)], &mut probes);
+        assert_eq!(probes, vec![NodeId(5)]);
     }
 
     #[test]
@@ -306,8 +316,11 @@ mod tests {
         for _ in 0..3 {
             c.record_failure(t0, NodeId(5));
         }
-        assert!(c.probe_list(t0, &[NodeId(5)]).is_empty());
+        let mut probes = Vec::new();
+        c.probe_list(t0, [NodeId(5)], &mut probes);
+        assert!(probes.is_empty());
         let later = t0 + SimDuration::from_secs(121);
-        assert_eq!(c.probe_list(later, &[NodeId(5)]), vec![NodeId(5)]);
+        c.probe_list(later, [NodeId(5)], &mut probes);
+        assert_eq!(probes, vec![NodeId(5)]);
     }
 }

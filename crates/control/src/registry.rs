@@ -14,17 +14,12 @@ use rlive_sim::BuildIdHasher;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Bound;
 
-/// The attribute path of one indexed entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct AttrPath {
-    /// Substream the node is forwarding, or `None` for the idle index.
-    pub stream: Option<StreamKey>,
-    /// Node ISP.
-    pub isp: u16,
-    /// Node quality tier.
-    pub class: NodeClass,
-    /// Node region.
-    pub region: u16,
+/// A node's static attributes: where it sits under every stream.
+#[derive(Debug, Clone, Copy)]
+struct Attrs {
+    isp: u16,
+    class: NodeClassKey,
+    region: u16,
 }
 
 /// A query: the client's preferred attribute values.
@@ -80,8 +75,11 @@ pub struct HashTreeRegistry {
     streams: BTreeMap<StreamKey, IspLevel>,
     /// The idle index: every node, whatever it forwards.
     idle: IspLevel,
-    /// Reverse index for O(1) removal.
-    paths: HashMap<NodeId, Vec<AttrPath>, BuildIdHasher>,
+    /// Reverse index for O(1) removal, in two parts: every node's
+    /// attributes, inline, and the substreams of the nodes that forward
+    /// any. An idle node owns no heap block here.
+    attrs: HashMap<NodeId, Attrs, BuildIdHasher>,
+    forwarded: HashMap<NodeId, Vec<StreamKey>, BuildIdHasher>,
 }
 
 type RegionLevel = BTreeMap<u16, Leaf>;
@@ -243,54 +241,56 @@ impl HashTreeRegistry {
 
     /// Total number of indexed nodes.
     pub fn len(&self) -> usize {
-        self.paths.len()
+        self.attrs.len()
     }
 
     /// Whether the registry is empty.
     pub fn is_empty(&self) -> bool {
-        self.paths.is_empty()
+        self.attrs.is_empty()
     }
 
-    fn insert_path(&mut self, node: NodeId, path: AttrPath) {
-        let isps = match path.stream {
+    /// Files `node` under `a` in `stream`'s subtree, or the idle index.
+    fn insert_path(&mut self, node: NodeId, stream: Option<StreamKey>, a: Attrs) {
+        let isps = match stream {
             Some(key) => self.streams.entry(key).or_default(),
             None => &mut self.idle,
         };
-        isps.entry(path.isp)
+        isps.entry(a.isp)
             .or_default()
-            .entry(path.class.into())
+            .entry(a.class)
             .or_default()
-            .entry(path.region)
+            .entry(a.region)
             .or_default()
             .nodes
             .insert(node);
     }
 
-    fn remove_path(&mut self, node: NodeId, path: &AttrPath) {
-        let isps = match path.stream {
+    /// Undoes [`HashTreeRegistry::insert_path`], pruning emptied levels.
+    fn remove_path(&mut self, node: NodeId, stream: Option<StreamKey>, a: Attrs) {
+        let isps = match stream {
             Some(key) => match self.streams.get_mut(&key) {
                 Some(isps) => isps,
                 None => return,
             },
             None => &mut self.idle,
         };
-        if let Some(class_level) = isps.get_mut(&path.isp) {
-            if let Some(region_level) = class_level.get_mut(&path.class.into()) {
-                if let Some(leaf) = region_level.get_mut(&path.region) {
+        if let Some(class_level) = isps.get_mut(&a.isp) {
+            if let Some(region_level) = class_level.get_mut(&a.class) {
+                if let Some(leaf) = region_level.get_mut(&a.region) {
                     leaf.nodes.remove(&node);
                     if leaf.nodes.is_empty() {
-                        region_level.remove(&path.region);
+                        region_level.remove(&a.region);
                     }
                 }
                 if region_level.is_empty() {
-                    class_level.remove(&path.class.into());
+                    class_level.remove(&a.class);
                 }
             }
             if class_level.is_empty() {
-                isps.remove(&path.isp);
+                isps.remove(&a.isp);
             }
         }
-        if let (Some(key), true) = (path.stream, isps.is_empty()) {
+        if let (Some(key), true) = (stream, isps.is_empty()) {
             self.streams.remove(&key);
         }
     }
@@ -305,33 +305,27 @@ impl HashTreeRegistry {
         region: u16,
         forwarding: impl IntoIterator<Item = StreamKey>,
     ) {
-        self.remove_node(node);
-        let mut paths = vec![AttrPath {
-            stream: None,
+        let a = Attrs {
             isp,
-            class,
+            class: class.into(),
             region,
-        }];
-        for key in forwarding {
-            paths.push(AttrPath {
-                stream: Some(key),
-                isp,
-                class,
-                region,
-            });
-        }
-        for p in &paths {
-            self.insert_path(node, *p);
-        }
-        self.paths.insert(node, paths);
-    }
-
-    /// Removes a node from every index entry.
-    fn remove_node(&mut self, node: NodeId) {
-        if let Some(paths) = self.paths.remove(&node) {
-            for p in paths {
-                self.remove_path(node, &p);
+        };
+        // The old entries go first; the node's substream list is reused.
+        let mut keys = self.forwarded.remove(&node).unwrap_or_default();
+        if let Some(old) = self.attrs.insert(node, a) {
+            self.remove_path(node, None, old);
+            for &key in &keys {
+                self.remove_path(node, Some(key), old);
             }
+        }
+        keys.clear();
+        keys.extend(forwarding);
+        self.insert_path(node, None, a);
+        for &key in &keys {
+            self.insert_path(node, Some(key), a);
+        }
+        if !keys.is_empty() {
+            self.forwarded.insert(node, keys);
         }
     }
 
@@ -521,6 +515,22 @@ mod tests {
         let (nodes, level) = reg.retrieve(&query(), 3);
         assert_eq!(level, MatchLevel::AnyClass);
         assert_eq!(nodes.len(), 3);
+    }
+
+    #[test]
+    fn reindex_through_no_forwarding_matches_a_fresh_build() {
+        let (a, b) = (key(7, 0), key(7, 1));
+        let mut reg = setup();
+        for forwarding in [vec![a, b], vec![], vec![a]] {
+            reg.index_node(NodeId(9), 2, NodeClass::Normal, 20, forwarding);
+        }
+        let mut fresh = setup();
+        fresh.index_node(NodeId(9), 2, NodeClass::Normal, 20, [a]);
+        assert_eq!(reg.len(), fresh.len());
+        for k in [a, b] {
+            let ids = |r: &HashTreeRegistry| r.forwarders(k).collect::<Vec<_>>();
+            assert_eq!(ids(&reg), ids(&fresh), "forwarders of {k:?}");
+        }
     }
 
     #[test]

@@ -176,7 +176,8 @@ pub struct GlobalScheduler {
     /// Structured trace sink (disabled by default): every served
     /// recommendation is emitted as a `SchedulerRecommendation` event.
     trace: TraceSink,
-    // Scratch reused across recommendations; holds nothing between calls.
+    // Scratch reused across recommendations and stream-utilisation
+    // reads; holds nothing between calls.
     pool: Vec<NodeId>,
     scored: Vec<Candidate>,
 }
@@ -289,13 +290,14 @@ impl GlobalScheduler {
     /// older than the staleness bound no longer vouches for the
     /// stream's capacity (its frozen last-known status would otherwise
     /// pollute the mean forever).
-    pub fn stream_utilization(&self, now: SimTime, key: StreamKey) -> Option<f64> {
+    pub fn stream_utilization(&mut self, now: SimTime, key: StreamKey) -> Option<f64> {
         // The registry indexes a node under `key` exactly while its
         // record forwards it. Ascending id order fixes the f64 sum.
-        let mut forwarders: Vec<NodeId> = self.registry.forwarders(key).collect();
-        forwarders.sort_unstable();
+        self.pool.clear();
+        self.pool.extend(self.registry.forwarders(key));
+        self.pool.sort_unstable();
         let mut s = Summary::new();
-        for rec in forwarders.into_iter().filter_map(|n| self.nodes.get(n)) {
+        for rec in self.pool.iter().filter_map(|&n| self.nodes.get(n)) {
             if rec.is_fresh(now) {
                 s.add(rec.status.utilization());
             }
@@ -360,6 +362,27 @@ impl GlobalScheduler {
         client: &ClientInfo,
         key: StreamKey,
     ) -> Recommendation {
+        let mut candidates = Vec::new();
+        let (service_time, match_level) = self.recommend_into(now, client, key, &mut candidates);
+        Recommendation {
+            key,
+            candidates,
+            service_time,
+            match_level,
+        }
+    }
+
+    /// [`GlobalScheduler::recommend`] into a caller-owned buffer: the
+    /// candidates, best first, are *appended* to `out`, so one buffer
+    /// can hold several substreams' lists back to back. Returns the
+    /// modelled service time and the registry's match level.
+    pub fn recommend_into(
+        &mut self,
+        now: SimTime,
+        client: &ClientInfo,
+        key: StreamKey,
+        out: &mut Vec<Candidate>,
+    ) -> (SimDuration, MatchLevel) {
         // Stage-profiled (wall clock, stderr-only reporting).
         let _span = rlive_sim::obs::time_stage(rlive_sim::obs::Stage::SchedulerCall);
         self.requests += 1;
@@ -380,7 +403,8 @@ impl GlobalScheduler {
         let scored_len = self.scored.len();
         let k = self.cfg.top_k;
         let exploit_n = ((1.0 - self.cfg.explore_fraction) * k as f64).round() as usize;
-        let result = rank(&mut self.scored, k, exploit_n, &mut self.rng);
+        let start = out.len();
+        rank(&mut self.scored, k, exploit_n, &mut self.rng, out);
 
         let service_time = self.sample_service_time(scored_len);
         self.service_times.add(service_time.as_millis_f64());
@@ -390,16 +414,11 @@ impl GlobalScheduler {
             TraceEvent::SchedulerRecommendation {
                 stream: key.stream_id,
                 substream: key.substream,
-                candidates: result.len() as u32,
+                candidates: (out.len() - start) as u32,
                 service_time_ms: service_time.as_millis_f64(),
             },
         );
-        Recommendation {
-            key,
-            candidates: result,
-            service_time,
-            match_level,
-        }
+        (service_time, match_level)
     }
 
     fn sample_service_time(&mut self, candidates_scored: usize) -> SimDuration {
@@ -440,15 +459,23 @@ fn rank_top(v: &mut [Candidate], n: usize) {
     v[..n].sort_unstable_by(by_rank);
 }
 
-/// Picks the `k` candidates to return from the scored pool, which it
-/// reorders: ranks `0..exploit_n`, then explore picks, then the ranked
-/// tail. Computes only the ranks the answer reads.
-fn rank(scored: &mut [Candidate], k: usize, exploit_n: usize, rng: &mut SimRng) -> Vec<Candidate> {
+/// Appends to `out` the `k` candidates to return from the scored pool,
+/// which it reorders: ranks `0..exploit_n`, then explore picks, then
+/// the ranked tail. Computes only the ranks the answer reads.
+fn rank(
+    scored: &mut [Candidate],
+    k: usize,
+    exploit_n: usize,
+    rng: &mut SimRng,
+    out: &mut Vec<Candidate>,
+) {
     let exploit_n = exploit_n.min(scored.len());
     rank_top(scored, exploit_n);
     let (top, tail) = scored.split_at_mut(exploit_n);
-    let mut result = Vec::with_capacity(k.max(exploit_n));
-    result.extend_from_slice(top);
+    let start = out.len();
+    out.reserve(k.max(exploit_n));
+    out.extend_from_slice(top);
+    let taken = |out: &Vec<Candidate>, node| out[start..].iter().any(|c| c.node == node);
 
     // Explore–exploit (§8.2): reserve a slice of the list for idle or
     // underused nodes so the scheduler keeps observing them. A pick is
@@ -460,29 +487,28 @@ fn rank(scored: &mut [Candidate], k: usize, exploit_n: usize, rng: &mut SimRng) 
             explorable += 1;
         }
     }
-    while result.len() < k && explorable > 0 {
+    while out.len() - start < k && explorable > 0 {
         let pick = rng.below(explorable as u64) as usize;
         let (_, picked, _) = tail[..explorable].select_nth_unstable_by(pick, by_rank);
-        if result.iter().any(|c| c.node == picked.node) {
+        if taken(out, picked.node) {
             break;
         }
-        result.push(*picked);
+        out.push(*picked);
     }
     // Fill any remaining slots from the ranked tail: the picks are the
     // only tail entries it can skip.
-    if result.len() < k {
+    if out.len() - start < k {
         let fill = (k - exploit_n).min(tail.len());
         rank_top(tail, fill);
         for c in &tail[..fill] {
-            if result.len() >= k {
+            if out.len() - start >= k {
                 break;
             }
-            if !result.iter().any(|r| r.node == c.node) {
-                result.push(*c);
+            if !taken(out, c.node) {
+                out.push(*c);
             }
         }
     }
-    result
 }
 
 #[cfg(test)]
@@ -904,7 +930,8 @@ mod tests {
             let exploit_n = g.below(k as u64 + 1) as usize;
             let seed = g.next_u64();
             let (mut rng, mut rng_ref) = (SimRng::new(seed), SimRng::new(seed));
-            let got = rank(&mut pool.clone(), k, exploit_n, &mut rng);
+            let mut got = Vec::new();
+            rank(&mut pool.clone(), k, exploit_n, &mut rng, &mut got);
             let expected = reference_rank(&mut pool.clone(), k, exploit_n, &mut rng_ref);
             assert_eq!(
                 got, expected,
@@ -931,7 +958,8 @@ mod tests {
             candidate(5, 0.05, false),
         ];
         let mut rng = SimRng::new(1);
-        let got = rank(&mut pool, 5, 2, &mut rng);
+        let mut got = Vec::new();
+        rank(&mut pool, 5, 2, &mut rng, &mut got);
         let nodes: Vec<u64> = got.iter().map(|c| c.node.0).collect();
         assert_eq!(nodes, [1, 2, 5, 4, 3]);
         // Two draws of `below(1)`, no more.

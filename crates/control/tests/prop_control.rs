@@ -1,9 +1,10 @@
 //! Property-based tests of the control plane: registry membership
 //! invariants, quota accounting, scoring bounds, switching-rule
-//! consistency and the edge adviser's independence of record order.
+//! consistency, the edge adviser's independence of record order and
+//! its inline utilisation window against the `Vec` it replaced.
 
 use proptest::prelude::*;
-use rlive_control::adviser::{AdviserConfig, EdgeAdviser, SwitchSuggestion};
+use rlive_control::adviser::{AdviserConfig, EdgeAdviser, SwitchSuggestion, UTIL_WINDOW_CAPACITY};
 use rlive_control::client::{ClientController, ClientControllerConfig, SwitchDecision, T_CHANGE};
 use rlive_control::features::{
     ClientId, ClientInfo, ConnectionType, NodeClass, NodeId, NodeStatus, StaticFeatures, StreamKey,
@@ -431,6 +432,43 @@ proptest! {
             }
         }
     }
+
+    /// The adviser's inline utilisation window against the `Vec` it
+    /// replaced (push, then `remove(0)` past the width): the same
+    /// sliding average bit for bit, and the same cost-trigger decision,
+    /// after every sample of any sequence, at any width it holds.
+    #[test]
+    fn inline_adviser_window_matches_a_vec_reference(
+        width in 0..UTIL_WINDOW_CAPACITY + 1,
+        samples in prop::collection::vec((-0.5f64..1.5, 0.0f64..0.6), 0..40),
+    ) {
+        let cfg = AdviserConfig { util_window: width, ..AdviserConfig::default() };
+        let mut adviser = EdgeAdviser::new(NodeId(7), cfg);
+        let key = StreamKey { stream_id: 1, substream: 0 };
+        let mut window: Vec<f64> = Vec::new();
+        for (i, &(util, stream_util)) in samples.iter().enumerate() {
+            adviser.record_utilization(util);
+            window.push(util.clamp(0.0, 1.0));
+            if window.len() > width {
+                window.remove(0);
+            }
+            let mean = if window.is_empty() {
+                0.0
+            } else {
+                window.iter().sum::<f64>() / window.len() as f64
+            };
+            prop_assert_eq!(adviser.sliding_utilization().to_bits(), mean.to_bits());
+            let fires = window.len() >= width && mean < 0.3 && stream_util < 0.3;
+            let now = SimTime::from_secs(10 * (i as u64 + 1));
+            let suggestions = adviser.evaluate(now, key, Some(stream_util));
+            let expected = if fires {
+                vec![SwitchSuggestion::CostConsolidation { node: NodeId(7), key }]
+            } else {
+                Vec::new()
+            };
+            prop_assert_eq!(suggestions, expected, "sample {}", i);
+        }
+    }
 }
 
 /// Tied QoS outliers straddling the adviser's cut: the flagged list is a
@@ -461,4 +499,16 @@ fn tied_outliers_do_not_depend_on_record_order() {
     let ids: Vec<_> = clients.iter().map(|(c, _)| c.0).collect();
     assert_eq!(ids, [3, 11], "ties go to the lowest client ids");
     assert!(flagged.iter().all(|f| *f == flagged[0]), "{flagged:?}");
+}
+
+/// A window wider than the adviser's inline capacity is a configuration
+/// error, named as such, not an out-of-bounds write.
+#[test]
+#[should_panic(expected = "exceeds the inline capacity")]
+fn adviser_rejects_a_window_wider_than_its_inline_capacity() {
+    let cfg = AdviserConfig {
+        util_window: UTIL_WINDOW_CAPACITY + 1,
+        ..AdviserConfig::default()
+    };
+    EdgeAdviser::new(NodeId(7), cfg);
 }

@@ -77,6 +77,65 @@ pub(crate) struct HedgeState {
     pub suppliers: [u64; MAX_FANOUT as usize],
 }
 
+/// The scheduler's candidate lists of one session, one per substream
+/// (the mapping unit is the user–substream pair, §2.3), back to back in
+/// substream order in one buffer that refills rewrite in place.
+#[derive(Default)]
+pub(crate) struct CandidateLists {
+    entries: Vec<Candidate>,
+    /// Per substream, the length of its list. `None` means "never
+    /// received a list for this substream" — distinct from an empty
+    /// list, which callers must not fall through.
+    lens: Vec<Option<u32>>,
+}
+
+impl CandidateLists {
+    /// Where the list of `ss` starts in `entries`.
+    fn start(&self, ss: usize) -> usize {
+        self.lens[..ss].iter().flatten().sum::<u32>() as usize
+    }
+
+    /// Sizes the buffer for `n` entries in all, so that refills up to
+    /// that size allocate nothing.
+    pub fn reserve(&mut self, n: usize) {
+        self.entries.reserve(n.saturating_sub(self.entries.len()));
+    }
+
+    /// Replaces the list of `ss` with what `fill` appends to the buffer
+    /// it is handed; the other substreams' lists stay as they are.
+    pub fn refill(&mut self, ss: u16, fill: impl FnOnce(&mut Vec<Candidate>)) {
+        let ss = usize::from(ss);
+        if self.lens.len() <= ss {
+            self.lens.resize(ss + 1, None);
+        }
+        let start = self.start(ss);
+        self.entries
+            .drain(start..start + self.lens[ss].unwrap_or(0) as usize);
+        let appended_at = self.entries.len();
+        fill(&mut self.entries);
+        let len = self.entries.len() - appended_at;
+        // The new list moves in front of the later substreams' lists.
+        self.entries[start..].rotate_right(len);
+        self.lens[ss] = Some(len as u32);
+    }
+
+    /// The list for `ss`, falling back to substream 0's list when `ss`
+    /// never received one (an *empty* list for `ss` does not fall
+    /// through — absence and emptiness stay distinct).
+    pub fn get(&self, ss: u16) -> Option<&[Candidate]> {
+        let ss = [usize::from(ss), 0]
+            .into_iter()
+            .find(|&s| matches!(self.lens.get(s), Some(Some(_))))?;
+        let start = self.start(ss);
+        Some(&self.entries[start..start + self.lens[ss]? as usize])
+    }
+
+    /// Every list's candidates, in substream order.
+    pub fn all(&self) -> &[Candidate] {
+        &self.entries
+    }
+}
+
 /// One viewer session.
 pub(crate) struct Client {
     pub id: u64,
@@ -100,11 +159,8 @@ pub(crate) struct Client {
     /// In-flight hedged retransmission races, dts-ordered (racing
     /// recovery policy only; empty under QoE-EDF).
     pub hedges: SeqRing<HedgeState>,
-    /// Cached candidate lists from the scheduler, indexed by substream
-    /// (the mapping unit is the user–substream pair, §2.3). `None`
-    /// means "never received a list for this substream" — distinct
-    /// from an empty list, which callers must not fall through.
-    candidates: Vec<Option<Vec<Candidate>>>,
+    /// Cached candidate lists from the scheduler.
+    pub candidates: CandidateLists,
     /// Set when a relay sent a proactive switch suggestion.
     pub switch_suggested: bool,
     pub last_slice_at: SimTime,
@@ -133,6 +189,7 @@ impl Client {
         controller_cfg: ClientControllerConfig,
         frame_interval: SimDuration,
         fallback_threshold: SimDuration,
+        recovery_stats: RecoveryStats,
         now: SimTime,
         leaves_at: SimTime,
     ) -> Self {
@@ -148,12 +205,12 @@ impl Client {
             reorder: ReorderBuffer::new(),
             playback: PlaybackBuffer::new(frame_interval, fallback_threshold),
             abr: AbrState::new(),
-            recovery_stats: RecoveryStats::default(),
+            recovery_stats,
             session: SessionMetrics::new(now),
             energy: EnergyAccount::new(),
             requested_recovery: SeqRing::new(),
             hedges: SeqRing::new(),
-            candidates: Vec::new(),
+            candidates: CandidateLists::default(),
             switch_suggested: false,
             last_slice_at: now,
             last_release_at: now,
@@ -193,30 +250,6 @@ impl Client {
     /// Whether the client currently draws on any best-effort relay.
     pub fn uses_best_effort(&self) -> bool {
         !matches!(self.mode, ClientMode::CdnFull)
-    }
-
-    /// Caches the scheduler's candidate list for one substream.
-    pub fn set_candidates(&mut self, ss: u16, list: Vec<Candidate>) {
-        let idx = ss as usize;
-        if self.candidates.len() <= idx {
-            self.candidates.resize_with(idx + 1, || None);
-        }
-        self.candidates[idx] = Some(list);
-    }
-
-    /// The cached candidate list for `ss`, falling back to substream
-    /// 0's list when `ss` never received one (an *empty* list for `ss`
-    /// does not fall through — absence and emptiness stay distinct).
-    pub fn candidates_for(&self, ss: u16) -> Option<&Vec<Candidate>> {
-        self.candidates
-            .get(ss as usize)
-            .and_then(|o| o.as_ref())
-            .or_else(|| self.candidates.first().and_then(|o| o.as_ref()))
-    }
-
-    /// All cached candidates across substreams, in substream order.
-    pub fn all_candidates(&self) -> impl Iterator<Item = &Candidate> {
-        self.candidates.iter().flatten().flatten()
     }
 
     /// Every relay currently serving this client (primary + redundant).
@@ -461,6 +494,7 @@ mod tests {
             ClientControllerConfig::default(),
             SimDuration::from_secs_f64(1.0 / 30.0),
             SimDuration::from_millis(200),
+            RecoveryStats::default(),
             SimTime::ZERO,
             SimTime::ZERO + SimDuration::from_secs(120),
         )
@@ -585,6 +619,35 @@ mod tests {
             "entries at and ahead of the head must survive"
         );
         assert!(c.hedges.get(330).is_some());
+    }
+
+    /// One buffer holds every substream's list: refilling one leaves the
+    /// others as they were, an empty list does not fall back to
+    /// substream 0's, and the buffer reads in substream order whatever
+    /// order the lists arrived in.
+    #[test]
+    fn candidate_lists_refill_one_substream_in_place() {
+        use rlive_control::NodeId;
+        let cand = |node| Candidate {
+            node: NodeId(node),
+            score: 1.0,
+            already_forwarding: false,
+        };
+        let ids = |l: &[Candidate]| l.iter().map(|c| c.node.0).collect::<Vec<_>>();
+        let mut lists = CandidateLists::default();
+        assert!(lists.get(0).is_none());
+        for (ss, nodes) in [(2, 5..7), (0, 1..3), (1, 3..5)] {
+            lists.refill(ss, |out| out.extend(nodes.map(cand)));
+        }
+        lists.refill(1, |out| out.extend((10..13).map(cand)));
+        assert_eq!(lists.get(0).map(ids), Some(vec![1, 2]));
+        assert_eq!(lists.get(1).map(ids), Some(vec![10, 11, 12]));
+        assert_eq!(lists.get(2).map(ids), Some(vec![5, 6]));
+        // Never received a list: substream 0's. An empty one: no fallback.
+        assert_eq!(lists.get(3).map(ids), Some(vec![1, 2]));
+        lists.refill(2, |_| {});
+        assert_eq!(lists.get(2).map(ids), Some(vec![]));
+        assert_eq!(ids(lists.all()), [1, 2, 10, 11, 12]);
     }
 
     /// The jitter EWMA reacts to release gaps and the pad stays inside

@@ -101,8 +101,11 @@ pub(crate) fn cdn_prefill(world: &mut World, now: SimTime, cid: u64) {
         };
         (client.stream as usize, client.next_needed_dts)
     };
-    let order: Vec<u64> = world.streams[stream].recent_dts().collect();
+    let mut order = std::mem::take(&mut world.prefill_dts);
+    order.clear();
+    order.extend(world.streams[stream].recent_dts());
     let Some(&latest) = order.last() else {
+        world.prefill_dts = order;
         return;
     };
     let window = TARGET_BUFFER.as_millis();
@@ -116,7 +119,7 @@ pub(crate) fn cdn_prefill(world: &mut World, now: SimTime, cid: u64) {
         floor
     };
     let mut frames = 0u32;
-    for dts in order {
+    for &dts in &order {
         if dts < from {
             continue;
         }
@@ -268,7 +271,7 @@ fn failover_and_switch(world: &mut World, now: SimTime, cid: u64, scratch: &mut 
     // proactive suggestion (§4.2.2).
     let client = &world.clients[&cid];
     candidates.clear();
-    candidates.extend(client.all_candidates().copied());
+    candidates.extend_from_slice(client.candidates.all());
     candidates.sort_by_key(|c| c.node);
     candidates.dedup_by_key(|c| c.node);
     sources.clear();
@@ -982,25 +985,25 @@ fn swap_relay(world: &mut World, cid: u64, from: u32, to: u32) {
 }
 
 fn refresh_candidates(world: &mut World, now: SimTime, cid: u64) {
-    let Some(client) = world.clients.get(&cid) else {
+    let Some(client) = world.clients.get_mut(&cid) else {
         return;
     };
     let info = client.info;
-    let stream = client.stream as u64;
     let k = if client.mode_policy.is_multi_source() {
         world.cfg.substreams
     } else {
         1
     };
+    let top_k = world.scheduler.config().top_k;
+    client.candidates.reserve(usize::from(k) * top_k);
     for substream in 0..k {
         let key = StreamKey {
-            stream_id: stream,
+            stream_id: client.stream as u64,
             substream,
         };
-        let rec = world.scheduler.recommend(now, &info, key);
-        if let Some(client) = world.clients.get_mut(&cid) {
-            client.set_candidates(substream, rec.candidates);
-        }
+        client.candidates.refill(substream, |out| {
+            world.scheduler.recommend_into(now, &info, key, out);
+        });
     }
 }
 
@@ -1019,36 +1022,26 @@ fn pick_relay_excluding(
     ss: u16,
     extra: &[u32],
 ) -> Option<u32> {
-    let policy = world.clients.get(&cid).map(|c| c.mode_policy);
-    let hq_only = policy == Some(DeliveryMode::SingleSource);
-    let weak_only =
-        world.cfg.multi_on_weak_tier && policy.map(|p| p.is_multi_source()).unwrap_or(false);
-    let (candidates, mut exclude) = {
-        let relays = &world.relays;
-        let client = world.clients.get_mut(&cid)?;
-        let list = client.candidates_for(ss);
-        let ids: Vec<NodeId> = list
-            .map(|l| l.iter().map(|c| c.node).collect::<Vec<_>>())
-            .unwrap_or_default()
-            .into_iter()
-            .filter(|n| !extra.contains(&(n.0 as u32)))
-            // The §2.2 strawman extends the CDN with *only* the
-            // top-tier nodes; everything else is invisible to it.
-            .filter(|n| {
-                let hq = relays
-                    .get(n.0 as usize)
-                    .map(|r| r.spec.high_quality)
-                    .unwrap_or(false);
-                (!hq_only || hq) && (!weak_only || !hq)
-            })
-            .collect();
-        let probe_ids = client.controller.probe_list(now, &ids);
-        (probe_ids, client.relay_sources().collect::<Vec<_>>())
-    };
-    exclude.extend_from_slice(extra);
-    for node in candidates {
+    let client = world.clients.get_mut(&cid)?;
+    let hq_only = client.mode_policy == DeliveryMode::SingleSource;
+    let weak_only = world.cfg.multi_on_weak_tier && client.mode_policy.is_multi_source();
+    let relays = &world.relays;
+    let list = client.candidates.get(ss).unwrap_or_default();
+    let ids = list.iter().map(|c| c.node).filter(|n| {
+        // The §2.2 strawman extends the CDN with *only* the top-tier
+        // nodes; everything else is invisible to it.
+        let hq = relays
+            .get(n.0 as usize)
+            .map(|r| r.spec.high_quality)
+            .unwrap_or(false);
+        !extra.contains(&(n.0 as u32)) && (!hq_only || hq) && (!weak_only || !hq)
+    });
+    let mut probes = std::mem::take(&mut world.probes);
+    client.controller.probe_list(now, ids, &mut probes);
+    let mut picked = None;
+    for &node in &probes {
         let rid = node.0 as u32;
-        if exclude.contains(&rid) {
+        if world.clients[&cid].relay_sources().any(|r| r == rid) {
             continue;
         }
         let idx = rid as usize;
@@ -1061,18 +1054,17 @@ fn pick_relay_excluding(
             && relay.quotas.admits(0.75 * 1.6, 0.02, 4.0)
             && world.traversal.attempt(relay.spec.nat, &mut world.rng);
         world.scheduler.observe_connection(now, node, usable);
+        let controller = &mut world.clients.get_mut(&cid).expect("exists").controller;
         if usable {
-            if let Some(client) = world.clients.get_mut(&cid) {
-                client.controller.record_success(node);
-            }
-            return Some(rid);
+            controller.record_success(node);
+            picked = Some(rid);
+            break;
         }
         world.candidate_invalid += 1;
-        if let Some(client) = world.clients.get_mut(&cid) {
-            client.controller.record_failure(now, node);
-        }
+        controller.record_failure(now, node);
     }
-    None
+    world.probes = probes;
+    picked
 }
 
 // ----- client lifecycle ------------------------------------------------
@@ -1147,6 +1139,7 @@ pub(crate) fn on_client_arrival(world: &mut World, now: SimTime) {
         world.cfg.client_controller.clone(),
         frame_interval,
         world.cfg.fallback_threshold,
+        world.recovery_prior.clone(),
         now,
         leaves_at,
     );
@@ -1235,7 +1228,8 @@ pub(crate) fn on_upgrade(world: &mut World, now: SimTime, cid: u64) {
             let mut sources = vec![SubSource::Cdn; k];
             let mut redundant = vec![None; k];
             let mut any = false;
-            let mut taken: Vec<u32> = Vec::new();
+            let mut taken = std::mem::take(&mut world.taken);
+            taken.clear();
             for ss in 0..k {
                 if let Some(rid) = pick_relay_excluding(world, now, cid, ss as u16, &taken) {
                     if subscribe(world, cid, rid, stream, ss as u16) {
@@ -1258,6 +1252,7 @@ pub(crate) fn on_upgrade(world: &mut World, now: SimTime, cid: u64) {
                     ClientMode::Multi { sources, redundant };
             }
             trace_promotion(world, now, cid, any, taken.len() as u32, "multi");
+            world.taken = taken;
         }
     }
 }
@@ -1383,6 +1378,7 @@ mod tests {
             ClientControllerConfig::default(),
             SimDuration::from_secs_f64(1.0 / 30.0),
             SimDuration::from_millis(200),
+            rlive_data::recovery::RecoveryStats::default(),
             SimTime::ZERO,
             SimTime::ZERO + SimDuration::from_secs(120),
         )

@@ -24,6 +24,7 @@ use crate::session;
 use crate::shard::ShardBatch;
 use rlive_control::features::Heartbeat;
 use rlive_control::{GlobalScheduler, NodeClass, NodeId, NodeStatus, StaticFeatures};
+use rlive_data::recovery::RecoveryStats;
 use rlive_media::frame::FrameHeader;
 use rlive_sim::churn::{ChurnModel, ChurnTimeline};
 use rlive_sim::metrics::TimeSeries;
@@ -160,6 +161,9 @@ pub struct World {
     pub(crate) traversal: TraversalModel,
     pub(crate) retx_traces: RetxTraceGenerator,
     pub(crate) energy_model: EnergyModel,
+    /// A fresh session's recovery statistics: the model's priors. Every
+    /// session starts from a clone, which shares its latency CDF.
+    pub(crate) recovery_prior: RecoveryStats,
     pub(crate) streams: Vec<StreamState>,
     pub(crate) popularity: StreamPopularity,
     pub(crate) cdn: Vec<CdnEdge>,
@@ -218,14 +222,19 @@ pub struct World {
     /// Event-loop scratch, reused so steady-state routing allocates
     /// nothing: relay fan-out views, client ids of one stream frame, the
     /// batch (events plus ticked clients) `form_batch` fills and the
-    /// inline path hands back, the boxes of in-flight slices, and the
-    /// buffers of the per-client recovery and control passes. Each
-    /// starts empty and grows on first use.
+    /// inline path hands back, the boxes of in-flight slices, the
+    /// buffers of the per-client recovery and control passes, and those
+    /// of a relay pick (the probe list, a promotion's chosen relays)
+    /// and a CDN prefill (the frames' dts). Each starts empty and grows
+    /// on first use.
     pub(crate) views: Vec<SubscriberView>,
     pub(crate) client_ids: Vec<u64>,
     pub(crate) batch: ShardBatch,
     pub(crate) slices: SlicePool,
     pub(crate) control: session::ControlScratch,
+    pub(crate) probes: Vec<NodeId>,
+    pub(crate) taken: Vec<u32>,
+    pub(crate) prefill_dts: Vec<u64>,
 }
 
 impl World {
@@ -304,6 +313,7 @@ impl World {
             traversal: TraversalModel::default(),
             retx_traces: RetxTraceGenerator::new(),
             energy_model: EnergyModel::default(),
+            recovery_prior: RecoveryStats::default(),
             feeders: vec![Vec::new(); streams.len()],
             streams,
             popularity,
@@ -338,6 +348,9 @@ impl World {
             batch: ShardBatch::default(),
             slices: SlicePool::default(),
             control: session::ControlScratch::default(),
+            probes: Vec::new(),
+            taken: Vec::new(),
+            prefill_dts: Vec::new(),
         };
         // Observability needs the *complete* trace stream (a wrapped
         // ring under-counts early windows), so an obs-enabled world

@@ -105,9 +105,9 @@ fn main() {
     let mut controller = ClientController::new(ClientControllerConfig::default());
     let traversal = TraversalModel::default();
     let now = SimTime::from_secs(6);
-    let ids: Vec<NodeId> = rec.candidates.iter().map(|c| c.node).collect();
-    let outcomes: Vec<ProbeOutcome> = controller
-        .probe_list(now, &ids)
+    let mut probes = Vec::new();
+    controller.probe_list(now, rec.candidates.iter().map(|c| c.node), &mut probes);
+    let outcomes: Vec<ProbeOutcome> = probes
         .into_iter()
         .map(|n| {
             let spec = &pop.nodes[n.0 as usize];

@@ -122,8 +122,8 @@ fn probe_and_switch_flow() {
     let now = SimTime::from_secs(1);
 
     let rec = sched.recommend(now, &client(1), key(0));
-    let ids: Vec<NodeId> = rec.candidates.iter().map(|c| c.node).collect();
-    let probes = ctl.probe_list(now, &ids);
+    let mut probes = Vec::new();
+    ctl.probe_list(now, rec.candidates.iter().map(|c| c.node), &mut probes);
     assert!(probes.len() <= 3);
 
     // Simulate application-level probes with NAT traversal.
@@ -257,9 +257,10 @@ fn blacklisted_nodes_not_probed_until_expiry() {
     for _ in 0..3 {
         ctl.record_failure(t0, NodeId(5));
     }
-    let probes = ctl.probe_list(t0, &[NodeId(5), NodeId(6), NodeId(7), NodeId(8)]);
+    let mut probes = Vec::new();
+    ctl.probe_list(t0, (5..9).map(NodeId), &mut probes);
     assert_eq!(probes, vec![NodeId(6), NodeId(7), NodeId(8)]);
     let later = t0 + SimDuration::from_secs(200);
-    let probes = ctl.probe_list(later, &[NodeId(5), NodeId(6)]);
+    ctl.probe_list(later, [NodeId(5), NodeId(6)], &mut probes);
     assert_eq!(probes[0], NodeId(5), "blacklist expired");
 }
