@@ -11,11 +11,11 @@
 
 use crate::features::{NodeClass, NodeId, StreamKey};
 use rlive_sim::BuildIdHasher;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
 
 /// A node's static attributes: where it sits under every stream.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Attrs {
     isp: u16,
     class: NodeClassKey,
@@ -61,6 +61,11 @@ pub enum MatchLevel {
 /// so that not-yet-forwarding nodes are reachable after full
 /// relaxation.
 ///
+/// Every node has a dense *slot*, assigned the first time it is indexed
+/// and never reused: leaves hold slots, and the slot-indexed tables
+/// below hold what a slot stands for. The scheduler indexes its node
+/// records by the same slot, so the control plane has one id map.
+///
 /// Retrieval is bounded: it hands out at most `want` ids however many
 /// match, and every leaf remembers where it stopped, so successive
 /// retrievals rotate through a leaf instead of starving its tail. The
@@ -75,11 +80,17 @@ pub struct HashTreeRegistry {
     streams: BTreeMap<StreamKey, IspLevel>,
     /// The idle index: every node, whatever it forwards.
     idle: IspLevel,
-    /// Reverse index for O(1) removal, in two parts: every node's
-    /// attributes, inline, and the substreams of the nodes that forward
-    /// any. An idle node owns no heap block here.
-    attrs: HashMap<NodeId, Attrs, BuildIdHasher>,
-    forwarded: HashMap<NodeId, Vec<StreamKey>, BuildIdHasher>,
+    /// Every indexed node's slot.
+    slots: HashMap<NodeId, u32, BuildIdHasher>,
+    /// By slot: the node's id and its attributes.
+    ids: Vec<NodeId>,
+    attrs: Vec<Attrs>,
+    /// By slot, the substreams of the nodes that forward any. An idle
+    /// node owns no heap block here.
+    forwarded: HashMap<u32, Vec<StreamKey>, BuildIdHasher>,
+    /// Slot scratch of [`HashTreeRegistry::retrieve_into`]; empty
+    /// between calls.
+    scratch: Vec<u32>,
 }
 
 type RegionLevel = BTreeMap<u16, Leaf>;
@@ -100,37 +111,47 @@ impl From<NodeClass> for NodeClassKey {
     }
 }
 
-/// The ids under one full attribute path.
+/// The nodes under one full attribute path: their slots, sorted by id
+/// through the registry's id table (`ids` below).
 #[derive(Debug, Default)]
 struct Leaf {
-    nodes: BTreeSet<NodeId>,
+    slots: Vec<u32>,
     /// Where the next retrieval resumes: one past the last id handed
     /// out. Ids at or above it go first, then the walk wraps.
     cursor: NodeId,
 }
 
 impl Leaf {
-    /// How many ids the leaf holds outside `skip`, a subset of it.
-    fn size(&self, skip: Option<&Leaf>) -> usize {
-        self.nodes.len() - skip.map_or(0, |s| s.nodes.len())
+    /// Where `slot` is, or would be, in the id order.
+    fn find(&self, ids: &[NodeId], slot: u32) -> Result<usize, usize> {
+        let id = |s: &u32| ids[*s as usize];
+        self.slots.binary_search_by_key(&id(&slot), id)
     }
 
-    /// Appends the next `n` ids outside `skip` to `out` and moves the
+    /// How many ids the leaf holds outside `skip`, a subset of it.
+    fn size(&self, skip: Option<&Leaf>) -> usize {
+        self.slots.len() - skip.map_or(0, |s| s.slots.len())
+    }
+
+    /// Appends the next `n` slots outside `skip` to `out` and moves the
     /// cursor past the last of them. `n` is at most [`Leaf::size`].
-    fn hand_out(&mut self, n: usize, skip: Option<&Leaf>, out: &mut Vec<NodeId>) {
-        let wrapped = self
-            .nodes
-            .range(self.cursor..)
-            .chain(self.nodes.range(..self.cursor));
+    fn hand_out(&mut self, n: usize, skip: Option<&Leaf>, ids: &[NodeId], out: &mut Vec<u32>) {
+        if n == 0 {
+            return;
+        }
+        let start = self
+            .slots
+            .partition_point(|&s| ids[s as usize] < self.cursor);
+        let (below, from) = self.slots.split_at(start);
         let emitted = out.len();
         out.extend(
-            wrapped
-                .filter(|id| !skip.is_some_and(|s| s.nodes.contains(id)))
+            from.iter()
+                .chain(below)
+                .filter(|&&s| skip.is_none_or(|l| l.find(ids, s).is_err()))
                 .take(n),
         );
-        if let Some(last) = out[emitted..].last() {
-            self.cursor = NodeId(last.0.wrapping_add(1));
-        }
+        let last = out[emitted..].last().expect("n <= size");
+        self.cursor = NodeId(ids[*last as usize].0.wrapping_add(1));
     }
 }
 
@@ -186,7 +207,7 @@ impl Level {
         })
     }
 
-    /// Appends `need` of the level's ids outside `skip` to `out`, or
+    /// Appends `need` of the level's slots outside `skip` to `out`, or
     /// all of them when there are no more than that, taken round-robin
     /// from its leaves: every leaf gives `share` ids (a smaller leaf
     /// all it has) and the first `extra` of the larger ones one more.
@@ -194,8 +215,9 @@ impl Level {
         self,
         isps: &mut IspLevel,
         skip: Option<&IspLevel>,
+        ids: &[NodeId],
         need: usize,
-        out: &mut Vec<NodeId>,
+        out: &mut Vec<u32>,
     ) {
         // The largest share with Σ min(size, share) <= need. Each round
         // but the last finds a leaf the share has outgrown.
@@ -228,7 +250,7 @@ impl Level {
                 extra -= one_more;
                 share + one_more
             };
-            leaf.hand_out(n, skip, out);
+            leaf.hand_out(n, skip, ids, out);
         }
     }
 }
@@ -241,32 +263,51 @@ impl HashTreeRegistry {
 
     /// Total number of indexed nodes.
     pub fn len(&self) -> usize {
-        self.attrs.len()
+        self.ids.len()
     }
 
     /// Whether the registry is empty.
     pub fn is_empty(&self) -> bool {
-        self.attrs.is_empty()
+        self.ids.is_empty()
     }
 
-    /// Files `node` under `a` in `stream`'s subtree, or the idle index.
-    fn insert_path(&mut self, node: NodeId, stream: Option<StreamKey>, a: Attrs) {
+    /// Makes room for `nodes` more nodes.
+    pub(crate) fn reserve(&mut self, nodes: usize) {
+        self.slots.reserve(nodes);
+        self.ids.reserve_exact(nodes);
+        self.attrs.reserve_exact(nodes);
+    }
+
+    /// `node`'s slot, if it is indexed.
+    pub(crate) fn slot(&self, node: NodeId) -> Option<usize> {
+        self.slots.get(&node).map(|&s| s as usize)
+    }
+
+    /// The node at `slot`.
+    pub(crate) fn id(&self, slot: u32) -> NodeId {
+        self.ids[slot as usize]
+    }
+
+    /// Files `slot` under `a` in `stream`'s subtree, or the idle index.
+    fn insert_path(&mut self, slot: u32, stream: Option<StreamKey>, a: Attrs) {
         let isps = match stream {
             Some(key) => self.streams.entry(key).or_default(),
             None => &mut self.idle,
         };
-        isps.entry(a.isp)
+        let leaf = isps
+            .entry(a.isp)
             .or_default()
             .entry(a.class)
             .or_default()
             .entry(a.region)
-            .or_default()
-            .nodes
-            .insert(node);
+            .or_default();
+        if let Err(i) = leaf.find(&self.ids, slot) {
+            leaf.slots.insert(i, slot);
+        }
     }
 
     /// Undoes [`HashTreeRegistry::insert_path`], pruning emptied levels.
-    fn remove_path(&mut self, node: NodeId, stream: Option<StreamKey>, a: Attrs) {
+    fn remove_path(&mut self, slot: u32, stream: Option<StreamKey>, a: Attrs) {
         let isps = match stream {
             Some(key) => match self.streams.get_mut(&key) {
                 Some(isps) => isps,
@@ -277,8 +318,10 @@ impl HashTreeRegistry {
         if let Some(class_level) = isps.get_mut(&a.isp) {
             if let Some(region_level) = class_level.get_mut(&a.class) {
                 if let Some(leaf) = region_level.get_mut(&a.region) {
-                    leaf.nodes.remove(&node);
-                    if leaf.nodes.is_empty() {
+                    if let Ok(i) = leaf.find(&self.ids, slot) {
+                        leaf.slots.remove(i);
+                    }
+                    if leaf.slots.is_empty() {
                         region_level.remove(&a.region);
                     }
                 }
@@ -296,7 +339,9 @@ impl HashTreeRegistry {
     }
 
     /// (Re-)indexes a node under its static attributes and the set of
-    /// substreams it currently forwards.
+    /// substreams it currently forwards. With the attributes unchanged,
+    /// the idle index is left alone and only the substreams that came
+    /// or went move.
     pub fn index_node(
         &mut self,
         node: NodeId,
@@ -310,22 +355,36 @@ impl HashTreeRegistry {
             class: class.into(),
             region,
         };
-        // The old entries go first; the node's substream list is reused.
-        let mut keys = self.forwarded.remove(&node).unwrap_or_default();
-        if let Some(old) = self.attrs.insert(node, a) {
-            self.remove_path(node, None, old);
-            for &key in &keys {
-                self.remove_path(node, Some(key), old);
-            }
-        }
-        keys.clear();
+        let next = u32::try_from(self.ids.len()).expect("fewer than 2^32 nodes");
+        let slot = *self.slots.entry(node).or_insert(next);
+        // The node's substream list is reused: the old keys, then the new.
+        let mut keys = self.forwarded.remove(&slot).unwrap_or_default();
+        let old_len = keys.len();
         keys.extend(forwarding);
-        self.insert_path(node, None, a);
-        for &key in &keys {
-            self.insert_path(node, Some(key), a);
+        let (old, new) = keys.split_at(old_len);
+        let moved = if slot == next {
+            self.ids.push(node);
+            self.attrs.push(a);
+            self.insert_path(slot, None, a);
+            false
+        } else {
+            let old_attrs = std::mem::replace(&mut self.attrs[slot as usize], a);
+            let moved = old_attrs != a;
+            for &key in old.iter().filter(|k| moved || !new.contains(k)) {
+                self.remove_path(slot, Some(key), old_attrs);
+            }
+            if moved {
+                self.remove_path(slot, None, old_attrs);
+                self.insert_path(slot, None, a);
+            }
+            moved
+        };
+        for &key in new.iter().filter(|k| moved || !old.contains(k)) {
+            self.insert_path(slot, Some(key), a);
         }
+        keys.drain(..old_len);
         if !keys.is_empty() {
-            self.forwarded.insert(node, keys);
+            self.forwarded.insert(slot, keys);
         }
     }
 
@@ -342,6 +401,21 @@ impl HashTreeRegistry {
 
     /// [`HashTreeRegistry::retrieve`] into a caller-owned buffer, which
     /// is cleared first.
+    pub fn retrieve_into(
+        &mut self,
+        query: &AttrQuery,
+        want: usize,
+        out: &mut Vec<NodeId>,
+    ) -> MatchLevel {
+        let mut slots = std::mem::take(&mut self.scratch);
+        let level = self.retrieve_slots_into(query, want, &mut slots);
+        out.clear();
+        out.extend(slots.drain(..).map(|s| self.ids[s as usize]));
+        self.scratch = slots;
+        level
+    }
+
+    /// [`HashTreeRegistry::retrieve_into`] handing out slots.
     ///
     /// Levels are walked in relaxation order. One that fits in what is
     /// still needed is taken whole; the first that does not gives
@@ -358,11 +432,11 @@ impl HashTreeRegistry {
     /// other regions, then the other ISPs: proximity is what the scorer
     /// rewards, and a class-first walk would never reach a `Normal`
     /// node where the high-quality ones alone cover `want`.
-    pub fn retrieve_into(
+    pub(crate) fn retrieve_slots_into(
         &mut self,
         query: &AttrQuery,
         want: usize,
-        out: &mut Vec<NodeId>,
+        out: &mut Vec<u32>,
     ) -> MatchLevel {
         use Pick::{Any, Except, Only};
         out.clear();
@@ -385,7 +459,7 @@ impl HashTreeRegistry {
             ];
             for (match_level, isp, class, region) in pinned {
                 let level = Level { isp, class, region };
-                level.take(isps, None, want - out.len(), out);
+                level.take(isps, None, &self.ids, want - out.len(), out);
                 if out.len() == want {
                     return match_level;
                 }
@@ -403,7 +477,7 @@ impl HashTreeRegistry {
                 class: Any,
                 region,
             };
-            level.take(&mut self.idle, forwarders, want - out.len(), out);
+            level.take(&mut self.idle, forwarders, &self.ids, want - out.len(), out);
             if out.len() == want {
                 break;
             }
@@ -411,20 +485,21 @@ impl HashTreeRegistry {
         MatchLevel::AnyStream
     }
 
-    /// The nodes indexed as forwarding `key`, in index order.
-    pub(crate) fn forwarders(&self, key: StreamKey) -> impl Iterator<Item = NodeId> + '_ {
+    /// The slots indexed as forwarding `key`, in index order.
+    pub(crate) fn forwarders(&self, key: StreamKey) -> impl Iterator<Item = u32> + '_ {
         let isps = self.streams.get(&key);
         isps.into_iter()
             .flat_map(BTreeMap::values)
             .flat_map(BTreeMap::values)
             .flat_map(BTreeMap::values)
-            .flat_map(|leaf| leaf.nodes.iter().copied())
+            .flat_map(|leaf| leaf.slots.iter().copied())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn key(stream_id: u64, substream: u16) -> StreamKey {
         StreamKey {
@@ -528,9 +603,32 @@ mod tests {
         fresh.index_node(NodeId(9), 2, NodeClass::Normal, 20, [a]);
         assert_eq!(reg.len(), fresh.len());
         for k in [a, b] {
-            let ids = |r: &HashTreeRegistry| r.forwarders(k).collect::<Vec<_>>();
+            let ids = |r: &HashTreeRegistry| r.forwarders(k).map(|s| r.id(s)).collect::<Vec<_>>();
             assert_eq!(ids(&reg), ids(&fresh), "forwarders of {k:?}");
         }
+    }
+
+    #[test]
+    fn reindex_with_unchanged_attributes_leaves_the_idle_rotation_alone() {
+        let rotation = |reindex: bool| {
+            let mut reg = HashTreeRegistry::new();
+            // Node 3 is alone in its leaf and handed out: the cursor
+            // stands past it when nodes below and above it join.
+            add_idle(&mut reg, 3, 1, NodeClass::Normal, 10);
+            reg.retrieve(&query(), 1);
+            if reindex {
+                for forwarding in [vec![key(7, 1)], vec![]] {
+                    reg.index_node(NodeId(3), 1, NodeClass::Normal, 10, forwarding);
+                }
+            }
+            add_idle(&mut reg, 1, 1, NodeClass::Normal, 10);
+            add_idle(&mut reg, 5, 2, NodeClass::Normal, 10);
+            (0..3)
+                .map(|_| reg.retrieve(&query(), 2).0)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(rotation(true), rotation(false));
+        assert_eq!(rotation(false)[0], [NodeId(5), NodeId(6)]);
     }
 
     #[test]

@@ -17,10 +17,10 @@ use crate::registry::{AttrQuery, HashTreeRegistry, MatchLevel};
 use crate::scoring::{score, NatSuccessHistory, ScoreWeights};
 use rlive_sim::metrics::{Percentiles, Summary};
 use rlive_sim::trace::{TraceEvent, TraceSink};
-use rlive_sim::{BuildIdHasher, SimDuration, SimRng, SimTime};
+use rlive_sim::{SimDuration, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Scheduler configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -73,8 +73,8 @@ pub struct Recommendation {
     pub match_level: MatchLevel,
 }
 
+/// What the scheduler knows of one node, at the node's registry slot.
 struct NodeRecord {
-    node: NodeId,
     statics: StaticFeatures,
     status: NodeStatus,
     last_heartbeat: SimTime,
@@ -97,41 +97,6 @@ impl NodeRecord {
     fn is_fresh(&self, now: SimTime) -> bool {
         self.last_heartbeat == SimTime::ZERO
             || now.saturating_since(self.last_heartbeat) <= STALENESS
-    }
-}
-
-/// The scheduler's node records: a dense slab plus an id → slot map.
-///
-/// Point lookups only; ordered walks go through the registry, which is
-/// ordered by construction.
-#[derive(Default)]
-struct NodeTable {
-    slab: Vec<NodeRecord>,
-    slots: HashMap<NodeId, u32, BuildIdHasher>,
-}
-
-impl NodeTable {
-    fn len(&self) -> usize {
-        self.slab.len()
-    }
-
-    fn get(&self, node: NodeId) -> Option<&NodeRecord> {
-        self.slots.get(&node).map(|&i| &self.slab[i as usize])
-    }
-
-    fn get_mut(&mut self, node: NodeId) -> Option<&mut NodeRecord> {
-        self.slots.get(&node).map(|&i| &mut self.slab[i as usize])
-    }
-
-    fn insert(&mut self, rec: NodeRecord) {
-        match self.slots.get(&rec.node) {
-            Some(&i) => self.slab[i as usize] = rec,
-            None => {
-                let slot = u32::try_from(self.slab.len()).expect("fewer than 2^32 nodes");
-                self.slots.insert(rec.node, slot);
-                self.slab.push(rec);
-            }
-        }
     }
 }
 
@@ -164,7 +129,9 @@ impl NodeTable {
 pub struct GlobalScheduler {
     cfg: SchedulerConfig,
     registry: HashTreeRegistry,
-    nodes: NodeTable,
+    /// Node records, indexed by the registry's slot: the registry's id
+    /// map is the only one.
+    nodes: Vec<NodeRecord>,
     nat_history: NatSuccessHistory,
     /// The scoring policy behind the [`crate::policy::SchedulerPolicy`]
     /// seam. Adjusts availability scores and absorbs windowed feedback.
@@ -178,7 +145,7 @@ pub struct GlobalScheduler {
     trace: TraceSink,
     // Scratch reused across recommendations and stream-utilisation
     // reads; holds nothing between calls.
-    pool: Vec<NodeId>,
+    pool: Vec<u32>,
     scored: Vec<Candidate>,
 }
 
@@ -189,7 +156,7 @@ impl GlobalScheduler {
         GlobalScheduler {
             cfg,
             registry: HashTreeRegistry::new(),
-            nodes: NodeTable::default(),
+            nodes: Vec::new(),
             nat_history: NatSuccessHistory::default(),
             policy,
             rng,
@@ -220,12 +187,21 @@ impl GlobalScheduler {
             statics.region,
             status.forwarding.iter().copied(),
         );
-        self.nodes.insert(NodeRecord {
-            node,
+        let rec = NodeRecord {
             statics,
             status,
             last_heartbeat: SimTime::ZERO,
-        });
+        };
+        match self.registry.slot(node).expect("just indexed") {
+            slot if slot == self.nodes.len() => self.nodes.push(rec),
+            slot => self.nodes[slot] = rec,
+        }
+    }
+
+    /// Makes room for `nodes` more registrations.
+    pub fn reserve(&mut self, nodes: usize) {
+        self.nodes.reserve_exact(nodes);
+        self.registry.reserve(nodes);
     }
 
     /// Number of known nodes.
@@ -235,19 +211,32 @@ impl GlobalScheduler {
 
     /// Ingests one heartbeat, refreshing temporal state and the index.
     pub fn ingest_heartbeat(&mut self, hb: Heartbeat) {
-        if let Some(rec) = self.nodes.get_mut(hb.node) {
-            let forwarding_changed = rec.status.forwarding != hb.status.forwarding;
-            rec.status = hb.status;
-            rec.last_heartbeat = hb.at;
-            if forwarding_changed {
-                self.registry.index_node(
-                    hb.node,
-                    rec.statics.isp,
-                    rec.statics.class,
-                    rec.statics.region,
-                    rec.status.forwarding.iter().copied(),
-                );
-            }
+        self.ingest_status(hb.node, hb.at, &hb.status);
+    }
+
+    /// [`GlobalScheduler::ingest_heartbeat`] from a status the caller
+    /// keeps: the scalars are copied, and the forwarding set is copied
+    /// and re-indexed only when it changed.
+    pub fn ingest_status(&mut self, node: NodeId, at: SimTime, status: &NodeStatus) {
+        let Some(slot) = self.registry.slot(node) else {
+            return;
+        };
+        let rec = &mut self.nodes[slot];
+        rec.last_heartbeat = at;
+        let forwarding = std::mem::take(&mut rec.status.forwarding);
+        rec.status = NodeStatus {
+            forwarding,
+            ..*status
+        };
+        if rec.status.forwarding != status.forwarding {
+            rec.status.forwarding.clone_from(&status.forwarding);
+            self.registry.index_node(
+                node,
+                rec.statics.isp,
+                rec.statics.class,
+                rec.statics.region,
+                status.forwarding.iter().copied(),
+            );
         }
     }
 
@@ -255,8 +244,9 @@ impl GlobalScheduler {
     /// NAT-specific success-rate term stays current. The same outcome
     /// feeds the active policy's per-node candidate-yield window.
     pub fn observe_connection(&mut self, now: SimTime, node: NodeId, success: bool) {
-        if let Some(rec) = self.nodes.get(node) {
-            self.nat_history.observe(rec.statics.nat, success);
+        if let Some(slot) = self.registry.slot(node) {
+            self.nat_history
+                .observe(self.nodes[slot].statics.nat, success);
             self.policy.note_probe(now, node, success);
         }
     }
@@ -267,7 +257,7 @@ impl GlobalScheduler {
     /// recovery-failure window. A no-op under the static policy and for
     /// departed nodes.
     pub fn note_recovery_outcome(&mut self, now: SimTime, node: NodeId, success: bool) {
-        if self.nodes.get(node).is_some() {
+        if self.registry.slot(node).is_some() {
             self.policy.note_recovery(now, node, success);
         }
     }
@@ -295,9 +285,11 @@ impl GlobalScheduler {
         // record forwards it. Ascending id order fixes the f64 sum.
         self.pool.clear();
         self.pool.extend(self.registry.forwarders(key));
-        self.pool.sort_unstable();
+        self.pool
+            .sort_unstable_by_key(|&slot| self.registry.id(slot));
         let mut s = Summary::new();
-        for rec in self.pool.iter().filter_map(|&n| self.nodes.get(n)) {
+        for &slot in &self.pool {
+            let rec = &self.nodes[slot as usize];
             if rec.is_fresh(now) {
                 s.add(rec.status.utilization());
             }
@@ -321,13 +313,12 @@ impl GlobalScheduler {
         key: StreamKey,
     ) {
         self.scored.clear();
-        for &node in &self.pool {
-            let Some(rec) = self.nodes.get(node) else {
-                continue;
-            };
+        for &slot in &self.pool {
+            let rec = &self.nodes[slot as usize];
             if !rec.is_fresh(now) {
                 continue;
             }
+            let node = self.registry.id(slot);
             // The policy seam: the static score passes through
             // unmodified under `StaticScorePolicy`; `AdaptivePolicy`
             // multiplies in the node's learned demotion/boost factor.
@@ -347,7 +338,7 @@ impl GlobalScheduler {
             };
             self.scored.push(Candidate {
                 node,
-                score: availability / cost,
+                score: rank_score(availability, cost),
                 already_forwarding: already,
             });
         }
@@ -398,7 +389,9 @@ impl GlobalScheduler {
         // Retrieve a pool several times K so ranking has slack. The
         // registry hands out at most `want` ids at any population.
         let want = self.cfg.top_k * 8;
-        let match_level = self.registry.retrieve_into(&query, want, &mut self.pool);
+        let match_level = self
+            .registry
+            .retrieve_slots_into(&query, want, &mut self.pool);
         self.score_pool(now, &weights, client, key);
         let scored_len = self.scored.len();
         let k = self.cfg.top_k;
@@ -441,14 +434,21 @@ impl GlobalScheduler {
     }
 }
 
-/// Rank order: score descending, then node id ascending. Total over
-/// candidates with distinct ids, so a ranked vector is unique and any
-/// of its positions can be computed by selection.
+/// A candidate's score, `availability / cost`, checked to rank by its
+/// bits: for finite scores of positive sign (+0.0 but not −0.0), the
+/// order of the bit patterns as integers is the numeric order.
+fn rank_score(availability: f64, cost: f64) -> f64 {
+    let s = availability / cost;
+    assert!(s.is_finite() && s.is_sign_positive(), "rank score {s}");
+    s
+}
+
+/// Rank order: score descending, then node id ascending, compared as
+/// integers (see [`rank_score`]). Total over candidates with distinct
+/// ids, so a ranked vector is unique and any of its positions can be
+/// computed by selection.
 fn by_rank(a: &Candidate, b: &Candidate) -> Ordering {
-    b.score
-        .partial_cmp(&a.score)
-        .expect("scores are finite")
-        .then_with(|| a.node.cmp(&b.node))
+    (b.score.to_bits(), a.node).cmp(&(a.score.to_bits(), b.node))
 }
 
 /// Reorders `v` so that `v[..n]` holds ranks `0..n` in order.
@@ -783,9 +783,7 @@ mod tests {
         let (pool, match_level) = s.registry.retrieve(&query, s.cfg.top_k * 8);
         let mut scored = Vec::new();
         for node in pool {
-            let Some(rec) = s.nodes.get(node) else {
-                continue;
-            };
+            let rec = &s.nodes[s.registry.slot(node).expect("indexed")];
             if now.saturating_since(rec.last_heartbeat) > STALENESS
                 && rec.last_heartbeat != SimTime::ZERO
             {
@@ -844,15 +842,21 @@ mod tests {
     /// tie; substream (0, s) is forwarded by about half, an eighth, a
     /// fiftieth and none of the nodes for s = 0..4, which puts >= 64,
     /// 1-63 and 0 forwarders in front of the idle level; a third of the
-    /// nodes are stale at t = 100 s and a few are gone.
-    fn generated(seed: u64, n: u64, policy: SchedulerPolicyKind) -> GlobalScheduler {
+    /// nodes are stale at t = 100 s and a few are gone. Nodes register
+    /// in ascending id order, or descending, which reverses slot order.
+    fn generated(
+        seed: u64,
+        n: u64,
+        policy: SchedulerPolicyKind,
+        descending: bool,
+    ) -> GlobalScheduler {
         let cfg = SchedulerConfig {
             policy,
             ..SchedulerConfig::default()
         };
         let mut s = GlobalScheduler::new(cfg, SimRng::new(seed));
         let mut g = SimRng::new(seed ^ 0x5eed);
-        for i in 0..n {
+        for i in (0..n).map(|i| if descending { n - 1 - i } else { i }) {
             let statics = StaticFeatures {
                 isp: g.below(3) as u16,
                 region: g.below(3) as u16,
@@ -973,10 +977,12 @@ mod tests {
     fn recommend_matches_the_full_sort_reference() {
         for policy in [SchedulerPolicyKind::Static, SchedulerPolicyKind::Adaptive] {
             // 5 nodes: fewer than k, and the any-ISP fallback. 150:
-            // the idle level answers. 1 500: the pinned levels do.
-            for (seed, n) in [(1, 5), (2, 150), (3, 1_500)] {
-                let mut new = generated(seed, n, policy);
-                let mut old = generated(seed, n, policy);
+            // the idle level answers. 1 500: the pinned levels do, and
+            // registered in descending id order, slot order is reversed.
+            let cases = [(1, 5, false), (2, 150, false), (3, 1_500, false)];
+            for (seed, n, descending) in cases.into_iter().chain([(4, 1_500, true)]) {
+                let mut new = generated(seed, n, policy, descending);
+                let mut old = generated(seed, n, policy, descending);
                 let mut g = SimRng::new(seed);
                 for i in 0..40 {
                     let client = generated_client(&mut g, i);
@@ -989,6 +995,55 @@ mod tests {
                 }
                 assert_same_state(&mut new, &mut old);
             }
+        }
+    }
+
+    #[test]
+    fn rank_key_orders_as_partial_cmp_then_id() {
+        let tiny = f64::from_bits(1);
+        let mut scores = vec![0.0, tiny, 2.0 * tiny, f64::MIN_POSITIVE / 2.0];
+        scores.extend([
+            f64::MIN_POSITIVE,
+            0.25,
+            0.5,
+            1.0,
+            1.0 + f64::EPSILON,
+            f64::MAX,
+        ]);
+        let mut g = SimRng::new(9);
+        scores.extend((0..20).map(|_| g.range_f64(0.0, 2.0)));
+        for &a in &scores {
+            for &b in &scores {
+                for (x, y) in [(1, 2), (2, 1), (3, 3)] {
+                    let c = |node, score| Candidate {
+                        node: NodeId(node),
+                        score,
+                        already_forwarding: false,
+                    };
+                    let expected = b.partial_cmp(&a).unwrap().then(x.cmp(&y));
+                    assert_eq!(
+                        by_rank(&c(x, a), &c(y, b)),
+                        expected,
+                        "{a:e} {x} vs {b:e} {y}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rank_score_rejects_what_its_bits_would_misorder() {
+        assert_eq!(rank_score(0.0, 2.0).to_bits(), 0);
+        assert_eq!(rank_score(0.5, 2.0), 0.25);
+        for (availability, cost) in [
+            (f64::NAN, 1.0),
+            (1.0, 0.0),
+            (-0.0, 1.0),
+            (0.0, -1.0),
+            (-0.5, 2.0),
+        ] {
+            let made = std::panic::catch_unwind(|| rank_score(availability, cost));
+            assert!(made.is_err(), "{availability} / {cost} was accepted");
         }
     }
 

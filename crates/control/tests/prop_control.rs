@@ -231,6 +231,132 @@ mod reference {
             (out, level)
         }
     }
+
+    type Pick = (Option<u16>, Option<u16>);
+
+    /// Whether `pick`, `(Some(v), _)` for only `v` or `(_, Some(v))`
+    /// for all but `v`, admits `key`.
+    fn admits(pick: Pick, key: u16) -> bool {
+        pick.0.is_none_or(|v| v == key) && pick.1 != Some(key)
+    }
+
+    /// Bounded retrieval with the leaf rotation, written plainly over
+    /// one flat map of id sets: every leaf of a level gives an id in
+    /// turn until the level has given what is still needed, then each
+    /// hands out its share resuming at its cursor. A re-index moves a
+    /// node only off the paths it leaves and onto the ones it gains; a
+    /// leaf that empties is dropped with its cursor.
+    #[derive(Default)]
+    pub struct Rotating {
+        leaves: BTreeMap<Path, (BTreeSet<NodeId>, NodeId)>,
+        paths: HashMap<NodeId, BTreeSet<Path>>,
+    }
+
+    impl Rotating {
+        pub fn index_node(
+            &mut self,
+            node: NodeId,
+            isp: u16,
+            class: NodeClass,
+            region: u16,
+            forwarding: impl IntoIterator<Item = StreamKey>,
+        ) {
+            let path = |stream| (stream, isp, class_key(class), region);
+            let mut new: BTreeSet<Path> = forwarding.into_iter().map(|k| path(Some(k))).collect();
+            new.insert(path(None));
+            let old = self.paths.insert(node, new.clone()).unwrap_or_default();
+            for p in old.difference(&new) {
+                let (ids, _) = self.leaves.get_mut(p).expect("indexed path");
+                ids.remove(&node);
+                if ids.is_empty() {
+                    self.leaves.remove(p);
+                }
+            }
+            for p in new.difference(&old) {
+                self.leaves.entry(*p).or_default().0.insert(node);
+            }
+        }
+
+        pub fn retrieve(&mut self, query: &AttrQuery, want: usize) -> (Vec<NodeId>, MatchLevel) {
+            let mut out = Vec::new();
+            if want == 0 {
+                return (out, MatchLevel::Exact);
+            }
+            let (isp, class, region) = (query.isp, u16::from(class_key(query.class)), query.region);
+            let only = |v| (Some(v), None);
+            let except = |v| (None, Some(v));
+            let any = (None, None);
+            let stream = Some(query.stream);
+            let levels = [
+                (
+                    MatchLevel::Exact,
+                    stream,
+                    only(isp),
+                    only(class),
+                    only(region),
+                ),
+                (
+                    MatchLevel::AnyRegion,
+                    stream,
+                    only(isp),
+                    only(class),
+                    except(region),
+                ),
+                (MatchLevel::AnyClass, stream, only(isp), except(class), any),
+                (MatchLevel::AnyIsp, stream, except(isp), any, any),
+                (MatchLevel::AnyStream, None, only(isp), any, only(region)),
+                (MatchLevel::AnyStream, None, only(isp), any, except(region)),
+                (MatchLevel::AnyStream, None, except(isp), any, any),
+            ];
+            for (level, stream, isp, class, region) in levels {
+                // The level's leaves, each with its ids in hand-out order:
+                // from the cursor, wrapping, and in the idle index without
+                // the forwarders of the queried stream.
+                let mut queues: Vec<(Path, Vec<NodeId>)> = Vec::new();
+                for (&path, (ids, cursor)) in &self.leaves {
+                    let (s, i, c, r) = path;
+                    if s != stream
+                        || !admits(isp, i)
+                        || !admits(class, c.into())
+                        || !admits(region, r)
+                    {
+                        continue;
+                    }
+                    let forwarders = self.leaves.get(&(Some(query.stream), i, c, r));
+                    let ids = ids.range(*cursor..).chain(ids.range(..*cursor));
+                    let ids =
+                        ids.filter(|n| s.is_some() || !forwarders.is_some_and(|f| f.0.contains(n)));
+                    queues.push((path, ids.copied().collect()));
+                }
+                // One id from each leaf in turn until the level has given
+                // what is still needed or has nothing left.
+                let mut counts = vec![0; queues.len()];
+                let mut given = out.len();
+                let mut gave = true;
+                while gave {
+                    gave = false;
+                    for (count, (_, ids)) in counts.iter_mut().zip(&queues) {
+                        if given < want && *count < ids.len() {
+                            *count += 1;
+                            given += 1;
+                            gave = true;
+                        }
+                    }
+                }
+                for (count, (path, ids)) in counts.into_iter().zip(queues) {
+                    if let Some(last) = ids[..count].last() {
+                        self.leaves.get_mut(&path).expect("a leaf").1 =
+                            NodeId(last.0.wrapping_add(1));
+                    }
+                    out.extend_from_slice(&ids[..count]);
+                }
+                if out.len() == want {
+                    return (out, level);
+                }
+            }
+            (out, MatchLevel::AnyStream)
+        }
+    }
 }
 
 /// What each relaxation level of the reference adds to the pool for
@@ -322,6 +448,39 @@ proptest! {
                 let into_level = reg.retrieve_into(query, want, &mut buf);
                 prop_assert_eq!((buf.len(), into_level), (got.len(), level), "want {}", want);
                 prop_assert!(buf.iter().all(|n| pool.contains(n)), "want {} (into)", want);
+            }
+        }
+    }
+
+    /// A node's slot is its order of first indexing, which a shuffled
+    /// build and re-indexing under new attributes set apart from id
+    /// order. Retrieval must not see it: over repeated retrievals,
+    /// before and after the re-indexing, the registry hands out the
+    /// reference's ids at its level, rotation included.
+    #[test]
+    fn slot_order_does_not_reach_retrieval(
+        shuffle in prop::collection::vec(any::<u32>(), 40..41),
+        builds in prop::collection::vec(arb_op(), 40..41),
+        moves in prop::collection::vec(arb_op(), 0..40),
+        queries in prop::collection::vec((arb_query(), 0usize..48), 1..12),
+    ) {
+        let mut reg = HashTreeRegistry::new();
+        let mut reference = reference::Rotating::default();
+        let mut order: Vec<u64> = (0..40).collect();
+        order.sort_by_key(|&node| shuffle[node as usize]);
+        let built = order.iter().zip(builds).map(|(&node, op)| RegistryOp { node, ..op });
+        for (pass, ops) in [built.collect::<Vec<_>>(), moves].into_iter().enumerate() {
+            for op in ops {
+                let node = NodeId(op.node);
+                reg.index_node(node, op.isp, op.class, op.region, op.forwarding.iter().copied());
+                reference.index_node(node, op.isp, op.class, op.region, op.forwarding);
+            }
+            for (query, want) in queries.iter().chain(&queries) {
+                prop_assert_eq!(
+                    reg.retrieve(query, *want),
+                    reference.retrieve(query, *want),
+                    "pass {} want {} {:?}", pass, want, query
+                );
             }
         }
     }

@@ -21,7 +21,6 @@ use rlive_sim::churn::{ChurnModel, ChurnTimeline};
 use rlive_sim::link::{Link, LinkConfig, TxOutcome};
 use rlive_sim::{SimDuration, SimRng, SimTime};
 use rlive_workload::nodes::NodeSpec;
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// A typed view of one forwarding target, resolved by the router so
@@ -69,15 +68,16 @@ pub(crate) fn resolve_views(
 
 /// What one maintenance tick of a relay produced, for the world to
 /// route onwards: the next tick interval, an online transition (if
-/// any), the heartbeat to ingest, and the adviser evaluation key (if
-/// the adviser came due with an active forwarding entry).
+/// any), whether to ingest a heartbeat, and the adviser evaluation key
+/// (if the adviser came due with an active forwarding entry).
 pub(crate) struct RelayTickOutcome {
     /// Interval until the next tick.
     pub interval: SimDuration,
     /// `Some(new_state)` when the churn state flipped this tick.
     pub transition: Option<bool>,
-    /// Status report for the global scheduler (online relays only).
-    pub heartbeat: Option<NodeStatus>,
+    /// Whether the relay reports [`Relay::status`] to the global
+    /// scheduler (online relays only).
+    pub heartbeat: bool,
     /// Forwarding key to evaluate the adviser against, if due.
     pub adviser_key: Option<StreamKey>,
 }
@@ -103,7 +103,9 @@ pub(crate) struct Relay {
     /// table sorted by key (binary-searched; iteration order matches
     /// the BTreeMap it replaces).
     subscribers: Vec<((u32, u16), Vec<u64>)>,
-    forwarding: BTreeSet<StreamKey>,
+    /// What the relay's heartbeats report. `forwarding` is kept live;
+    /// the load scalars are refreshed by every online tick.
+    pub status: NodeStatus,
     /// Bytes served to subscribers over the uplink.
     pub serving_bytes: u64,
     /// Bytes pulled from the CDN backhaul.
@@ -138,7 +140,10 @@ impl Relay {
             online: true,
             adviser: EdgeAdviser::new(NodeId(spec.id), adviser_cfg),
             subscribers: Vec::new(),
-            forwarding: BTreeSet::new(),
+            status: NodeStatus {
+                conn_success_rate: 0.95,
+                ..NodeStatus::idle(spec.capacity_mbps)
+            },
             serving_bytes: 0,
             backward_bytes: 0,
             peak_subscribers: 0,
@@ -238,7 +243,7 @@ impl Relay {
             stream_id: stream as u64,
             substream: if ss == FULL_STREAM { 0 } else { ss },
         };
-        self.forwarding.insert(key);
+        self.status.forwarding.insert(key);
         if client_exists {
             let rtt = self.spec.base_rtt_ms as f64;
             self.adviser.record_connection_qos(ClientId(cid), rtt);
@@ -258,7 +263,7 @@ impl Relay {
                     stream_id: stream as u64,
                     substream: if ss == FULL_STREAM { 0 } else { ss },
                 };
-                self.forwarding.remove(&key);
+                self.status.forwarding.remove(&key);
             }
         }
         self.quotas.release(bandwidth_mbps * 1.6, 0.02, 4.0);
@@ -283,7 +288,7 @@ impl Relay {
             // Node went offline: drop all state; subscribers find out
             // through stalls and failover.
             self.subscribers.clear();
-            self.forwarding.clear();
+            self.status.forwarding.clear();
             self.quotas = NodeQuotas::new(
                 self.spec.capacity_mbps,
                 2.0,
@@ -291,7 +296,7 @@ impl Relay {
                 (self.spec.capacity_mbps / 0.5).clamp(4.0, 200.0),
             );
         }
-        let active = !self.forwarding.is_empty();
+        let active = !self.status.forwarding.is_empty();
         let interval = SimDuration::from_secs(heartbeat_interval_secs(active && self.online));
 
         // Background load of co-tenant services modulates the usable
@@ -304,30 +309,24 @@ impl Relay {
 
         // Heartbeat (only online nodes report; offline nodes go stale in
         // the scheduler and are filtered out).
-        let (heartbeat, adviser_key) = if self.online {
-            let status = NodeStatus {
-                capacity_mbps: self.spec.capacity_mbps,
-                used_mbps: self.quotas.bandwidth.used,
-                conn_success_rate: 0.95,
-                forwarding: self.forwarding.clone(),
-                subscribers: self.subscriber_count() as u32,
-            };
+        let adviser_key = if self.online {
+            self.status.used_mbps = self.quotas.bandwidth.used;
+            self.status.subscribers = self.subscriber_count() as u32;
             // Adviser evaluation (§4.2.2) every other tick (10 s).
             self.adviser
                 .record_utilization(self.quotas.bandwidth.utilization());
-            let key = if self.adviser.due(now) {
-                self.forwarding.iter().next().copied()
+            if self.adviser.due(now) {
+                self.status.forwarding.first().copied()
             } else {
                 None
-            };
-            (Some(status), key)
+            }
         } else {
-            (None, None)
+            None
         };
         RelayTickOutcome {
             interval,
             transition: (was_online != self.online).then_some(self.online),
-            heartbeat,
+            heartbeat: self.online,
             adviser_key,
         }
     }
@@ -550,12 +549,12 @@ mod tests {
         let before = r.tick(SimTime::ZERO + SimDuration::from_secs(1), &mut rng);
         assert!(r.online);
         assert!(before.transition.is_none());
-        assert!(before.heartbeat.is_some());
+        assert!(before.heartbeat);
 
         let during = r.tick(outage_at + SimDuration::from_secs(1), &mut rng);
         assert!(!r.online);
         assert_eq!(during.transition, Some(false));
-        assert!(during.heartbeat.is_none(), "offline nodes do not report");
+        assert!(!during.heartbeat, "offline nodes do not report");
         assert_eq!(r.subscriber_count(), 0, "outage drops all subscribers");
         assert!(!r.feeds(0));
         assert!(

@@ -22,7 +22,6 @@ use crate::events::{Event, SliceDelivery, SlicePool, TraceEvent, TraceSink, FULL
 use crate::qoe::GroupQoe;
 use crate::session;
 use crate::shard::ShardBatch;
-use rlive_control::features::Heartbeat;
 use rlive_control::{GlobalScheduler, NodeClass, NodeId, NodeStatus, StaticFeatures};
 use rlive_data::recovery::RecoveryStats;
 use rlive_media::frame::FrameHeader;
@@ -273,6 +272,7 @@ impl World {
 
         // Relays, all drawing churn from one shared model.
         let churn = Arc::new(population.churn);
+        scheduler.reserve(population.nodes.len());
         let relays: Vec<Relay> = population
             .nodes
             .iter()
@@ -949,12 +949,10 @@ impl World {
         }
         // Heartbeat (only online nodes report; offline nodes go stale
         // in the scheduler and are filtered out).
-        if let Some(status) = outcome.heartbeat {
-            self.scheduler.ingest_heartbeat(Heartbeat {
-                node: NodeId(rid as u64),
-                at: now,
-                status,
-            });
+        if outcome.heartbeat {
+            let status = &self.relays[rid as usize].status;
+            self.scheduler
+                .ingest_status(NodeId(rid as u64), now, status);
         }
         // Adviser evaluation (§4.2.2) every other tick (10 s).
         if let Some(key) = outcome.adviser_key {

@@ -55,21 +55,25 @@ pub use time::{SimDuration, SimTime};
 
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// Hashes one simulator-assigned `u64` id (a node or client id) by one
-/// multiplication. Ids never come from outside input, so there is
-/// nobody to defend against with a keyed hash, and a fixed hasher keeps
-/// every map's layout — and so its allocation count — the same from one
-/// process to the next.
+/// Hashes one simulator-assigned id (a `u64` node or client id, or a
+/// `u32` slot) by one multiplication. Ids never come from outside
+/// input, so there is nobody to defend against with a keyed hash, and
+/// a fixed hasher keeps every map's layout — and so its allocation
+/// count — the same from one process to the next.
 #[derive(Default)]
 pub struct IdHasher(u64);
 
 impl Hasher for IdHasher {
     fn write(&mut self, _: &[u8]) {
-        unreachable!("an id hashes as a single u64");
+        unreachable!("an id hashes as a single integer");
     }
 
     fn write_u64(&mut self, id: u64) {
         self.0 = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn write_u32(&mut self, id: u32) {
+        self.write_u64(id.into());
     }
 
     fn finish(&self) -> u64 {

@@ -4,6 +4,7 @@ use proptest::prelude::*;
 use rlive_sim::link::{Link, LinkConfig, TxOutcome};
 use rlive_sim::metrics::{Percentiles, Summary};
 use rlive_sim::rng::EmpiricalCdf;
+use rlive_sim::trace::TraceEvent;
 use rlive_sim::{EventQueue, SimDuration, SimRng, SimTime};
 
 proptest! {
@@ -164,5 +165,86 @@ proptest! {
         for _ in 0..50 {
             prop_assert!(rng.below(n) < n);
         }
+    }
+}
+
+#[test]
+fn all_kinds_matches_the_kind_mapping() {
+    // One witness per variant, mapped through kind(): the constant
+    // and the mapping must agree, in order.
+    let witnesses = [
+        TraceEvent::SchedulerRecommendation {
+            stream: 0,
+            substream: 0,
+            candidates: 0,
+            service_time_ms: 0.0,
+        },
+        TraceEvent::AdviserCostTrigger {
+            node: 0,
+            node_util: 0.0,
+            stream_util: 0.0,
+        },
+        TraceEvent::AdviserQosTrigger {
+            node: 0,
+            outliers: 0,
+        },
+        TraceEvent::RecoveryDecision {
+            dts_ms: 0,
+            action: "a",
+            loss: 0.0,
+            failure_probability: 0.0,
+        },
+        TraceEvent::ReorderHeadSkip {
+            dts_ms: 0,
+            released: 0,
+        },
+        TraceEvent::Churn {
+            node: 0,
+            online: true,
+        },
+        TraceEvent::ModeSwitch {
+            from: "a",
+            to: "b",
+            reason: "r",
+        },
+        TraceEvent::SessionJoin {
+            stream: 0,
+            group: "g",
+            mode: "m",
+        },
+        TraceEvent::SessionDepart {
+            frames_played: 0,
+            rebuffer_events: 0,
+        },
+        TraceEvent::CdnPrefill { frames: 0 },
+        TraceEvent::MultiSourcePromotion {
+            granted: true,
+            relays: 0,
+        },
+        TraceEvent::RecoveryOutcome {
+            dts_ms: 0,
+            action: "a",
+            success: true,
+        },
+        TraceEvent::RecoveryDeadlineBlown {
+            dts_ms: 0,
+            action: "a",
+        },
+        TraceEvent::HedgeIssued {
+            dts_ms: 0,
+            fanout: 2,
+        },
+        TraceEvent::HedgeCancelled {
+            dts_ms: 0,
+            remaining: 1,
+        },
+        TraceEvent::HedgeWon {
+            dts_ms: 0,
+            attempt: 0,
+        },
+    ];
+    assert_eq!(witnesses.len(), TraceEvent::ALL_KINDS.len());
+    for (w, expect) in witnesses.iter().zip(TraceEvent::ALL_KINDS) {
+        assert_eq!(w.kind(), expect);
     }
 }

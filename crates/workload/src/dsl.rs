@@ -968,64 +968,6 @@ mod tests {
     }
 
     #[test]
-    fn validation_rejects_contradictory_phases() {
-        // Overlapping mass outage and churn storm.
-        let mut p = ScenarioProgram::base("x");
-        p.phases = vec![
-            Phase::MassOutage {
-                at_s: 5,
-                dur_s: 10,
-                fraction: 0.5,
-            },
-            Phase::ChurnStorm {
-                at_s: 10,
-                dur_s: 10,
-                fraction: 0.3,
-            },
-        ];
-        assert!(matches!(
-            p.validate(),
-            Err(DslError::ContradictoryPhases(_))
-        ));
-
-        // Same-region overlapping outages: contradictory.
-        p.phases = vec![
-            Phase::RegionalOutage {
-                at_s: 5,
-                dur_s: 10,
-                region: 2,
-            },
-            Phase::RegionalOutage {
-                at_s: 8,
-                dur_s: 10,
-                region: 2,
-            },
-        ];
-        assert!(matches!(
-            p.validate(),
-            Err(DslError::ContradictoryPhases(_))
-        ));
-
-        // Different regions may overlap: disjoint relay sets.
-        p.phases[1] = Phase::RegionalOutage {
-            at_s: 8,
-            dur_s: 10,
-            region: 3,
-        };
-        assert_eq!(p.validate(), Ok(()));
-
-        // Two NAT shifts contradict.
-        p.phases = vec![
-            Phase::NatShift { hard_fraction: 0.2 },
-            Phase::NatShift { hard_fraction: 0.8 },
-        ];
-        assert!(matches!(
-            p.validate(),
-            Err(DslError::ContradictoryPhases(_))
-        ));
-    }
-
-    #[test]
     fn spec_round_trips_exactly() {
         let p = full_program();
         let text = p.render_spec();

@@ -10,7 +10,7 @@
 
 use proptest::prelude::*;
 use rlive_sim::{SimDuration, SimRng, SimTime};
-use rlive_workload::dsl::{Phase, ScenarioProgram, ScriptedEvent};
+use rlive_workload::dsl::{DslError, Phase, ScenarioProgram, ScriptedEvent};
 
 /// A random program: `steps` mutations from the base under one seed.
 fn chain(seed: u64, steps: usize) -> ScenarioProgram {
@@ -181,4 +181,62 @@ proptest! {
             prop_assert!(program.compile().is_ok());
         }
     }
+}
+
+#[test]
+fn validation_rejects_contradictory_phases() {
+    // Overlapping mass outage and churn storm.
+    let mut p = ScenarioProgram::base("x");
+    p.phases = vec![
+        Phase::MassOutage {
+            at_s: 5,
+            dur_s: 10,
+            fraction: 0.5,
+        },
+        Phase::ChurnStorm {
+            at_s: 10,
+            dur_s: 10,
+            fraction: 0.3,
+        },
+    ];
+    assert!(matches!(
+        p.validate(),
+        Err(DslError::ContradictoryPhases(_))
+    ));
+
+    // Same-region overlapping outages: contradictory.
+    p.phases = vec![
+        Phase::RegionalOutage {
+            at_s: 5,
+            dur_s: 10,
+            region: 2,
+        },
+        Phase::RegionalOutage {
+            at_s: 8,
+            dur_s: 10,
+            region: 2,
+        },
+    ];
+    assert!(matches!(
+        p.validate(),
+        Err(DslError::ContradictoryPhases(_))
+    ));
+
+    // Different regions may overlap: disjoint relay sets.
+    p.phases[1] = Phase::RegionalOutage {
+        at_s: 8,
+        dur_s: 10,
+        region: 3,
+    };
+    assert_eq!(p.validate(), Ok(()));
+
+    // Two NAT shifts contradict.
+    p.phases = vec![
+        Phase::NatShift { hard_fraction: 0.2 },
+        Phase::NatShift { hard_fraction: 0.8 },
+    ];
+    assert!(matches!(
+        p.validate(),
+        Err(DslError::ContradictoryPhases(_))
+    ));
 }
