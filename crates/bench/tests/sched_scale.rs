@@ -11,53 +11,16 @@
 //! process-wide, so a second test on another thread would be counted
 //! into the first.
 
+mod live_alloc;
 mod sched_shape;
 
-use rlive_bench::perf::CountingAlloc;
+use live_alloc::{live_bytes, LiveAlloc};
 use rlive_control::features::{NodeId, NodeStatus};
 use rlive_control::scheduler::{GlobalScheduler, SchedulerConfig};
 use rlive_sim::{SimRng, SimTime};
 use sched_shape::{allocated, client, key, statics, ISPS};
-use std::alloc::{GlobalAlloc, Layout};
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-
-// Statistics only: nothing is published through it, so `Relaxed`.
-static LIVE: AtomicU64 = AtomicU64::new(0);
-
-/// [`CountingAlloc`] plus a count of the bytes live right now.
-struct LiveAlloc;
-
-// SAFETY: every method hands its arguments unchanged to `CountingAlloc`
-// (a pass-through to `System`) and returns its result unchanged; the
-// bookkeeping touches only the atomic above, never the memory.
-unsafe impl GlobalAlloc for LiveAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: same contract, same arguments.
-        let p = unsafe { CountingAlloc.alloc(layout) };
-        if !p.is_null() {
-            LIVE.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        }
-        p
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // SAFETY: same contract, same arguments.
-        let p = unsafe { CountingAlloc.realloc(ptr, layout, new_size) };
-        if !p.is_null() {
-            LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
-            LIVE.fetch_add(new_size as u64, Ordering::Relaxed);
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: same contract, same arguments.
-        unsafe { CountingAlloc.dealloc(ptr, layout) };
-        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
-    }
-}
 
 #[global_allocator]
 static GLOBAL_ALLOC: LiveAlloc = LiveAlloc;
@@ -79,14 +42,14 @@ const SIZES: [(u64, f64); 3] = [(10_000, 216.0), (100_000, 172.0), (1_000_000, 1
 fn scheduler_state_and_read_path_at_one_million_nodes() {
     let mut counts = Vec::new();
     for (n, bound) in SIZES {
-        let live0 = LIVE.load(Ordering::Relaxed);
+        let live0 = live_bytes();
         let started = Instant::now();
         let mut sched = GlobalScheduler::new(SchedulerConfig::default(), SimRng::new(1));
         for i in 0..n {
             sched.register_node(NodeId(i), statics(i), NodeStatus::idle(50.0));
         }
         let register_ns = started.elapsed().as_nanos() as f64 / n as f64;
-        let per_node = (LIVE.load(Ordering::Relaxed) - live0) as f64 / n as f64;
+        let per_node = (live_bytes() - live0) as f64 / n as f64;
 
         let now = SimTime::from_secs(1);
         // Warm-up: one call per ISP sizes the scratch buffers.

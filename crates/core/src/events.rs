@@ -160,25 +160,47 @@ impl Event {
         }
     }
 
-    /// Counter label of this event kind (simulator instrumentation).
-    pub fn kind(&self) -> &'static str {
+    /// Index of this event kind in [`EVENT_KINDS`].
+    pub fn kind_index(&self) -> usize {
         match self {
-            Event::StreamFrame { .. } => "stream_frame",
-            Event::RelayFrame { .. } => "relay_frame",
-            Event::ClientSlice(_) => "client_slice",
-            Event::ChainDelivery { .. } => "chain_delivery",
-            Event::PlayerTick { .. } => "player_tick",
-            Event::ControlTick { .. } => "control_tick",
-            Event::RecoveryOutcome { .. } => "recovery_outcome",
-            Event::HedgeOutcome { .. } => "hedge_outcome",
-            Event::RelayTick { .. } => "relay_tick",
-            Event::CdnTick { .. } => "cdn_tick",
-            Event::ClientArrival => "client_arrival",
-            Event::MultiSourceUpgrade { .. } => "multi_source_upgrade",
-            Event::ClientDeparture { .. } => "client_departure",
+            Event::StreamFrame { .. } => 0,
+            Event::RelayFrame { .. } => 1,
+            Event::ClientSlice(_) => 2,
+            Event::ChainDelivery { .. } => 3,
+            Event::PlayerTick { .. } => 4,
+            Event::ControlTick { .. } => 5,
+            Event::RecoveryOutcome { .. } => 6,
+            Event::HedgeOutcome { .. } => 7,
+            Event::RelayTick { .. } => 8,
+            Event::CdnTick { .. } => 9,
+            Event::ClientArrival => 10,
+            Event::MultiSourceUpgrade { .. } => 11,
+            Event::ClientDeparture { .. } => 12,
         }
     }
+
+    /// Counter label of this event kind (simulator instrumentation).
+    pub fn kind(&self) -> &'static str {
+        EVENT_KINDS[self.kind_index()]
+    }
 }
+
+/// Counter labels of the event kinds, indexed by [`Event::kind_index`].
+pub const EVENT_KINDS: [&str; 13] = [
+    "stream_frame",
+    "relay_frame",
+    "client_slice",
+    "chain_delivery",
+    "player_tick",
+    "control_tick",
+    "recovery_outcome",
+    "hedge_outcome",
+    "relay_tick",
+    "cdn_tick",
+    "client_arrival",
+    "multi_source_upgrade",
+    "client_departure",
+];
 
 // Every heap sift moves whole events: the slice payload stays boxed.
 const _: () = assert!(std::mem::size_of::<Event>() <= 24);

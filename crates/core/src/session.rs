@@ -285,15 +285,15 @@ fn failover_and_switch(world: &mut World, now: SimTime, cid: u64, scratch: &mut 
         let idx = c.node.0 as usize;
         if idx < world.relays.len()
             && world.relays[idx].online
-            && (!hq_only || world.relays[idx].spec.high_quality)
+            && (!hq_only || world.relays[idx].high_quality)
         {
-            let rtt = world.relays[idx].rtt_estimate(now);
+            let rtt = world.serve(c.node.0 as u32).rtt_estimate(now);
             candidate_rtts.push((c.node, rtt));
         }
     }
     let worst = sources
         .iter()
-        .map(|&rid| (rid, world.relays[rid as usize].rtt_estimate(now)))
+        .map(|&rid| (rid, world.serve(rid).rtt_estimate(now)))
         .max_by_key(|(_, rtt)| *rtt);
     if let Some((rid, cur_rtt)) = worst {
         let decision = {
@@ -823,7 +823,9 @@ fn subscription_mbps(world: &World, ss: u16) -> f64 {
 pub(crate) fn subscribe(world: &mut World, cid: u64, rid: u32, stream: u32, ss: u16) -> bool {
     let client_exists = world.clients.contains_key(&cid);
     let mbps = subscription_mbps(world, ss);
-    let admitted = world.relays[rid as usize].subscribe(cid, stream, ss, mbps, client_exists);
+    let admitted = world
+        .serve(rid)
+        .subscribe(cid, stream, ss, mbps, client_exists);
     world.refile_feeder(rid, stream);
     admitted
 }
@@ -1032,7 +1034,7 @@ fn pick_relay_excluding(
         // nodes; everything else is invisible to it.
         let hq = relays
             .get(n.0 as usize)
-            .map(|r| r.spec.high_quality)
+            .map(|r| r.high_quality)
             .unwrap_or(false);
         !extra.contains(&(n.0 as u32)) && (!hq_only || hq) && (!weak_only || !hq)
     });
@@ -1051,8 +1053,8 @@ fn pick_relay_excluding(
         world.candidate_probes += 1;
         let relay = &world.relays[idx];
         let usable = relay.online
-            && relay.quotas.admits(0.75 * 1.6, 0.02, 4.0)
-            && world.traversal.attempt(relay.spec.nat, &mut world.rng);
+            && relay.admits(0.75 * 1.6, 0.02, 4.0)
+            && world.traversal.attempt(relay.nat, &mut world.rng);
         world.scheduler.observe_connection(now, node, usable);
         let controller = &mut world.clients.get_mut(&cid).expect("exists").controller;
         if usable {

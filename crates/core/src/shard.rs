@@ -165,7 +165,7 @@ impl World {
             return;
         }
         let ats: Vec<SimTime> = batch.events.iter().map(|(at, _)| *at).collect();
-        let kinds: Vec<&'static str> = batch.events.iter().map(|(_, e)| e.kind()).collect();
+        let kinds: Vec<usize> = batch.events.iter().map(|(_, e)| e.kind_index()).collect();
         let per_shard = {
             let _span = time_stage(Stage::ShardExecute);
             match batch.class {
@@ -185,7 +185,7 @@ impl World {
             let _merge_span = time_stage(Stage::ShardMerge);
             for (i, slot) in slots.into_iter().enumerate() {
                 let outcome = slot.expect("every sharded event produces an outcome");
-                self.counters.bump(kinds[i]);
+                self.event_counts[kinds[i]] += 1;
                 self.trace.absorb(outcome.traces);
                 for (at, event) in outcome.scheduled {
                     self.queue.schedule(at, event);

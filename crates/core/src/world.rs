@@ -12,13 +12,13 @@
 use crate::actors::actor_ctx;
 use crate::actors::cdn::CdnEdge;
 use crate::actors::client::{Client, ClientMode, SubSource};
-use crate::actors::relay::{resolve_views, Relay, SubscriberView};
+use crate::actors::relay::{resolve_views, Relay, Serving, SubscriberView};
 use crate::actors::stream::{StreamState, SuperNode};
 use crate::arena::IdArena;
 use crate::config::{DeliveryMode, SystemConfig};
 use crate::cost::TrafficLedger;
 use crate::energy::EnergyModel;
-use crate::events::{Event, SliceDelivery, SlicePool, TraceEvent, TraceSink, FULL_STREAM};
+use crate::events::{Event, SliceDelivery, SlicePool, TraceEvent, TraceSink, EVENT_KINDS};
 use crate::qoe::GroupQoe;
 use crate::session;
 use crate::shard::ShardBatch;
@@ -167,6 +167,9 @@ pub struct World {
     pub(crate) popularity: StreamPopularity,
     pub(crate) cdn: Vec<CdnEdge>,
     pub(crate) relays: Vec<Relay>,
+    /// Ids of the relays that have a serving part, ascending: the only
+    /// relays with subscribers or traffic to report.
+    pub(crate) served: Vec<u32>,
     /// Per stream, the ids of the relays that feed it, ascending: the
     /// relays a stream frame visits (see [`World::refile_feeder`]).
     pub(crate) feeders: Vec<Vec<u32>>,
@@ -180,8 +183,8 @@ pub struct World {
     pub(crate) test_energy: Vec<(f64, f64, f64, f64)>,
     pub(crate) candidate_probes: u64,
     pub(crate) candidate_invalid: u64,
-    /// Event-kind counters for debugging and reporting.
-    pub(crate) counters: TraceCounters,
+    /// Events handled per kind, indexed by [`Event::kind_index`].
+    pub(crate) event_counts: [u64; EVENT_KINDS.len()],
     /// Aggregate traffic expansion rate sampled over time (Fig 11c).
     pub(crate) gamma_series: TimeSeries,
     pub(crate) last_gamma_sample: (u64, u64, SimTime),
@@ -270,12 +273,13 @@ impl World {
             .map(|i| CdnEdge::new(cfg.cdn_edge_mbps, CDN_RTT_MS, rng.fork(200 + i as u64)))
             .collect();
 
-        // Relays, all drawing churn from one shared model.
+        // Relays, all drawing churn from one shared model. The node specs
+        // are freed once relays and registry entries are built.
         let churn = Arc::new(population.churn);
         scheduler.reserve(population.nodes.len());
         let relays: Vec<Relay> = population
             .nodes
-            .iter()
+            .into_iter()
             .map(|spec| {
                 let statics = StaticFeatures {
                     isp: spec.isp,
@@ -295,7 +299,7 @@ impl World {
                     statics,
                     NodeStatus::idle(spec.capacity_mbps),
                 );
-                Relay::new(spec, cfg.adviser.clone(), Arc::clone(&churn), &mut rng)
+                Relay::new(&spec, Arc::clone(&churn), &mut rng)
             })
             .collect();
 
@@ -307,7 +311,11 @@ impl World {
             cfg,
             scenario,
             policy,
-            queue: EventQueue::new(),
+            // Room for the bootstrap events, rounded up as doubling from
+            // empty would have grown it.
+            queue: EventQueue::with_capacity(
+                (streams.len() + relays.len() + cdn.len() + 1).next_power_of_two(),
+            ),
             rng,
             scheduler,
             traversal: TraversalModel::default(),
@@ -319,6 +327,7 @@ impl World {
             popularity,
             cdn,
             relays,
+            served: Vec::new(),
             clients: IdArena::new(),
             next_client: 0,
             control_qoe: GroupQoe::new(),
@@ -329,7 +338,7 @@ impl World {
             test_energy: Vec::new(),
             candidate_probes: 0,
             candidate_invalid: 0,
-            counters: TraceCounters::new(),
+            event_counts: [0; EVENT_KINDS.len()],
             gamma_series: TimeSeries::new(15.0),
             last_gamma_sample: (0, 0, SimTime::ZERO),
             end_at,
@@ -408,8 +417,8 @@ impl World {
     fn wire_trace_sink(&mut self, sink: TraceSink) {
         self.trace = sink.clone();
         self.scheduler.set_trace_sink(sink.clone());
-        for relay in &mut self.relays {
-            relay.set_trace(sink.clone());
+        for &rid in &self.served {
+            self.relays[rid as usize].set_trace(sink.clone());
         }
         for (cid, client) in self.clients.iter_mut() {
             client.reorder.set_trace_sink(*cid, sink.clone());
@@ -470,7 +479,7 @@ impl World {
                 if region >= self.scenario.population.regions {
                     return Err("regional outage region out of range");
                 }
-                let hit = (0..total).filter(|&i| self.relays[i].spec.region == region);
+                let hit = (0..total).filter(|&i| self.relays[i].region == region);
                 (23_000, hit.collect())
             }
             // Stride selection: floor(k·total/n) is strictly increasing
@@ -582,11 +591,28 @@ impl World {
         self.finish()
     }
 
+    /// Relay `rid`, with its serving part built on first use.
+    pub(crate) fn serve(&mut self, rid: u32) -> &mut Relay {
+        let relay = &mut self.relays[rid as usize];
+        if relay.start_serving(NodeId(rid as u64), &self.cfg.adviser, &self.trace) {
+            let i = self.served.partition_point(|&r| r < rid);
+            self.served.insert(i, rid);
+        }
+        relay
+    }
+
+    /// The serving parts of [`World::served`], in ascending relay id
+    /// order.
+    fn serving_parts(&self) -> impl Iterator<Item = &Serving> + '_ {
+        self.served
+            .iter()
+            .filter_map(|&rid| self.relays[rid as usize].serving())
+    }
+
     fn finish(mut self) -> RunReport {
         let relay_subscriber_counts: Vec<usize> = self
-            .relays
-            .iter()
-            .map(|r| r.peak_subscribers)
+            .serving_parts()
+            .map(|p| p.peak_subscribers)
             .filter(|&c| c > 0)
             .collect();
         // Close out remaining sessions.
@@ -596,17 +622,22 @@ impl World {
             session::close_session(&mut self, end, id);
         }
         let relay_expansion_rates: Vec<f64> = self
-            .relays
-            .iter()
-            .filter(|r| r.backward_bytes > 10_000)
-            .map(|r| r.serving_bytes as f64 / r.backward_bytes as f64)
+            .serving_parts()
+            .filter(|p| p.backward_bytes > 10_000)
+            .map(|p| p.serving_bytes as f64 / p.backward_bytes as f64)
             .collect();
         let relay_utilization: Vec<f64> = self
-            .relays
-            .iter()
-            .filter(|r| r.subscriber_count() > 0)
-            .map(|r| r.quotas.bandwidth.utilization())
+            .serving_parts()
+            .filter(|p| p.subscriber_count() > 0)
+            .map(|p| p.quotas.bandwidth.utilization())
             .collect();
+        // Only the kinds that occurred, as per-event bumps would leave them.
+        let mut event_counts = TraceCounters::new();
+        for (kind, &n) in EVENT_KINDS.iter().zip(&self.event_counts) {
+            if n > 0 {
+                event_counts.add(kind, n);
+            }
+        }
         let scheduler_latency_ms: Vec<f64> = {
             let stats = self.scheduler.service_time_stats();
             (0..=100)
@@ -646,7 +677,7 @@ impl World {
             relay_expansion_rates,
             relay_subscriber_counts,
             gamma_over_time: self.gamma_series.means(),
-            event_counts: self.counters,
+            event_counts,
             relay_utilization,
             scheduler_latency_ms,
             invalid_candidate_fraction,
@@ -698,7 +729,7 @@ impl World {
     }
 
     pub(crate) fn handle(&mut self, now: SimTime, event: Event) {
-        self.counters.bump(event.kind());
+        self.event_counts[event.kind_index()] += 1;
         match event {
             Event::StreamFrame { stream } => self.on_stream_frame(now, stream),
             Event::RelayFrame { relay, stream, dts } => {
@@ -758,11 +789,10 @@ impl World {
             let (needs_payload, bytes, edge) = {
                 let relay = &self.relays[rid as usize];
                 debug_assert!(relay.online, "offline relay {rid} feeds {stream}");
-                let needs_payload =
-                    relay.has_subscribers(stream, FULL_STREAM) || relay.has_subscribers(stream, ss);
+                let mut targets = relay.targets_for(stream, ss).peekable();
+                let needs_payload = targets.peek().is_some();
                 // The relay pulls the highest rung any subscriber watches.
-                let max_scale = relay
-                    .interested_clients(stream, ss)
+                let max_scale = targets
                     .filter_map(|cid| self.clients.get(&cid).map(|c| c.abr.scale()))
                     .fold(0.0f64, f64::max)
                     .max(if needs_payload { 0.25 } else { 0.0 });
@@ -771,7 +801,7 @@ impl World {
                 } else {
                     64 // header-only feed
                 };
-                let edge = (relay.spec.id as usize) % self.cdn.len();
+                let edge = rid as usize % self.cdn.len();
                 (needs_payload, bytes, edge)
             };
             // Backhaul is dedicated traffic; attribute it to the
@@ -912,8 +942,8 @@ impl World {
         // sample.
         if edge == 0 && now.saturating_since(self.last_gamma_sample.2) >= SimDuration::from_secs(10)
         {
-            let serving: u64 = self.relays.iter().map(|r| r.serving_bytes).sum();
-            let backward: u64 = self.relays.iter().map(|r| r.backward_bytes).sum();
+            let serving: u64 = self.serving_parts().map(|p| p.serving_bytes).sum();
+            let backward: u64 = self.serving_parts().map(|p| p.backward_bytes).sum();
             let ds = serving.saturating_sub(self.last_gamma_sample.0);
             let db = backward.saturating_sub(self.last_gamma_sample.1);
             if db > 10_000 {
@@ -950,9 +980,9 @@ impl World {
         // Heartbeat (only online nodes report; offline nodes go stale
         // in the scheduler and are filtered out).
         if outcome.heartbeat {
-            let status = &self.relays[rid as usize].status;
+            let status = self.relays[rid as usize].status();
             self.scheduler
-                .ingest_status(NodeId(rid as u64), now, status);
+                .ingest_status(NodeId(rid as u64), now, &status);
         }
         // Adviser evaluation (§4.2.2) every other tick (10 s).
         if let Some(key) = outcome.adviser_key {

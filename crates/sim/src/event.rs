@@ -72,6 +72,14 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// Creates an empty queue with room for `capacity` events.
+    pub fn with_capacity(capacity: usize) -> Self {
+        EventQueue {
+            heap: BinaryHeap::with_capacity(capacity),
+            ..Self::new()
+        }
+    }
+
     /// The current simulated time: the timestamp of the last popped event.
     pub fn now(&self) -> SimTime {
         self.now

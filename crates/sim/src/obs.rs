@@ -1202,56 +1202,6 @@ mod tests {
     }
 
     #[test]
-    fn empty_denominator_window_excluded_from_ratio_ranking() {
-        // Window 1 is a real spike (2/2 failures); window 2 has a
-        // numerator artifact but zero denominator (no evidence). The
-        // ranking must surface the spike and skip the 0-den window
-        // entirely instead of comparing it as rate 0.0.
-        let windows = [
-            WindowRatio {
-                window: 0,
-                start_ms: 0,
-                num: 0,
-                den: 4,
-            },
-            WindowRatio {
-                window: 1,
-                start_ms: 1000,
-                num: 2,
-                den: 2,
-            },
-            WindowRatio {
-                window: 2,
-                start_ms: 2000,
-                num: 1,
-                den: 0,
-            },
-        ];
-        assert!(!windows[2].has_samples());
-        let top = top_ratio_windows(&windows, 3);
-        assert_eq!(
-            top.iter().map(|w| w.window).collect::<Vec<_>>(),
-            vec![1, 0],
-            "0-den window must not appear in the ranking"
-        );
-        // Even when k would admit it, the empty window stays out.
-        let top1 = top_ratio_windows(&windows, 1);
-        assert_eq!(top1.len(), 1);
-        assert_eq!(top1[0].window, 1);
-        // All-empty input ranks to nothing.
-        assert!(top_ratio_windows(
-            &[WindowRatio {
-                window: 5,
-                start_ms: 5000,
-                num: 0,
-                den: 0,
-            }],
-            2
-        )
-        .is_empty());
-    }
-
-    #[test]
     fn per_node_window_queries_filter_on_node_label() {
         let mut reg = MetricRegistry::new(SimDuration::from_millis(1000));
         reg.counter_add(

@@ -512,45 +512,6 @@ mod tests {
     }
 
     #[test]
-    fn report_merge_is_window_ordered_stable_and_associative() {
-        let ev = |window: u64, rule: &'static str| AlertEvent {
-            window,
-            start_ms: window * 1000,
-            rule,
-            severity: Severity::Warning,
-            state: AlertState::Fired,
-            value: 1.0,
-            threshold: 0.5,
-        };
-        let a = SloReport {
-            alerts: vec![ev(1, "a1"), ev(5, "a5")],
-            windows: 6,
-        };
-        let b = SloReport {
-            alerts: vec![ev(1, "b1"), ev(3, "b3")],
-            windows: 6,
-        };
-        let c = SloReport {
-            alerts: vec![ev(5, "c5")],
-            windows: 6,
-        };
-        let mut left = a.clone();
-        left.merge(&b);
-        left.merge(&c);
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut right = a.clone();
-        right.merge(&bc);
-        assert_eq!(left, right);
-        assert_eq!(
-            left.alerts.iter().map(|e| e.rule).collect::<Vec<_>>(),
-            vec!["a1", "b1", "b3", "a5", "c5"],
-            "sorted by window, left operand first on ties"
-        );
-        assert_eq!(left.windows, 18);
-    }
-
-    #[test]
     fn default_rulebook_names_are_unique() {
         let rules = default_rulebook();
         let mut names: Vec<&str> = rules.iter().map(|r| r.name).collect();

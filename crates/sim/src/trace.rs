@@ -23,11 +23,6 @@ impl TraceCounters {
         Self::default()
     }
 
-    /// Increments the counter for `kind`.
-    pub fn bump(&mut self, kind: &'static str) {
-        *self.counts.entry(kind).or_insert(0) += 1;
-    }
-
     /// Adds `n` to the counter for `kind`.
     pub fn add(&mut self, kind: &'static str, n: u64) {
         *self.counts.entry(kind).or_insert(0) += n;
@@ -557,8 +552,8 @@ mod tests {
     #[test]
     fn counters_accumulate_and_merge() {
         let mut a = TraceCounters::new();
-        a.bump("frame");
-        a.bump("frame");
+        a.add("frame", 1);
+        a.add("frame", 1);
         a.add("packet", 10);
         assert_eq!(a.get("frame"), 2);
         assert_eq!(a.get("packet"), 10);
@@ -566,8 +561,8 @@ mod tests {
         assert_eq!(a.total(), 12);
 
         let mut b = TraceCounters::new();
-        b.bump("frame");
-        b.bump("stall");
+        b.add("frame", 1);
+        b.add("stall", 1);
         a.merge(&b);
         assert_eq!(a.get("frame"), 3);
         assert_eq!(a.get("stall"), 1);
@@ -576,8 +571,8 @@ mod tests {
     #[test]
     fn counters_display_sorted() {
         let mut c = TraceCounters::new();
-        c.bump("zebra");
-        c.bump("alpha");
+        c.add("zebra", 1);
+        c.add("alpha", 1);
         let text = c.to_string();
         let za = text.find("zebra").expect("zebra present");
         let al = text.find("alpha").expect("alpha present");

@@ -3,7 +3,9 @@
 use proptest::prelude::*;
 use rlive_sim::link::{Link, LinkConfig, TxOutcome};
 use rlive_sim::metrics::{Percentiles, Summary};
+use rlive_sim::obs::{top_ratio_windows, WindowRatio};
 use rlive_sim::rng::EmpiricalCdf;
+use rlive_sim::slo::{AlertEvent, AlertState, Severity, SloReport};
 use rlive_sim::trace::TraceEvent;
 use rlive_sim::{EventQueue, SimDuration, SimRng, SimTime};
 
@@ -247,4 +249,93 @@ fn all_kinds_matches_the_kind_mapping() {
     for (w, expect) in witnesses.iter().zip(TraceEvent::ALL_KINDS) {
         assert_eq!(w.kind(), expect);
     }
+}
+
+#[test]
+fn empty_denominator_window_excluded_from_ratio_ranking() {
+    // Window 1 is a real spike (2/2 failures); window 2 has a
+    // numerator artifact but zero denominator (no evidence). The
+    // ranking must surface the spike and skip the 0-den window
+    // entirely instead of comparing it as rate 0.0.
+    let windows = [
+        WindowRatio {
+            window: 0,
+            start_ms: 0,
+            num: 0,
+            den: 4,
+        },
+        WindowRatio {
+            window: 1,
+            start_ms: 1000,
+            num: 2,
+            den: 2,
+        },
+        WindowRatio {
+            window: 2,
+            start_ms: 2000,
+            num: 1,
+            den: 0,
+        },
+    ];
+    assert!(!windows[2].has_samples());
+    let top = top_ratio_windows(&windows, 3);
+    assert_eq!(
+        top.iter().map(|w| w.window).collect::<Vec<_>>(),
+        vec![1, 0],
+        "0-den window must not appear in the ranking"
+    );
+    // Even when k would admit it, the empty window stays out.
+    let top1 = top_ratio_windows(&windows, 1);
+    assert_eq!(top1.len(), 1);
+    assert_eq!(top1[0].window, 1);
+    // All-empty input ranks to nothing.
+    assert!(top_ratio_windows(
+        &[WindowRatio {
+            window: 5,
+            start_ms: 5000,
+            num: 0,
+            den: 0,
+        }],
+        2
+    )
+    .is_empty());
+}
+
+#[test]
+fn report_merge_is_window_ordered_stable_and_associative() {
+    let ev = |window: u64, rule: &'static str| AlertEvent {
+        window,
+        start_ms: window * 1000,
+        rule,
+        severity: Severity::Warning,
+        state: AlertState::Fired,
+        value: 1.0,
+        threshold: 0.5,
+    };
+    let a = SloReport {
+        alerts: vec![ev(1, "a1"), ev(5, "a5")],
+        windows: 6,
+    };
+    let b = SloReport {
+        alerts: vec![ev(1, "b1"), ev(3, "b3")],
+        windows: 6,
+    };
+    let c = SloReport {
+        alerts: vec![ev(5, "c5")],
+        windows: 6,
+    };
+    let mut left = a.clone();
+    left.merge(&b);
+    left.merge(&c);
+    let mut bc = b.clone();
+    bc.merge(&c);
+    let mut right = a.clone();
+    right.merge(&bc);
+    assert_eq!(left, right);
+    assert_eq!(
+        left.alerts.iter().map(|e| e.rule).collect::<Vec<_>>(),
+        vec!["a1", "b1", "b3", "a5", "c5"],
+        "sorted by window, left operand first on ties"
+    );
+    assert_eq!(left.windows, 18);
 }

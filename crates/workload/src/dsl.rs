@@ -923,51 +923,6 @@ mod tests {
     }
 
     #[test]
-    fn validation_rejects_out_of_window_and_bad_params() {
-        let mut p = ScenarioProgram::base("x");
-        p.phases.push(Phase::MassOutage {
-            at_s: 35,
-            dur_s: 10,
-            fraction: 0.5,
-        });
-        assert!(matches!(p.validate(), Err(DslError::PhaseOutOfWindow(_))));
-
-        let mut p = ScenarioProgram::base("x");
-        p.phases.push(Phase::MassOutage {
-            at_s: 5,
-            dur_s: 10,
-            fraction: 1.5,
-        });
-        assert!(matches!(p.validate(), Err(DslError::BadPhase(_))));
-
-        let mut p = ScenarioProgram::base("x");
-        p.phases.push(Phase::RegionalOutage {
-            at_s: 5,
-            dur_s: 10,
-            region: REGIONS,
-        });
-        assert!(matches!(p.validate(), Err(DslError::BadPhase(_))));
-
-        let mut p = ScenarioProgram::base("x");
-        p.streams = 0;
-        assert!(matches!(
-            p.validate(),
-            Err(DslError::Scenario(ScenarioError::ZeroStreams))
-        ));
-
-        let mut p = ScenarioProgram::base("x");
-        p.duration_s = 0;
-        assert!(matches!(
-            p.validate(),
-            Err(DslError::Scenario(ScenarioError::NonPositiveDuration))
-        ));
-
-        let mut p = ScenarioProgram::base("x");
-        p.name = "two words".into();
-        assert!(p.validate().is_err());
-    }
-
-    #[test]
     fn spec_round_trips_exactly() {
         let p = full_program();
         let text = p.render_spec();

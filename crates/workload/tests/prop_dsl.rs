@@ -10,7 +10,8 @@
 
 use proptest::prelude::*;
 use rlive_sim::{SimDuration, SimRng, SimTime};
-use rlive_workload::dsl::{DslError, Phase, ScenarioProgram, ScriptedEvent};
+use rlive_workload::dsl::{DslError, Phase, ScenarioProgram, ScriptedEvent, REGIONS};
+use rlive_workload::scenario::ScenarioError;
 
 /// A random program: `steps` mutations from the base under one seed.
 fn chain(seed: u64, steps: usize) -> ScenarioProgram {
@@ -239,4 +240,49 @@ fn validation_rejects_contradictory_phases() {
         p.validate(),
         Err(DslError::ContradictoryPhases(_))
     ));
+}
+
+#[test]
+fn validation_rejects_out_of_window_and_bad_params() {
+    let mut p = ScenarioProgram::base("x");
+    p.phases.push(Phase::MassOutage {
+        at_s: 35,
+        dur_s: 10,
+        fraction: 0.5,
+    });
+    assert!(matches!(p.validate(), Err(DslError::PhaseOutOfWindow(_))));
+
+    let mut p = ScenarioProgram::base("x");
+    p.phases.push(Phase::MassOutage {
+        at_s: 5,
+        dur_s: 10,
+        fraction: 1.5,
+    });
+    assert!(matches!(p.validate(), Err(DslError::BadPhase(_))));
+
+    let mut p = ScenarioProgram::base("x");
+    p.phases.push(Phase::RegionalOutage {
+        at_s: 5,
+        dur_s: 10,
+        region: REGIONS,
+    });
+    assert!(matches!(p.validate(), Err(DslError::BadPhase(_))));
+
+    let mut p = ScenarioProgram::base("x");
+    p.streams = 0;
+    assert!(matches!(
+        p.validate(),
+        Err(DslError::Scenario(ScenarioError::ZeroStreams))
+    ));
+
+    let mut p = ScenarioProgram::base("x");
+    p.duration_s = 0;
+    assert!(matches!(
+        p.validate(),
+        Err(DslError::Scenario(ScenarioError::NonPositiveDuration))
+    ));
+
+    let mut p = ScenarioProgram::base("x");
+    p.name = "two words".into();
+    assert!(p.validate().is_err());
 }
