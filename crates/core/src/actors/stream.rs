@@ -20,7 +20,8 @@ pub(crate) struct StreamState {
     chains: ChainGenerator,
     /// Recent frames: dts -> (header, canonical chain), in a sequence-
     /// indexed ring (dts is monotone, so every insert is a tail push
-    /// and every eviction a head pop — no per-frame allocation).
+    /// and every eviction a head pop — no per-frame allocation), grown
+    /// to at most the window plus the frame that overflows it.
     recent: SeqRing<(FrameHeader, LocalChain)>,
     /// Active viewers (popularity gate).
     pub viewers: usize,
@@ -50,6 +51,7 @@ impl StreamState {
     }
 
     fn remember(&mut self, header: FrameHeader, chain: LocalChain) {
+        self.recent.reserve_within(RECENT_WINDOW + 1);
         self.recent.insert(header.dts_ms, (header, chain));
         while self.recent.len() > RECENT_WINDOW {
             self.recent.pop_first();

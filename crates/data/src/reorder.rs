@@ -96,9 +96,29 @@ impl PacketSet {
         self.inline.iter().chain(&self.spill).copied()
     }
 
-    /// The indices below `n` that are absent.
+    /// The indices below `n` that are absent, a word at a time (spill
+    /// words only up to the last non-zero one, as insertion leaves them).
     fn complement_below(&self, n: u32) -> PacketSet {
-        (0..n).filter(|&i| !self.contains(i)).collect()
+        let mut out = PacketSet::default();
+        let words = self.words().chain(std::iter::repeat(0));
+        for (w, word) in words.take(n.div_ceil(64) as usize).enumerate() {
+            let width = (n - 64 * w as u32).min(64);
+            let absent = !word & (u64::MAX >> (64 - width));
+            out.count += absent.count_ones();
+            if w < INLINE_PACKET_WORDS {
+                out.inline[w] = absent;
+            } else if absent != 0 {
+                out.spill.resize(w - INLINE_PACKET_WORDS + 1, 0);
+                out.spill[w - INLINE_PACKET_WORDS] = absent;
+            }
+        }
+        out
+    }
+
+    /// The lowest index present.
+    fn min_index(&self) -> Option<u32> {
+        let (word, bits) = self.words().enumerate().find(|&(_, w)| w != 0)?;
+        Some((word * 64 + bits.trailing_zeros() as usize) as u32)
     }
 
     /// The highest index present.
@@ -179,10 +199,12 @@ pub struct ReorderBuffer {
     /// of each frame lives inside [`FrameAssembly`]; the old per-dts
     /// side table is gone).
     assembling: SeqRing<FrameAssembly>,
-    /// The global chain being built from embedded local chains.
+    /// The global chain built from embedded local chains. Its frame
+    /// table also records which frames are complete but not released,
+    /// and which embedded chains announced: the announcements are how
+    /// recovery finds wholly-lost frames (nothing ever assembled), and
+    /// are kept only above `released_watermark`.
     chain: GlobalChain,
-    /// Frames fully received but not yet released in chain order.
-    complete: SeqRing<ReadyFrame>,
     /// Duplicate packets observed (for overhead accounting).
     duplicates: u64,
     packets: u64,
@@ -194,13 +216,6 @@ pub struct ReorderBuffer {
     blocked_since: Option<SimTime>,
     /// Frames deliberately skipped past their deadline.
     skipped: u64,
-    /// Frames announced by embedded chains: dts -> (first seen, packet
-    /// count from the footprint). Entries with no data at all are
-    /// invisible to `incomplete_frames` (nothing ever assembled), so
-    /// this map is what lets the recovery engine find wholly-lost
-    /// frames. Holds only dts above `released_watermark` (see
-    /// `advance_watermark`): the in-flight window, not the session.
-    chain_announced: SeqRing<(SimTime, u32)>,
     /// Frames released by the last releasing call, lent out as a slice
     /// so steady-state release allocates nothing.
     released: Vec<ReadyFrame>,
@@ -222,13 +237,11 @@ impl ReorderBuffer {
         ReorderBuffer {
             assembling: SeqRing::new(),
             chain: GlobalChain::new(),
-            complete: SeqRing::new(),
             duplicates: 0,
             packets: 0,
             released_watermark: None,
             blocked_since: None,
             skipped: 0,
-            chain_announced: SeqRing::new(),
             released: Vec::new(),
             trace: TraceSink::disabled(),
             trace_session: 0,
@@ -257,8 +270,7 @@ impl ReorderBuffer {
         for fp in chain.footprints() {
             // Already-released frames can never be reported missing.
             if !self.is_released(fp.dts_ms) {
-                self.chain_announced
-                    .get_or_insert_with(fp.dts_ms, || (now, fp.cnt));
+                self.chain.announce(fp.dts_ms, now, fp.cnt);
             }
         }
         self.chain.ingest_chain(chain);
@@ -267,40 +279,9 @@ impl ReorderBuffer {
     /// Ingests one data packet at `now`; returns frames that became
     /// playable (complete and in linked chain order).
     pub fn ingest(&mut self, now: SimTime, pkt: &DataPacket) -> &[ReadyFrame] {
-        self.packets += 1;
-        let dts = pkt.frame.dts_ms;
-        if self.is_released(dts) {
-            self.duplicates += 1;
-            return &[];
-        }
-        self.chain.ingest_header(pkt.frame);
-        self.ingest_chain(now, &pkt.chain);
-
-        let asm = self.assembling.get_or_insert_with(dts, || FrameAssembly {
-            header: pkt.frame,
-            expected: pkt.packet_count,
-            received: PacketSet::default(),
-            first_arrival: now,
-            max_seen: 0,
-            substream: pkt.substream,
-        });
-        asm.substream = pkt.substream;
-        if !asm.received.insert(pkt.packet_index) {
-            self.duplicates += 1;
-        }
-        asm.max_seen = asm.max_seen.max(pkt.packet_index);
-        if asm.complete() {
-            let header = asm.header;
-            self.assembling.remove(dts);
-            self.complete.insert(
-                dts,
-                ReadyFrame {
-                    header,
-                    completed_at: now,
-                },
-            );
-        }
-        self.release(now)
+        let received = std::iter::once(pkt.packet_index).collect();
+        let (header, ss, total) = (pkt.frame, pkt.substream, pkt.packet_count);
+        self.ingest_slice(now, header, ss, &received, total, Some(&pkt.chain))
     }
 
     /// Batch form of [`ReorderBuffer::ingest`] used by the simulator:
@@ -341,13 +322,7 @@ impl ReorderBuffer {
         }
         if asm.complete() {
             self.assembling.remove(dts);
-            self.complete.insert(
-                dts,
-                ReadyFrame {
-                    header,
-                    completed_at: now,
-                },
-            );
+            self.chain.complete(dts, now);
         }
         self.release(now)
     }
@@ -372,13 +347,7 @@ impl ReorderBuffer {
         }
         self.chain.ingest_header(header);
         self.assembling.remove(header.dts_ms);
-        self.complete.insert(
-            header.dts_ms,
-            ReadyFrame {
-                header,
-                completed_at: now,
-            },
-        );
+        self.chain.complete(header.dts_ms, now);
         self.release(now)
     }
 
@@ -390,9 +359,7 @@ impl ReorderBuffer {
             "release watermark must never decrease"
         );
         self.released_watermark = Some(dts);
-        while self.chain_announced.first_key().is_some_and(|k| k <= dts) {
-            self.chain_announced.pop_first();
-        }
+        self.chain.clear_announced_through(dts);
     }
 
     /// Releases complete frames in global-chain order into the owned
@@ -409,7 +376,7 @@ impl ReorderBuffer {
             };
             // Only release when the head is linked AND its data complete.
             let releasable = status == crate::sequencing::LinkStatus::Linked
-                && self.complete.contains_key(fp.dts_ms);
+                && self.chain.record(fp.dts_ms).is_some_and(|r| r.completed);
             if !releasable {
                 // Remember when the head got stuck, for deadline skips.
                 if self.blocked_since.is_none() {
@@ -417,7 +384,13 @@ impl ReorderBuffer {
                 }
                 break;
             }
-            let ready = self.complete.remove(fp.dts_ms).expect("checked");
+            let ready = ReadyFrame {
+                header: self
+                    .chain
+                    .head_header()
+                    .expect("a linked head has its header"),
+                completed_at: self.chain.take_completed(fp.dts_ms).expect("checked"),
+            };
             self.chain.pop_linked_head();
             // A late duplicate can re-create a ghost assembly for a
             // frame that already completed; releasing the frame wipes
@@ -457,7 +430,7 @@ impl ReorderBuffer {
         };
         self.chain.force_pop_head();
         self.assembling.remove(fp.dts_ms);
-        self.complete.remove(fp.dts_ms);
+        self.chain.take_completed(fp.dts_ms);
         self.advance_watermark(fp.dts_ms);
         self.blocked_since = None;
         self.skipped += 1;
@@ -491,7 +464,7 @@ impl ReorderBuffer {
             if missing.is_empty() {
                 return None;
             }
-            let gap = (0..asm.max_seen).any(|m| missing.contains(m));
+            let gap = missing.min_index().is_some_and(|m| m < asm.max_seen);
             let timed_out = now.saturating_since(asm.first_arrival) >= timeout;
             (gap || timed_out).then_some(IncompleteFrame {
                 header: asm.header,
@@ -513,20 +486,21 @@ impl ReorderBuffer {
         now: SimTime,
         timeout: SimDuration,
     ) -> impl Iterator<Item = (u64, u32)> + '_ {
-        self.chain_announced
-            .iter()
-            .filter(move |&(dts, &(seen, _))| {
-                now.saturating_since(seen) >= timeout
+        self.chain
+            .records()
+            .filter(move |&(dts, r)| {
+                r.announced
+                    && now.saturating_since(r.announced_at) >= timeout
                     && !self.assembling.contains_key(dts)
-                    && !self.complete.contains_key(dts)
+                    && !r.completed
                     && self.released_watermark.map(|w| dts > w).unwrap_or(true)
             })
-            .map(|(dts, &(_, cnt))| (dts, cnt))
+            .map(|(dts, r)| (dts, r.announced_cnt))
     }
 
     /// Frames sitting complete but blocked on chain order.
     pub fn blocked_complete(&self) -> usize {
-        self.complete.len()
+        self.chain.completed_count()
     }
 
     /// The dts values of complete frames that cannot release because no
@@ -540,10 +514,12 @@ impl ReorderBuffer {
         age: SimDuration,
         limit: usize,
     ) -> impl Iterator<Item = u64> + '_ {
-        self.complete
-            .iter()
+        self.chain
+            .records()
             .filter(move |&(dts, r)| {
-                now.saturating_since(r.completed_at) >= age && self.chain.status_of(dts).is_none()
+                r.completed
+                    && now.saturating_since(r.completed_at) >= age
+                    && self.chain.status_of(dts).is_none()
             })
             .map(|(dts, _)| dts)
             .take(limit)
@@ -864,7 +840,8 @@ mod tests {
             let chain = cg.observe(&f.header);
             for p in packetize(&f, 0, &chain, 1) {
                 released += rb.ingest(t(i * 33), &p).len();
-                assert!(rb.chain_announced.len() <= 1, "frame {i}");
+                let announced = rb.chain.records().filter(|(_, r)| r.announced);
+                assert!(announced.count() <= 1, "frame {i}");
             }
         }
         assert_eq!(released, 36_000);

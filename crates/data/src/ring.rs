@@ -70,6 +70,11 @@ impl<T> SeqRing<T> {
         self.entries.len()
     }
 
+    /// Entries the ring holds room for without growing.
+    pub fn capacity(&self) -> usize {
+        self.entries.capacity()
+    }
+
     /// Whether the ring holds no entries.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
@@ -129,6 +134,15 @@ impl<T> SeqRing<T> {
         &mut self.entries[i].1
     }
 
+    /// Makes room for one more entry as the ring's own doubling would,
+    /// but never past `bound` entries: the cap of a length-capped ring.
+    pub fn reserve_within(&mut self, bound: usize) {
+        let len = self.entries.len();
+        if len == self.entries.capacity() && len < bound {
+            self.entries.reserve_exact(len.max(4).min(bound - len));
+        }
+    }
+
     /// Removes and returns the value at `key`.
     pub fn remove(&mut self, key: u64) -> Option<T> {
         match self.search(key) {
@@ -179,6 +193,20 @@ impl<T> SeqRing<T> {
     /// pressure).
     pub fn retain(&mut self, mut keep: impl FnMut(u64, &mut T) -> bool) {
         self.entries.retain_mut(|(k, v)| keep(*k, v));
+    }
+
+    /// `retain` over the entries with key `< floor` only, visited in
+    /// ascending order (not counted as evictions).
+    pub fn retain_below(&mut self, floor: u64, mut keep: impl FnMut(&mut T) -> bool) {
+        let cut = self.entries.partition_point(|&(k, _)| k < floor);
+        let mut kept = 0;
+        for i in 0..cut {
+            if keep(&mut self.entries[i].1) {
+                self.entries.swap(kept, i);
+                kept += 1;
+            }
+        }
+        self.entries.drain(kept..cut);
     }
 
     /// Evicts every entry with key `< floor`; returns how many were

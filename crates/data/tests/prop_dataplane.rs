@@ -4,10 +4,10 @@
 
 use proptest::prelude::*;
 use rlive_data::recovery::{FrameState, RecoveryConfig, RecoveryDecider, RecoveryStats};
-use rlive_data::reorder::{ReadyFrame, ReorderBuffer};
+use rlive_data::reorder::{PacketSet, ReadyFrame, ReorderBuffer};
 use rlive_data::sequencing::{GlobalChain, MatchResult};
 use rlive_media::footprint::{ChainGenerator, LocalChain};
-use rlive_media::frame::FrameType;
+use rlive_media::frame::{FrameHeader, FrameType};
 use rlive_media::gop::{GopConfig, GopGenerator};
 use rlive_media::packet::{packetize, DataPacket, PACKET_PAYLOAD};
 use rlive_media::substream::substream_of;
@@ -143,6 +143,55 @@ proptest! {
         }
     }
 
+    /// The missing set and the out-of-order gap flag that
+    /// `incomplete_frames` reports, computed a word at a time, agree
+    /// with a per-index scan over any received set: a dense run (from
+    /// index 0 half the time) plus picks, half of them just past the
+    /// run's end, merged from one to three slices, sets that spill past
+    /// 256 packets included.
+    #[test]
+    fn incomplete_frames_match_a_per_index_scan(
+        expected in 1u32..700,
+        slices in prop::collection::vec(
+            (prop::collection::vec(any::<u32>(), 0..40), any::<u32>(), 0u32..300),
+            1..4,
+        ),
+    ) {
+        let header = FrameHeader { stream_id: 1, dts_ms: 0, frame_type: FrameType::P, size: 1 };
+        let mut rb = ReorderBuffer::new();
+        let mut received = vec![false; expected as usize];
+        for (picks, run_start, run_len) in &slices {
+            let start = if run_start % 2 == 0 { 0 } else { run_start % expected };
+            let end = (start + run_len).min(expected);
+            let pick = |&p: &u32| if p % 2 == 0 { p % expected } else { (end + p % 5) % expected };
+            let set: PacketSet = picks.iter().map(pick).chain(start..end).collect();
+            for i in 0..expected {
+                if set.contains(i) {
+                    received[i as usize] = true;
+                }
+            }
+            let _ = rb.ingest_slice(SimTime::ZERO, header, 0, &set, expected, None);
+            if received.iter().all(|&r| r) {
+                // Complete: a later slice would start a fresh assembly.
+                break;
+            }
+        }
+        let missing: Vec<u32> = (0..expected).filter(|&i| !received[i as usize]).collect();
+        let max_seen = (0..expected).filter(|&i| received[i as usize]).max().unwrap_or(0);
+        let gap = (0..max_seen).any(|m| !received[m as usize]);
+        let reported: Vec<_> = rb.incomplete_frames(SimTime::ZERO, SimDuration::ZERO).collect();
+        if missing.is_empty() {
+            prop_assert!(reported.is_empty(), "a complete frame was reported");
+            return Ok(());
+        }
+        prop_assert_eq!(reported.len(), 1);
+        let frame = &reported[0];
+        prop_assert_eq!(frame.missing.len() as usize, missing.len());
+        let listed: Vec<u32> = (0..expected + 128).filter(|&i| frame.missing.contains(i)).collect();
+        prop_assert_eq!(listed, missing);
+        prop_assert_eq!(frame.out_of_order_gap, gap);
+    }
+
     /// Recovery decisions: loss is non-negative, the chosen action's
     /// loss is minimal among evaluated actions for single frames, and
     /// shrinking the deadline never makes best-effort MORE attractive
@@ -194,4 +243,35 @@ proptest! {
             }
         }
     }
+}
+
+/// The gap flag's edge, past the inline words: a hole right below the
+/// highest index received is a gap; a missing tail is not.
+#[test]
+fn gap_flag_sees_a_hole_right_below_the_highest_index() {
+    let header = FrameHeader {
+        stream_id: 1,
+        dts_ms: 0,
+        frame_type: FrameType::I,
+        size: 1,
+    };
+    let report = |received: PacketSet| {
+        let mut rb = ReorderBuffer::new();
+        let _ = rb.ingest_slice(SimTime::ZERO, header, 0, &received, 300, None);
+        let frame = rb
+            .incomplete_frames(SimTime::ZERO, SimDuration::ZERO)
+            .next();
+        let frame = frame.expect("the frame is incomplete");
+        let missing: Vec<u32> = (0..400).filter(|&i| frame.missing.contains(i)).collect();
+        (missing, frame.out_of_order_gap)
+    };
+    let (missing, gap) = report((0..=260).filter(|&i| i != 259).collect());
+    assert_eq!(
+        missing,
+        [259].into_iter().chain(261..300).collect::<Vec<_>>()
+    );
+    assert!(gap, "packet 260 arrived after the hole at 259");
+    let (missing, gap) = report((0..259).collect());
+    assert_eq!(missing, (259..300).collect::<Vec<_>>());
+    assert!(!gap);
 }

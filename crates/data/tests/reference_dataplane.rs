@@ -7,7 +7,9 @@
 //! must agree on release order, `missing_chain_frames`,
 //! `incomplete_frames`, `mismatched_count`, `duplicate_count` and
 //! `packet_count`. A second property drives the two `GlobalChain`s
-//! directly with out-of-order headers, chains, pops and forced pops.
+//! directly with out-of-order headers, chains, pops and forced pops; a
+//! third feeds both sides prefill-sized bursts with frames completed
+//! below the join floor, then headers that arrive again after pops.
 //!
 //! What changed underneath and must not show: announcements at or below
 //! the release watermark are no longer recorded and passed ones are
@@ -244,6 +246,80 @@ proptest! {
             prop_assert_eq!(new.head(), old.head());
             prop_assert_eq!(new.head_header(), old.head_header());
             prop_assert_eq!(new.mismatched_count(), old.mismatched_count(), "op {}", i);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Prefill-sized bursts of 200 frames or more: the session joins a
+    /// few frames in, the frames below its join floor still complete
+    /// (whole or as slices) and linger, the rest of the burst lands
+    /// shuffled and lossy, lost packets come back one by one, and the
+    /// player skips whatever stays blocked. Then the two `GlobalChain`s
+    /// alone take the burst in order with pops, forced pops and the
+    /// headers of already-consumed frames arriving again late.
+    #[test]
+    fn bursts_below_the_join_floor_and_late_headers_match_parent_reference(
+        seed in 0u64..1_000,
+        shuffle_seed in any::<u64>(),
+        n in 200usize..240,
+        join in 1usize..8,
+        loss in 0.0f64..0.2,
+    ) {
+        let frames = stream(n, seed);
+        let mut rng = SimRng::new(shuffle_seed);
+        let mut steps = vec![Step::Packet(join, 0)];
+        for (f, frame) in frames.iter().enumerate().take(join) {
+            let all = (0..frame.packets.len() as u32).collect();
+            steps.push(if rng.chance(0.5) { Step::Whole(f) } else { Step::Slice(f, all, true) });
+        }
+        let mut burst = Vec::new();
+        let mut retx = Vec::new();
+        for (f, frame) in frames.iter().enumerate().skip(join) {
+            let mut kept = Vec::new();
+            for p in 0..frame.packets.len() {
+                if rng.chance(loss) {
+                    retx.push(Step::Packet(f, p));
+                } else {
+                    kept.push(p as u32);
+                }
+            }
+            burst.push(Step::Slice(f, kept, rng.chance(0.9)));
+        }
+        rng.shuffle(&mut burst);
+        rng.shuffle(&mut retx);
+        steps.extend(burst);
+        steps.extend(retx);
+        for _ in 0..n {
+            steps.extend([Step::Wait(100), Step::Skip]);
+        }
+        differential(&frames, &steps)?;
+
+        let mut new = GlobalChain::new();
+        let mut old = reference::GlobalChain::new();
+        for (f, frame) in frames.iter().enumerate() {
+            new.ingest_header(frame.header);
+            old.ingest_header(frame.header);
+            prop_assert_eq!(new.ingest_chain(&frame.chain), old.ingest_chain(&frame.chain));
+            if f % 7 == 6 {
+                while let Some(fp) = old.pop_linked_head() {
+                    prop_assert_eq!(new.pop_linked_head(), Some(fp));
+                }
+                prop_assert_eq!(new.pop_linked_head(), None);
+                if rng.chance(0.3) {
+                    prop_assert_eq!(new.force_pop_head(), old.force_pop_head());
+                }
+                for late in &frames[f.saturating_sub(9)..=f] {
+                    new.ingest_header(late.header);
+                    old.ingest_header(late.header);
+                }
+            }
+            prop_assert_eq!(new.dts_sequence(), old.dts_sequence(), "frame {}", f);
+            prop_assert_eq!(new.head(), old.head());
+            prop_assert_eq!(new.head_header(), old.head_header());
+            prop_assert_eq!(new.mismatched_count(), old.mismatched_count());
         }
     }
 }

@@ -288,7 +288,7 @@ proptest! {
     /// `u64`, so near-MAX keys sort after near-zero keys identically).
     #[test]
     fn seqring_matches_btreemap_ops(
-        ops in proptest::collection::vec((0u8..5, any::<u64>(), any::<u32>()), 1..200),
+        ops in proptest::collection::vec((0u8..6, any::<u64>(), any::<u32>()), 1..200),
         near_max in any::<bool>(),
     ) {
         let mut ring: SeqRing<u32> = SeqRing::new();
@@ -319,6 +319,20 @@ proptest! {
                         prop_assert_eq!(ring.next_after(key), None);
                     }
                 }
+                4 => {
+                    // Visit the prefix below `key` in order, bump every
+                    // value and keep the odd ones.
+                    let mut visited = Vec::new();
+                    ring.retain_below(key, |v| {
+                        visited.push(*v);
+                        *v = v.wrapping_add(1);
+                        *v % 2 == 1
+                    });
+                    let prefix: Vec<u32> = map.range(..key).map(|(_, &v)| v).collect();
+                    prop_assert_eq!(visited, prefix);
+                    map.iter_mut().filter(|(&k, _)| k < key).for_each(|(_, v)| *v = v.wrapping_add(1));
+                    map.retain(|&k, v| k >= key || *v % 2 == 1);
+                }
                 _ => {
                     let evicted = ring.evict_below(key);
                     let before = map.len();
@@ -334,4 +348,20 @@ proptest! {
         let map_entries: Vec<(u64, u32)> = map.iter().map(|(&k, &v)| (k, v)).collect();
         prop_assert_eq!(ring_entries, map_entries, "iteration order must be identical");
     }
+}
+
+/// Before the bound the ring doubles as it would on its own; the growth
+/// that would overshoot the bound stops at it.
+#[test]
+fn reserve_within_doubles_up_to_the_bound() {
+    let mut ring: SeqRing<u64> = SeqRing::new();
+    let mut capacities = Vec::new();
+    for k in 0..37u64 {
+        ring.reserve_within(37);
+        ring.insert(k, k);
+        if capacities.last() != Some(&ring.capacity()) {
+            capacities.push(ring.capacity());
+        }
+    }
+    assert_eq!(capacities, vec![4, 8, 16, 32, 37]);
 }
