@@ -12,6 +12,13 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test --release -q
 
+# The release profile compiles out every debug_assert!. The data plane
+# guards its invariants with them (every buffered frame above the
+# playhead, the global chain's LINKED prefix), so its crate's tests also
+# run in debug, where they fire (about 20 s on 2 CPUs).
+echo "==> cargo test -q -p rlive-data (debug: data-plane debug_asserts)"
+cargo test -q -p rlive-data
+
 # The stdout of the 13 world-running paper subcommands at seed 7, and
 # its invariance under --jobs: both goldens are #[ignore]d in the
 # default test run because they simulate every paper world (153 s of

@@ -1,20 +1,20 @@
 //! Generational slot arenas for per-entity state.
 //!
-//! The hot per-client state used to live in a `BTreeMap<u64, Client>`:
-//! every session arrival allocated a fresh tree node and every lookup
-//! chased pointers through the tree. [`Arena`] replaces that with flat
-//! slot storage — departures push their slot onto a free list, arrivals
-//! pop it back, and a generation counter on each slot invalidates stale
-//! [`Handle`]s so a recycled slot can never be confused with its former
-//! occupant.
+//! [`Arena`] keeps values in flat slots: departures push their slot onto
+//! a free list, arrivals pop it back, and a generation counter on each
+//! slot invalidates stale [`Handle`]s so a recycled slot can never be
+//! confused with its former occupant.
 //!
-//! [`IdArena`] layers a sorted id index on top so call sites keyed by
+//! [`IdArena`] layers an id table on top so call sites keyed by
 //! external u64 ids (client ids in the event vocabulary) keep the exact
 //! BTreeMap surface — `get`/`get_mut`/`insert`/`remove`/ascending-id
-//! iteration — while the values themselves live in arena slots. The
-//! shard layer partitions by slot index ([`Handle::index`]) instead of
-//! hashing ids, so shard assignment is allocation-stable too.
+//! iteration. The table holds a handle per id from the oldest live id
+//! on, so a lookup is one index. That assumes ids that mostly increase,
+//! as `World::next_client` hands them out: each id skipped costs a slot.
+//! The shard layer partitions by slot index ([`Handle::index`]) instead
+//! of hashing ids, so shard assignment is allocation-stable too.
 
+use std::collections::VecDeque;
 use std::ops::Index;
 
 /// A generational reference to one arena slot.
@@ -98,13 +98,14 @@ impl<T> Arena<T> {
     }
 }
 
-/// An id-keyed facade over [`Arena`]: a sorted `(id, Handle)` index
-/// gives the BTreeMap surface (binary-search lookup, ascending-id
-/// iteration) while values live in reusable flat slots.
+/// An id-keyed facade over [`Arena`]: an offset table from id to handle
+/// gives the BTreeMap surface while the values, each beside its id, live
+/// in reusable flat slots.
 pub(crate) struct IdArena<T> {
-    arena: Arena<T>,
-    /// Sorted by id; binary-searched on every keyed access.
-    index: Vec<(u64, Handle)>,
+    arena: Arena<(u64, T)>,
+    /// `table[i]` backs id `base + i`; the front is live.
+    table: VecDeque<Option<Handle>>,
+    base: u64,
 }
 
 impl<T> IdArena<T> {
@@ -112,97 +113,97 @@ impl<T> IdArena<T> {
     pub fn new() -> Self {
         IdArena {
             arena: Arena::new(),
-            index: Vec::new(),
+            table: VecDeque::new(),
+            base: 0,
         }
-    }
-
-    fn search(&self, id: u64) -> Result<usize, usize> {
-        self.index.binary_search_by_key(&id, |&(k, _)| k)
     }
 
     /// The handle currently backing `id`, if present.
     pub fn handle_of(&self, id: u64) -> Option<Handle> {
-        self.search(id).ok().map(|i| self.index[i].1)
+        let i = usize::try_from(id.checked_sub(self.base)?).ok()?;
+        *self.table.get(i)?
     }
 
     /// Whether `id` is present.
     pub fn contains_key(&self, id: &u64) -> bool {
-        self.search(*id).is_ok()
+        self.handle_of(*id).is_some()
     }
 
     /// Shared access by id.
     pub fn get(&self, id: &u64) -> Option<&T> {
-        let h = self.handle_of(*id)?;
-        self.arena.get(h)
+        self.arena.get(self.handle_of(*id)?).map(|(_, v)| v)
     }
 
     /// Exclusive access by id.
     pub fn get_mut(&mut self, id: &u64) -> Option<&mut T> {
-        let h = self.handle_of(*id)?;
-        self.arena.get_mut(h)
+        self.arena.get_mut(self.handle_of(*id)?).map(|(_, v)| v)
     }
 
     /// Inserts or replaces the value under `id`, returning the previous
     /// value if any (BTreeMap `insert` contract).
     pub fn insert(&mut self, id: u64, value: T) -> Option<T> {
-        match self.search(id) {
-            Ok(i) => {
-                let h = self.index[i].1;
-                let old = self.arena.remove(h);
-                self.index[i].1 = self.arena.insert(value);
-                old
-            }
-            Err(i) => {
-                let h = self.arena.insert(value);
-                self.index.insert(i, (id, h));
-                None
-            }
+        self.base = if self.table.is_empty() { id } else { self.base };
+        while id < self.base {
+            self.table.push_front(None);
+            self.base -= 1;
         }
+        let i = (id - self.base) as usize;
+        if i >= self.table.len() {
+            self.table.resize(i + 1, None);
+        }
+        let old = self.table[i].and_then(|h| self.arena.remove(h));
+        self.table[i] = Some(self.arena.insert((id, value)));
+        old.map(|(_, v)| v)
     }
 
     /// Removes and returns the value under `id`; its slot joins the
     /// free list for the next arrival.
     pub fn remove(&mut self, id: &u64) -> Option<T> {
-        let i = self.search(*id).ok()?;
-        let (_, h) = self.index.remove(i);
-        self.arena.remove(h)
+        let h = self.handle_of(*id)?;
+        self.table[(*id - self.base) as usize] = None;
+        while self.table.front() == Some(&None) {
+            self.table.pop_front();
+            self.base += 1;
+        }
+        self.arena.remove(h).map(|(_, v)| v)
+    }
+
+    /// Live `(id, value)` slots in ascending-id order.
+    fn entries(&self) -> impl Iterator<Item = &(u64, T)> {
+        let live = self.table.iter().flatten();
+        live.map(|&h| self.arena.get(h).expect("table handle is live"))
     }
 
     /// Ids in ascending order.
     pub fn keys(&self) -> impl Iterator<Item = &u64> {
-        self.index.iter().map(|(id, _)| id)
+        self.entries().map(|(id, _)| id)
     }
 
     /// Values in ascending-id order.
     pub fn values(&self) -> impl Iterator<Item = &T> {
-        self.index
-            .iter()
-            .map(|&(_, h)| self.arena.get(h).expect("index handle is live"))
+        self.entries().map(|(_, v)| v)
     }
 
-    /// `(id, &mut value)` pairs in ascending-id order. Each index entry
-    /// points at a distinct live slot, so the yielded `&mut`s are
-    /// disjoint; `take` enforces that statically.
+    /// `(id, &mut value)` pairs in ascending-id order.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (&u64, &mut T)> {
-        let IdArena { arena, index } = self;
-        let mut by_slot: Vec<Option<&mut T>> =
-            arena.slots.iter_mut().map(|s| s.value.as_mut()).collect();
-        index.iter().map(move |(id, h)| {
-            let v = by_slot[h.index as usize].take().expect("live slot");
-            (id, v)
-        })
+        self.entries_mut().map(|(_, (id, v))| (&*id, v))
     }
 
     /// `(id, Handle, &mut value)` triples in ascending-id order — the
     /// shard layer partitions on `Handle::index`.
     pub fn iter_mut_handles(&mut self) -> impl Iterator<Item = (u64, Handle, &mut T)> {
-        let IdArena { arena, index } = self;
-        let mut by_slot: Vec<Option<&mut T>> =
+        self.entries_mut().map(|(h, (id, v))| (*id, h, v))
+    }
+
+    /// Live slots in ascending-id order. Each table entry points at a
+    /// distinct live slot, so the yielded `&mut`s are disjoint; `take`
+    /// enforces that statically.
+    fn entries_mut(&mut self) -> impl Iterator<Item = (Handle, &mut (u64, T))> {
+        let IdArena { arena, table, .. } = self;
+        let mut by_slot: Vec<Option<&mut (u64, T)>> =
             arena.slots.iter_mut().map(|s| s.value.as_mut()).collect();
-        index.iter().map(move |&(id, h)| {
-            let v = by_slot[h.index as usize].take().expect("live slot");
-            (id, h, v)
-        })
+        let live = table.iter().flatten();
+        live.map(move |&h| (h, by_slot[h.index as usize].take().expect("live slot")))
     }
 }
 
@@ -319,5 +320,46 @@ mod tests {
             vec![(0, 0), (1, 1), (2, 2), (4, 4), (5, 5), (9, 3)],
             "ids ascend; slot indices reflect reuse"
         );
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Random inserts and removes agree with a `BTreeMap` on reads
+        /// and on ascending-id iteration, and an arrival takes the slot
+        /// freed last. Ops 0 and 1 insert the next id and remove a live
+        /// one, as `World` does, and `world` runs use only those; ops 2
+        /// and 3 insert and remove arbitrary ids.
+        #[test]
+        fn id_arena_matches_btreemap_under_random_ops(
+            world in any::<bool>(),
+            ops in proptest::collection::vec((0usize..4, 0u64..40), 1..160),
+        ) {
+            let mut a: IdArena<usize> = IdArena::new();
+            // id -> (slot index, value), beside the arena's free list.
+            let mut m = std::collections::BTreeMap::<u64, (u32, usize)>::new();
+            let (mut free, mut slots, mut next_id) = (Vec::new(), 0, 0);
+            for (v, (op, raw)) in ops.into_iter().enumerate() {
+                let op = if world { op % 2 } else { op };
+                let live = m.keys().nth(raw as usize % m.len().max(1)).copied();
+                let id = [next_id, live.unwrap_or(raw), raw, raw][op];
+                if op % 2 == 0 {
+                    next_id += 1;
+                    let slot = m.get(&id).map(|e| e.0).or_else(|| free.pop()).unwrap_or(slots);
+                    slots = slots.max(slot + 1);
+                    prop_assert_eq!(a.insert(id, v), m.insert(id, (slot, v)).map(|e| e.1));
+                } else {
+                    let old = m.remove(&id);
+                    free.extend(old.map(|e| e.0));
+                    prop_assert_eq!(a.remove(&id), old.map(|e| e.1));
+                }
+                let reads = |id| (a.get(&id), a.contains_key(&id));
+                let expect = |id| (m.get(&id).map(|e| &e.1), m.contains_key(&id));
+                prop_assert!((0..=next_id.max(40)).all(|id| reads(id) == expect(id)));
+                prop_assert!(a.keys().eq(m.keys()) && a.values().eq(m.values().map(|e| &e.1)));
+                let walked = a.iter_mut_handles().map(|(id, h, v)| (id, h.index, *v));
+                prop_assert!(walked.eq(m.iter().map(|(&id, &(s, v))| (id, s, v))));
+            }
+        }
     }
 }

@@ -619,42 +619,26 @@ impl PlaybackBuffer {
         if !self.started {
             return None;
         }
-        let next = match self.playhead_dts {
-            None => self.frames.first_key(),
-            Some(last) => self.frames.next_after(last),
+        let Some(header) = self.drop_oldest() else {
+            self.rebuffer_events += u64::from(self.stalled_since.is_none());
+            self.stalled_since.get_or_insert(now);
+            return None;
         };
-        match next {
-            Some(dts) => {
-                if let Some(since) = self.stalled_since.take() {
-                    self.rebuffer_duration += now.saturating_since(since);
-                }
-                let header = self.frames.remove(dts).expect("key just observed");
-                // Drop anything older than the playhead (late arrivals).
-                self.frames.evict_below(dts);
-                self.playhead_dts = Some(dts);
-                Some(header)
-            }
-            None => {
-                if self.stalled_since.is_none() {
-                    self.stalled_since = Some(now);
-                    self.rebuffer_events += 1;
-                }
-                None
-            }
+        if let Some(since) = self.stalled_since.take() {
+            self.rebuffer_duration += now.saturating_since(since);
         }
+        Some(header)
     }
 
     /// Catch-up: drops the oldest buffered frame without presenting it
     /// (fast-play when the buffer is over-full, pulling end-to-end
-    /// latency back down). Returns the dropped frame.
+    /// latency back down). Returns the dropped frame. `push` keeps every
+    /// buffered frame above the playhead, so the next frame is the front.
     pub fn drop_oldest(&mut self) -> Option<FrameHeader> {
-        let next = match self.playhead_dts {
-            None => self.frames.first_key(),
-            Some(last) => self.frames.next_after(last),
-        }?;
-        let header = self.frames.remove(next);
-        self.playhead_dts = Some(next);
-        header
+        let (dts, header) = self.frames.pop_first()?;
+        debug_assert!(self.playhead_dts.is_none_or(|p| dts > p));
+        self.playhead_dts = Some(dts);
+        Some(header)
     }
 
     /// Number of rebuffering events so far.

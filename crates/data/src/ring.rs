@@ -5,21 +5,21 @@
 //! `u64` sequence number (frame dts). A `BTreeMap` spends an allocation
 //! per node and pointer-chases on every lookup; live sessions only ever
 //! hold a *narrow, mostly-contiguous band* of sequences (the reorder
-//! window), so a sorted circular buffer with binary-searched indexing
-//! is strictly better: zero per-entry allocation in steady state (the
-//! backing `VecDeque` reaches its high-water capacity once and is then
-//! reused), O(log n) lookup, O(1) pop at the band's head, and amortised
-//! O(1) insertion at the tail — the common case, since sequences mostly
-//! arrive in order.
+//! window), so a sorted circular buffer is strictly better: zero
+//! per-entry allocation in steady state (the backing `VecDeque` reaches
+//! its high-water capacity once and is then reused), O(1) pop at the
+//! band's head, amortised O(1) insertion at the tail — the common case,
+//! since sequences mostly arrive in order — and O(1) lookup on an evenly
+//! spaced band such as the dts cadence: one guess interpolated between
+//! the front and back keys, corrected by a walk of a few slots. Skewed
+//! keys that defeat the guess fall back to bisection, O(log n).
 //!
 //! Ordering is plain `u64` order, the same total order a `BTreeMap`
 //! uses, so iteration is byte-identical to the map it replaces.
-//! Evictions (`evict_below`) are counted and queryable, never silent.
 
 use std::collections::VecDeque;
 
-/// A sorted, sequence-indexed circular buffer with explicit eviction
-/// statistics.
+/// A sorted, sequence-indexed circular buffer.
 ///
 /// # Examples
 ///
@@ -34,14 +34,11 @@ use std::collections::VecDeque;
 /// let keys: Vec<u64> = ring.keys().collect();
 /// assert_eq!(keys, vec![10, 20, 30], "iteration in sequence order");
 /// assert_eq!(ring.evict_below(25), 2);
-/// assert_eq!(ring.evicted(), 2);
 /// ```
 #[derive(Debug, Clone)]
 pub struct SeqRing<T> {
     /// Entries sorted ascending by sequence key.
     entries: VecDeque<(u64, T)>,
-    /// Entries dropped by `evict_below` so far.
-    evicted: u64,
 }
 
 impl<T> Default for SeqRing<T> {
@@ -56,13 +53,7 @@ impl<T> SeqRing<T> {
     pub fn new() -> Self {
         SeqRing {
             entries: VecDeque::new(),
-            evicted: 0,
         }
-    }
-
-    /// Entries evicted so far by `evict_below`.
-    pub fn evicted(&self) -> u64 {
-        self.evicted
     }
 
     /// Number of live entries.
@@ -80,57 +71,80 @@ impl<T> SeqRing<T> {
         self.entries.is_empty()
     }
 
-    /// Binary search: `Ok(i)` when `key` sits at index `i`, `Err(i)`
-    /// with its insertion point otherwise.
-    fn search(&self, key: u64) -> Result<usize, usize> {
-        let i = self.entries.partition_point(|&(k, _)| k < key);
-        if self.entries.get(i).map(|&(k, _)| k) == Some(key) {
-            Ok(i)
-        } else {
-            Err(i)
+    /// Index of the first entry with a key `>= key`: a guess
+    /// interpolated between the front and back keys, corrected by a walk
+    /// of up to `WALK` slots, else bisection.
+    fn lower_bound(&self, key: u64) -> usize {
+        const WALK: usize = 4;
+        let e = &self.entries;
+        let (lo, hi) = match (e.front(), e.back()) {
+            (Some(&(lo, _)), Some(&(hi, _))) if lo < key => (lo, hi),
+            _ => return 0,
+        };
+        if key > hi {
+            return e.len();
         }
+        if let Some(scaled) = (key - lo).checked_mul(e.len() as u64 - 1) {
+            let mut i = (scaled / (hi - lo)) as usize;
+            // `e[0].0 < key <= e[len - 1].0` keeps both walks in bounds.
+            for _ in 0..WALK {
+                if e[i].0 < key {
+                    i += 1;
+                } else if e[i - 1].0 >= key {
+                    i -= 1;
+                } else {
+                    return i;
+                }
+            }
+        }
+        e.partition_point(|&(k, _)| k < key)
+    }
+
+    /// Whether the entry at index `i` holds `key`.
+    fn holds(&self, i: usize, key: u64) -> bool {
+        self.entries.get(i).is_some_and(|&(k, _)| k == key)
+    }
+
+    /// The index of `key`, if present.
+    fn find(&self, key: u64) -> Option<usize> {
+        let i = self.lower_bound(key);
+        self.holds(i, key).then_some(i)
     }
 
     /// Reads the value at `key`.
     pub fn get(&self, key: u64) -> Option<&T> {
-        self.search(key).ok().map(|i| &self.entries[i].1)
+        self.find(key).map(|i| &self.entries[i].1)
     }
 
     /// Mutable access to the value at `key`.
     pub fn get_mut(&mut self, key: u64) -> Option<&mut T> {
-        match self.search(key) {
-            Ok(i) => Some(&mut self.entries[i].1),
-            Err(_) => None,
-        }
+        let i = self.find(key)?;
+        Some(&mut self.entries[i].1)
     }
 
     /// Whether `key` is present.
     pub fn contains_key(&self, key: u64) -> bool {
-        self.search(key).is_ok()
+        self.find(key).is_some()
     }
 
     /// Inserts `value` at `key`, returning the replaced value if the
     /// key was present (identical to `BTreeMap::insert`).
     pub fn insert(&mut self, key: u64, value: T) -> Option<T> {
-        match self.search(key) {
-            Ok(i) => Some(std::mem::replace(&mut self.entries[i].1, value)),
-            Err(i) => {
-                self.entries.insert(i, (key, value));
-                None
-            }
+        let i = self.lower_bound(key);
+        if self.holds(i, key) {
+            return Some(std::mem::replace(&mut self.entries[i].1, value));
         }
+        self.entries.insert(i, (key, value));
+        None
     }
 
     /// Returns a mutable reference to the value at `key`, inserting
     /// `make()` first if absent (the `entry().or_insert_with()` shape).
     pub fn get_or_insert_with(&mut self, key: u64, make: impl FnOnce() -> T) -> &mut T {
-        let i = match self.search(key) {
-            Ok(i) => i,
-            Err(i) => {
-                self.entries.insert(i, (key, make()));
-                i
-            }
-        };
+        let i = self.lower_bound(key);
+        if !self.holds(i, key) {
+            self.entries.insert(i, (key, make()));
+        }
         &mut self.entries[i].1
     }
 
@@ -145,10 +159,8 @@ impl<T> SeqRing<T> {
 
     /// Removes and returns the value at `key`.
     pub fn remove(&mut self, key: u64) -> Option<T> {
-        match self.search(key) {
-            Ok(i) => self.entries.remove(i).map(|(_, v)| v),
-            Err(_) => None,
-        }
+        let i = self.find(key)?;
+        self.entries.remove(i).map(|(_, v)| v)
     }
 
     /// Removes and returns the smallest-keyed entry.
@@ -169,7 +181,7 @@ impl<T> SeqRing<T> {
     /// The smallest key strictly greater than `key` (the
     /// `range(key+1..).next()` shape).
     pub fn next_after(&self, key: u64) -> Option<u64> {
-        let i = self.entries.partition_point(|&(k, _)| k <= key);
+        let i = self.lower_bound(key.checked_add(1)?);
         self.entries.get(i).map(|&(k, _)| k)
     }
 
@@ -188,21 +200,21 @@ impl<T> SeqRing<T> {
         self.entries.iter().map(|(_, v)| v)
     }
 
-    /// Keeps only entries for which `keep` returns true (not counted as
-    /// evictions: `retain` is semantic filtering, not capacity
-    /// pressure).
+    /// Keeps only entries for which `keep` returns true.
     pub fn retain(&mut self, mut keep: impl FnMut(u64, &mut T) -> bool) {
         self.entries.retain_mut(|(k, v)| keep(*k, v));
     }
 
     /// `retain` over the entries with key `< floor` only, visited in
-    /// ascending order (not counted as evictions).
+    /// ascending order.
     pub fn retain_below(&mut self, floor: u64, mut keep: impl FnMut(&mut T) -> bool) {
-        let cut = self.entries.partition_point(|&(k, _)| k < floor);
+        let cut = self.lower_bound(floor);
         let mut kept = 0;
         for i in 0..cut {
             if keep(&mut self.entries[i].1) {
-                self.entries.swap(kept, i);
+                if kept != i {
+                    self.entries.swap(kept, i);
+                }
                 kept += 1;
             }
         }
@@ -210,13 +222,10 @@ impl<T> SeqRing<T> {
     }
 
     /// Evicts every entry with key `< floor`; returns how many were
-    /// dropped and adds them to the eviction counter.
+    /// dropped.
     pub fn evict_below(&mut self, floor: u64) -> usize {
-        let cut = self.entries.partition_point(|&(k, _)| k < floor);
-        for _ in 0..cut {
-            self.entries.pop_front();
-        }
-        self.evicted += cut as u64;
+        let cut = self.lower_bound(floor);
+        self.entries.drain(..cut);
         cut
     }
 }
@@ -278,9 +287,7 @@ mod tests {
         }
         assert_eq!(ring.evict_below(35), 4);
         assert_eq!(ring.first_key(), Some(40));
-        assert_eq!(ring.evicted(), 4);
         assert_eq!(ring.evict_below(0), 0);
-        assert_eq!(ring.evicted(), 4);
     }
 
     #[test]
@@ -291,7 +298,6 @@ mod tests {
         }
         ring.retain(|k, _| k % 2 == 0);
         assert_eq!(ring.keys().collect::<Vec<_>>(), vec![0, 2, 4]);
-        assert_eq!(ring.evicted(), 0);
     }
 
     #[test]

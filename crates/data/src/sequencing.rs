@@ -44,12 +44,6 @@ pub enum MatchResult {
     Rejected,
 }
 
-#[derive(Debug, Clone)]
-struct Entry {
-    footprint: Footprint,
-    status: LinkStatus,
-}
-
 /// One frame in the chain's dts-keyed table: its received header (the
 /// data pool; the stream id is stored once per chain) and the reorder
 /// buffer's chain announcement and completion. A record leaves the
@@ -96,7 +90,10 @@ const _: () = assert!(std::mem::size_of::<(u64, FrameRecord)>() <= 40);
 /// ```
 #[derive(Debug)]
 pub struct GlobalChain {
-    entries: VecDeque<Entry>,
+    entries: VecDeque<Footprint>,
+    /// Leading entries that are `LINKED`: validation links entries in
+    /// chain order, so the rest are `UNLINKED`.
+    linked: usize,
     /// The frame table: its headers (received, not yet consumed) are
     /// the "data pool" used for CRC validation.
     frames: SeqRing<FrameRecord>,
@@ -135,6 +132,7 @@ impl GlobalChain {
     pub fn new() -> Self {
         GlobalChain {
             entries: VecDeque::new(),
+            linked: 0,
             frames: SeqRing::new(),
             stream_id: 0,
             completed: 0,
@@ -246,15 +244,17 @@ impl GlobalChain {
 
     /// The dts sequence of the chain, for inspection.
     pub fn dts_sequence(&self) -> Vec<u64> {
-        self.entries.iter().map(|e| e.footprint.dts_ms).collect()
+        self.entries.iter().map(|fp| fp.dts_ms).collect()
     }
 
     /// The status of the entry for `dts`, if present.
     pub fn status_of(&self, dts: u64) -> Option<LinkStatus> {
-        self.entries
-            .iter()
-            .find(|e| e.footprint.dts_ms == dts)
-            .map(|e| e.status)
+        let i = self.entries.iter().position(|fp| fp.dts_ms == dts)?;
+        Some(if i < self.linked {
+            LinkStatus::Linked
+        } else {
+            LinkStatus::Unlinked
+        })
     }
 
     /// Validates `footprint` at position `idx` of the chain by
@@ -262,7 +262,7 @@ impl GlobalChain {
     /// `CRC_DEPTH` predecessors. `None` means "cannot validate yet"
     /// (headers missing); `Some(bool)` is the verdict.
     fn validate_at(&self, idx: usize) -> Option<bool> {
-        let fp = &self.entries[idx].footprint;
+        let fp = &self.entries[idx];
         let header = self.header(fp.dts_ms)?;
         let start = idx.saturating_sub(CRC_DEPTH);
         let mut prior = [header; CRC_DEPTH];
@@ -276,7 +276,7 @@ impl GlobalChain {
             n += 1;
         }
         for e in self.entries.range(start..idx) {
-            prior[n] = self.header(e.footprint.dts_ms)?;
+            prior[n] = self.header(e.dts_ms)?;
             n += 1;
         }
         if n < CRC_DEPTH {
@@ -300,21 +300,14 @@ impl GlobalChain {
         if lchain.is_empty() {
             return MatchResult::Matched;
         }
+        let fps = lchain.footprints();
         // Bootstrap: adopt the first chain wholesale.
         if self.entries.is_empty() {
-            for fp in lchain.footprints() {
-                if self.consumed_until.map(|c| fp.dts_ms <= c).unwrap_or(false) {
-                    continue;
-                }
-                // Skip frames from before this client joined.
-                if self.join_floor.map(|f| fp.dts_ms < f).unwrap_or(false) {
-                    continue;
-                }
-                self.entries.push_back(Entry {
-                    footprint: *fp,
-                    status: LinkStatus::Unlinked,
-                });
-            }
+            // Skip consumed frames and frames from before this client joined.
+            let (consumed, floor) = (self.consumed_until, self.join_floor);
+            self.entries.extend(fps.iter().filter(|fp| {
+                consumed.is_none_or(|c| fp.dts_ms > c) && floor.is_none_or(|f| fp.dts_ms >= f)
+            }));
             self.revalidate();
             return MatchResult::Matched;
         }
@@ -325,35 +318,21 @@ impl GlobalChain {
         // answer Deferred. (With no entries the bootstrap matches it.)
         let head = lchain.head().expect("checked non-empty");
         if let Some(c) = self.consumed_until.filter(|&c| head.dts_ms <= c) {
-            debug_assert!(self.entries.front().is_some_and(|e| e.footprint.dts_ms > c));
+            debug_assert!(self.entries.front().is_some_and(|e| e.dts_ms > c));
             return MatchResult::Deferred;
         }
-        let terminal = self.entries.back().expect("chain non-empty").footprint;
+        let terminal = *self.entries.back().expect("chain non-empty");
         // Lines 2–10: scan lchain; once the terminal frame of gChain is
         // found, append the following frames as UNLINKED.
-        let mut find_cont = false;
-        for fp in lchain.footprints() {
-            if find_cont {
-                self.entries.push_back(Entry {
-                    footprint: *fp,
-                    status: LinkStatus::Unlinked,
-                });
-            } else if *fp == terminal {
-                find_cont = true;
-            }
-        }
-        if !find_cont {
+        let Some(at) = fps.iter().position(|fp| *fp == terminal) else {
             // Also accept chains fully contained in gChain (no-ops):
             // every footprint already present means nothing to do.
-            let all_known = lchain
-                .footprints()
-                .iter()
-                .all(|fp| self.entries.iter().any(|e| e.footprint == *fp));
-            if all_known {
+            if fps.iter().all(|fp| self.entries.contains(fp)) {
                 return MatchResult::Matched;
             }
             return MatchResult::Deferred;
-        }
+        };
+        self.entries.extend(&fps[at + 1..]);
         // Lines 14–23: walk the new tail, validating CRCs against the
         // data pool. A definite mismatch evicts all UNLINKED frames.
         if self.revalidate() {
@@ -366,20 +345,13 @@ impl GlobalChain {
     /// Revalidates `UNLINKED` entries in order. Returns `false` if a
     /// definite CRC mismatch forced eviction of the unlinked tail.
     fn revalidate(&mut self) -> bool {
-        let mut idx = 0;
-        while idx < self.entries.len() {
-            if self.entries[idx].status == LinkStatus::Linked {
-                idx += 1;
-                continue;
-            }
-            match self.validate_at(idx) {
-                Some(true) => {
-                    self.entries[idx].status = LinkStatus::Linked;
-                    idx += 1;
-                }
+        debug_assert!(self.linked <= self.entries.len());
+        while self.linked < self.entries.len() {
+            match self.validate_at(self.linked) {
+                Some(true) => self.linked += 1,
                 Some(false) => {
                     // Push out the unlinked frames from gChain.
-                    self.entries.retain(|e| e.status == LinkStatus::Linked);
+                    self.entries.truncate(self.linked);
                     return false;
                 }
                 // Headers not yet received: stop; later ingest retries.
@@ -444,37 +416,33 @@ impl GlobalChain {
     /// playout path. Returns the footprint so the caller can check frame
     /// completeness (`cnt`).
     pub fn pop_linked_head(&mut self) -> Option<Footprint> {
-        match self.entries.front() {
-            Some(e) if e.status == LinkStatus::Linked => {
-                let fp = e.footprint;
-                self.entries.pop_front();
-                self.consume(fp);
-                Some(fp)
-            }
-            _ => None,
+        if self.linked == 0 {
+            return None;
         }
+        self.consume_head()
     }
 
     /// Force-pops the head entry regardless of status — the playout
     /// deadline passed and the player is skipping the frame. The entry
     /// is treated as consumed so late recoveries are deduplicated.
     pub fn force_pop_head(&mut self) -> Option<Footprint> {
-        let fp = self.entries.pop_front()?.footprint;
-        self.consume(fp);
+        let fp = self.consume_head()?;
         // Successors may have been waiting on the removed entry's
         // validation; re-run so already-received frames can link now.
         self.revalidate();
         Some(fp)
     }
 
-    /// Marks the just-popped `fp` consumed: its header moves into the
-    /// tail context, and every header at or below it leaves the data
-    /// pool (a record that still holds an announcement or a completion
-    /// stays). Exact because the pool is only read at the dts of a chain
-    /// entry or of the frame being popped, and every entry lies above
-    /// the consumed head (the bootstrap skips consumed frames; chains
-    /// run in dts order).
-    fn consume(&mut self, fp: Footprint) {
+    /// Pops the head entry, out of the linked prefix if it is linked,
+    /// and marks it consumed: its header moves into the tail context,
+    /// and every header at or below it leaves the data pool (a record
+    /// that still holds an announcement or a completion stays). Exact
+    /// because the pool is only read at the dts of a chain entry or of
+    /// the frame being popped, and every entry lies above the consumed
+    /// head (the bootstrap skips consumed frames; chains run in dts order).
+    fn consume_head(&mut self) -> Option<Footprint> {
+        let fp = self.entries.pop_front()?;
+        self.linked = self.linked.saturating_sub(1);
         self.consumed_until = Some(fp.dts_ms);
         if let Some(h) = self.header(fp.dts_ms) {
             self.tail_context.push_back(h);
@@ -487,19 +455,20 @@ impl GlobalChain {
             // head always has its header.)
             self.tail_context.clear();
         }
-        debug_assert!(self.entries.iter().all(|e| e.footprint.dts_ms > fp.dts_ms));
+        debug_assert!(self.entries.iter().all(|e| e.dts_ms > fp.dts_ms));
         self.clear_through(fp.dts_ms, |record| record.frame_type = None);
+        Some(fp)
     }
 
     /// The frame header of the chain head, if its header was received.
     pub fn head_header(&self) -> Option<FrameHeader> {
-        let fp = self.entries.front()?.footprint;
-        self.header(fp.dts_ms)
+        self.header(self.entries.front()?.dts_ms)
     }
 
     /// Reads (without popping) the head footprint and status.
     pub fn head(&self) -> Option<(Footprint, LinkStatus)> {
-        self.entries.front().map(|e| (e.footprint, e.status))
+        let fp = *self.entries.front()?;
+        Some((fp, self.status_of(fp.dts_ms)?))
     }
 }
 

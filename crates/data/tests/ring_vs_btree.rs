@@ -8,13 +8,17 @@
 //! produce identical release orders and identical stall accounting;
 //! a second property pins `SeqRing` against `BTreeMap` directly under
 //! random operation sequences with keys near the `u64` wrap boundary.
+//! Two more cover what the ring's interpolated lookup and the playback
+//! buffer's pop-the-front path lean on: key sets shaped to hit both the
+//! interpolation guess and its bisection fallback, and playback driven
+//! by pushes (late frames included), ticks and catch-up drops.
 
 use proptest::prelude::*;
 use rlive_data::reorder::{PlaybackBuffer, ReorderBuffer};
 use rlive_data::ring::SeqRing;
 use rlive_data::sequencing::{GlobalChain, LinkStatus};
 use rlive_media::footprint::ChainGenerator;
-use rlive_media::frame::FrameHeader;
+use rlive_media::frame::{FrameHeader, FrameType};
 use rlive_media::gop::{GopConfig, GopGenerator};
 use rlive_media::packet::{packetize, DataPacket, PACKET_PAYLOAD};
 use rlive_media::substream::substream_of;
@@ -170,6 +174,18 @@ impl RefPlayback {
                 None
             }
         }
+    }
+
+    /// The old catch-up step: the next key after the playhead leaves
+    /// unpresented and becomes the playhead.
+    fn drop_oldest(&mut self) -> Option<u64> {
+        let next = match self.playhead_dts {
+            None => self.frames.keys().next().copied(),
+            Some(last) => self.frames.range(last + 1..).next().map(|(&k, _)| k),
+        }?;
+        self.frames.remove(&next);
+        self.playhead_dts = Some(next);
+        Some(next)
     }
 }
 
@@ -364,4 +380,138 @@ fn reserve_within_doubles_up_to_the_bound() {
         }
     }
     assert_eq!(capacities, vec![4, 8, 16, 32, 37]);
+}
+
+/// A key set of one skewed shape, ascending: 0 the 30 fps dts cadence
+/// `round(i * 33.3)` from frame `start`; 1 runs of eight keys, the runs
+/// 2^40 apart; 2 keys next to `u64::MAX` above two keys next to zero,
+/// so the span overflows the interpolation and bisection answers; 3 a
+/// ring of zero, one or two keys.
+fn skewed_keys(shape: u8, n: u64, start: u64) -> Vec<u64> {
+    match shape {
+        0 => (start..start + n)
+            .map(|i| (i as f64 * 33.3).round() as u64)
+            .collect(),
+        1 => (0..n)
+            .map(|i| ((start % 4 + i / 8) << 40) + i % 8 * 3)
+            .collect(),
+        2 => [start % 2, 2]
+            .into_iter()
+            .chain((0..n).rev().map(|i| u64::MAX - (start % 8) - i * 7))
+            .collect(),
+        _ => (0..n % 3).map(|i| start + i * 1_000).collect(),
+    }
+}
+
+/// `get`, `contains_key` and `next_after` at `key` agree.
+fn reads_agree(ring: &SeqRing<u64>, map: &BTreeMap<u64, u64>, key: u64) -> bool {
+    let next = key
+        .checked_add(1)
+        .and_then(|k| map.range(k..).next().map(|(&k, _)| k));
+    ring.get(key) == map.get(&key)
+        && ring.contains_key(key) == map.contains_key(&key)
+        && ring.next_after(key) == next
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `SeqRing` agrees with `BTreeMap` on key sets that stress the
+    /// interpolated lookup: every read at each key, its neighbours and
+    /// both ends of `u64` first, then random inserts, removes, reads,
+    /// `retain_below` and `evict_below` at keys picked the same way.
+    #[test]
+    fn seqring_matches_btreemap_on_skewed_keys(
+        shape in 0u8..4,
+        n in 0u64..200,
+        start in 0u64..100_000,
+        ops in proptest::collection::vec((0u8..6, any::<u64>(), 0u64..3), 0..120),
+    ) {
+        let keys = skewed_keys(shape, n, start);
+        let mut ring: SeqRing<u64> = SeqRing::new();
+        let mut map: BTreeMap<u64, u64> = BTreeMap::new();
+        for &k in &keys {
+            prop_assert_eq!(ring.insert(k, k), map.insert(k, k));
+        }
+        let near = |k: u64| [k.wrapping_sub(1), k, k.wrapping_add(1)];
+        for key in keys.iter().flat_map(|&k| near(k)).chain([0, u64::MAX]) {
+            prop_assert!(reads_agree(&ring, &map, key), "read at {} of {:?}", key, keys);
+        }
+        for (op, pick, delta) in ops {
+            let base = keys.get(pick as usize % keys.len().max(1)).copied().unwrap_or(pick);
+            let key = base.wrapping_add(delta).wrapping_sub(1);
+            match op {
+                0 => prop_assert_eq!(ring.insert(key, pick), map.insert(key, pick)),
+                1 => prop_assert_eq!(ring.remove(key), map.remove(&key)),
+                2 => {
+                    // Keep every visited value that is even.
+                    let mut visited = Vec::new();
+                    ring.retain_below(key, |v| {
+                        visited.push(*v);
+                        *v % 2 == 0
+                    });
+                    let below: Vec<u64> = map.range(..key).map(|(_, &v)| v).collect();
+                    prop_assert_eq!(visited, below);
+                    map.retain(|&k, v| k >= key || *v % 2 == 0);
+                }
+                3 => {
+                    let before = map.len();
+                    map.retain(|&k, _| k >= key);
+                    prop_assert_eq!(ring.evict_below(key), before - map.len());
+                }
+                _ => prop_assert!(reads_agree(&ring, &map, key), "read at {}", key),
+            }
+            prop_assert_eq!(ring.len(), map.len());
+            prop_assert_eq!(ring.first_key(), map.keys().next().copied());
+            prop_assert_eq!(ring.last_key(), map.keys().next_back().copied());
+        }
+        let ring_entries: Vec<(u64, u64)> = ring.iter().map(|(k, v)| (k, *v)).collect();
+        let map_entries: Vec<(u64, u64)> = map.into_iter().collect();
+        prop_assert_eq!(ring_entries, map_entries);
+    }
+
+    /// `PlaybackBuffer` presents, drops and stalls as the old
+    /// `BTreeMap` layout did under pushes near the playhead (late and
+    /// repeated frames included), ticks and catch-up drops.
+    #[test]
+    fn playback_matches_btree_reference_with_drops(
+        ops in proptest::collection::vec((0u8..4, 0u64..12), 1..300),
+    ) {
+        let interval = SimDuration::from_millis(33);
+        let mut ring_pb = PlaybackBuffer::new(interval, SimDuration::from_millis(400));
+        let mut ref_pb = RefPlayback::new();
+        ring_pb.start();
+        let mut now_ms = 0;
+        for (i, (op, raw)) in ops.into_iter().enumerate() {
+            match op {
+                0 | 1 => {
+                    // Frames from four behind the playhead to seven ahead.
+                    let frame = (ref_pb.playhead_dts.unwrap_or(0) / 33 + raw).saturating_sub(4);
+                    let header = FrameHeader {
+                        stream_id: 1,
+                        dts_ms: frame * 33,
+                        frame_type: FrameType::P,
+                        size: 1_000,
+                    };
+                    ring_pb.push(header);
+                    ref_pb.push(header);
+                }
+                2 => {
+                    now_ms += 33 * (1 + raw % 3);
+                    let t = SimTime::from_millis(now_ms);
+                    prop_assert_eq!(ring_pb.tick(t).map(|h| h.dts_ms), ref_pb.tick(t), "tick {}", i);
+                }
+                _ => prop_assert_eq!(
+                    ring_pb.drop_oldest().map(|h| h.dts_ms),
+                    ref_pb.drop_oldest(),
+                    "drop {}",
+                    i
+                ),
+            }
+            prop_assert_eq!(ring_pb.len(), ref_pb.frames.len());
+            prop_assert_eq!(ring_pb.playhead(), ref_pb.playhead_dts);
+        }
+        prop_assert_eq!(ring_pb.rebuffer_events(), ref_pb.rebuffer_events);
+        prop_assert_eq!(ring_pb.rebuffer_duration(), ref_pb.rebuffer_duration);
+    }
 }
