@@ -141,6 +141,21 @@ if (( loc > loc_ceiling )); then
   exit 1
 fi
 
+# One delivery table: outside config.rs no line under crates/*/src
+# tells the delivery modes apart (==/!= against, matches! on or a match
+# arm of a DeliveryMode variant) or names the retired ClientMode or
+# FULL_STREAM; sessions read DeliveryMode::spec. Before the table this
+# counted 77 lines.
+echo "==> no DeliveryMode variant branch under crates/*/src outside config.rs"
+branches=$(grep -rnE --include='*.rs' \
+  '(==|!=)\s*DeliveryMode::|DeliveryMode::\w+\s*(==|!=|=>)|matches!\([^)]*DeliveryMode::|^\s*\|?\s*DeliveryMode::\w+\s*(\||=>|$)|ClientMode|FULL_STREAM' \
+  crates/*/src | grep -v '^crates/core/src/config\.rs:' || true)
+if [[ -n "$branches" ]]; then
+  echo "$branches" >&2
+  echo "delivery-mode branches outside config.rs: read DeliveryMode::spec instead" >&2
+  exit 1
+fi
+
 # Dead-pub gate: a `pub` item under crates/*/src whose name appears
 # nowhere but its own definition has no caller, test, example or
 # benchmark driver. One word-count table over every .rs file that could

@@ -3,7 +3,7 @@
 
 use crate::abr::AbrState;
 use crate::actors::ActorCtx;
-use crate::config::DeliveryMode;
+use crate::config::{DeliveryMode, ModeSpec};
 use crate::energy::EnergyAccount;
 use crate::events::{Event, SliceDelivery};
 use crate::qoe::SessionMetrics;
@@ -23,7 +23,7 @@ pub(crate) const TARGET_BUFFER: SimDuration = SimDuration::from_millis(2_500);
 /// Startup threshold: playback begins at this occupancy.
 const STARTUP_BUFFER: SimDuration = SimDuration::from_millis(800);
 
-/// One source of one substream.
+/// The source of one slot of a session's split.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum SubSource {
     /// A best-effort relay (by index).
@@ -32,31 +32,12 @@ pub(crate) enum SubSource {
     Cdn,
 }
 
-/// The delivery mode a client is currently in.
-pub(crate) enum ClientMode {
-    /// Full stream straight from the CDN.
-    CdnFull,
-    /// Full stream from one best-effort relay (§2.2 strawman).
-    SingleSource {
-        /// The serving relay.
-        relay: u32,
-    },
-    /// Substreams spread over multiple sources (RLive proper).
-    Multi {
-        /// Primary source per substream.
-        sources: Vec<SubSource>,
-        /// Redundant relay per substream, if any.
-        redundant: Vec<Option<u32>>,
-    },
-}
-
-impl ClientMode {
-    /// Short label for trace records.
-    pub fn label(&self) -> &'static str {
+impl SubSource {
+    /// The serving relay, if any.
+    pub fn relay(self) -> Option<u32> {
         match self {
-            ClientMode::CdnFull => "cdn_full",
-            ClientMode::SingleSource { .. } => "single_source",
-            ClientMode::Multi { .. } => "multi",
+            SubSource::Relay(r) => Some(r),
+            SubSource::Cdn => None,
         }
     }
 }
@@ -119,15 +100,13 @@ impl CandidateLists {
         self.lens[ss] = Some(len as u32);
     }
 
-    /// The list for `ss`, falling back to substream 0's list when `ss`
-    /// never received one (an *empty* list for `ss` does not fall
-    /// through — absence and emptiness stay distinct).
+    /// The list for `ss`: `None` when `ss` never received one, which
+    /// stays distinct from an empty list.
     pub fn get(&self, ss: u16) -> Option<&[Candidate]> {
-        let ss = [usize::from(ss), 0]
-            .into_iter()
-            .find(|&s| matches!(self.lens.get(s), Some(Some(_))))?;
+        let ss = usize::from(ss);
+        let len = (*self.lens.get(ss)?)? as usize;
         let start = self.start(ss);
-        Some(&self.entries[start..start + self.lens[ss]? as usize])
+        Some(&self.entries[start..start + len])
     }
 
     /// Every list's candidates, in substream order.
@@ -144,7 +123,12 @@ pub(crate) struct Client {
     pub info: ClientInfo,
     pub stream: u32,
     pub cdn_edge: usize,
-    pub mode: ClientMode,
+    /// The slot table: per slot of the split, its source. Empty while
+    /// the session pulls the full stream from the CDN; one slot for a
+    /// whole-stream relay session, K for a split one.
+    pub sources: Vec<SubSource>,
+    /// Per slot, the redundant relay pushing it too, if any.
+    pub redundant: Vec<Option<u32>>,
     pub controller: ClientController,
     pub reorder: ReorderBuffer,
     pub playback: PlaybackBuffer,
@@ -173,7 +157,6 @@ pub(crate) struct Client {
     /// Next dts the player needs (deadline estimation).
     pub next_needed_dts: u64,
     pub departed: bool,
-    pub upgrade_scheduled: bool,
 }
 
 impl Client {
@@ -200,7 +183,8 @@ impl Client {
             info,
             stream,
             cdn_edge,
-            mode: ClientMode::CdnFull,
+            sources: Vec::new(),
+            redundant: Vec::new(),
             controller: ClientController::new(controller_cfg),
             reorder: ReorderBuffer::new(),
             playback: PlaybackBuffer::new(frame_interval, fallback_threshold),
@@ -218,7 +202,6 @@ impl Client {
             leaves_at,
             next_needed_dts: 0,
             departed: false,
-            upgrade_scheduled: false,
         }
     }
 
@@ -247,26 +230,49 @@ impl Client {
         SimDuration::from_millis((6.0 * self.jitter_ewma_ms).clamp(150.0, 2_500.0) as u64)
     }
 
-    /// Whether the client currently draws on any best-effort relay.
+    /// The session's row of the delivery table.
+    pub fn spec(&self) -> ModeSpec {
+        self.mode_policy.spec()
+    }
+
+    /// Slots of the session's split when the world splits streams `k`
+    /// ways.
+    pub fn width(&self, k: u16) -> u16 {
+        if self.spec().split {
+            k
+        } else {
+            1
+        }
+    }
+
+    /// Short label of the current delivery state for trace records.
+    pub fn mode_label(&self) -> &'static str {
+        if self.sources.is_empty() {
+            "cdn_full"
+        } else if self.spec().split {
+            "multi"
+        } else {
+            "single_source"
+        }
+    }
+
+    /// Whether the client currently draws on any best-effort relay (an
+    /// all-CDN split still does: its subscriptions may return).
     pub fn uses_best_effort(&self) -> bool {
-        !matches!(self.mode, ClientMode::CdnFull)
+        !self.sources.is_empty()
     }
 
     /// Every relay currently serving this client (primary + redundant).
     pub fn relay_sources(&self) -> impl Iterator<Item = u32> + '_ {
-        let (single, sources, redundant): (_, &[_], &[_]) = match &self.mode {
-            ClientMode::CdnFull => (None, &[], &[]),
-            ClientMode::SingleSource { relay } => (Some(*relay), &[], &[]),
-            ClientMode::Multi { sources, redundant } => (None, sources, redundant),
-        };
-        let primaries = sources.iter().filter_map(|s| match s {
-            SubSource::Relay(r) => Some(*r),
-            SubSource::Cdn => None,
-        });
-        single
-            .into_iter()
-            .chain(primaries)
-            .chain(redundant.iter().flatten().copied())
+        let primaries = self.sources.iter().filter_map(|s| s.relay());
+        primaries.chain(self.redundant.iter().flatten().copied())
+    }
+
+    /// Returns the session to CDN full-stream delivery, handing back the
+    /// slot table it held.
+    pub fn take_slots(&mut self) -> (Vec<SubSource>, Vec<Option<u32>>) {
+        let sources = std::mem::take(&mut self.sources);
+        (sources, std::mem::take(&mut self.redundant))
     }
 
     /// Absorbs one arriving slice: ABR/energy accounting, reorder
@@ -343,7 +349,7 @@ impl Client {
         // indexed by dts at the source, §6); this is what unblocks
         // centralised-sequencing clients whose metadata channel lost
         // the entry.
-        if self.mode_policy == DeliveryMode::RLiveCentralSequencing {
+        if self.spec().central_sequencing {
             if let Some(c) = chain {
                 self.reorder.ingest_chain_only(c);
             }
@@ -500,44 +506,35 @@ mod tests {
         )
     }
 
-    /// Mode transitions: source accounting must follow the state
-    /// machine CDN-full -> multi -> (failover holes) -> CDN-full.
+    /// Source accounting follows the slot table through CDN-full, a
+    /// split, an all-CDN split (failover holes) and a whole-stream
+    /// relay session.
     #[test]
     fn mode_transitions_track_sources() {
+        use SubSource::{Cdn, Relay};
+        let state = |c: &Client| {
+            let relays: Vec<u32> = c.relay_sources().collect();
+            (c.mode_label(), c.uses_best_effort(), relays)
+        };
         let mut c = client(DeliveryMode::RLive);
-        assert!(!c.uses_best_effort());
-        assert_eq!(c.mode.label(), "cdn_full");
-        assert_eq!(c.relay_sources().count(), 0);
+        assert_eq!(state(&c), ("cdn_full", false, vec![]));
 
-        c.mode = ClientMode::Multi {
-            sources: vec![
-                SubSource::Relay(3),
-                SubSource::Cdn,
-                SubSource::Relay(5),
-                SubSource::Relay(3),
-            ],
-            redundant: vec![None, Some(9), None, None],
-        };
-        assert!(c.uses_best_effort());
-        assert_eq!(c.mode.label(), "multi");
-        assert_eq!(c.relay_sources().collect::<Vec<_>>(), [3, 5, 3, 9]);
+        c.sources = vec![Relay(3), Cdn, Relay(5), Relay(3)];
+        c.redundant = vec![None, Some(9), None, None];
+        assert_eq!(state(&c), ("multi", true, vec![3, 5, 3, 9]));
 
-        // A failover punched every relay out: all-CDN multi still
-        // counts as best-effort mode (subscriptions may return), but
-        // exposes no relay sources.
-        c.mode = ClientMode::Multi {
-            sources: vec![SubSource::Cdn; 4],
-            redundant: vec![None; 4],
-        };
-        assert!(c.uses_best_effort());
-        assert_eq!(c.relay_sources().count(), 0);
+        // A failover punched every relay out: an all-CDN split still
+        // counts as best-effort (subscriptions may return) but exposes
+        // no relay sources.
+        (c.sources, c.redundant) = (vec![Cdn; 4], vec![None; 4]);
+        assert_eq!(state(&c), ("multi", true, vec![]));
+        c.take_slots();
+        assert_eq!(state(&c), ("cdn_full", false, vec![]));
 
-        c.mode = ClientMode::SingleSource { relay: 7 };
-        assert_eq!(c.mode.label(), "single_source");
-        assert_eq!(c.relay_sources().collect::<Vec<_>>(), [7]);
-
-        c.mode = ClientMode::CdnFull;
-        assert!(!c.uses_best_effort());
+        let mut c = client(DeliveryMode::SingleSource);
+        (c.sources, c.redundant) = (vec![Relay(7)], vec![None]);
+        assert_eq!(state(&c), ("single_source", true, vec![7]));
+        assert_eq!((c.width(4), client(DeliveryMode::RLive).width(4)), (1, 4));
     }
 
     /// Regression for the recovery-bookkeeping leak: releasing a frame
@@ -622,8 +619,8 @@ mod tests {
     }
 
     /// One buffer holds every substream's list: refilling one leaves the
-    /// others as they were, an empty list does not fall back to
-    /// substream 0's, and the buffer reads in substream order whatever
+    /// others as they were, an absent list reads `None` and an empty
+    /// one `Some(&[])`, and the buffer reads in substream order whatever
     /// order the lists arrived in.
     #[test]
     fn candidate_lists_refill_one_substream_in_place() {
@@ -643,8 +640,8 @@ mod tests {
         assert_eq!(lists.get(0).map(ids), Some(vec![1, 2]));
         assert_eq!(lists.get(1).map(ids), Some(vec![10, 11, 12]));
         assert_eq!(lists.get(2).map(ids), Some(vec![5, 6]));
-        // Never received a list: substream 0's. An empty one: no fallback.
-        assert_eq!(lists.get(3).map(ids), Some(vec![1, 2]));
+        // Never received a list: none. An empty one: empty.
+        assert_eq!(lists.get(3).map(ids), None);
         lists.refill(2, |_| {});
         assert_eq!(lists.get(2).map(ids), Some(vec![]));
         assert_eq!(ids(lists.all()), [1, 2, 10, 11, 12]);

@@ -6,9 +6,8 @@ use crate::actors::client::Client;
 use crate::actors::stream::SuperNode;
 use crate::actors::ActorCtx;
 use crate::arena::IdArena;
-use crate::config::DeliveryMode;
 use crate::cost::TrafficClass;
-use crate::events::{Event, SliceDelivery, TraceSink, FULL_STREAM};
+use crate::events::{Event, SliceDelivery, TraceSink};
 use rlive_control::adviser::SwitchSuggestion;
 use rlive_control::adviser::UTIL_WINDOW_CAPACITY;
 use rlive_control::features::{heartbeat_interval_secs, ClientId};
@@ -58,7 +57,7 @@ pub(crate) fn resolve_views(
     views.clear();
     views.extend(relay.targets_for(stream, ss).filter_map(|cid| {
         let client = clients.get(&cid)?;
-        let central_client = matches!(client.mode_policy, DeliveryMode::RLiveCentralSequencing);
+        let central_client = client.spec().central_sequencing;
         Some(SubscriberView {
             client: cid,
             scale: client.abr.scale(),
@@ -124,10 +123,11 @@ pub(crate) struct Serving {
     /// Admission quotas.
     pub quotas: NodeQuotas,
     adviser: EdgeAdviser,
-    /// (stream, substream-or-FULL) -> subscriber client ids, as a flat
-    /// table sorted by key (binary-searched; iteration order matches
-    /// the BTreeMap it replaces).
-    subscribers: Vec<((u32, u16), Vec<u64>)>,
+    /// [`SubKey`] -> subscriber client ids, as a flat table sorted by
+    /// key (binary-searched; iteration order matches the BTreeMap it
+    /// replaces): a stream's whole-stream subscribers come before its
+    /// split slots.
+    subscribers: Vec<(SubKey, Vec<u64>)>,
     /// What the relay's heartbeats report. `forwarding` is kept live;
     /// the load scalars are refreshed by every online tick.
     status: NodeStatus,
@@ -146,10 +146,22 @@ impl Serving {
     }
 
     /// Position of `key` in the sorted subscriber table.
-    fn search(&self, key: (u32, u16)) -> Result<usize, usize> {
+    fn search(&self, key: SubKey) -> Result<usize, usize> {
         self.subscribers.binary_search_by_key(&key, |&(k, _)| k)
     }
+
+    /// The subscriber table's entries of `stream`.
+    fn stream_entries(&self, stream: u32) -> &[(SubKey, Vec<u64>)] {
+        let subs = &self.subscribers[..];
+        let lo = subs.partition_point(|&((s, ..), _)| s < stream);
+        let len = subs[lo..].partition_point(|&((s, ..), _)| s == stream);
+        &subs[lo..lo + len]
+    }
 }
+
+/// A subscription key: `(stream, split width, slot)`. Width 1 is the
+/// whole stream; a split session subscribes slot by slot at width K.
+pub(crate) type SubKey = (u32, u16, u16);
 
 /// The quotas of a relay of `capacity_mbps` nobody is subscribed to.
 fn fresh_quotas(capacity_mbps: f64) -> NodeQuotas {
@@ -157,12 +169,12 @@ fn fresh_quotas(capacity_mbps: f64) -> NodeQuotas {
     NodeQuotas::new(capacity_mbps, 2.0, 512.0, sessions)
 }
 
-/// The forwarding-set key of a `(stream, ss)` subscription.
-fn forwarding_key(stream: u32, ss: u16) -> StreamKey {
-    let substream = if ss == FULL_STREAM { 0 } else { ss };
+/// The forwarding-set key of a subscription: a whole-stream key and
+/// slot 0 of a split share one.
+fn forwarding_key((stream, _, slot): SubKey) -> StreamKey {
     StreamKey {
         stream_id: stream as u64,
-        substream,
+        substream: slot,
     }
 }
 
@@ -231,23 +243,22 @@ impl Relay {
     /// Whether this relay receives the header sequence of `stream`:
     /// whether any subscriber listens on one of its substreams.
     pub fn feeds(&self, stream: u32) -> bool {
-        self.serving().is_some_and(|p| {
-            let i = p.subscribers.partition_point(|&((s, _), _)| s < stream);
-            p.subscribers.get(i).is_some_and(|&((s, _), _)| s == stream)
-        })
+        self.serving()
+            .is_some_and(|p| !p.stream_entries(stream).is_empty())
     }
 
-    /// Forwarding targets of one `(stream, ss)` frame, in subscription
-    /// order: full-stream subscribers first, then substream subscribers.
+    /// Forwarding targets of one frame of `stream` on substream `ss`, in
+    /// subscription order: whole-stream subscribers first, then those
+    /// of slot `ss` (a world splits at one K).
     pub fn targets_for(&self, stream: u32, ss: u16) -> impl Iterator<Item = u64> + '_ {
-        let subs = |key| match self.serving().map(|p| (p, p.search(key))) {
-            Some((p, Ok(i))) => &p.subscribers[i].1[..],
-            _ => &[],
+        let entries = self.serving().map_or(&[][..], |p| p.stream_entries(stream));
+        let (whole, split) = match entries {
+            [((_, 1, _), subs), rest @ ..] => (&subs[..], rest),
+            _ => (&[][..], entries),
         };
-        subs((stream, FULL_STREAM))
-            .iter()
-            .chain(subs((stream, ss)))
-            .copied()
+        let slot = split.iter().find(|&&((_, _, slot), _)| slot == ss);
+        let slot = slot.map_or(&[][..], |(_, subs)| &subs[..]);
+        whole.iter().chain(slot).copied()
     }
 
     /// Every subscribed client id (cost-consolidation suggestions go to
@@ -292,14 +303,13 @@ impl Relay {
     }
 
     /// Admits one subscription: reserves uplink quota, records the
-    /// subscriber and starts forwarding its `(stream, ss)`. Returns
-    /// `false` (without side effects) when offline or over quota.
+    /// subscriber under `key` and starts forwarding it. Returns `false`
+    /// (without side effects) when offline or over quota.
     /// `client_exists` gates the adviser's per-connection QoS record.
     pub fn subscribe(
         &mut self,
         cid: u64,
-        stream: u32,
-        ss: u16,
+        key: SubKey,
         bandwidth_mbps: f64,
         client_exists: bool,
     ) -> bool {
@@ -314,12 +324,12 @@ impl Relay {
         if !p.quotas.reserve(bandwidth_mbps * 1.6, 0.02, 4.0) {
             return false;
         }
-        match p.search((stream, ss)) {
+        match p.search(key) {
             Ok(i) => p.subscribers[i].1.push(cid),
-            Err(i) => p.subscribers.insert(i, ((stream, ss), vec![cid])),
+            Err(i) => p.subscribers.insert(i, (key, vec![cid])),
         }
         p.peak_subscribers = p.peak_subscribers.max(p.subscriber_count());
-        p.status.forwarding.insert(forwarding_key(stream, ss));
+        p.status.forwarding.insert(forwarding_key(key));
         if client_exists {
             p.adviser.record_connection_qos(ClientId(cid), rtt);
         }
@@ -327,18 +337,23 @@ impl Relay {
     }
 
     /// Reverses one [`Relay::subscribe`]: releases quota and stops
-    /// forwarding substreams (and feeding streams) nobody listens to.
-    /// A relay that has never served holds nothing to release.
-    pub fn unsubscribe(&mut self, cid: u64, stream: u32, ss: u16, bandwidth_mbps: f64) {
+    /// forwarding substreams (and feeding streams) nobody listens to,
+    /// under either key that shares the forwarding entry. A relay that
+    /// has never served holds nothing to release.
+    pub fn unsubscribe(&mut self, cid: u64, key: SubKey, bandwidth_mbps: f64) {
         let Some(p) = self.serving.as_deref_mut() else {
             return;
         };
-        if let Ok(i) = p.search((stream, ss)) {
+        if let Ok(i) = p.search(key) {
             let subs = &mut p.subscribers[i].1;
             subs.retain(|&c| c != cid);
             if subs.is_empty() {
                 p.subscribers.remove(i);
-                p.status.forwarding.remove(&forwarding_key(stream, ss));
+                let (stream, _, slot) = key;
+                let entries = p.stream_entries(stream);
+                if !entries.iter().any(|&((.., s), _)| s == slot) {
+                    p.status.forwarding.remove(&forwarding_key(key));
+                }
             }
         }
         p.quotas.release(bandwidth_mbps * 1.6, 0.02, 4.0);
@@ -580,23 +595,33 @@ mod tests {
     #[test]
     fn subscribe_unsubscribe_bookkeeping() {
         let mut r = relay();
-        assert!(r.subscribe(7, 2, 0, 0.5, true));
-        assert!(r.subscribe(8, 2, FULL_STREAM, 1.0, true));
+        let targets = |r: &Relay, stream, ss| r.targets_for(stream, ss).collect::<Vec<_>>();
+        // Mixed widths: slot 0 of a 4-way split, then a whole stream.
+        assert!(r.subscribe(7, (2, 4, 0), 0.5, true));
+        assert!(r.subscribe(8, (2, 1, 0), 1.0, true));
         assert!(r.feeds(2));
         assert_eq!(r.all_subscriber_ids().count(), 2);
         assert_eq!(r.serving().unwrap().peak_subscribers, 2);
-        // Full-stream subscribers come first in the forwarding order.
-        assert_eq!(r.targets_for(2, 0).collect::<Vec<_>>(), vec![8, 7]);
-        // Substream 1 only reaches the full-stream subscriber.
-        assert_eq!(r.targets_for(2, 1).collect::<Vec<_>>(), vec![8]);
-        r.unsubscribe(7, 2, 0, 0.5);
-        assert_eq!(r.targets_for(2, 0).collect::<Vec<_>>(), vec![8]);
-        assert!(r.feeds(2), "full-stream subscriber still feeds");
-        r.unsubscribe(8, 2, FULL_STREAM, 1.0);
-        assert!(!r.feeds(2));
+        // Whole-stream subscribers come first; slot 1 reaches only them.
+        let both = (targets(&r, 2, 0), targets(&r, 2, 1));
+        assert_eq!(both, (vec![8, 7], vec![8]));
+        // The two keys share one forwarding entry, kept while either
+        // key has subscribers.
+        let forwards = |r: &Relay| r.status().forwarding.first().map(|k| k.substream);
+        r.unsubscribe(8, (2, 1, 0), 1.0);
+        assert_eq!(forwards(&r), Some(0), "slot 0 still forwards");
+        assert!(r.subscribe(8, (2, 1, 0), 1.0, true));
+        r.unsubscribe(7, (2, 4, 0), 0.5);
+        assert_eq!(forwards(&r), Some(0), "the whole stream still forwards");
+        assert_eq!(targets(&r, 2, 0), [8]);
+        r.unsubscribe(8, (2, 1, 0), 1.0);
+        assert!(!r.feeds(2) && forwards(&r).is_none());
         assert_eq!(r.all_subscriber_ids().count(), 0);
         let peak = r.serving().unwrap().peak_subscribers;
         assert_eq!(peak, 2, "high-water mark survives");
+        // K = 1: the one slot is the whole stream; each subscriber once.
+        assert!(r.subscribe(5, (3, 1, 0), 1.0, true) && r.subscribe(6, (3, 1, 0), 1.0, true));
+        assert_eq!(targets(&r, 3, 0), [5, 6]);
     }
 
     #[test]
@@ -606,7 +631,7 @@ mod tests {
         // exhaust it.
         let mut admitted = 0;
         for cid in 0..40u64 {
-            if r.subscribe(cid, 0, 0, 1.0, false) {
+            if r.subscribe(cid, (0, 4, 0), 1.0, false) {
                 admitted += 1;
             }
         }
@@ -627,7 +652,7 @@ mod tests {
             SimDuration::from_secs(10),
         ));
         let mut rng = SimRng::new(6);
-        assert!(r.subscribe(1, 0, 0, 0.5, true));
+        assert!(r.subscribe(1, (0, 4, 0), 0.5, true));
         let before = r.tick(SimTime::ZERO + SimDuration::from_secs(1), &mut rng);
         assert!(r.online);
         assert!(before.transition.is_none());
@@ -641,7 +666,7 @@ mod tests {
         assert_eq!(left, 0, "outage drops all subscribers");
         assert!(!r.feeds(0));
         assert!(
-            !r.subscribe(2, 0, 0, 0.5, true),
+            !r.subscribe(2, (0, 4, 0), 0.5, true),
             "offline relays admit nobody"
         );
 
@@ -649,7 +674,7 @@ mod tests {
         assert!(r.online, "outage window has passed");
         assert_eq!(after.transition, Some(true));
         assert!(
-            r.subscribe(2, 0, 0, 0.5, true),
+            r.subscribe(2, (0, 4, 0), 0.5, true),
             "recovered relay admits again"
         );
     }
@@ -682,8 +707,8 @@ mod tests {
         // Probed and subscribed at t = 30 s.
         assert_eq!(early.rtt_estimate(at(30)), late.rtt_estimate(at(30)));
         for cid in 0..10 {
-            let admitted = early.subscribe(cid, 1, 0, 1.0, true);
-            assert_eq!(admitted, late.subscribe(cid, 1, 0, 1.0, true));
+            let admitted = early.subscribe(cid, (1, 4, 0), 1.0, true);
+            assert_eq!(admitted, late.subscribe(cid, (1, 4, 0), 1.0, true));
         }
         // Traffic before the next tick runs at the bandwidth of the last.
         let burst = |r: &mut Relay| -> Vec<_> {

@@ -43,20 +43,46 @@ pub enum DeliveryMode {
     RLiveCentralSequencing,
 }
 
-impl DeliveryMode {
-    /// Whether the mode uses best-effort relays at all.
-    pub fn uses_best_effort(self) -> bool {
-        !matches!(self, DeliveryMode::CdnOnly)
-    }
+/// One row of the delivery table: what a session of one
+/// [`DeliveryMode`] does. [`DeliveryMode::spec`] is the only place that
+/// tells the modes apart; every session decision reads the row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ModeSpec {
+    /// Draws on best-effort relays at all.
+    pub best_effort: bool,
+    /// Splits the stream into K substreams, one slot each; otherwise
+    /// one slot carries the whole stream.
+    pub split: bool,
+    /// Pushes every substream from a second relay as well.
+    pub redundant: bool,
+    /// The §2.2 strawman (best-effort on one slot): high-quality relays
+    /// only, no QoE-driven recovery, and a degraded session re-maps to
+    /// another relay instead of falling back to the CDN.
+    pub strawman: bool,
+    /// A central super node ships the sequencing metadata (§7.3.2).
+    pub central_sequencing: bool,
+    /// Trace label.
+    pub label: &'static str,
+}
 
-    /// Whether the mode splits streams into substreams.
-    pub fn is_multi_source(self) -> bool {
-        matches!(
-            self,
-            DeliveryMode::RLive
-                | DeliveryMode::RedundantMulti
-                | DeliveryMode::RLiveCentralSequencing
-        )
+impl DeliveryMode {
+    /// The mode's row of the delivery table.
+    pub(crate) const fn spec(self) -> ModeSpec {
+        let (best_effort, split, redundant, central_sequencing, label) = match self {
+            DeliveryMode::CdnOnly => (false, false, false, false, "cdn_only"),
+            DeliveryMode::SingleSource => (true, false, false, false, "single_source"),
+            DeliveryMode::RLive => (true, true, false, false, "rlive"),
+            DeliveryMode::RedundantMulti => (true, true, true, false, "redundant_multi"),
+            DeliveryMode::RLiveCentralSequencing => (true, true, false, true, "central_sequencing"),
+        };
+        ModeSpec {
+            best_effort,
+            split,
+            redundant,
+            strawman: best_effort && !split,
+            central_sequencing,
+            label,
+        }
     }
 }
 
@@ -220,13 +246,23 @@ impl SystemConfig {
 mod tests {
     use super::*;
 
+    /// The delivery table, row by row.
     #[test]
-    fn mode_classification() {
-        assert!(!DeliveryMode::CdnOnly.uses_best_effort());
-        assert!(DeliveryMode::SingleSource.uses_best_effort());
-        assert!(!DeliveryMode::SingleSource.is_multi_source());
-        assert!(DeliveryMode::RLive.is_multi_source());
-        assert!(DeliveryMode::RedundantMulti.is_multi_source());
+    fn every_mode_has_its_row() {
+        use DeliveryMode::*;
+        let row = |m: DeliveryMode| {
+            let s = m.spec();
+            let flags = [s.best_effort, s.split, s.redundant, s.strawman];
+            (flags, s.central_sequencing, s.label)
+        };
+        let f = false;
+        assert_eq!(row(CdnOnly), ([f, f, f, f], f, "cdn_only"));
+        assert_eq!(row(SingleSource), ([true, f, f, true], f, "single_source"));
+        assert_eq!(row(RLive), ([true, true, f, f], f, "rlive"));
+        let redundant = row(RedundantMulti);
+        assert_eq!(redundant, ([true, true, true, f], f, "redundant_multi"));
+        let central = row(RLiveCentralSequencing);
+        assert_eq!(central, ([true, true, f, f], true, "central_sequencing"));
     }
 
     #[test]

@@ -15,9 +15,6 @@ use rlive_media::frame::FrameHeader;
 
 pub use rlive_sim::trace::{TraceEvent, TraceRecord, TraceSink};
 
-/// Substream index used for full-stream relay subscriptions.
-pub(crate) const FULL_STREAM: u16 = u16::MAX;
-
 /// A scheduled simulation event; the unit of work of the event loop.
 #[derive(Debug, Clone)]
 pub enum Event {
@@ -135,7 +132,7 @@ impl Event {
     /// on the sequential path (it draws the world RNG or mutates shared
     /// state: CDN edges, the scheduler, the session table).
     /// `central_world` is whether the world runs centralised sequencing
-    /// (`DeliveryMode::RLiveCentralSequencing`), which moves relay
+    /// (`ModeSpec::central_sequencing`), which moves relay
     /// fan-out onto the shared super node and off the shardable set.
     pub(crate) fn shard_class(&self, central_world: bool) -> Option<ShardClass> {
         match self {

@@ -8,10 +8,11 @@
 
 use crate::actors::actor_ctx;
 use crate::actors::cdn::CdnRequest;
-use crate::actors::client::{Client, ClientMode, HedgeState, SubSource, TARGET_BUFFER};
-use crate::config::{DeliveryMode, BASE_RUNG, BITRATE_LADDER};
+use crate::actors::client::{Client, HedgeState, SubSource, TARGET_BUFFER};
+use crate::actors::relay::{Relay, SubKey};
+use crate::config::{ModeSpec, BASE_RUNG, BITRATE_LADDER};
 use crate::cost::TrafficClass;
-use crate::events::{Event, TraceEvent, FULL_STREAM};
+use crate::events::{Event, TraceEvent};
 use crate::world::{Group, World};
 use rlive_control::adviser::SwitchSuggestion;
 use rlive_control::features::{ClientId, ClientInfo};
@@ -45,17 +46,6 @@ pub(crate) struct ControlScratch {
     sources: Vec<u32>,
     candidates: Vec<Candidate>,
     candidate_rtts: Vec<(NodeId, SimDuration)>,
-}
-
-/// Trace label of a delivery-mode policy.
-fn policy_label(mode: DeliveryMode) -> &'static str {
-    match mode {
-        DeliveryMode::CdnOnly => "cdn_only",
-        DeliveryMode::SingleSource => "single_source",
-        DeliveryMode::RLive => "rlive",
-        DeliveryMode::RedundantMulti => "redundant_multi",
-        DeliveryMode::RLiveCentralSequencing => "central_sequencing",
-    }
 }
 
 // ----- delivery helpers ------------------------------------------------
@@ -155,18 +145,10 @@ pub(crate) fn group_counts(world: &World, relay: u32) -> (usize, usize) {
 /// One coarse control round: fallback check, failover/switch, loss
 /// recovery, ABR evaluation, and rescheduling.
 pub(crate) fn on_control_tick(world: &mut World, now: SimTime, cid: u64) {
-    if !world.clients.contains_key(&cid) {
-        return;
+    match world.clients.get_mut(&cid) {
+        Some(c) if !c.departed => c.energy.add_cpu(world.energy_model.per_control_round),
+        _ => return,
     }
-    if world.clients[&cid].departed {
-        return;
-    }
-    world
-        .clients
-        .get_mut(&cid)
-        .expect("checked")
-        .energy
-        .add_cpu(world.energy_model.per_control_round);
 
     control_fallback_check(world, now, cid);
     let mut scratch = std::mem::take(&mut world.control);
@@ -193,10 +175,10 @@ fn control_fallback_check(world: &mut World, now: SimTime, cid: u64) {
     if !(client.uses_best_effort() && client.playback.below_fallback_threshold()) {
         return;
     }
-    if client.mode_policy == DeliveryMode::SingleSource {
-        if let ClientMode::SingleSource { relay: dead } = client.mode {
-            if let Some(next) = pick_relay_for(world, now, cid, 0) {
-                if next != dead && move_source(world, cid, FULL_STREAM, dead, next) {
+    if client.spec().strawman {
+        if let Some(&SubSource::Relay(dead)) = client.sources.first() {
+            if let Some(next) = pick_relay(world, now, cid, 0, &[]) {
+                if next != dead && move_source(world, cid, 0, dead, next) {
                     world.trace.emit(
                         now,
                         Some(cid),
@@ -215,11 +197,6 @@ fn control_fallback_check(world: &mut World, now: SimTime, cid: u64) {
     }
     fall_back_to_cdn(world, now, cid, "buffer_fallback");
     // Try multi-source again once stabilised.
-    world
-        .clients
-        .get_mut(&cid)
-        .expect("exists")
-        .upgrade_scheduled = true;
     world.queue.schedule(
         now + SimDuration::from_secs(15),
         Event::MultiSourceUpgrade { client: cid },
@@ -231,10 +208,9 @@ fn control_fallback_check(world: &mut World, now: SimTime, cid: u64) {
 /// §7.4: tears down every relay subscription and returns the client to
 /// CDN full-stream delivery, tracing the switch under `reason`.
 fn fall_back_to_cdn(world: &mut World, now: SimTime, cid: u64, reason: &'static str) {
-    let from = world.clients[&cid].mode.label();
+    let from = world.clients[&cid].mode_label();
     teardown_relay_subscriptions(world, cid);
     let client = world.clients.get_mut(&cid).expect("exists");
-    client.mode = ClientMode::CdnFull;
     client.session.fell_back_to_cdn = true;
     world.trace.emit(
         now,
@@ -279,7 +255,7 @@ fn failover_and_switch(world: &mut World, now: SimTime, cid: u64, scratch: &mut 
     if sources.is_empty() {
         return;
     }
-    let hq_only = client.mode_policy == DeliveryMode::SingleSource;
+    let hq_only = client.spec().strawman;
     candidate_rtts.clear();
     for c in candidates.iter() {
         let idx = c.node.0 as usize;
@@ -388,7 +364,7 @@ fn plan_recovery(world: &mut World, now: SimTime, cid: u64, scratch: &mut Contro
     // conservatively re-pulls the latter from the CDN, whose response
     // carries authoritative ordering: the extra retransmission load
     // the distributed design eliminates.
-    let unorderable = (client.mode_policy == DeliveryMode::RLiveCentralSequencing).then(|| {
+    let unorderable = client.spec().central_sequencing.then(|| {
         client
             .reorder
             .unorderable_complete(now, SimDuration::from_millis(400), 8)
@@ -428,7 +404,7 @@ fn plan_recovery(world: &mut World, now: SimTime, cid: u64, scratch: &mut Contro
     // The §2.2 strawman has no QoE-driven recovery: lost data is
     // re-requested from the same best-effort relay, full stop.
     // (CDN-full phases still recover from the CDN.)
-    if client.mode_policy == DeliveryMode::SingleSource && client.uses_best_effort() {
+    if client.spec().strawman && client.uses_best_effort() {
         for p in plans.iter_mut() {
             p.decision.action = RecoveryAction::BestEffortPackets;
             p.fanout = 1;
@@ -751,19 +727,18 @@ pub(crate) fn on_recovery_outcome(
         .map(|(h, _)| *h);
     let client = world.clients.get_mut(&cid).expect("checked above");
     client.recovery_stats.observe_retx(success);
-    // Attribute the outcome to the relay sourcing the frame's substream
+    // Attribute the outcome to the relay sourcing the frame's slot (the
+    // one slot of a whole-stream session, else the frame's substream)
     // and feed the scheduler's policy window (a no-op under the static
-    // policy). CDN-sourced substreams have no node to blame.
-    let source_relay = match &world.clients[&cid].mode {
-        ClientMode::SingleSource { relay } => Some(*relay),
-        ClientMode::Multi { sources, .. } => {
-            header.and_then(|h| match sources.get(world.substream_for(&h) as usize) {
-                Some(SubSource::Relay(rid)) => Some(*rid),
-                _ => None,
-            })
-        }
-        ClientMode::CdnFull => None,
+    // policy). CDN-sourced slots have no node to blame.
+    let client = &world.clients[&cid];
+    let slot = if client.spec().split {
+        header.map(|h| world.substream_for(&h) as usize)
+    } else {
+        Some(0)
     };
+    let source = slot.and_then(|slot| client.sources.get(slot));
+    let source_relay = source.and_then(|s| s.relay());
     if let Some(rid) = source_relay {
         world
             .scheduler
@@ -808,182 +783,132 @@ pub(crate) fn deliver_suggestion(world: &mut World, rid: u32, s: &SwitchSuggesti
 
 // ----- mapping: subscribe / unsubscribe / switch -----------------------
 
-/// Bandwidth one subscription reserves, Mbps: the base rung for
-/// [`FULL_STREAM`], an even share of it for one of the K substreams.
-fn subscription_mbps(world: &World, ss: u16) -> f64 {
-    let full_mbps = BITRATE_LADDER[BASE_RUNG] as f64 / 1e6;
-    if ss == FULL_STREAM {
-        full_mbps
-    } else {
-        full_mbps / world.cfg.substreams as f64
-    }
+/// Bandwidth one subscription to a slot of a `width`-way split
+/// reserves, Mbps: an even share of the base rung.
+fn subscription_mbps(width: u16) -> f64 {
+    BITRATE_LADDER[BASE_RUNG] as f64 / 1e6 / f64::from(width)
 }
 
-/// Subscribes `cid` to `(stream, ss)` on relay `rid`, reserving quota.
-pub(crate) fn subscribe(world: &mut World, cid: u64, rid: u32, stream: u32, ss: u16) -> bool {
+/// Subscribes `cid` to `key` on relay `rid`, reserving quota.
+pub(crate) fn subscribe(world: &mut World, cid: u64, rid: u32, key: SubKey) -> bool {
     let client_exists = world.clients.contains_key(&cid);
-    let mbps = subscription_mbps(world, ss);
-    let admitted = world
-        .serve(rid)
-        .subscribe(cid, stream, ss, mbps, client_exists);
-    world.refile_feeder(rid, stream);
+    let mbps = subscription_mbps(key.1);
+    let admitted = world.serve(rid).subscribe(cid, key, mbps, client_exists);
+    world.refile_feeder(rid, key.0);
     admitted
 }
 
 /// Reverses one [`subscribe`].
-pub(crate) fn unsubscribe(world: &mut World, cid: u64, rid: u32, stream: u32, ss: u16) {
-    let mbps = subscription_mbps(world, ss);
-    world.relays[rid as usize].unsubscribe(cid, stream, ss, mbps);
-    world.refile_feeder(rid, stream);
+pub(crate) fn unsubscribe(world: &mut World, cid: u64, rid: u32, key: SubKey) {
+    let mbps = subscription_mbps(key.1);
+    world.relays[rid as usize].unsubscribe(cid, key, mbps);
+    world.refile_feeder(rid, key.0);
 }
 
-/// Moves `cid`'s `ss` (or [`FULL_STREAM`]) subscription from relay
-/// `from` to relay `to`: subscribes first and, only once `to` admits,
-/// releases `from` and re-points the client. Returns whether it moved.
+/// The subscription key of slot `ss` of `cid`'s current split.
+fn slot_key(world: &World, cid: u64, ss: u16) -> SubKey {
+    let client = &world.clients[&cid];
+    (client.stream, client.sources.len() as u16, ss)
+}
+
+/// Moves `cid`'s slot `ss` from relay `from` to relay `to`: subscribes
+/// first and, only once `to` admits, releases `from` and re-points the
+/// slot. Returns whether it moved.
 fn move_source(world: &mut World, cid: u64, ss: u16, from: u32, to: u32) -> bool {
-    let stream = world.clients[&cid].stream;
-    if !subscribe(world, cid, to, stream, ss) {
+    let key = slot_key(world, cid, ss);
+    if !subscribe(world, cid, to, key) {
         return false;
     }
-    unsubscribe(world, cid, from, stream, ss);
+    unsubscribe(world, cid, from, key);
     let client = world.clients.get_mut(&cid).expect("exists");
-    match &mut client.mode {
-        ClientMode::Multi { sources, .. } => sources[ss as usize] = SubSource::Relay(to),
-        mode => *mode = ClientMode::SingleSource { relay: to },
-    }
+    client.sources[usize::from(ss)] = SubSource::Relay(to);
     true
 }
 
+/// Releases every relay subscription of `cid`, leaving it on CDN
+/// full-stream delivery.
 pub(crate) fn teardown_relay_subscriptions(world: &mut World, cid: u64) {
-    let Some(client) = world.clients.get(&cid) else {
+    let Some(client) = world.clients.get_mut(&cid) else {
         return;
     };
     let stream = client.stream;
-    match &client.mode {
-        ClientMode::CdnFull => {}
-        ClientMode::SingleSource { relay } => {
-            let rid = *relay;
-            unsubscribe(world, cid, rid, stream, FULL_STREAM);
-        }
-        ClientMode::Multi { sources, redundant } => {
-            let sources = sources.clone();
-            let redundant = redundant.clone();
-            for (ss, src) in sources.iter().enumerate() {
-                if let SubSource::Relay(rid) = src {
-                    unsubscribe(world, cid, *rid, stream, ss as u16);
-                }
-            }
-            for (ss, r) in redundant.iter().enumerate() {
-                if let Some(rid) = r {
-                    unsubscribe(world, cid, *rid, stream, ss as u16);
-                }
-            }
+    let (sources, redundant) = client.take_slots();
+    let width = sources.len() as u16;
+    let primaries = sources.iter().map(|s| s.relay()).enumerate();
+    for (ss, rid) in primaries.chain(redundant.iter().copied().enumerate()) {
+        if let Some(rid) = rid {
+            unsubscribe(world, cid, rid, (stream, width, ss as u16));
         }
     }
 }
 
+/// Hands slot `ss` of a split session to the CDN. A whole-stream
+/// session has no substream to switch.
 fn switch_substream_to_cdn(world: &mut World, cid: u64, ss: u16) {
-    let Some(client) = world.clients.get(&cid) else {
+    let Some(client) = world.clients.get_mut(&cid) else {
         return;
     };
-    let stream = client.stream;
-    let old = match &client.mode {
-        ClientMode::Multi { sources, .. } => sources.get(ss as usize).copied(),
-        _ => None,
+    let key = (client.stream, client.sources.len() as u16, ss);
+    let split = client.spec().split;
+    let Some(slot) = client.sources.get_mut(usize::from(ss)).filter(|_| split) else {
+        return;
     };
-    if let Some(SubSource::Relay(rid)) = old {
-        unsubscribe(world, cid, rid, stream, ss);
-    }
-    if let Some(client) = world.clients.get_mut(&cid) {
-        if let ClientMode::Multi { sources, .. } = &mut client.mode {
-            if let Some(slot) = sources.get_mut(ss as usize) {
-                *slot = SubSource::Cdn;
-            }
-        }
+    if let Some(rid) = std::mem::replace(slot, SubSource::Cdn).relay() {
+        unsubscribe(world, cid, rid, key);
     }
 }
 
+/// Re-homes every slot the dead relay served. A split hands each slot
+/// to the CDN first, which covers the gap when no candidate admits. The
+/// strawman picks while the dead relay is still listed, so it is not
+/// probed, and goes to CDN full-stream delivery when nothing admits.
 fn replace_relay_source(world: &mut World, now: SimTime, cid: u64, dead: u32) {
-    // Probe fresh candidates and re-home every substream served by
-    // the dead relay; CDN covers the gap when no candidate admits.
-    let (stream, affected) = {
-        let Some(client) = world.clients.get_mut(&cid) else {
-            return;
-        };
-        client.controller.record_failure(now, NodeId(dead as u64));
-        let stream = client.stream;
-        let mut affected = Vec::new();
-        match &mut client.mode {
-            ClientMode::SingleSource { relay } if *relay == dead => {
-                // Handled below: try another top-tier relay first.
-                affected.push(usize::MAX);
-            }
-            ClientMode::Multi { sources, redundant } => {
-                for (i, src) in sources.iter_mut().enumerate() {
-                    if *src == SubSource::Relay(dead) {
-                        *src = SubSource::Cdn;
-                        affected.push(i);
-                    }
-                }
-                for r in redundant.iter_mut() {
-                    if *r == Some(dead) {
-                        *r = None;
-                    }
-                }
-            }
-            _ => {}
-        }
-        (stream, affected)
+    let Some(client) = world.clients.get_mut(&cid) else {
+        return;
     };
-    for ss in affected {
-        if ss == usize::MAX {
-            // Single-source re-map: another top-tier relay, or the
-            // CDN as last resort.
-            let next = pick_relay_for(world, now, cid, 0);
-            let subscribed = next
-                .map(|rid| subscribe(world, cid, rid, stream, FULL_STREAM))
-                .unwrap_or(false);
-            if let Some(client) = world.clients.get_mut(&cid) {
-                client.mode = match (subscribed, next) {
-                    (true, Some(rid)) => ClientMode::SingleSource { relay: rid },
-                    _ => {
-                        client.session.fell_back_to_cdn = true;
-                        ClientMode::CdnFull
-                    }
-                };
+    client.controller.record_failure(now, NodeId(dead as u64));
+    let strawman = client.spec().strawman;
+    let mut affected = Vec::new();
+    for (ss, src) in client.sources.iter_mut().enumerate() {
+        if *src == SubSource::Relay(dead) {
+            if !strawman {
+                *src = SubSource::Cdn;
             }
-            continue;
+            affected.push(ss as u16);
         }
-        // Try to find a replacement relay right away.
-        if let Some(new_rid) = pick_relay_for(world, now, cid, ss as u16) {
-            if subscribe(world, cid, new_rid, stream, ss as u16) {
-                if let Some(client) = world.clients.get_mut(&cid) {
-                    if let ClientMode::Multi { sources, .. } = &mut client.mode {
-                        sources[ss] = SubSource::Relay(new_rid);
-                    }
-                }
+    }
+    for r in client.redundant.iter_mut().filter(|r| **r == Some(dead)) {
+        *r = None;
+    }
+    for ss in affected {
+        let key = slot_key(world, cid, ss);
+        let next = pick_relay(world, now, cid, ss, &[]);
+        let next = next.filter(|&rid| subscribe(world, cid, rid, key));
+        let client = world.clients.get_mut(&cid).expect("exists");
+        match next {
+            Some(rid) => client.sources[usize::from(ss)] = SubSource::Relay(rid),
+            None if strawman => {
+                client.take_slots();
+                client.session.fell_back_to_cdn = true;
             }
+            None => {}
         }
     }
 }
 
+/// Moves the first slot relay `from` serves onto `to`: one slot per
+/// assessment round (gradual re-mapping limits disruption).
 fn swap_relay(world: &mut World, cid: u64, from: u32, to: u32) {
     let Some(client) = world.clients.get(&cid) else {
         return;
     };
-    let ss = match &client.mode {
-        ClientMode::SingleSource { relay } if *relay == from => FULL_STREAM,
-        // Move one substream per assessment round (gradual re-mapping
-        // limits disruption).
-        ClientMode::Multi { sources, .. } => {
-            match sources.iter().position(|s| *s == SubSource::Relay(from)) {
-                Some(ss) => ss as u16,
-                None => return,
-            }
-        }
-        _ => return,
-    };
-    move_source(world, cid, ss, from, to);
+    let from_slot = client
+        .sources
+        .iter()
+        .position(|&s| s == SubSource::Relay(from));
+    if let Some(ss) = from_slot {
+        move_source(world, cid, ss as u16, from, to);
+    }
 }
 
 fn refresh_candidates(world: &mut World, now: SimTime, cid: u64) {
@@ -991,11 +916,7 @@ fn refresh_candidates(world: &mut World, now: SimTime, cid: u64) {
         return;
     };
     let info = client.info;
-    let k = if client.mode_policy.is_multi_source() {
-        world.cfg.substreams
-    } else {
-        1
-    };
+    let k = client.width(world.cfg.substreams);
     let top_k = world.scheduler.config().top_k;
     client.candidates.reserve(usize::from(k) * top_k);
     for substream in 0..k {
@@ -1009,35 +930,31 @@ fn refresh_candidates(world: &mut World, now: SimTime, cid: u64) {
     }
 }
 
-/// Probes up to three candidates (§4.1.2) for a substream and
-/// returns the first admitting, traversable, online relay.
-fn pick_relay_for(world: &mut World, now: SimTime, cid: u64, ss: u16) -> Option<u32> {
-    pick_relay_excluding(world, now, cid, ss, &[])
+/// Whether a session of `spec` may use relay `node`: the §2.2 strawman
+/// extends the CDN with only the high-quality tier, and a §7.2.1
+/// two-tier deployment (`weak_tier`) keeps split sessions off it.
+fn tier_allows(relays: &[Relay], weak_tier: bool, spec: ModeSpec, node: NodeId) -> bool {
+    let hq = relays.get(node.0 as usize).is_some_and(|r| r.high_quality);
+    if spec.strawman {
+        hq
+    } else {
+        !(weak_tier && spec.split && hq)
+    }
 }
 
-/// Like [`pick_relay_for`], additionally excluding `extra` (relays
-/// already chosen in this mapping round).
-fn pick_relay_excluding(
-    world: &mut World,
-    now: SimTime,
-    cid: u64,
-    ss: u16,
-    extra: &[u32],
-) -> Option<u32> {
+/// Probes up to three candidates (§4.1.2) for slot `ss` and returns the
+/// first admitting, traversable, online relay the session's tier allows
+/// that neither serves it already nor is in `extra` (relays already
+/// chosen in this mapping round).
+fn pick_relay(world: &mut World, now: SimTime, cid: u64, ss: u16, extra: &[u32]) -> Option<u32> {
     let client = world.clients.get_mut(&cid)?;
-    let hq_only = client.mode_policy == DeliveryMode::SingleSource;
-    let weak_only = world.cfg.multi_on_weak_tier && client.mode_policy.is_multi_source();
+    let (spec, weak_tier) = (client.spec(), world.cfg.multi_on_weak_tier);
     let relays = &world.relays;
     let list = client.candidates.get(ss).unwrap_or_default();
-    let ids = list.iter().map(|c| c.node).filter(|n| {
-        // The §2.2 strawman extends the CDN with *only* the top-tier
-        // nodes; everything else is invisible to it.
-        let hq = relays
-            .get(n.0 as usize)
-            .map(|r| r.high_quality)
-            .unwrap_or(false);
-        !extra.contains(&(n.0 as u32)) && (!hq_only || hq) && (!weak_only || !hq)
-    });
+    let ids = list
+        .iter()
+        .map(|c| c.node)
+        .filter(|&n| !extra.contains(&(n.0 as u32)) && tier_allows(relays, weak_tier, spec, n));
     let mut probes = std::mem::take(&mut world.probes);
     client.controller.probe_list(now, ids, &mut probes);
     let mut picked = None;
@@ -1156,7 +1073,7 @@ pub(crate) fn on_client_arrival(world: &mut World, now: SimTime) {
                     Group::Control => "control",
                     Group::Test => "test",
                 },
-                mode: policy_label(mode_policy),
+                mode: mode_policy.spec().label,
             },
         );
     }
@@ -1168,13 +1085,10 @@ pub(crate) fn on_client_arrival(world: &mut World, now: SimTime) {
 
     // Kick off candidate retrieval in parallel with CDN startup
     // (§4.1: parallelism keeps first-frame latency low).
-    if mode_policy.uses_best_effort() {
+    if mode_policy.spec().best_effort {
         refresh_candidates(world, now, cid);
         let upgrade_at = now + world.cfg.multi_source_after;
         if upgrade_at < leaves_at {
-            if let Some(c) = world.clients.get_mut(&cid) {
-                c.upgrade_scheduled = true;
-            }
             world
                 .queue
                 .schedule(upgrade_at, Event::MultiSourceUpgrade { client: cid });
@@ -1198,83 +1112,47 @@ pub(crate) fn on_upgrade(world: &mut World, now: SimTime, cid: u64) {
     let Some(client) = world.clients.get(&cid) else {
         return;
     };
-    if client.departed || !matches!(client.mode, ClientMode::CdnFull) {
+    let spec = client.spec();
+    if client.departed || !spec.best_effort || client.uses_best_effort() {
         return;
     }
-    let mode_policy = client.mode_policy;
     let stream = client.stream;
     // Popularity gate (§7.1.1).
     if world.streams[stream as usize].viewers < world.cfg.popularity_threshold {
         return;
     }
-    if let Some(c) = world.clients.get_mut(&cid) {
-        c.upgrade_scheduled = false;
-    }
     refresh_candidates(world, now, cid);
-    match mode_policy {
-        DeliveryMode::CdnOnly => {}
-        DeliveryMode::SingleSource => {
-            let relay = pick_relay_for(world, now, cid, 0)
-                .filter(|&rid| subscribe(world, cid, rid, stream, FULL_STREAM));
-            if let Some(relay) = relay {
-                world.clients.get_mut(&cid).expect("exists").mode =
-                    ClientMode::SingleSource { relay };
+    let width = world.clients[&cid].width(world.cfg.substreams);
+    let mut sources = vec![SubSource::Cdn; usize::from(width)];
+    let mut redundant = vec![None; usize::from(width)];
+    let mut taken = std::mem::take(&mut world.taken);
+    taken.clear();
+    for ss in 0..width {
+        // A redundant split maps a second relay onto every slot.
+        for copy in 0..=usize::from(spec.redundant) {
+            let (rid, key) = (pick_relay(world, now, cid, ss, &taken), (stream, width, ss));
+            let Some(rid) = rid.filter(|&rid| subscribe(world, cid, rid, key)) else {
+                continue;
+            };
+            taken.push(rid);
+            match copy {
+                0 => sources[usize::from(ss)] = SubSource::Relay(rid),
+                _ => redundant[usize::from(ss)] = Some(rid),
             }
-            let granted = relay.is_some();
-            trace_promotion(world, now, cid, granted, granted as u32, "single_source");
-        }
-        DeliveryMode::RLive
-        | DeliveryMode::RedundantMulti
-        | DeliveryMode::RLiveCentralSequencing => {
-            let k = world.cfg.substreams as usize;
-            let mut sources = vec![SubSource::Cdn; k];
-            let mut redundant = vec![None; k];
-            let mut any = false;
-            let mut taken = std::mem::take(&mut world.taken);
-            taken.clear();
-            for ss in 0..k {
-                if let Some(rid) = pick_relay_excluding(world, now, cid, ss as u16, &taken) {
-                    if subscribe(world, cid, rid, stream, ss as u16) {
-                        sources[ss] = SubSource::Relay(rid);
-                        taken.push(rid);
-                        any = true;
-                    }
-                }
-                if mode_policy == DeliveryMode::RedundantMulti {
-                    if let Some(rid2) = pick_relay_excluding(world, now, cid, ss as u16, &taken) {
-                        if subscribe(world, cid, rid2, stream, ss as u16) {
-                            redundant[ss] = Some(rid2);
-                            taken.push(rid2);
-                        }
-                    }
-                }
-            }
-            if any {
-                world.clients.get_mut(&cid).expect("exists").mode =
-                    ClientMode::Multi { sources, redundant };
-            }
-            trace_promotion(world, now, cid, any, taken.len() as u32, "multi");
-            world.taken = taken;
         }
     }
-}
-
-/// Traces a promotion attempt over `relays` relays and, when granted,
-/// the client's switch off CDN full-stream delivery onto mode `to`.
-fn trace_promotion(
-    world: &World,
-    now: SimTime,
-    cid: u64,
-    granted: bool,
-    relays: u32,
-    to: &'static str,
-) {
+    let granted = sources.iter().any(|s| s.relay().is_some());
+    let relays = taken.len() as u32;
+    world.taken = taken;
     world.trace.emit(
         now,
         Some(cid),
         TraceEvent::MultiSourcePromotion { granted, relays },
     );
     if granted {
+        let client = world.clients.get_mut(&cid).expect("exists");
+        (client.sources, client.redundant) = (sources, redundant);
+        let to = client.mode_label();
         world.trace.emit(
             now,
             Some(cid),
@@ -1301,22 +1179,15 @@ pub(crate) fn close_session(world: &mut World, now: SimTime, cid: u64) {
     client.departed = true;
     let stream = client.stream as usize;
     let group = client.group;
-    let energy = if client.energy.playback_secs >= 5.0 {
-        Some((
-            client
-                .energy
-                .cpu_pct(&crate::energy::EnergyModel::default()),
-            client.energy.mem_pct(),
-            client
-                .energy
-                .temp_pct(&crate::energy::EnergyModel::default()),
-            client
-                .energy
-                .battery_pct(&crate::energy::EnergyModel::default()),
-        ))
-    } else {
-        None
-    };
+    let (e, model) = (&client.energy, crate::energy::EnergyModel::default());
+    let energy = (e.playback_secs >= 5.0).then(|| {
+        (
+            e.cpu_pct(&model),
+            e.mem_pct(),
+            e.temp_pct(&model),
+            e.battery_pct(&model),
+        )
+    });
     client.session.frames_skipped = client.reorder.skipped_count();
     let session = client.session.clone();
     world.trace.emit(
@@ -1344,7 +1215,7 @@ pub(crate) fn close_session(world: &mut World, now: SimTime, cid: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SystemConfig;
+    use crate::config::{DeliveryMode, SystemConfig};
     use crate::world::GroupPolicy;
     use rlive_control::ClientControllerConfig;
     use rlive_workload::scenario::Scenario;

@@ -54,7 +54,7 @@ use crate::actors::relay::{resolve_views, Relay};
 use crate::actors::stream::{StreamState, SuperNode};
 use crate::actors::ActorCtx;
 use crate::arena::IdArena;
-use crate::config::{DeliveryMode, SystemConfig};
+use crate::config::SystemConfig;
 use crate::cost::TrafficLedger;
 use crate::energy::EnergyModel;
 use crate::events::{Event, ShardClass, SlicePool};
@@ -109,7 +109,7 @@ impl World {
         first: Event,
         class: ShardClass,
     ) -> ShardBatch {
-        let central_world = matches!(self.cfg.mode, DeliveryMode::RLiveCentralSequencing);
+        let central_world = self.cfg.mode.spec().central_sequencing;
         let mut all_chains = matches!(first, Event::ChainDelivery { .. });
         let mut batch = std::mem::take(&mut self.batch);
         batch.class = class;

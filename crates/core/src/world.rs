@@ -11,7 +11,7 @@
 
 use crate::actors::actor_ctx;
 use crate::actors::cdn::CdnEdge;
-use crate::actors::client::{Client, ClientMode, SubSource};
+use crate::actors::client::{Client, SubSource};
 use crate::actors::relay::{resolve_views, Relay, Serving, SubscriberView};
 use crate::actors::stream::{StreamState, SuperNode};
 use crate::arena::IdArena;
@@ -569,7 +569,7 @@ impl World {
     /// construction), on scoped worker threads otherwise, with a
     /// deterministic merge that makes the two paths indistinguishable.
     pub fn run(mut self) -> RunReport {
-        let central_world = matches!(self.cfg.mode, DeliveryMode::RLiveCentralSequencing);
+        let central_world = self.cfg.mode.spec().central_sequencing;
         while let Some((now, event)) = self.queue.pop() {
             if now > self.end_at {
                 break;
@@ -825,18 +825,16 @@ impl World {
         }
 
         // Serve clients pulling the full stream straight from the CDN,
-        // then substreams that fell back to CDN sourcing.
+        // then split slots that fell back to CDN sourcing.
         let mut ids = std::mem::take(&mut self.client_ids);
-        for cdn_sub in [false, true] {
+        for cdn_slot in [false, true] {
             ids.clear();
             let served = self.clients.values().filter(|c| {
                 c.stream == stream
-                    && match &c.mode {
-                        ClientMode::CdnFull => !cdn_sub,
-                        ClientMode::Multi { sources, .. } => {
-                            cdn_sub && sources.get(ss as usize) == Some(&SubSource::Cdn)
-                        }
-                        ClientMode::SingleSource { .. } => false,
+                    && if cdn_slot {
+                        c.sources.get(ss as usize) == Some(&SubSource::Cdn)
+                    } else {
+                        c.sources.is_empty()
                     }
             });
             ids.extend(served.map(|c| c.id));
@@ -861,7 +859,7 @@ impl World {
             return;
         }
         let ss = self.substream_for(&header);
-        let central_world = matches!(self.cfg.mode, DeliveryMode::RLiveCentralSequencing);
+        let central_world = self.cfg.mode.spec().central_sequencing;
         let mut views = std::mem::take(&mut self.views);
         resolve_views(
             &self.relays[relay as usize],

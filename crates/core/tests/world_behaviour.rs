@@ -141,6 +141,28 @@ fn single_source_stays_on_high_quality_tier() {
     assert!(hq_count.1 <= 6, "too many relays used: {hq_count:?}");
 }
 
+/// Whole-stream and split sessions in one world: relays serve both, and
+/// both groups play on best-effort bytes.
+#[test]
+fn single_source_and_rlive_share_one_world() {
+    let mut cfg = SystemConfig::for_mode(DeliveryMode::RLive);
+    cfg.multi_source_after = SimDuration::from_secs(5);
+    cfg.popularity_threshold = 1;
+    cfg.cdn_edge_mbps = 140;
+    let mut scenario = tiny_scenario();
+    scenario.population.high_quality_fraction = 0.10;
+    let policy = GroupPolicy::ab(DeliveryMode::SingleSource, DeliveryMode::RLive);
+    let report = World::new(scenario, cfg, policy, 23).run();
+    for (qoe, traffic) in [
+        (&report.control_qoe, &report.control_traffic),
+        (&report.test_qoe, &report.test_traffic),
+    ] {
+        let (views, watch) = (qoe.views, qoe.watch_secs);
+        assert!(views > 0 && watch > 100.0, "views {views}, watch {watch} s");
+        assert!(traffic.best_effort_serving > 0, "{traffic:?}");
+    }
+}
+
 #[test]
 fn weak_tier_restriction_excludes_hq_nodes() {
     let mut cfg = SystemConfig::for_mode(DeliveryMode::RLive);
