@@ -476,12 +476,13 @@ impl Client {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rlive_control::features::ClientId;
     use rlive_control::Platform;
 
-    fn client(mode_policy: DeliveryMode) -> Client {
+    /// A fresh session 1 of `mode_policy`, leaving at 120 s.
+    pub(crate) fn client(mode_policy: DeliveryMode) -> Client {
         let info = ClientInfo {
             id: ClientId(1),
             isp: 0,

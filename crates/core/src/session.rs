@@ -1217,7 +1217,6 @@ mod tests {
     use super::*;
     use crate::config::{DeliveryMode, SystemConfig};
     use crate::world::GroupPolicy;
-    use rlive_control::ClientControllerConfig;
     use rlive_workload::scenario::Scenario;
 
     fn tiny_world() -> World {
@@ -1232,31 +1231,6 @@ mod tests {
         )
     }
 
-    fn test_client(id: u64) -> Client {
-        let info = ClientInfo {
-            id: ClientId(id),
-            isp: 0,
-            region: 0,
-            bgp_prefix: 0,
-            geo: (0.0, 0.0),
-            platform: Platform::Android,
-        };
-        Client::new(
-            id,
-            Group::Test,
-            DeliveryMode::RLive,
-            info,
-            0,
-            0,
-            ClientControllerConfig::default(),
-            SimDuration::from_secs_f64(1.0 / 30.0),
-            SimDuration::from_millis(200),
-            rlive_data::recovery::RecoveryStats::default(),
-            SimTime::ZERO,
-            SimTime::ZERO + SimDuration::from_secs(120),
-        )
-    }
-
     /// Regression for the supersede-then-complete sequence: §5.3
     /// re-decides an in-flight best-effort recovery into a dedicated
     /// retrieval, then the slow best-effort attempt completes anyway.
@@ -1266,7 +1240,7 @@ mod tests {
     #[test]
     fn late_outcome_of_a_superseded_request_leaves_the_new_entry() {
         let mut world = tiny_world();
-        let mut c = test_client(7);
+        let mut c = crate::actors::client::tests::client(DeliveryMode::RLive);
         let t0 = SimTime::ZERO + SimDuration::from_millis(100);
         let t1 = SimTime::ZERO + SimDuration::from_millis(800);
         c.requested_recovery
@@ -1274,17 +1248,17 @@ mod tests {
         // The shrunken deadline escalated: dedicated supersedes.
         c.requested_recovery
             .insert(330, (RecoveryAction::DedicatedFrame, t1));
-        world.clients.insert(7, c);
+        world.clients.insert(c.id, c);
 
         on_recovery_outcome(
             &mut world,
             t1 + SimDuration::from_millis(50),
-            7,
+            1,
             330,
             RecoveryAction::BestEffortPackets,
             false,
         );
-        let entry = world.clients.get(&7).unwrap().requested_recovery.get(330);
+        let entry = world.clients.get(&1).unwrap().requested_recovery.get(330);
         assert_eq!(
             entry.map(|(a, _)| *a),
             Some(RecoveryAction::DedicatedFrame),
@@ -1294,7 +1268,7 @@ mod tests {
         on_recovery_outcome(
             &mut world,
             t1 + SimDuration::from_millis(90),
-            7,
+            1,
             330,
             RecoveryAction::DedicatedFrame,
             true,
@@ -1302,7 +1276,7 @@ mod tests {
         assert!(
             world
                 .clients
-                .get(&7)
+                .get(&1)
                 .unwrap()
                 .requested_recovery
                 .get(330)
