@@ -255,14 +255,12 @@ fn failover_and_switch(world: &mut World, now: SimTime, cid: u64, scratch: &mut 
     if sources.is_empty() {
         return;
     }
-    let hq_only = client.spec().strawman;
+    // The tier rule of the initial mapping holds for switching too.
+    let (spec, weak_tier) = (client.spec(), world.cfg.multi_on_weak_tier);
     candidate_rtts.clear();
     for c in candidates.iter() {
-        let idx = c.node.0 as usize;
-        if idx < world.relays.len()
-            && world.relays[idx].online
-            && (!hq_only || world.relays[idx].high_quality)
-        {
+        let relay = world.relays.get(c.node.0 as usize);
+        if relay.is_some_and(|r| r.online) && tier_allows(&world.relays, weak_tier, spec, c.node) {
             let rtt = world.serve(c.node.0 as u32).rtt_estimate(now);
             candidate_rtts.push((c.node, rtt));
         }
@@ -1283,5 +1281,36 @@ mod tests {
                 .is_none(),
             "the matching completion clears the entry"
         );
+    }
+
+    /// §7.2.1 two tiers: a split session never lists a high-quality
+    /// relay, whether it mapped, failed over or switched onto it.
+    #[test]
+    fn weak_tier_sessions_stay_off_the_high_quality_tier() {
+        let mut s = Scenario::evening_peak().scaled(0.25);
+        (s.duration, s.streams) = (SimDuration::from_secs(120), 3);
+        (s.population.count, s.population.high_quality_fraction) = (40, 0.10);
+        let mut cfg = SystemConfig::for_mode(DeliveryMode::RLive);
+        (cfg.multi_on_weak_tier, cfg.popularity_threshold) = (true, 2);
+        cfg.multi_source_after = SimDuration::from_secs(10);
+        let policy = GroupPolicy::uniform(DeliveryMode::RLive);
+        let mut world = World::new(s, cfg, policy, 7);
+        let mut mapped = 0;
+        while let Some((now, event)) = world.queue.pop().filter(|&(at, _)| at <= world.end_at) {
+            let cid = match event {
+                Event::ControlTick { client } | Event::MultiSourceUpgrade { client } => client,
+                _ => u64::MAX,
+            };
+            world.handle(now, event);
+            let Some(c) = world.clients.get(&cid) else {
+                continue;
+            };
+            mapped += usize::from(c.uses_best_effort());
+            let hq = c
+                .relay_sources()
+                .find(|&r| world.relays[r as usize].high_quality);
+            assert_eq!(hq, None, "session {cid} on a high-quality relay at {now:?}");
+        }
+        assert!(mapped > 0, "no session mapped onto the weak tier");
     }
 }
