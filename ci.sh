@@ -132,7 +132,7 @@ done
 # directories such as crates/core/src/actors/ included. The ceiling is
 # the last deletion PR's exit total rounded up to the next 50; a PR that
 # deletes code lowers it, none raises it.
-loc_ceiling=29200
+loc_ceiling=29150
 echo "==> every .rs file under crates/*/src <= $loc_ceiling lines (source-size ratchet)"
 loc=$(find crates/*/src -name '*.rs' -exec cat {} + | wc -l)
 echo "$loc total"

@@ -80,8 +80,8 @@ fn refresh(sched: &mut GlobalScheduler, client: &ClientInfo) -> Vec<Recommendati
         .collect()
 }
 
-/// `session::pick_relay_excluding` drops high-quality candidates for a
-/// `weak_only` client and everything else for an `hq_only` one. Every
+/// `session::tier_allows` drops high-quality candidates for a split
+/// client of a two-tier world and everything else for the strawman. Every
 /// refresh must leave the first something to probe — a walk that took
 /// the queried class first would fill all 64 places from the ISP's ~75
 /// idle high-quality nodes and leave it nothing. The second depends on

@@ -248,7 +248,7 @@ mod tests {
 
     /// The delivery table, row by row.
     #[test]
-    fn every_mode_has_its_row() {
+    fn mode_classification() {
         use DeliveryMode::*;
         let row = |m: DeliveryMode| {
             let s = m.spec();
