@@ -339,9 +339,9 @@ impl HashTreeRegistry {
     }
 
     /// (Re-)indexes a node under its static attributes and the set of
-    /// substreams it currently forwards. With the attributes unchanged,
-    /// the idle index is left alone and only the substreams that came
-    /// or went move.
+    /// substreams it currently forwards, and returns its slot. With the
+    /// attributes unchanged, the idle index is left alone and only the
+    /// substreams that came or went move.
     pub fn index_node(
         &mut self,
         node: NodeId,
@@ -349,7 +349,7 @@ impl HashTreeRegistry {
         class: NodeClass,
         region: u16,
         forwarding: impl IntoIterator<Item = StreamKey>,
-    ) {
+    ) -> usize {
         let a = Attrs {
             isp,
             class: class.into(),
@@ -357,8 +357,13 @@ impl HashTreeRegistry {
         };
         let next = u32::try_from(self.ids.len()).expect("fewer than 2^32 nodes");
         let slot = *self.slots.entry(node).or_insert(next);
-        // The node's substream list is reused: the old keys, then the new.
-        let mut keys = self.forwarded.remove(&slot).unwrap_or_default();
+        // The node's substream list is reused (a new slot has none): the
+        // old keys, then the new.
+        let mut keys = if slot == next {
+            Vec::new()
+        } else {
+            self.forwarded.remove(&slot).unwrap_or_default()
+        };
         let old_len = keys.len();
         keys.extend(forwarding);
         let (old, new) = keys.split_at(old_len);
@@ -386,6 +391,7 @@ impl HashTreeRegistry {
         if !keys.is_empty() {
             self.forwarded.insert(slot, keys);
         }
+        slot as usize
     }
 
     /// Retrieves at most `want` candidates for `query` — exactly `want`

@@ -180,7 +180,7 @@ impl GlobalScheduler {
 
     /// Registers a node's static features (on first sight / re-register).
     pub fn register_node(&mut self, node: NodeId, statics: StaticFeatures, status: NodeStatus) {
-        self.registry.index_node(
+        let slot = self.registry.index_node(
             node,
             statics.isp,
             statics.class,
@@ -192,7 +192,7 @@ impl GlobalScheduler {
             status,
             last_heartbeat: SimTime::ZERO,
         };
-        match self.registry.slot(node).expect("just indexed") {
+        match slot {
             slot if slot == self.nodes.len() => self.nodes.push(rec),
             slot => self.nodes[slot] = rec,
         }

@@ -193,7 +193,7 @@ pub struct IncompleteFrame {
 }
 
 /// The client-side reorder buffer across all substreams of one stream.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ReorderBuffer {
     /// In-flight frame assemblies, ring-indexed by dts (the substream
     /// of each frame lives inside [`FrameAssembly`]; the old per-dts
@@ -225,27 +225,10 @@ pub struct ReorderBuffer {
     trace_session: u64,
 }
 
-impl Default for ReorderBuffer {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl ReorderBuffer {
     /// Creates an empty reorder buffer.
     pub fn new() -> Self {
-        ReorderBuffer {
-            assembling: SeqRing::new(),
-            chain: GlobalChain::new(),
-            duplicates: 0,
-            packets: 0,
-            released_watermark: None,
-            blocked_since: None,
-            skipped: 0,
-            released: Vec::new(),
-            trace: TraceSink::disabled(),
-            trace_session: 0,
-        }
+        Self::default()
     }
 
     /// Attaches a structured trace sink; deadline skips are emitted as

@@ -74,16 +74,16 @@ impl ChurnModel {
 }
 
 /// The availability timeline of one node: alternating online/offline
-/// episodes generated lazily and deterministically from the node's RNG.
-/// The model is read-only, so a whole population shares one.
+/// episodes generated lazily and deterministically from the node's RNG,
+/// the first on the first query. The model is read-only, so a whole
+/// population shares one.
 #[derive(Debug, Clone)]
 pub struct ChurnTimeline {
     model: Arc<ChurnModel>,
     rng: SimRng,
-    /// Start of the current episode.
-    episode_start: SimTime,
-    /// End of the current episode.
+    /// End of the current episode, unless `fresh`: no episode drawn yet.
     episode_end: SimTime,
+    fresh: bool,
     online: bool,
     /// Failure injection: forces the *next* offline episode to this
     /// exact length (then reverts to the model).
@@ -92,28 +92,16 @@ pub struct ChurnTimeline {
 
 impl ChurnTimeline {
     /// Starts a timeline at t = 0. The initial phase is randomised so a
-    /// large population is not synchronised.
-    pub fn new(model: impl Into<Arc<ChurnModel>>, mut rng: SimRng) -> Self {
-        let model = model.into();
-        let online = rng.chance(0.9);
-        let len = if online {
-            // Start mid-episode: sample a lifespan and begin at a random
-            // offset within it (length-biased sampling is a refinement we
-            // skip; the population-level statistics dominate).
-            let full = model.sample_lifespan(&mut rng);
-            full.mul_f64(rng.f64())
-        } else {
-            model.sample_offline(&mut rng).mul_f64(rng.f64())
-        };
+    /// large population is not synchronised. It is drawn on the first
+    /// query, from `rng`, which only this timeline reads, so when does
+    /// not change what.
+    pub fn new(model: impl Into<Arc<ChurnModel>>, rng: SimRng) -> Self {
         ChurnTimeline {
-            model,
+            model: model.into(),
             rng,
-            episode_start: SimTime::ZERO,
-            episode_end: SimTime::ZERO
-                + len
-                    .saturating_sub(SimDuration::ZERO)
-                    .max(SimDuration::from_secs(1)),
-            online,
+            episode_end: SimTime::ZERO,
+            fresh: true,
+            online: false,
             scripted_offline: None,
         }
     }
@@ -133,8 +121,8 @@ impl ChurnTimeline {
         ChurnTimeline {
             model: model.into(),
             rng,
-            episode_start: SimTime::ZERO,
             episode_end: online_until,
+            fresh: false,
             online: true,
             scripted_offline: Some(offline_for),
         }
@@ -142,9 +130,22 @@ impl ChurnTimeline {
 
     /// Advances to `now` and reports whether the node is online.
     pub fn is_online(&mut self, now: SimTime) -> bool {
+        if std::mem::take(&mut self.fresh) {
+            self.online = self.rng.chance(0.9);
+            let len = if self.online {
+                // Start at a random offset into a lifespan (length-biased
+                // sampling is a refinement the population statistics skip).
+                let full = self.model.sample_lifespan(&mut self.rng);
+                full.mul_f64(self.rng.f64())
+            } else {
+                self.model
+                    .sample_offline(&mut self.rng)
+                    .mul_f64(self.rng.f64())
+            };
+            self.episode_end = SimTime::ZERO + len.max(SimDuration::from_secs(1));
+        }
         while now >= self.episode_end {
             self.online = !self.online;
-            self.episode_start = self.episode_end;
             let len = if self.online {
                 self.model.sample_lifespan(&mut self.rng)
             } else if let Some(scripted) = self.scripted_offline.take() {
@@ -152,7 +153,7 @@ impl ChurnTimeline {
             } else {
                 self.model.sample_offline(&mut self.rng)
             };
-            self.episode_end = self.episode_start + len.max(SimDuration::from_secs(1));
+            self.episode_end += len.max(SimDuration::from_secs(1));
         }
         self.online
     }

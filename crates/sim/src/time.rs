@@ -95,7 +95,11 @@ impl SimDuration {
         if s <= 0.0 || !s.is_finite() {
             return SimDuration(0);
         }
-        SimDuration((s * 1e6).round() as u64)
+        // `f64::round` exactly (half away from zero), without the libm
+        // call: `us - whole` is exact for every non-negative `us`.
+        let us = s * 1e6;
+        let whole = us as u64;
+        SimDuration(whole.saturating_add((us - whole as f64 >= 0.5) as u64))
     }
 
     /// Returns the span in microseconds.

@@ -9,6 +9,50 @@ use rlive_sim::slo::{AlertEvent, AlertState, Severity, SloReport};
 use rlive_sim::trace::TraceEvent;
 use rlive_sim::{EventQueue, SimDuration, SimRng, SimTime};
 
+/// `SimDuration::from_secs_f64` as it was written with `f64::round`.
+fn micros_by_round(s: f64) -> u64 {
+    if s <= 0.0 || !s.is_finite() {
+        return 0;
+    }
+    (s * 1e6).round() as u64
+}
+
+/// Rounding to the microsecond agrees with `f64::round` on a million
+/// bit patterns, and on halves of microseconds and their neighbours
+/// from 0 to 2^54 µs, where the fraction vanishes.
+#[test]
+fn from_secs_f64_rounds_like_f64_round() {
+    let mut rng = SimRng::new(2026);
+    for _ in 0..1_000_000 {
+        let bits = f64::from_bits(rng.next_u64());
+        let whole = (rng.next_u64() >> (10 + rng.below(54))) as f64;
+        let half = whole + 0.5;
+        for s in [bits, half.next_down(), half, half.next_up(), whole]
+            .into_iter()
+            .flat_map(|us| [us / 1e6, us * 1e-6])
+        {
+            assert_eq!(
+                SimDuration::from_secs_f64(s).as_micros(),
+                micros_by_round(s),
+                "{s:e} s"
+            );
+        }
+    }
+    for s in [
+        f64::MAX,
+        1.8e13,
+        u64::MAX as f64 / 1e6,
+        f64::MIN_POSITIVE,
+        5e-324,
+    ] {
+        assert_eq!(
+            SimDuration::from_secs_f64(s).as_micros(),
+            micros_by_round(s),
+            "{s:e} s"
+        );
+    }
+}
+
 proptest! {
     /// Events always pop in non-decreasing time order, whatever the
     /// schedule order, and ties preserve scheduling order.

@@ -136,14 +136,18 @@ impl NodePopulation {
         }
         // The high-quality tier: top fraction by capacity, favouring
         // easy NATs (the nodes the strawman system would have picked).
+        // Ties go to the lower id, as a stable sort by capacity has it.
         let mut by_cap: Vec<usize> = (0..nodes.len()).collect();
-        by_cap.sort_by(|&a, &b| {
-            nodes[b]
-                .capacity_mbps
-                .partial_cmp(&nodes[a].capacity_mbps)
-                .expect("capacities are finite")
-        });
         let hq_count = ((cfg.count as f64 * cfg.high_quality_fraction).round() as usize).max(1);
+        if hq_count < by_cap.len() {
+            by_cap.select_nth_unstable_by(hq_count, |&a, &b| {
+                nodes[b]
+                    .capacity_mbps
+                    .partial_cmp(&nodes[a].capacity_mbps)
+                    .expect("capacities are finite")
+                    .then(a.cmp(&b))
+            });
+        }
         for &i in by_cap.iter().take(hq_count) {
             nodes[i].high_quality = true;
         }

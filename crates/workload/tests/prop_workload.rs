@@ -60,6 +60,37 @@ proptest! {
         }
     }
 
+    /// The high-quality tier is the prefix of a stable sort by capacity,
+    /// descending: among equal capacities the lower ids get in. Scaling
+    /// by the smallest subnormal rounds every capacity to a whole number
+    /// of subnormals, so capacities of 1-2 000 Mbps tie in bulk; a zero
+    /// scale ties them all.
+    #[test]
+    fn high_quality_tier_matches_a_stable_sort(
+        seed in any::<u64>(),
+        count in 1usize..600,
+        percent in 0u32..101,
+        scale in 0usize..4,
+    ) {
+        let mut rng = SimRng::new(seed);
+        let pop = NodePopulation::generate(
+            &PopulationConfig {
+                count,
+                high_quality_fraction: percent as f64 / 100.0,
+                capacity_scale: [1.0, 0.0, f64::from_bits(1), f64::from_bits(7)][scale],
+                ..PopulationConfig::default()
+            },
+            &mut rng,
+        );
+        let mut by_cap: Vec<usize> = (0..count).collect();
+        by_cap.sort_by(|&a, &b| pop.nodes[b].capacity_mbps.total_cmp(&pop.nodes[a].capacity_mbps));
+        let hq_count = ((count as f64 * percent as f64 / 100.0).round() as usize).max(1);
+        let mut expected: Vec<usize> = by_cap.into_iter().take(hq_count).collect();
+        expected.sort_unstable();
+        let hq: Vec<usize> = (0..count).filter(|&i| pop.nodes[i].high_quality).collect();
+        prop_assert_eq!(hq, expected);
+    }
+
     /// Diurnal load is always within (0, 1] and 24 h-periodic.
     #[test]
     fn diurnal_bounded_and_periodic(hour in -100.0f64..100.0) {
