@@ -92,9 +92,9 @@ pub struct ChurnTimeline {
 
 impl ChurnTimeline {
     /// Starts a timeline at t = 0. The initial phase is randomised so a
-    /// large population is not synchronised. It is drawn on the first
-    /// query, from `rng`, which only this timeline reads, so when does
-    /// not change what.
+    /// large population is not synchronised. It is drawn at the first
+    /// query from `rng`, which only this timeline reads, so the draws do
+    /// not depend on when that is.
     pub fn new(model: impl Into<Arc<ChurnModel>>, rng: SimRng) -> Self {
         ChurnTimeline {
             model: model.into(),
